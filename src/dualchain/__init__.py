@@ -61,6 +61,7 @@ from .intertwining import (
 from .kernels import (
     Kernel,
     KernelKind,
+    absorbing_states,
     classify,
     evolve,
     hitting_probabilities,

@@ -7,6 +7,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import dataclass
 
 import jsonschema
 import numpy as np
@@ -21,6 +22,7 @@ from . import (
     spectra,
     stationary_times,
 )
+from .tolerances import RESID_TOL
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -77,18 +79,6 @@ CONFIG_SCHEMA = {
     "required": ["kind"],
 }
 
-COMMANDS = (
-    "build",
-    "dual",
-    "intertwine",
-    "spectrum",
-    "ssd",
-    "simulate",
-    "cutoff",
-    "verify",
-    "plotdata",
-)
-
 
 def load_config(path: str) -> dict:
     try:
@@ -142,24 +132,21 @@ def build_chain(cfg: dict):
 def build_dual(cfg: dict, P):
     spec = cfg.get("dual", {"family": "siegmund"})
     family = spec["family"]
-    N = P.n - 1
-    if family == "siegmund":
-        return duals.siegmund_function(N), duals.siegmund_dual(P)
+    params = {}
     if family == "ultrametric":
-        for key in ("k", "alpha", "beta"):
-            if key not in spec:
-                raise errors.ConfigError("ultrametric dual needs k, alpha, beta")
-        H = duals.ultrametric_function(N, spec["k"], spec["alpha"], spec["beta"])
-        return H, duals.ultrametric_dual(P, spec["k"], spec["alpha"], spec["beta"])
-    if family in ("hypergeometric", "vandermonde"):
-        H = duals.dual_function(family, N)
-        return H, duals.dual_via_solve(P, H)
+        if any(key not in spec for key in ("k", "alpha", "beta")):
+            raise errors.ConfigError("ultrametric dual needs k, alpha, beta")
+        params = {key: spec[key] for key in ("k", "alpha", "beta")}
     if family == "potential":
         if "R" not in spec:
             raise errors.ConfigError("potential dual needs the substochastic matrix R")
-        H = duals.potential_function(np.array(spec["R"], dtype=float))
-        return H, duals.dual_via_solve(P, H)
-    raise errors.ConfigError(f"unknown dual family {family!r}")
+        params = {"R": np.array(spec["R"], dtype=float)}
+    H = duals.dual_function(family, P.n - 1, **params)
+    if family == "siegmund":
+        return H, duals.siegmund_dual(P)
+    if family == "ultrametric":
+        return H, duals.ultrametric_dual(P, **params)
+    return H, duals.dual_via_solve(P, H)
 
 
 def _fmt(x) -> str:
@@ -249,28 +236,93 @@ def cmd_dual(cfg, outdir, opts):
     return 0 if report.feasible else 2
 
 
-def _pipeline(cfg, opts):
+class Infeasible(Exception):
+    """Raised with the DualReport of a dual that has a negative entry;
+    ``run`` exits 2."""
+
+
+@dataclass(frozen=True)
+class Pipeline:
+    """A config's chain, dual and intertwining, built once per command.
+
+    ``p_bar`` is the kernel the link intertwines with ``res.p_tilde``: the
+    time reversal of P, or P itself when the two agree within RESID_TOL.
+    ``pt0`` is the point mass of the hidden chain at ``options.start``.
+    """
+
+    P: kernels.Kernel
+    params: chains.BDParams | None
+    H: duals.DualFunction
+    report: duals.DualReport
+    res: intertwining.IntertwiningResult
+    p_bar: np.ndarray
+    start: int
+    pt0: np.ndarray
+
+    def sharpness(self, n_max: int) -> stationary_times.SharpnessReport:
+        """Separation against hidden survival from the start state."""
+        return stationary_times.verify_sharpness(
+            self.p_bar, self.res.p_tilde, self.res.link, self.res.link[self.start],
+            self.pt0, n_max=n_max,
+        )
+
+    def absorption(self, boundary: int) -> stationary_times.AbsorptionStats:
+        """Law of the hidden arrival at ``boundary`` from the start state."""
+        return stationary_times.absorption_exact(self.res.p_tilde, self.pt0, boundary)
+
+    def spectral_absorption(self, boundary):
+        """The same law from the spectrum of P, or None unless P is
+        birth-death and the hidden chain runs from 0 to the top state."""
+        if self.params is None or boundary != self.P.n - 1 or self.start != 0:
+            return None
+        return stationary_times.absorption_spectral(spectra.bd_spectrum(self.params))
+
+
+def pipeline(cfg: dict, opts: dict) -> Pipeline:
     P, params = build_chain(cfg)
     H, report = build_dual(cfg, P)
     if not report.feasible:
-        return P, params, H, report, None
+        raise Infeasible(report)
     res = intertwining.build_intertwining(P, H, report.dual)
-    return P, params, H, report, res
+    start = opts.get("start", 0)
+    if start >= P.n:
+        raise errors.ConfigError(
+            f"options.start = {start} is not a state; states are 0..{P.n - 1}"
+        )
+    pt0 = np.zeros(P.n)
+    pt0[start] = 1.0
+    reversible = kernels.sup_norm(res.back - P.matrix) <= RESID_TOL
+    return Pipeline(P, params, H, report, res, P.matrix if reversible else res.back,
+                    start, pt0)
+
+
+def _check(value, tol) -> dict:
+    return {"value": float(value), "passed": bool(value <= tol)}
+
+
+# The summary each pipeline command writes when the dual is infeasible
+# (None: no file); the exit code is 2.
+INFEASIBLE = {
+    "intertwine": lambda rep: {"feasible": False, "violations": rep.violations[:10]},
+    "ssd": lambda rep: {"feasible": False},
+    "simulate": lambda rep: {"feasible": False},
+    "verify": lambda rep: {
+        "feasible": False,
+        "checks": {"dual_nonnegative": _check(max(abs(v[2]) for v in rep.violations), 0.0)},
+        "skipped": ["pipeline", "spectrum", "sharpness", "absorption"],
+    },
+    "plotdata": None,
+}
 
 
 def cmd_intertwine(cfg, outdir, opts):
-    P, params, H, report, res = _pipeline(cfg, opts)
-    if res is None:
-        write_json(_out(outdir, "intertwine_summary.json"), {
-            "feasible": False,
-            "violations": report.violations[:10],
-        })
-        return 2
+    pipe = pipeline(cfg, opts)
+    res = pipe.res
     write_matrix_csv(_out(outdir, "link.csv"), res.link)
     write_matrix_csv(_out(outdir, "p_tilde.csv"), res.p_tilde)
     write_matrix_csv(_out(outdir, "k_map.csv"), res.K)
     write_csv(_out(outdir, "phi.csv"), ["state", "phi", "pi"],
-              [(str(i), res.phi[i], res.pi[i]) for i in range(P.n)])
+              [(str(i), res.phi[i], res.pi[i]) for i in range(pipe.P.n)])
     write_json(_out(outdir, "intertwine_summary.json"), {
         "feasible": True,
         "diagnostics": res.diagnostics,
@@ -298,20 +350,10 @@ def cmd_spectrum(cfg, outdir, opts):
 
 
 def cmd_ssd(cfg, outdir, opts):
-    P, params, H, report, res = _pipeline(cfg, opts)
-    if res is None:
-        write_json(_out(outdir, "ssd_summary.json"), {"feasible": False})
-        return 2
-    start = opts.get("start", 0)
-    pi0 = res.link[start]
-    pt0 = np.zeros(P.n)
-    pt0[start] = 1.0
-    n_max = opts.get("n_max", 100)
-    sharp = stationary_times.verify_sharpness(
-        P.matrix, res.p_tilde, res.link, pi0, pt0, n_max=n_max
-    )
+    pipe = pipeline(cfg, opts)
+    sharp = pipe.sharpness(opts.get("n_max", 100))
     write_csv(_out(outdir, "ssd.csv"), ["n", "separation", "survival"], sharp.table)
-    ex = stationary_times.absorption_exact(res.p_tilde, pt0, sharp.boundary)
+    ex = pipe.absorption(sharp.boundary)
     summary = {
         "boundary": sharp.boundary,
         "witness": sharp.witness,
@@ -320,9 +362,8 @@ def cmd_ssd(cfg, outdir, opts):
         "mean": ex.mean,
         "variance": ex.variance,
     }
-    if params is not None and sharp.boundary == P.n - 1 and start == 0:
-        spec = spectra.bd_spectrum(params)
-        sp = stationary_times.absorption_spectral(spec)
+    sp = pipe.spectral_absorption(sharp.boundary)
+    if sp is not None:
         summary["mean_spectral"] = sp.mean
         summary["variance_spectral"] = sp.variance
     write_json(_out(outdir, "ssd_summary.json"), summary)
@@ -330,28 +371,22 @@ def cmd_ssd(cfg, outdir, opts):
 
 
 def cmd_simulate(cfg, outdir, opts):
-    P, params, H, report, res = _pipeline(cfg, opts)
-    if res is None:
-        write_json(_out(outdir, "simulate_summary.json"), {"feasible": False})
-        return 2
-    start = opts.get("start", 0)
-    pt0 = np.zeros(P.n)
-    pt0[start] = 1.0
-    pk = coupling.product_kernel(P.matrix, res.p_tilde, res.link)
+    pipe = pipeline(cfg, opts)
+    pk = coupling.product_kernel(pipe.p_bar, pipe.res.p_tilde, pipe.res.link)
     batch = coupling.simulate(
         pk,
-        pt0,
+        pipe.pt0,
         n_steps=opts.get("n_max", 50),
         n_paths=opts.get("trials", 10000),
         seed=opts.get("seed", 0),
     )
-    rep = coupling.empirical_report(batch, pk, pt0)
+    rep = coupling.empirical_report(batch, pk, pipe.pt0)
     rows = []
     for t in (batch.n_steps // 2, batch.n_steps):
         if t == 0:
             continue
         fx = np.bincount(batch.x[:, t], minlength=pk.n) / batch.n_paths
-        mu = kernels.evolve(pt0 @ pk.link, P, t)
+        mu = kernels.evolve(pipe.pt0 @ pk.link, pk.p, t)
         for s in range(pk.n):
             rows.append((str(t), "observed", str(s), fx[s], mu[s]))
     write_csv(_out(outdir, "empirical.csv"),
@@ -394,42 +429,26 @@ def cmd_cutoff(cfg, outdir, opts):
 
 def cmd_verify(cfg, outdir, opts):
     """Gated end-to-end verification with one pass/fail entry per identity."""
-    P, params, H, report, res = _pipeline(cfg, opts)
-    checks = {}
+    pipe = pipeline(cfg, opts)
+    checks = {"dual_nonnegative": _check(0.0, 0.0)}
 
     def record(name, value, tol):
-        checks[name] = {"value": float(value), "passed": bool(value <= tol)}
+        checks[name] = _check(value, tol)
 
-    record("dual_nonnegative", 0.0 if report.feasible else
-           max(abs(v[2]) for v in report.violations), 0.0)
-    if not report.feasible:
-        write_json(_out(outdir, "verify_summary.json"), {
-            "feasible": False,
-            "checks": checks,
-            "skipped": ["pipeline", "spectrum", "sharpness", "absorption"],
-        })
-        return 2
-
-    vd = duals.verify_duality(P, H, report.dual, n_max=opts.get("n_max", 20))
+    vd = duals.verify_duality(pipe.P, pipe.H, pipe.report.dual, n_max=opts.get("n_max", 20))
     record("duality_static", vd["static"], 1e-10)
     record("duality_dynamic", vd["dynamic"], 1e-9)
-    d = res.diagnostics
+    d = pipe.res.diagnostics
     record("harmonic_fixed_point", d["phi_harmonic"], 1e-10)
     record("link_intertwining", d["intertwining"], 1e-10)
     record("k_duality", d["k_duality"], 1e-10)
     record("boundary_rows_carry_pi",
            max(d["absorbing_rows"].values()) if d["absorbing_rows"] else 0.0, 1e-10)
     record("trace_match", d["trace_comparison"]["max_deviation"],
-           1e-8 * P.n)
+           1e-8 * pipe.P.n)
 
-    start = opts.get("start", 0)
-    pt0 = np.zeros(P.n)
-    pt0[start] = 1.0
     try:
-        sharp = stationary_times.verify_sharpness(
-            P.matrix, res.p_tilde, res.link, res.link[start], pt0,
-            n_max=opts.get("n_max", 100),
-        )
+        sharp = pipe.sharpness(opts.get("n_max", 100))
         record("separation_dominated_by_survival", 0.0, 0.0)
         if sharp.sharp:
             record("sharp_equality", sharp.max_gap, 1e-9)
@@ -440,9 +459,9 @@ def cmd_verify(cfg, outdir, opts):
         }
         boundary = None
 
-    if params is not None and boundary == P.n - 1 and start == 0:
-        ex = stationary_times.absorption_exact(res.p_tilde, pt0, boundary)
-        sp = stationary_times.absorption_spectral(spectra.bd_spectrum(params))
+    sp = pipe.spectral_absorption(boundary)
+    if sp is not None:
+        ex = pipe.absorption(boundary)
         dev = max(
             abs(ex.mean - sp.mean) / sp.mean if sp.mean else 0.0,
             abs(ex.variance - sp.variance) / sp.variance if sp.variance else 0.0,
@@ -470,27 +489,17 @@ def cmd_plotdata(cfg, outdir, opts):
         spec = spectra.bd_spectrum(params)
         rows = [(str(k), series, spec.eigenvalues[k]) for k in range(spec.n)]
     elif series == "phi_profile":
-        P, params, H, report, res = _pipeline(cfg, opts)
-        if res is None:
-            return 2
-        rows = [(str(x), series, res.phi[x]) for x in range(P.n)]
+        pipe = pipeline(cfg, opts)
+        rows = [(str(x), series, pipe.res.phi[x]) for x in range(pipe.P.n)]
     elif series in ("sep_vs_survival", "absorption_pmf"):
-        P, params, H, report, res = _pipeline(cfg, opts)
-        if res is None:
-            return 2
-        start = opts.get("start", 0)
-        pt0 = np.zeros(P.n)
-        pt0[start] = 1.0
-        sharp = stationary_times.verify_sharpness(
-            P.matrix, res.p_tilde, res.link, res.link[start], pt0,
-            n_max=opts.get("n_max", 50),
-        )
+        pipe = pipeline(cfg, opts)
+        sharp = pipe.sharpness(opts.get("n_max", 50))
         if series == "sep_vs_survival":
             for n, sep, surv in sharp.table:
                 rows.append((str(int(n)), "separation", sep))
                 rows.append((str(int(n)), "survival", surv))
         else:
-            ex = stationary_times.absorption_exact(res.p_tilde, pt0, sharp.boundary)
+            ex = pipe.absorption(sharp.boundary)
             rows = [(str(n), series, ex.pmf[n]) for n in range(ex.n_max + 1)]
     else:
         raise errors.ConfigError(f"unknown series {series!r}")
@@ -510,6 +519,9 @@ HANDLERS = {
     "plotdata": cmd_plotdata,
 }
 
+# command-line flags that override the config's options
+FLAG_OPTIONS = {"seed": "seed", "nmax": "n_max", "trials": "trials", "series": "series"}
+
 
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -517,7 +529,7 @@ def make_parser() -> argparse.ArgumentParser:
         description="Duality, intertwining and strong stationary times "
         "for finite Markov chains.",
     )
-    ap.add_argument("command", choices=COMMANDS)
+    ap.add_argument("command", choices=HANDLERS)
     ap.add_argument("--config", required=True, help="path to a JSON chain config")
     ap.add_argument("--out", default=".", help="output directory (default: cwd)")
     ap.add_argument("--seed", type=int, default=None)
@@ -531,24 +543,22 @@ def run(argv=None) -> int:
     args = make_parser().parse_args(argv)
     cfg = load_config(args.config)
     opts = dict(cfg.get("options", {}))
-    if args.seed is not None:
-        opts["seed"] = args.seed
-    if args.nmax is not None:
-        opts["n_max"] = args.nmax
-    if args.trials is not None:
-        opts["trials"] = args.trials
-    if args.series is not None:
-        opts["series"] = args.series
-    return HANDLERS[args.command](cfg, args.out, opts)
+    for flag, key in FLAG_OPTIONS.items():
+        if getattr(args, flag) is not None:
+            opts[key] = getattr(args, flag)
+    try:
+        return HANDLERS[args.command](cfg, args.out, opts)
+    except Infeasible as e:
+        summary = INFEASIBLE[args.command]
+        if summary is not None:
+            write_json(_out(args.out, f"{args.command}_summary.json"), summary(e.args[0]))
+        return 2
 
 
 def main() -> None:
     try:
         sys.exit(run())
-    except errors.DualChainError as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        sys.exit(1)
-    except Exception as e:  # surface location for genuine bugs
+    except Exception as e:  # library errors and, with their location, genuine bugs
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         sys.exit(1)
 

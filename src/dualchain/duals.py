@@ -167,26 +167,10 @@ class DualReport:
 
 def is_monotone(P, slack: float = EPS_NEG) -> bool:
     """Rows are stochastically nondecreasing: cumulative sums F(x, y) are
-    nonincreasing in x for every y.  For tridiagonal input this coincides
-    with p_x + q_{x+1} <= 1 and the two computations are cross-checked."""
-    m = as_matrix(P)
-    F = np.cumsum(m, axis=1)
-    by_cumulative = bool(np.all(F[1:] - F[:-1] <= slack))
-    if _is_tridiagonal(m):
-        n = m.shape[0]
-        up = np.array([m[x, x + 1] for x in range(n - 1)])
-        down = np.array([m[x + 1, x] for x in range(n - 1)])
-        by_boundary = bool(np.all(up + down <= 1 + slack + EPS_STOCH))
-        if by_boundary != by_cumulative:  # pragma: no cover - fp corner
-            raise errors.DualChainError(
-                "cumulative and tridiagonal monotonicity checks disagree"
-            )
-    return by_cumulative
-
-
-def _is_tridiagonal(m: np.ndarray) -> bool:
-    mask = np.abs(np.triu(m, 2)) + np.abs(np.tril(m, -2))
-    return bool(np.max(mask, initial=0.0) <= EPS_NEG)
+    nonincreasing in x for every y.  For a birth-death kernel this is
+    p_x + q_{x+1} <= 1."""
+    F = np.cumsum(as_matrix(P), axis=1)
+    return bool(np.all(F[1:] - F[:-1] <= slack))
 
 
 def siegmund_dual(P) -> DualReport:
@@ -214,7 +198,7 @@ def siegmund_dual(P) -> DualReport:
     residual = sup_norm(H @ dual.T - m @ H)
     leaks = 1.0 - dual.sum(axis=1)
     diagnostics = {
-        "absorbing_last": bool(abs(dual[n - 1, n - 1] - 1.0) <= EPS_STOCH)
+        "absorbing_last": n - 1 in kernels.absorbing_states(dual)
         if K.kind is kernels.KernelKind.STOCHASTIC
         else None,
         "leak_at_zero": float(leaks[0]),
@@ -372,7 +356,7 @@ def bd_ultrametric_rigidity(params, k: int, alpha: float, beta: float) -> dict:
     """
     if not is_irreducible_bd(params):
         raise errors.NotIrreducibleError("rigidity analysis needs an irreducible chain")
-    P = bd_kernel_cached(params)
+    P = bd_kernel(params)
     rep = ultrametric_dual(P, k, alpha, beta)
     N = params.N
     out = {
@@ -394,18 +378,6 @@ def bd_ultrametric_rigidity(params, k: int, alpha: float, beta: float) -> dict:
             np.all(np.abs(rep.diagnostics["row_mass"] - 1.0) <= EPS_STOCH)
         )
     return out
-
-
-_bd_kernel_cache: dict = {}
-
-
-def bd_kernel_cached(params):
-    key = (params.N, params.p.tobytes(), params.q.tobytes(), params.r.tobytes())
-    if key not in _bd_kernel_cache:
-        if len(_bd_kernel_cache) > 256:
-            _bd_kernel_cache.clear()
-        _bd_kernel_cache[key] = bd_kernel(params)
-    return _bd_kernel_cache[key]
 
 
 def cond1_estimate(H: DualFunction) -> float:

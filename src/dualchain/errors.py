@@ -115,13 +115,5 @@ class ZeroUpProbabilityError(DualChainError):
     pass
 
 
-class NonProductInitialError(DualChainError):
-    pass
-
-
-class PreconditionError(DualChainError):
-    pass
-
-
 class ConfigError(DualChainError):
     pass

@@ -120,13 +120,12 @@ def build_intertwining(P, H: DualFunction, dual) -> IntertwiningResult:
     if dual_kind is kernels.KernelKind.STOCHASTIC and kernels.is_irreducible(d):
         diagnostics["phi_constant"] = float(np.ptp(phi))
         diagnostics["p_tilde_equals_dual"] = sup_norm(p_tilde - d)
-    if len(dec.stochastic_classes) == 1:
-        c = class_constants[0][1]
-        h = kernels.hitting_probabilities(d, list(dec.stochastic_classes[0]))
+    if len(class_constants) == 1:
+        # c and h of the one class are left by the loop above
         diagnostics["doob"] = sup_norm(phi / c - h)
 
-    abs_dual = set(_absorbing_states(d))
-    abs_tilde = set(_absorbing_states(p_tilde))
+    abs_dual = set(kernels.absorbing_states(d))
+    abs_tilde = set(kernels.absorbing_states(p_tilde))
     diagnostics["absorbing_match"] = abs_dual == abs_tilde
     if not diagnostics["absorbing_match"]:
         raise errors.DualChainError(
@@ -149,20 +148,11 @@ def build_intertwining(P, H: DualFunction, dual) -> IntertwiningResult:
     )
 
 
-def _absorbing_states(m: np.ndarray) -> list[int]:
-    return [
-        x
-        for x in range(m.shape[0])
-        if abs(m[x, x] - 1.0) <= EPS_STOCH
-        and np.all(np.delete(m[x], x) <= EPS_NEG)
-    ]
-
-
 def link_row_check(link, pi, a_tilde: int, p_tilde) -> float:
     """Residual of pi' = e_a' Lambda at an absorbing state a of Ptilde."""
     L = as_matrix(link)
     pt = as_matrix(p_tilde)
-    if a_tilde not in _absorbing_states(pt):
+    if a_tilde not in kernels.absorbing_states(pt):
         raise errors.NotAbsorbingError(f"state {a_tilde} is not absorbing")
     r = sup_norm(L[a_tilde] - np.asarray(pi, dtype=float))
     if r > RESID_TOL:
@@ -183,7 +173,7 @@ def constant_column_check(H, dual=None) -> list[tuple[int, float]]:
             out.append((j, float(col[0])))
     if dual is not None:
         d = as_matrix(dual)
-        absorbing = set(_absorbing_states(d))
+        absorbing = set(kernels.absorbing_states(d))
         for j, _ in out:
             if j not in absorbing:
                 raise errors.NotAbsorbingError(

@@ -38,9 +38,6 @@ class Kernel:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def row_sums(self) -> np.ndarray:
-        return self.matrix.sum(axis=1)
-
 
 def sup_norm(a) -> float:
     """Entrywise sup norm; the residual metric used everywhere."""
@@ -134,7 +131,8 @@ class ClassDecomposition:
     transition goes from a class to itself or to a *later* class; among
     unordered classes the one containing the smallest state comes first.
     ``stochastic_classes`` are the classes whose restricted block keeps full
-    mass; ``absorbing_states`` are the single states with P(a, a) = 1.
+    mass; ``absorbing_states`` are the states ``absorbing_states(P)``
+    returns, each a class of its own.
     """
 
     classes: list = field(default_factory=list)
@@ -144,12 +142,6 @@ class ClassDecomposition:
     @property
     def n_classes(self) -> int:
         return len(self.classes)
-
-    def class_of(self, state: int) -> int:
-        for i, cls in enumerate(self.classes):
-            if state in cls:
-                return i
-        raise KeyError(state)
 
 
 def _strongly_connected_components(adj: list[list[int]]) -> list[list[int]]:
@@ -250,18 +242,21 @@ def classify(P) -> ClassDecomposition:
         block_sums = m[np.ix_(idx, idx)].sum(axis=1)
         if np.all(np.abs(block_sums - 1.0) <= EPS_STOCH):
             stochastic_classes.append(cls)
-    absorbing = [
-        cls[0]
-        for cls in classes
-        if len(cls) == 1
-        and abs(m[cls[0], cls[0]] - 1.0) <= EPS_STOCH
-        and m[cls[0]].sum() - m[cls[0], cls[0]] <= EPS_STOCH
-    ]
     return ClassDecomposition(
         classes=classes,
         stochastic_classes=stochastic_classes,
-        absorbing_states=sorted(absorbing),
+        absorbing_states=absorbing_states(m),
     )
+
+
+def absorbing_states(P) -> list[int]:
+    """States a with P(a, a) within EPS_STOCH of 1 and every other entry of
+    row a at most EPS_NEG, in increasing order."""
+    m = np.array(as_matrix(P), dtype=float)
+    stays = np.abs(np.diag(m) - 1.0) <= EPS_STOCH
+    np.fill_diagonal(m, -np.inf)
+    leaves = np.max(m, axis=1, initial=-np.inf) > EPS_NEG
+    return [int(a) for a in np.flatnonzero(stays & ~leaves)]
 
 
 def is_irreducible(P) -> bool:

@@ -37,11 +37,3 @@ def random_monotone_bd(rng, N: int, low: float = 0.08, high: float = 0.45) -> BD
     q[1:] = rng.uniform(low, high, size=N)
     return make_bd(p, q)
 
-
-def random_constant_blockmass_kernel(rng, N: int, k: int, delta: float) -> np.ndarray:
-    """Every row puts mass delta on {0..k} and 1 - delta on {k+1..N}."""
-    n = N + 1
-    m = np.zeros((n, n))
-    m[:, : k + 1] = delta * rng.dirichlet(np.ones(k + 1), size=n)
-    m[:, k + 1 :] = (1.0 - delta) * rng.dirichlet(np.ones(n - k - 1), size=n)
-    return kernels.validate_kernel(m, require="stochastic").matrix

@@ -11,9 +11,24 @@ from dualchain.spectra import bd_spectrum
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
+# dense monotone chain that is not reversible: the link intertwines the
+# hidden chain with its time reversal, not with the chain itself
+NON_REVERSIBLE = {
+    "kind": "dense",
+    "matrix": [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.1, 0.3, 0.6]],
+    "dual": {"family": "siegmund"},
+    "options": {"n_max": 60, "trials": 20000, "seed": 5},
+}
+
 
 def _run(command, config, out, *extra):
     return run([command, "--config", str(CONFIGS / config), "--out", str(out), *extra])
+
+
+def _run_cfg(command, cfg, out, *extra):
+    path = out / "config.json"
+    path.write_text(json.dumps(cfg))
+    return run([command, "--config", str(path), "--out", str(out), *extra])
 
 
 def _load_matrix(path):
@@ -224,3 +239,46 @@ def test_nmax_override(tmp_path):
     assert _run("ssd", "chain_a.json", tmp_path, "--nmax", "12") == 0
     table = np.loadtxt(tmp_path / "ssd.csv", delimiter=",", skiprows=1)
     assert table.shape[0] == 13
+
+
+def test_verify_non_reversible_chain_all_passed(tmp_path):
+    assert _run_cfg("verify", NON_REVERSIBLE, tmp_path) == 0
+    summary = json.loads((tmp_path / "verify_summary.json").read_text())
+    assert summary["all_passed"]
+    assert summary["checks"]["separation_dominated_by_survival"]["passed"]
+    assert summary["checks"]["sharp_equality"]["passed"]
+
+
+def test_non_reversible_chain_runs_on_time_reversal(tmp_path):
+    assert _run_cfg("ssd", NON_REVERSIBLE, tmp_path) == 0
+    summary = json.loads((tmp_path / "ssd_summary.json").read_text())
+    assert summary["sharp"] and summary["max_gap"] <= 1e-9
+    assert _run_cfg("simulate", NON_REVERSIBLE, tmp_path) == 0
+    assert json.loads((tmp_path / "simulate_summary.json").read_text())["ok"]
+    for series in ("phi_profile", "sep_vs_survival", "absorption_pmf"):
+        out = tmp_path / series
+        out.mkdir()
+        assert _run_cfg("plotdata", NON_REVERSIBLE, out, "--series", series) == 0
+        assert (out / "series.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["ssd", "verify", "simulate"])
+def test_start_out_of_range_is_config_error(tmp_path, command):
+    cfg = json.loads((CONFIGS / "chain_a.json").read_text())
+    cfg["options"]["start"] = 5
+    with pytest.raises(errors.ConfigError, match=r"start = 5 .* 0\.\.1"):
+        _run_cfg(command, cfg, tmp_path)
+
+
+@pytest.mark.parametrize("command", ["ssd", "simulate"])
+def test_infeasible_summary_says_only_infeasible(tmp_path, command):
+    assert _run(command, "non_monotone.json", tmp_path) == 2
+    summary = json.loads((tmp_path / f"{command}_summary.json").read_text())
+    assert summary == {"feasible": False}
+
+
+@pytest.mark.parametrize("series", ["phi_profile", "sep_vs_survival", "absorption_pmf"])
+def test_plotdata_infeasible_writes_no_series(tmp_path, series):
+    # the spectrum series builds no dual; on this dense chain it is a ConfigError
+    assert _run("plotdata", "non_monotone.json", tmp_path, "--series", series) == 2
+    assert not (tmp_path / "series.csv").exists()

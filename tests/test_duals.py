@@ -27,6 +27,15 @@ from dualchain.samplers import random_kernel, random_monotone_kernel
 NON_MONOTONE = np.array([[0.1, 0.9], [0.8, 0.2]])
 
 
+@st.composite
+def bd_twentieths(draw):
+    """Counts kp, kq of a birth-death chain with p = kp / 20, q = kq / 20."""
+    N = draw(st.integers(1, 8))
+    kq = [0] + [draw(st.integers(0, 20)) for _ in range(N)]
+    kp = [draw(st.integers(0, 20 - kq[x])) for x in range(N)] + [0]
+    return np.array(kp), np.array(kq)
+
+
 def test_dual_function_rejects_bad_input():
     with pytest.raises(errors.NonSquareError):
         DualFunction(np.ones((2, 3)), "custom")
@@ -96,6 +105,15 @@ def test_dual_function_dispatch():
 def test_is_monotone():
     assert is_monotone(bd_kernel(make_bd(p=[0.3, 0.0], q=[0.0, 0.2])).matrix)
     assert not is_monotone(NON_MONOTONE)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bd_twentieths())
+def test_is_monotone_bd_iff_boundary_sums(counts):
+    # a birth-death kernel is monotone exactly when p_x + q_{x+1} <= 1
+    kp, kq = counts
+    P = bd_kernel(make_bd(kp / 20, kq / 20, interior_positive=False))
+    assert is_monotone(P) == bool(np.all(kp[:-1] + kq[1:] <= 20))
 
 
 def test_siegmund_dual_chain_a(chain_a):

@@ -93,6 +93,22 @@ def test_classify_orders_transient_first():
     assert not kernels.is_irreducible(m)
 
 
+def test_absorbing_states_window():
+    # row 0: diagonal 1 - 5e-10 with nothing else (within EPS_STOCH of 1);
+    # row 1: diagonal within EPS_STOCH but 1e-11 > EPS_NEG leaves the state;
+    # row 2: a transient state; row 3: exactly absorbing
+    m = np.array([
+        [1.0 - 5e-10, 0.0, 0.0, 0.0],
+        [0.0, 1.0 - 1e-11, 1e-11, 0.0],
+        [0.2, 0.3, 0.5, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+    ])
+    assert kernels.absorbing_states(m) == [0, 3]
+    assert kernels.classify(m).absorbing_states == [0, 3]
+    assert kernels.absorbing_states(np.ones((1, 1))) == [0]
+    assert kernels.absorbing_states(np.zeros((0, 0))) == []
+
+
 def test_hitting_probabilities_gambler():
     m = np.array([
         [1.0, 0.0, 0.0],

@@ -15,7 +15,8 @@ from dualchain.chains import (
 )
 from dualchain.duals import dual_via_solve, hypergeometric_function, siegmund_dual, siegmund_function
 from dualchain.intertwining import build_intertwining
-from dualchain.samplers import random_monotone_bd
+from dualchain.kernels import total_variation
+from dualchain.samplers import random_monotone_bd, random_monotone_kernel
 from dualchain.spectra import Spectrum, bd_spectrum, moran_mutation_spectrum
 from dualchain.stationary_times import (
     absorption_exact,
@@ -35,6 +36,28 @@ def test_separation_basics():
     assert separation(np.array([1.0, 0.0]), pi) == pytest.approx(1.0)
     with pytest.raises(errors.ZeroStationaryEntryError):
         separation(pi, np.array([1.0, 0.0]))
+
+
+def test_separation_allows_mass_defect():
+    # mu > pi everywhere with total mass 1 + delta: sep = -delta and
+    # TV = delta / 2, so TV - sep = 1.5 delta lies above a fixed 1e-12 slack
+    pi = np.array([0.1, 0.2, 0.3, 0.4])
+    delta = 1e-11
+    mu = pi * (1.0 + delta)
+    assert total_variation(mu, pi) - (-delta) > 1e-12
+    assert separation(mu, pi) == pytest.approx(-delta, rel=1e-3)
+
+
+def test_separation_gate_on_mixed_dense_chain():
+    # the chain mixes within 100 steps and mu_n drifts to mass 1 + 1.7e-12,
+    # which tripped the fixed-slack separation gate
+    m = random_monotone_kernel(np.random.default_rng(108), 200)
+    res = build_intertwining(m, siegmund_function(199), siegmund_dual(m).dual)
+    start = np.zeros(200)
+    start[0] = 1.0
+    rep = verify_sharpness(res.back, res.p_tilde, res.link, res.link[0], start, n_max=100)
+    assert rep.sharp
+    assert rep.max_gap <= 1e-9
 
 
 def test_admissible_initials_solve_path(pipeline_b):
