@@ -397,6 +397,7 @@ def cmd_simulate(cfg, outdir, opts):
         "n_paths": batch.n_paths,
         "seed": batch.seed,
         "fingerprint": batch.fingerprint,
+        "trajectory_digest": batch.digest(),
     })
     return 0
 

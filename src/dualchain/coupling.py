@@ -13,8 +13,6 @@ current hidden state.
 from __future__ import annotations
 
 import hashlib
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,17 +24,18 @@ from .tolerances import EPS_NEG, EPS_STOCH, RESID_TOL
 
 @dataclass(frozen=True)
 class ProductKernel:
-    """Coupled kernel on pair states s = x * n_tilde + xt (C order).
+    """Coupled kernel on pair states s = x * n_tilde + xt (C order), kept as
+    its factors P, Ptilde and Lambda.
 
+    ``inv_lp`` is 1 / (Lambda P)(xt, y), set to 0 where (Lambda P)(xt, y) = 0.
     ``consistent`` marks the pairs with Lambda(xt, x) > 0; the coupled walk
-    never leaves them.  Rows at inconsistent pairs are set to hold in place
-    so the matrix stays stochastic.
+    never leaves them.
     """
 
-    matrix: np.ndarray
     p: np.ndarray
     p_tilde: np.ndarray
     link: np.ndarray
+    inv_lp: np.ndarray
     consistent: np.ndarray
 
     @property
@@ -62,60 +61,55 @@ def product_kernel(P, p_tilde, link) -> ProductKernel:
     m = as_matrix(P)
     pt = as_matrix(p_tilde)
     L = as_matrix(link)
-    n = m.shape[0]
     nt = pt.shape[0]
-    if L.shape != (nt, n):
+    if L.shape != (nt, m.shape[0]):
         raise errors.DimensionMismatchError("link must map hidden rows to observed columns")
     r = sup_norm(pt @ L - L @ m)
     if r > RESID_TOL:
         raise errors.IntertwiningResidualError(f"link residual {r:.3g}")
 
     W = L @ m                                    # (xt, y)
-    M = pt[:, None, :] * L.T[None, :, :]         # (xt, y, yt) = Ptilde(xt,yt) L(yt,y)
-    D = np.divide(M, W[:, :, None], out=np.zeros_like(M), where=W[:, :, None] > 0)
-    joint = m[:, None, :, None] * D[None, :, :, :]
-    big = joint.reshape(n * nt, n * nt)
-
+    inv_lp = np.divide(1.0, W, out=np.zeros_like(W), where=W > 0)
     consistent = (L.T > EPS_NEG)                 # (x, xt)
-    flat = consistent.reshape(-1)
-    sums = big.sum(axis=1)
-    bad = flat & (np.abs(sums - 1.0) > EPS_STOCH)
+    # row sum at pair (x, xt): sum_y P(x, y) (Ptilde Lambda)(xt, y) / (Lambda P)(xt, y)
+    sums = (m @ ((pt @ L) * inv_lp).T).reshape(-1)
+    bad = consistent.reshape(-1) & (np.abs(sums - 1.0) > EPS_STOCH)
     if np.any(bad):
         s = int(np.argmax(bad))
         raise errors.NotStochasticError(
             f"coupled row at pair {divmod(s, nt)} sums to {sums[s]}"
         )
-    idx = np.flatnonzero(~flat)
-    big[idx] = 0.0
-    big[idx, idx] = 1.0
-    return ProductKernel(matrix=big, p=m, p_tilde=pt, link=L, consistent=consistent)
+    return ProductKernel(p=m, p_tilde=pt, link=L, inv_lp=inv_lp, consistent=consistent)
 
 
 def exact_joint(pk: ProductKernel, pi_tilde0, n_steps: int) -> dict:
     """Push the product-form initial law through the coupled kernel and
     certify, at every step, the three structural identities: observed
     marginal = pi0 P^n, hidden marginal = nu0 Ptilde^n, and joint law =
-    product form nu_n(xt) Lambda(xt, x)."""
+    product form nu_n(xt) Lambda(xt, x).
+
+    The law rho(x, xt) moves through the factors:
+    rho <- (((rho' P) o 1/(Lambda P))' Ptilde) o Lambda'.
+    """
     nu0 = kernels.validate_prob_vector(pi_tilde0, "pi_tilde0")
     if nu0.shape[0] != pk.n_tilde:
         raise errors.DimensionMismatchError("pi_tilde0 length mismatch")
     L = pk.link
-    rho = (nu0[None, :] * L.T).reshape(-1)       # rho0(x, xt)
+    rho = nu0[None, :] * L.T                     # rho0(x, xt)
     pi0 = nu0 @ L
 
     mu = pi0.copy()
     nu = nu0.copy()
     obs_dev = hid_dev = prod_dev = 0.0
     for _ in range(n_steps):
-        rho = rho @ pk.matrix
+        rho = (((rho.T @ pk.p) * pk.inv_lp).T @ pk.p_tilde) * L.T
         mu = mu @ pk.p
         nu = nu @ pk.p_tilde
-        grid = rho.reshape(pk.n, pk.n_tilde)
-        obs_dev = max(obs_dev, sup_norm(grid.sum(axis=1) - mu))
-        hid_dev = max(hid_dev, sup_norm(grid.sum(axis=0) - nu))
-        prod_dev = max(prod_dev, sup_norm(grid - (nu[None, :] * L.T)))
+        obs_dev = max(obs_dev, sup_norm(rho.sum(axis=1) - mu))
+        hid_dev = max(hid_dev, sup_norm(rho.sum(axis=0) - nu))
+        prod_dev = max(prod_dev, sup_norm(rho - (nu[None, :] * L.T)))
     return {
-        "joint": rho,
+        "joint": rho.reshape(-1),
         "observed_marginal_dev": obs_dev,
         "hidden_marginal_dev": hid_dev,
         "product_form_dev": prod_dev,
@@ -139,67 +133,44 @@ class TrajectoryBatch:
     def n_steps(self) -> int:
         return self.x.shape[1] - 1
 
-
-def _worker_count() -> int:
-    env = os.environ.get("DUALCHAIN_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise errors.ConfigError(f"DUALCHAIN_THREADS={env!r} is not an integer")
-    return 1
-
-
-def _simulate_block(cum, start_cum, seed, lo, hi, n_steps):
-    # One Philox substream per trajectory (key = [seed, index]) so results
-    # are identical for any worker split.
-    count = hi - lo
-    u = np.empty((count, n_steps + 1))
-    for i in range(count):
-        g = np.random.Generator(np.random.Philox(key=[seed, lo + i]))
-        u[i] = g.random(n_steps + 1)
-    states = np.searchsorted(start_cum, u[:, 0], side="right")
-    out = np.empty((count, n_steps + 1), dtype=np.int64)
-    out[:, 0] = states
-    for t in range(1, n_steps + 1):
-        rows = cum[states]
-        states = (u[:, t, None] > rows).sum(axis=1)
-        out[:, t] = states
-    return lo, out
+    def digest(self) -> str:
+        """SHA-256 of the shape and little-endian int64 bytes (C order) of
+        ``x``, then of ``x_tilde``."""
+        h = hashlib.sha256()
+        for a in (self.x, self.x_tilde):
+            a = np.ascontiguousarray(a, dtype="<i8")
+            h.update(repr(a.shape).encode())
+            h.update(a.tobytes())
+        return h.hexdigest()
 
 
 def simulate(pk: ProductKernel, pi_tilde0, n_steps: int, n_paths: int,
              seed: int = 0) -> TrajectoryBatch:
     """Sample coupled trajectories from the product-form initial law.
 
-    Reproducible for a fixed seed independently of DUALCHAIN_THREADS: path i
-    always consumes its own counter-based stream.
+    One Philox stream per seed.  ``random(n_paths)`` picks the start pair;
+    then each step takes ``random((2, n_paths))``: row 0 draws y ~ P(x, .),
+    row 1 draws yt with weights Ptilde(xt, .) Lambda(., y), both by inverse
+    transform.
     """
     nu0 = kernels.validate_prob_vector(pi_tilde0, "pi_tilde0")
-    rho0 = (nu0[None, :] * pk.link.T).reshape(-1)
-    start_cum = np.cumsum(rho0)
-    cum = np.cumsum(pk.matrix, axis=1)
+    g = np.random.Generator(np.random.Philox(key=seed))
+    start_cum = np.cumsum((nu0[None, :] * pk.link.T).reshape(-1))
+    cum_p = np.cumsum(pk.p, axis=1)
     # guard against round-off overshoot in inverse-transform sampling
     start_cum[-1] = 1.0
-    cum[:, -1] = 1.0
+    cum_p[:, -1] = 1.0
 
-    workers = _worker_count()
-    out = np.empty((n_paths, n_steps + 1), dtype=np.int64)
-    bounds = np.linspace(0, n_paths, workers + 1, dtype=int)
-    if workers == 1:
-        _, block = _simulate_block(cum, start_cum, seed, 0, n_paths, n_steps)
-        out[:] = block
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            futs = [
-                ex.submit(_simulate_block, cum, start_cum, seed, lo, hi, n_steps)
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            for f in futs:
-                lo, block = f.result()
-                out[lo:lo + block.shape[0]] = block
-    x, xt = np.divmod(out, pk.n_tilde)
+    x = np.empty((n_paths, n_steps + 1), dtype=np.int64)
+    xt = np.empty_like(x)
+    x[:, 0], xt[:, 0] = np.divmod(np.searchsorted(start_cum, g.random(n_paths), side="right"),
+                                  pk.n_tilde)
+    for t in range(1, n_steps + 1):
+        u = g.random((2, n_paths))
+        y = (u[0, :, None] > cum_p[x[:, t - 1]]).sum(axis=1)
+        cum_w = np.cumsum(pk.p_tilde[xt[:, t - 1]] * pk.link[:, y].T, axis=1)
+        x[:, t] = y
+        xt[:, t] = ((u[1] * cum_w[:, -1])[:, None] > cum_w).sum(axis=1)
     return TrajectoryBatch(x=x, x_tilde=xt, seed=seed, fingerprint=pk.fingerprint())
 
 

@@ -123,6 +123,7 @@ def test_simulate_chain_a(tmp_path):
     assert summary["n_paths"] == 20000
     assert summary["seed"] == 7
     assert len(summary["fingerprint"]) == 64
+    assert len(summary["trajectory_digest"]) == 64
     assert (tmp_path / "empirical.csv").exists()
 
 
@@ -134,6 +135,9 @@ def test_simulate_reproducible_output(tmp_path):
     _run("simulate", "chain_a.json", d1)
     _run("simulate", "chain_a.json", d2)
     assert (d1 / "empirical.csv").read_bytes() == (d2 / "empirical.csv").read_bytes()
+    digests = [json.loads((d / "simulate_summary.json").read_text())["trajectory_digest"]
+               for d in (d1, d2)]
+    assert digests[0] == digests[1]
 
 
 def test_simulate_seed_override_changes_output(tmp_path):
@@ -146,6 +150,8 @@ def test_simulate_seed_override_changes_output(tmp_path):
     s2 = json.loads((d2 / "simulate_summary.json").read_text())
     assert s2["seed"] == 8
     assert (d1 / "empirical.csv").read_bytes() != (d2 / "empirical.csv").read_bytes()
+    s1 = json.loads((d1 / "simulate_summary.json").read_text())
+    assert s1["trajectory_digest"] != s2["trajectory_digest"]
 
 
 def test_cutoff_sweep(tmp_path):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dualchain import errors, kernels
+from dualchain.chains import bd_kernel, bd_stationary, moran_kernel, mutation_bias
 
 UNIT = st.floats(0.01, 1.0, allow_nan=False)
 
@@ -64,6 +65,14 @@ def test_stationary_is_fixed_point(n, seed):
     assert np.min(pi) > 0
     np.testing.assert_allclose(pi @ m, pi, atol=1e-12)
     assert pi.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_stationary_relative_accuracy_tiny_masses():
+    # full-strength Moran chain, N = 100: pi runs down to 2^-100 = 7.9e-31
+    params = moran_kernel(100, mutation_bias(0.5, 0.5, 100))
+    pi = kernels.stationary(bd_kernel(params))
+    ref = bd_stationary(params)
+    np.testing.assert_allclose(pi, ref, rtol=1e-12, atol=0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualchain import errors
+from dualchain import errors, stationary_times
 from dualchain.chains import (
     BDParams,
     bd_kernel,
@@ -208,6 +208,51 @@ def test_absorption_spectral_matches_pipeline_negative_case():
     exact = absorption_exact(res.p_tilde, np.array([1.0, 0.0, 0.0]), boundary=2)
     spectral = absorption_spectral(bd_spectrum(params), n_max=exact.n_max)
     np.testing.assert_allclose(exact.pmf, spectral.pmf, atol=1e-12)
+
+
+def _moran_pipeline(N, a1, a2):
+    params = moran_kernel(N, mutation_bias(a1, a2, N))
+    P = bd_kernel(params)
+    res = build_intertwining(P, siegmund_function(N), siegmund_dual(P).dual)
+    start = np.zeros(N + 1)
+    start[0] = 1.0
+    return params, res, start
+
+
+def test_absorption_exact_moran_mean_closed_form():
+    # P~ must not leak mass, or the matrix route runs to its step cap
+    params, res, start = _moran_pipeline(20, 0.5, 0.5)
+    exact = absorption_exact(res.p_tilde, start, boundary=20)
+    t = bd_spectrum(params).eigenvalues[1:]
+    assert exact.mean == pytest.approx(np.sum(1.0 / (1.0 - t)), abs=1e-8)
+
+
+def test_absorption_spectral_large_n_matches_exact():
+    # the partial-fraction coefficients reach 1e29 here; the check must
+    # not raise on the correct pmf
+    params, res, start = _moran_pipeline(100, 0.5, 0.5)
+    exact = absorption_exact(res.p_tilde, start, boundary=100)
+    spectral = absorption_spectral(bd_spectrum(params), n_max=exact.n_max)
+    np.testing.assert_allclose(spectral.pmf, exact.pmf, rtol=0, atol=1e-9)
+
+
+def test_absorption_spectral_check_catches_corrupt_pmf(monkeypatch):
+    N = 10
+    spec = bd_spectrum(moran_kernel(N, mutation_bias(0.5, 0.5, N)))
+    absorption_spectral(spec)
+    convolve = stationary_times._convolve
+    calls = []
+
+    def corrupt(a, b, length):
+        out = convolve(a, b, length)
+        calls.append(length)
+        if len(calls) == N:         # the last factor: the finished pmf
+            out[N + 5] += 1e-8
+        return out
+
+    monkeypatch.setattr(stationary_times, "_convolve", corrupt)
+    with pytest.raises(errors.SpectrumError, match="partial-fraction"):
+        absorption_spectral(spec)
 
 
 def test_bernoulli_shift_identity():
