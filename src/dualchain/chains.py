@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import errors, kernels
 from .tolerances import EPS_NEG, EPS_STOCH, RESID_TOL
@@ -195,6 +194,8 @@ def wright_fisher_kernel(N: int, bias: BiasFunction) -> kernels.Kernel:
     """Binomial resampling rows P(x, .) = Binomial(N, p(x/N))."""
     if bias.N != N:
         raise errors.DimensionMismatchError("bias grid does not match N")
+    from scipy import stats
+
     y = np.arange(N + 1)
     rows = [stats.binom.pmf(y, N, pv) for pv in bias.values]
     return kernels.validate_kernel(np.array(rows), require="stochastic")

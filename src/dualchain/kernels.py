@@ -45,6 +45,22 @@ def sup_norm(a) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def scaled_residual(A, B, C, D) -> float:
+    """Residual of the identity AB = CD, entry by entry relative to the
+    rounding that entry can carry: max_ij |AB - CD|_ij / (|A||B| + |C||D|)_ij.
+
+    Computed in floating point, entry ij of AB is off by at most about
+    n eps (|A||B|)_ij, so the ratio stays near eps however large or small
+    the entries are.  An entry whose scale is zero has an exactly zero
+    residual and counts as 0.
+    """
+    A, B, C, D = (np.asarray(m, dtype=float) for m in (A, B, C, D))
+    resid = np.abs(A @ B - C @ D)
+    scale = np.abs(A) @ np.abs(B) + np.abs(C) @ np.abs(D)
+    ratio = np.divide(resid, scale, out=np.zeros_like(resid), where=scale > 0)
+    return sup_norm(ratio)
+
+
 def as_matrix(P) -> np.ndarray:
     return P.matrix if isinstance(P, Kernel) else np.asarray(P, dtype=float)
 

@@ -13,7 +13,6 @@ from math import comb
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 from . import errors
 from .chains import BDParams, bd_kernel, bd_stationary, is_irreducible_bd, make_bd
@@ -126,6 +125,8 @@ def orthopoly_oracle(params: BDParams, t):
 def orthopoly_roots(params: BDParams, panels: int | None = None) -> np.ndarray:
     """Isolate the N+1 simple roots of R_{N+1} on [-1, 1] by sign-change
     bisection, doubling the panel count until all are bracketed."""
+    from scipy.optimize import brentq
+
     N = params.N
     lo, hi = -1.0 - 1e-9, 1.0 + 1e-9
     k = panels if panels is not None else 4 * (N + 1)

@@ -5,18 +5,19 @@ intertwined chain: exact matrix powers, the spectral product formula
 
     E(u^T) = prod_k (1 - t_k) u / (1 - t_k u)
 
-expanded by convolving the signed factor series, and the birth-death
-first-passage recurrences for mean, variance and probability generating
-functions.  Separation obeys sep(pi_n, pi) <= P(T > n) with equality in the
-presence of a witness state d with Lambda e_d = pi(d) e_boundary.
+and the birth-death first-passage recurrences for mean, variance and
+probability generating function.  The last two evaluate their generating
+function on an FFT grid of the unit circle and invert it once (Abate and
+Whitt, "Numerical inversion of probability generating functions", Oper.
+Res. Lett. 12, 1992).  Separation obeys sep(pi_n, pi) <= P(T > n) with
+equality in the presence of a witness state d with
+Lambda e_d = pi(d) e_boundary.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.signal import fftconvolve, lfilter
 
 from . import errors, kernels
 from .chains import BDParams
@@ -77,6 +78,8 @@ def admissible_initials(link, pi0, pi=None) -> dict:
             f"pi0 is not in the row span of the link (residual {residual:.3g})"
         )
     if np.min(sol) < -EPS_NEG:
+        from scipy.optimize import linprog
+
         lp = linprog(
             c=np.zeros(n),
             A_eq=L.T,
@@ -334,23 +337,36 @@ def absorption_exact(p_tilde, start, boundary: int, n_max: int | None = None) ->
     )
 
 
-def _convolve(a: np.ndarray, b: np.ndarray, length: int) -> np.ndarray:
-    if length <= 4096:
-        return np.convolve(a, b)[:length]
-    out = fftconvolve(a, b)[:length]
-    return np.where(np.abs(out) < 1e-300, 0.0, out)
+def _invert_pgf(factors, n_max: int) -> np.ndarray:
+    """Coefficients 0..n_max of a product of generating-function factors.
+
+    ``factors(u)`` yields the value of each factor at the points u.  Their
+    product G is taken at the M = 2^k >= 2 (n_max + 1) points
+    u_j = exp(-2 pi i j / M) of the unit circle, where G(u_j) is the
+    discrete Fourier transform of the coefficients, and one inverse FFT
+    returns them.  Coefficient n also picks up those at n + M, n + 2M, ...:
+    at most P(T >= M) <= P(T > n_max), the tail mass every caller gates.
+    Rounding negatives above -1e-12 are zeroed.
+    """
+    M = 1 << (2 * n_max + 1).bit_length()
+    u = np.exp(-2j * np.pi * np.arange(M) / M)
+    G = np.ones(M, dtype=complex)
+    for f in factors(u):
+        G *= f
+    c = np.fft.ifft(G)[: n_max + 1].real
+    return np.where((c < 0) & (c > -1e-12), 0.0, c)
 
 
 def absorption_spectral(spec: Spectrum, n_max: int | None = None) -> AbsorptionStats:
     """Absorption law from the eigenvalues alone.
 
-    The generating-function factors (1-t_k)u/(1-t_k u) expand into the
-    signed series (1-t_k) t_k^{n-1}; their convolution is the exact pmf for
-    any sign pattern (for nonnegative spectra this is the independent-
-    geometric-sum representation; factors with t_k < 0 contribute the
-    Bernoulli-shift correction).  Moments come from the closed sums
-    E = sum 1/(1-t_k) and Var = sum t_k/(1-t_k)^2, and the variance bound
-    Var <= E/(1-t_1) is asserted.  Survival for n >= N-1 is cross-checked
+    The product of the generating-function factors (1-t_k)u/(1-t_k u)
+    generates the exact pmf for any sign pattern (for nonnegative spectra
+    this is the independent-geometric-sum representation; factors with
+    t_k < 0 contribute the Bernoulli-shift correction); it is evaluated on
+    an FFT grid of the unit circle and inverted once.  Moments come from
+    the closed sums E = sum 1/(1-t_k) and Var = sum t_k/(1-t_k)^2, and the
+    variance bound Var <= E/(1-t_1) is asserted.  Survival for n >= N-1 is cross-checked
     against the partial-fraction expansion sum_l c_l t_l^n when the
     eigenvalue gaps allow, but only at the n where that sum's own rounding
     bound N eps sum_l |c_l t_l^n| is below the check's 1e-9 gate: the c_l
@@ -381,14 +397,7 @@ def absorption_spectral(spec: Spectrum, n_max: int | None = None) -> AbsorptionS
         n_max = max(n_max, N + 1)
     length = n_max + 1
 
-    pmf = np.zeros(length)
-    pmf[0] = 1.0
-    ns = np.arange(length)
-    for tk in t:
-        factor = np.zeros(length)
-        factor[1:] = (1.0 - tk) * tk ** (ns[1:] - 1)
-        pmf = _convolve(pmf, factor, length)
-    pmf = np.where((pmf < 0) & (pmf > -1e-12), 0.0, pmf)
+    pmf = _invert_pgf(lambda u: ((1.0 - tk) * u / (1.0 - tk * u) for tk in t), n_max)
     survival = 1.0 - np.cumsum(pmf)
     survival = np.maximum(survival, 0.0)
 
@@ -421,9 +430,9 @@ def absorption_recurrence(params: BDParams, n_max: int | None = None) -> Absorpt
     The passage pieces S_y (time from y to y+1) satisfy
     E(S_y) = 1/p_y + (q_y/p_y) E(S_{y-1}) and Var(S_y) = (q_y/p_y)
     Var(S_{y-1}) + A_y; their generating functions obey
-    f_y(u) = p_y u / (1 - r_y u - q_y u f_{y-1}(u)), expanded here as
-    rational power series; the total time is the independent sum of the
-    pieces.
+    f_y(u) = p_y u / (1 - r_y u - q_y u f_{y-1}(u)), taken pointwise on an
+    FFT grid of the unit circle; the total time is the independent sum of
+    the pieces, so its generating function is their product, inverted once.
     """
     N = params.N
     if N == 0:
@@ -478,24 +487,16 @@ def absorption_recurrence(params: BDParams, n_max: int | None = None) -> Absorpt
 
 
 def _recurrence_pmf(params: BDParams, n_max: int):
-    N = params.N
     p, q, r = params.p, params.q, params.r
-    length = n_max + 1
-    impulse = np.zeros(length)
-    impulse[0] = 1.0
-    total = impulse
-    f_prev = None
-    for y in range(N):
-        num = np.zeros(length)
-        num[1] = p[y]
-        den = np.zeros(length)
-        den[0] = 1.0
-        den[1] = -r[y]
-        if y > 0:
-            den[2:] -= q[y] * f_prev[1:-1]
-        f_y = lfilter(num, den, impulse)
-        total = _convolve(total, f_y, length)
-        f_prev = f_y
+
+    def passages(u):
+        # |f| <= 1 on the circle, so each denominator has modulus >= p_y > 0
+        f = np.zeros_like(u)
+        for y in range(params.N):
+            f = p[y] * u / (1.0 - r[y] * u - q[y] * u * f)
+            yield f
+
+    total = _invert_pgf(passages, n_max)
     return total, float(max(1.0 - total.sum(), 0.0))
 
 

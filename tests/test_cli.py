@@ -1,10 +1,15 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dualchain import errors
+import dualchain
+from dualchain import errors, intertwining
 from dualchain.chains import moran_kernel, mutation_bias
 from dualchain.cli import main, run
 from dualchain.spectra import bd_spectrum
@@ -189,6 +194,46 @@ def test_verify_chain_b_all_green(tmp_path):
         "absorption_agreement",
     ):
         assert summary["checks"][key]["passed"], key
+
+
+def test_verify_cutoff_sweep_all_green(tmp_path):
+    # K = H / phi reaches 1.3e30 at N = 100; the absolute K-duality residual
+    # is 1.1e12 there, rounding of entries that size
+    assert _run("verify", "cutoff_sweep.json", tmp_path) == 0
+    summary = json.loads((tmp_path / "verify_summary.json").read_text())
+    assert summary["all_passed"]
+    assert summary["checks"]["k_duality"]["value"] <= 1e-14
+
+
+def test_verify_k_duality_catches_corrupt_k(tmp_path, monkeypatch):
+    # the smallest positive entry of K off by a relative 1e-8: the scaled
+    # residual reads 2.5e-9, while max|R| / max|K| would read 5e-18
+    build = intertwining.build_intertwining
+
+    def corrupt(*args):
+        res = build(*args)
+        K = res.K.copy()
+        K[K == K[K > 0].min()] *= 1.0 + 1e-8
+        return dataclasses.replace(res, K=K)
+
+    monkeypatch.setattr(intertwining, "build_intertwining", corrupt)
+    cfg = {"kind": "moran_mutation", "N": 30, "a1": 0.5, "a2": 0.5,
+           "dual": {"family": "siegmund"}}
+    assert _run_cfg("verify", cfg, tmp_path) == 1
+    checks = json.loads((tmp_path / "verify_summary.json").read_text())["checks"]
+    assert [k for k, c in checks.items() if not c["passed"]] == ["k_duality"]
+
+
+def test_cli_import_leaves_out_unused_scipy():
+    code = ("import sys, dualchain.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.optimize', 'scipy.signal') "
+            "if m in sys.modules])")
+    src = str(Path(dualchain.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_verify_infeasible_exit_2(tmp_path):

@@ -240,19 +240,103 @@ def test_absorption_spectral_check_catches_corrupt_pmf(monkeypatch):
     N = 10
     spec = bd_spectrum(moran_kernel(N, mutation_bias(0.5, 0.5, N)))
     absorption_spectral(spec)
-    convolve = stationary_times._convolve
-    calls = []
+    invert = stationary_times._invert_pgf
 
-    def corrupt(a, b, length):
-        out = convolve(a, b, length)
-        calls.append(length)
-        if len(calls) == N:         # the last factor: the finished pmf
-            out[N + 5] += 1e-8
+    def corrupt(factors, n_max):
+        out = invert(factors, n_max)  # the finished pmf
+        out[N + 5] += 1e-8
         return out
 
-    monkeypatch.setattr(stationary_times, "_convolve", corrupt)
+    monkeypatch.setattr(stationary_times, "_invert_pgf", corrupt)
     with pytest.raises(errors.SpectrumError, match="partial-fraction"):
         absorption_spectral(spec)
+
+
+def _series_convolve(a, b, length):
+    from scipy.signal import fftconvolve
+
+    if length <= 4096:
+        return np.convolve(a, b)[:length]
+    out = fftconvolve(a, b)[:length]
+    return np.where(np.abs(out) < 1e-300, 0.0, out)
+
+
+def series_spectral_pmf(t, n_max):
+    """Oracle: the signed factor series (1 - t_k) t_k^{n-1}, convolved."""
+    length = n_max + 1
+    pmf = np.zeros(length)
+    pmf[0] = 1.0
+    ns = np.arange(length)
+    for tk in t:
+        factor = np.zeros(length)
+        factor[1:] = (1.0 - tk) * tk ** (ns[1:] - 1)
+        pmf = _series_convolve(pmf, factor, length)
+    return pmf
+
+
+def series_recurrence_pmf(params, n_max):
+    """Oracle: each passage generating function f_y expanded as a rational
+    power series by a recursive filter, the pieces convolved."""
+    from scipy.signal import lfilter
+
+    p, q, r = params.p, params.q, params.r
+    length = n_max + 1
+    impulse = np.zeros(length)
+    impulse[0] = 1.0
+    total = impulse
+    f_prev = None
+    for y in range(params.N):
+        num = np.zeros(length)
+        num[1] = p[y]
+        den = np.zeros(length)
+        den[0] = 1.0
+        den[1] = -r[y]
+        if y > 0:
+            den[2:] -= q[y] * f_prev[1:-1]
+        f_y = lfilter(num, den, impulse)
+        total = _series_convolve(total, f_y, length)
+        f_prev = f_y
+    return total
+
+
+def _hidden_params(params):
+    P = bd_kernel(params)
+    res = build_intertwining(P, siegmund_function(params.N), siegmund_dual(P).dual)
+    return bd_params_from_kernel(res.p_tilde)
+
+
+@pytest.mark.parametrize("case", ["chain_b", "moran_20", "moran_40", "negative"])
+def test_fft_routes_match_series_oracle(case, chain_b):
+    params = {
+        "chain_b": chain_b,
+        "moran_20": moran_kernel(20, mutation_bias(0.3, 0.2, 20)),
+        "moran_40": moran_kernel(40, mutation_bias(0.1, 0.1, 40)),
+        "negative": reflected_walk_params(2, 0.5, 0.5),
+    }[case]
+    spec = bd_spectrum(params)
+    if case == "negative":
+        np.testing.assert_allclose(spec.eigenvalues, [1.0, 0.5, -0.5], atol=1e-15)
+        spec = Spectrum(np.array([1.0, 0.5, -0.5]))
+    spectral = absorption_spectral(spec)
+    n_max = spectral.n_max
+    hidden = _hidden_params(params)
+    recurrence = absorption_recurrence(hidden, n_max=n_max)
+    oracle = series_spectral_pmf(spec.eigenvalues[1:], n_max)
+    np.testing.assert_allclose(spectral.pmf, oracle, rtol=0, atol=1e-14)
+    oracle = series_recurrence_pmf(hidden, n_max)
+    np.testing.assert_allclose(recurrence.pmf, oracle, rtol=0, atol=1e-14)
+
+
+def test_fft_routes_paper_scale_moran_200():
+    params, res, start = _moran_pipeline(200, 0.5, 0.5)
+    exact = absorption_exact(res.p_tilde, start, boundary=200)
+    t = bd_spectrum(params).eigenvalues[1:]
+    mean = np.sum(1.0 / (1.0 - t))
+    for stats in (absorption_spectral(bd_spectrum(params)),
+                  absorption_recurrence(bd_params_from_kernel(res.p_tilde))):
+        k = min(stats.n_max, exact.n_max) + 1
+        np.testing.assert_allclose(stats.pmf[:k], exact.pmf[:k], rtol=0, atol=1e-9)
+        assert stats.mean == pytest.approx(mean, rel=1e-8)
 
 
 def test_bernoulli_shift_identity():
