@@ -48,7 +48,8 @@ def build_intertwining(P, H: DualFunction, dual) -> IntertwiningResult:
     of (P, H, dual) exceeds tolerance, when phi fails to be positive, or
     when the link or transformed kernel misses stochasticity.  The returned
     diagnostics record the residuals of: the weighted duality identity
-    Phat (H' D_pi) = (H' D_pi) Pback, the intertwining, the K-duality, the
+    Phat (H' D_pi) = (H' D_pi) Pback, the intertwining, the K-duality
+    (absolute and entrywise-scaled, see kernels.scaled_residual), the
     harmonicity of phi, the class-constant decomposition of phi, plus the
     absorbing-state matches and power-trace spectrum comparison.
     """
@@ -87,6 +88,10 @@ def build_intertwining(P, H: DualFunction, dual) -> IntertwiningResult:
         "weighted_duality": sup_norm(d @ weighted - weighted @ back),
         "intertwining": sup_norm(p_tilde @ link - link @ back),
         "k_duality": sup_norm(K @ p_tilde.T - m @ K),
+        # K reaches 1e30 on paper-scale chains, where the absolute residual
+        # above is rounding of entries that size; this one is relative to
+        # the rounding each entry can carry
+        "k_duality_scaled": kernels.scaled_residual(K, p_tilde.T, m, K),
         "phi_harmonic": harmonic_resid,
     }
 

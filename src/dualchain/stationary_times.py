@@ -28,6 +28,7 @@ from .tolerances import EPS_NEG, RESID_TOL
 TAIL_TARGET = 1e-12
 TAIL_LIMIT = 1e-9
 N_MAX_CAP = 10**6
+_GRID_CAP = 1 << (2 * N_MAX_CAP + 1).bit_length()
 
 
 def separation(mu, pi) -> float:
@@ -338,22 +339,30 @@ def absorption_exact(p_tilde, start, boundary: int, n_max: int | None = None) ->
 
 
 def _invert_pgf(factors, n_max: int) -> np.ndarray:
-    """Coefficients 0..n_max of a product of generating-function factors.
+    """Coefficients 0..M-1, M > 2 n_max, of a product of generating-function
+    factors.
 
     ``factors(u)`` yields the value of each factor at the points u.  Their
-    product G is taken at the M = 2^k >= 2 (n_max + 1) points
-    u_j = exp(-2 pi i j / M) of the unit circle, where G(u_j) is the
-    discrete Fourier transform of the coefficients, and one inverse FFT
-    returns them.  Coefficient n also picks up those at n + M, n + 2M, ...:
-    at most P(T >= M) <= P(T > n_max), the tail mass every caller gates.
+    product G is taken at the M = 2^k points u_j = exp(-2 pi i j / M) of the
+    unit circle, where G(u_j) is the discrete Fourier transform of the
+    coefficients folded modulo M, and one inverse FFT returns them: the
+    coefficient n picks up those at n + M, n + 2M, ..., in all P(T >= M).
+    M starts at 2 (n_max + 1) and doubles, up to the grid of the N_MAX_CAP
+    horizon, until the upper half of the folded coefficients holds at most
+    TAIL_LIMIT; for a tail that decays at least geometrically the folded
+    mass is then of the order of the square of that, whatever n_max is.
     Rounding negatives above -1e-12 are zeroed.
     """
     M = 1 << (2 * n_max + 1).bit_length()
-    u = np.exp(-2j * np.pi * np.arange(M) / M)
-    G = np.ones(M, dtype=complex)
-    for f in factors(u):
-        G *= f
-    c = np.fft.ifft(G)[: n_max + 1].real
+    while True:
+        u = np.exp(-2j * np.pi * np.arange(M) / M)
+        G = np.ones(M, dtype=complex)
+        for f in factors(u):
+            G *= f
+        c = np.fft.ifft(G).real
+        if c[M // 2:].sum() <= TAIL_LIMIT or M >= _GRID_CAP:
+            break
+        M *= 2
     return np.where((c < 0) & (c > -1e-12), 0.0, c)
 
 
@@ -398,6 +407,7 @@ def absorption_spectral(spec: Spectrum, n_max: int | None = None) -> AbsorptionS
     length = n_max + 1
 
     pmf = _invert_pgf(lambda u: ((1.0 - tk) * u / (1.0 - tk * u) for tk in t), n_max)
+    pmf = pmf[:length]
     survival = 1.0 - np.cumsum(pmf)
     survival = np.maximum(survival, 0.0)
 
@@ -462,15 +472,18 @@ def absorption_recurrence(params: BDParams, n_max: int | None = None) -> Absorpt
     variance = float(VS.sum())
 
     if n_max is None:
+        # the grid holds coefficients past n_max: a doubling of n_max
+        # recomputes them only when it leaves the grid
         n_max = int(mean + 1)
-        pmf = None
-        while True:
-            pmf, trunc = _recurrence_pmf(params, n_max)
-            if trunc <= TAIL_TARGET or n_max >= N_MAX_CAP:
-                break
+        coef = _recurrence_pgf(params, n_max)
+        while 1.0 - coef[: n_max + 1].sum() > TAIL_TARGET and n_max < N_MAX_CAP:
             n_max = min(n_max * 2, N_MAX_CAP)
+            if n_max >= coef.shape[0]:
+                coef = _recurrence_pgf(params, n_max)
     else:
-        pmf, trunc = _recurrence_pmf(params, n_max)
+        coef = _recurrence_pgf(params, n_max)
+    pmf = coef[: n_max + 1]
+    trunc = max(1.0 - pmf.sum(), 0.0)
     if trunc > TAIL_LIMIT:
         raise errors.TruncationTooCoarseError(
             f"survivor mass {trunc:.3g} at n_max={n_max}"
@@ -486,7 +499,7 @@ def absorption_recurrence(params: BDParams, n_max: int | None = None) -> Absorpt
     )
 
 
-def _recurrence_pmf(params: BDParams, n_max: int):
+def _recurrence_pgf(params: BDParams, n_max: int) -> np.ndarray:
     p, q, r = params.p, params.q, params.r
 
     def passages(u):
@@ -496,8 +509,7 @@ def _recurrence_pmf(params: BDParams, n_max: int):
             f = p[y] * u / (1.0 - r[y] * u - q[y] * u * f)
             yield f
 
-    total = _invert_pgf(passages, n_max)
-    return total, float(max(1.0 - total.sum(), 0.0))
+    return _invert_pgf(passages, n_max)
 
 
 def cutoff_report(family, N_values) -> dict:

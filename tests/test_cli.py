@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dualchain
-from dualchain import errors, intertwining
+from dualchain import errors, intertwining, kernels
 from dualchain.chains import moran_kernel, mutation_bias
 from dualchain.cli import main, run
 from dualchain.spectra import bd_spectrum
@@ -210,11 +210,13 @@ def test_verify_k_duality_catches_corrupt_k(tmp_path, monkeypatch):
     # residual reads 2.5e-9, while max|R| / max|K| would read 5e-18
     build = intertwining.build_intertwining
 
-    def corrupt(*args):
-        res = build(*args)
+    def corrupt(P, H, dual):
+        res = build(P, H, dual)
         K = res.K.copy()
         K[K == K[K > 0].min()] *= 1.0 + 1e-8
-        return dataclasses.replace(res, K=K)
+        d = dict(res.diagnostics, k_duality_scaled=kernels.scaled_residual(
+            K, res.p_tilde.T, kernels.as_matrix(P), K))
+        return dataclasses.replace(res, K=K, diagnostics=d)
 
     monkeypatch.setattr(intertwining, "build_intertwining", corrupt)
     cfg = {"kind": "moran_mutation", "N": 30, "a1": 0.5, "a2": 0.5,

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualchain import errors
+from dualchain import errors, kernels
 from dualchain.chains import bd_kernel, bd_stationary, moran_kernel, mutation_bias
 from dualchain.duals import (
     dual_via_solve,
@@ -120,6 +120,25 @@ def test_moran_hypergeometric_pipeline():
     np.testing.assert_allclose(res.link[0], res.pi, atol=1e-12)
     np.testing.assert_allclose(res.phi[0], 1.0, atol=1e-12)
     assert res.diagnostics["trace_comparison"]["equal"]
+
+
+def test_k_duality_scaled_at_paper_scale():
+    # K = H / phi reaches 1e30 at Moran N = 100: the absolute residual is
+    # rounding of entries that size, the scaled one stays near eps; the
+    # smallest positive K entry off by a relative 1e-8 shows only in the
+    # scaled residual, not in a normwise max|R| / max|K|
+    P = bd_kernel(moran_kernel(100, mutation_bias(0.5, 0.5, 100)))
+    res = build_intertwining(P, siegmund_function(100), siegmund_dual(P).dual)
+    d = res.diagnostics
+    assert d["k_duality"] > 1.0
+    assert d["k_duality_scaled"] <= 1e-14
+    assert d["k_duality_scaled"] == kernels.scaled_residual(
+        res.K, res.p_tilde.T, P.matrix, res.K)
+    K = res.K.copy()
+    K[K == K[K > 0].min()] *= 1.0 + 1e-8
+    assert kernels.scaled_residual(K, res.p_tilde.T, P.matrix, K) > 1e-10
+    R = K @ res.p_tilde.T - P.matrix @ K
+    assert np.abs(R).max() / np.abs(K).max() < 1e-10
 
 
 @settings(max_examples=40, deadline=None)

@@ -327,6 +327,31 @@ def test_fft_routes_match_series_oracle(case, chain_b):
     np.testing.assert_allclose(recurrence.pmf, oracle, rtol=0, atol=1e-14)
 
 
+def test_fft_routes_short_explicit_horizon():
+    # n_max far inside the tail: the grid is sized from the tail, not from
+    # n_max, so no mass of T >= M folds back onto the first coefficients
+    n = np.arange(6)
+    geometric = np.where(n > 0, 0.1 * 0.9 ** (n - 1.0), 0.0)
+    sp = absorption_spectral(Spectrum(np.array([1.0, 0.9])), n_max=5)
+    np.testing.assert_allclose(sp.pmf, geometric, rtol=0, atol=1e-15)
+    assert sp.truncation_mass == pytest.approx(0.9**5, rel=1e-12)
+    single = make_bd([0.1, 0.0], [0.0, 0.0], interior_positive=False)
+    with pytest.raises(errors.TruncationTooCoarseError, match="0.59"):
+        absorption_recurrence(single, n_max=5)
+
+    params = moran_kernel(40, mutation_bias(0.1, 0.1, 40))
+    spec = bd_spectrum(params)
+    oracle = series_spectral_pmf(spec.eigenvalues[1:], 60)
+    np.testing.assert_allclose(absorption_spectral(spec, n_max=60).pmf, oracle,
+                               rtol=0, atol=1e-14)
+    hidden = _hidden_params(params)
+    pmf = stationary_times._recurrence_pgf(hidden, 60)[:61]
+    oracle = series_recurrence_pmf(hidden, 60)
+    np.testing.assert_allclose(pmf, oracle, rtol=0, atol=1e-14)
+    with pytest.raises(errors.TruncationTooCoarseError):
+        absorption_recurrence(hidden, n_max=60)
+
+
 def test_fft_routes_paper_scale_moran_200():
     params, res, start = _moran_pipeline(200, 0.5, 0.5)
     exact = absorption_exact(res.p_tilde, start, boundary=200)
