@@ -13,13 +13,14 @@ current hidden state.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import errors, kernels
 from .kernels import as_matrix, sup_norm
-from .tolerances import EPS_NEG, EPS_STOCH, RESID_TOL
+from .tolerances import EPS_NEG, EPS_STOCH, RESID_TOL, SAMPLE_ALPHA
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,14 @@ def product_kernel(P, p_tilde, link) -> ProductKernel:
     return ProductKernel(p=m, p_tilde=pt, link=L, inv_lp=inv_lp, consistent=consistent)
 
 
+def _start_law(pk: ProductKernel, pi_tilde0) -> np.ndarray:
+    """The hidden chain's initial law, checked against the coupled kernel."""
+    nu0 = kernels.validate_prob_vector(pi_tilde0, "pi_tilde0")
+    if nu0.shape[0] != pk.n_tilde:
+        raise errors.DimensionMismatchError("pi_tilde0 length mismatch")
+    return nu0
+
+
 def exact_joint(pk: ProductKernel, pi_tilde0, n_steps: int) -> dict:
     """Push the product-form initial law through the coupled kernel and
     certify, at every step, the three structural identities: observed
@@ -91,9 +100,7 @@ def exact_joint(pk: ProductKernel, pi_tilde0, n_steps: int) -> dict:
     The law rho(x, xt) moves through the factors:
     rho <- (((rho' P) o 1/(Lambda P))' Ptilde) o Lambda'.
     """
-    nu0 = kernels.validate_prob_vector(pi_tilde0, "pi_tilde0")
-    if nu0.shape[0] != pk.n_tilde:
-        raise errors.DimensionMismatchError("pi_tilde0 length mismatch")
+    nu0 = _start_law(pk, pi_tilde0)
     L = pk.link
     rho = nu0[None, :] * L.T                     # rho0(x, xt)
     pi0 = nu0 @ L
@@ -144,6 +151,17 @@ class TrajectoryBatch:
         return h.hexdigest()
 
 
+def _row_supports(m: np.ndarray) -> np.ndarray:
+    """Columns of the nonzero entries of each row of ``m``, ascending.
+
+    Rows are padded to the widest support k with their first zero columns,
+    so an entry of ``m`` read at a padding column is 0.
+    """
+    nz = m != 0
+    k = max(int(nz.sum(axis=1).max()), 1)
+    return np.argsort(~nz, axis=1, kind="stable")[:, :k]
+
+
 def simulate(pk: ProductKernel, pi_tilde0, n_steps: int, n_paths: int,
              seed: int = 0) -> TrajectoryBatch:
     """Sample coupled trajectories from the product-form initial law.
@@ -151,76 +169,123 @@ def simulate(pk: ProductKernel, pi_tilde0, n_steps: int, n_paths: int,
     One Philox stream per seed.  ``random(n_paths)`` picks the start pair;
     then each step takes ``random((2, n_paths))``: row 0 draws y ~ P(x, .),
     row 1 draws yt with weights Ptilde(xt, .) Lambda(., y), both by inverse
-    transform.
+    transform over the nonzero entries of the row, so a step costs
+    O(n_paths k) for rows of at most k nonzero entries.  Partial sums skip
+    only exact zeros, so the draws pick the same states as an inverse
+    transform over whole rows.
     """
-    nu0 = kernels.validate_prob_vector(pi_tilde0, "pi_tilde0")
+    nu0 = _start_law(pk, pi_tilde0)
     g = np.random.Generator(np.random.Philox(key=seed))
     start_cum = np.cumsum((nu0[None, :] * pk.link.T).reshape(-1))
-    cum_p = np.cumsum(pk.p, axis=1)
-    # guard against round-off overshoot in inverse-transform sampling
-    start_cum[-1] = 1.0
-    cum_p[:, -1] = 1.0
+    start_cum[-1] = 1.0     # guard against round-off overshoot
 
+    n, nt = pk.n, pk.n_tilde
+    cols = _row_supports(pk.p)                                  # (n, k)
+    k = cols.shape[1]
+    cum_p = np.cumsum(np.take_along_axis(pk.p, cols, axis=1), axis=1)
+    # the last nonzero entry of each row and its padding read 1, so a draw
+    # never passes the end of a row's support
+    cum_p[np.arange(k) >= np.count_nonzero(pk.p, axis=1)[:, None] - 1] = 1.0
+    cum_p = np.ascontiguousarray(cum_p.T)                        # (k, n)
+    cols = cols.ravel()
+    tcols = _row_supports(pk.p_tilde)                           # (nt, kt)
+    kt = tcols.shape[1]
+    tvals = np.ascontiguousarray(np.take_along_axis(pk.p_tilde, tcols, axis=1).T)
+    link_rows = np.ascontiguousarray(tcols.T * n)   # offsets of rows c_j in the flat link
+    tcols = tcols.ravel()
+    link = pk.link.ravel()
+
+    # each step's state is one contiguous row of a block of 8 steps, copied
+    # into the (path, step) arrays when the block is full: 8 int64 fill one
+    # 64-byte line of a path's row, where a column per step would touch a
+    # line per path at every step
     x = np.empty((n_paths, n_steps + 1), dtype=np.int64)
     xt = np.empty_like(x)
-    x[:, 0], xt[:, 0] = np.divmod(np.searchsorted(start_cum, g.random(n_paths), side="right"),
-                                  pk.n_tilde)
-    for t in range(1, n_steps + 1):
-        u = g.random((2, n_paths))
-        y = (u[0, :, None] > cum_p[x[:, t - 1]]).sum(axis=1)
-        cum_w = np.cumsum(pk.p_tilde[xt[:, t - 1]] * pk.link[:, y].T, axis=1)
-        x[:, t] = y
-        xt[:, t] = ((u[1] * cum_w[:, -1])[:, None] > cum_w).sum(axis=1)
+    bx = np.empty((8, n_paths), dtype=np.int64)
+    bxt = np.empty_like(bx)
+    part = np.empty((kt, n_paths))
+    bx[0], bxt[0] = np.divmod(np.searchsorted(start_cum, g.random(n_paths), side="right"), nt)
+    for t in range(n_steps + 1):
+        b = t % 8
+        if t:
+            u = g.random((2, n_paths))
+            cx, cxt = bx[b - 1], bxt[b - 1]
+            # y = col(x, #{j : u0 > cum_p(x, j)})
+            j = np.zeros(n_paths, dtype=np.int64)
+            for c in cum_p[:-1]:
+                j += u[0] > np.take(c, cx)
+            y = np.take(cols, cx * k + j)
+            # partial sums of Ptilde(xt, c_j) Lambda(c_j, y) over the support of xt
+            for i in range(kt):
+                part[i] = np.take(tvals[i], cxt) * np.take(link, np.take(link_rows[i], cxt) + y)
+                if i:
+                    part[i] += part[i - 1]
+            v = u[1] * part[-1]
+            j = np.zeros(n_paths, dtype=np.int64)
+            for s in part[:-1]:
+                j += v > s
+            bx[b] = y
+            bxt[b] = np.take(tcols, cxt * kt + j)
+        if b == 7 or t == n_steps:
+            x[:, t - b:t + 1] = bx[:b + 1].T
+            xt[:, t - b:t + 1] = bxt[:b + 1].T
     return TrajectoryBatch(x=x, x_tilde=xt, seed=seed, fingerprint=pk.fingerprint())
 
 
-def empirical_report(batch: TrajectoryBatch, pk: ProductKernel, pi_tilde0,
-                     times=None, min_hits: int = 30) -> dict:
-    """Compare occupation frequencies with the exact laws at selected times.
+def _binomial_stat(counts, trials, probs) -> np.ndarray:
+    """m KL(k/m || p) per cell of k successes in m trials, KL between
+    Bernoulli laws with 0 log 0 = 0.  By the Chernoff bound, a
+    Binomial(m, p) count lands at least as far from m p, on its side, with
+    probability at most exp(-stat)."""
+    q = counts / trials
+    p = np.clip(probs, 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.where(q > 0, q * np.log(q / p), 0.0)
+        b = np.where(q < 1, (1.0 - q) * np.log((1.0 - q) / (1.0 - p)), 0.0)
+    return trials * (a + b)
 
-    Marginal frequencies must sit within three binomial standard errors of
-    the exact probabilities; conditionally on the hidden state (where at
-    least ``min_hits`` paths land) the observed coordinate must match the
-    link row to the same precision.
+
+_CELL_GROUPS = ("observed_ok", "hidden_ok", "conditional_ok")
+
+
+def empirical_report(batch: TrajectoryBatch, pk: ProductKernel, pi_tilde0,
+                     times=None) -> dict:
+    """Test occupation frequencies against the exact laws at selected times.
+
+    The cells are the observed and hidden marginals and, for every hidden
+    state some path occupies, the observed coordinate given that state
+    against its link row.  A cell rejects when its statistic (see
+    ``_binomial_stat``) exceeds log(2 K / SAMPLE_ALPHA), K the number of
+    cells at all times: by a union over both sides of every cell, a correct
+    sampler fails the report with probability at most SAMPLE_ALPHA.
     """
-    nu0 = kernels.validate_prob_vector(pi_tilde0, "pi_tilde0")
+    nu0 = _start_law(pk, pi_tilde0)
     if times is None:
         times = sorted({batch.n_steps // 2, batch.n_steps} - {0})
+    n, nt = pk.n, pk.n_tilde
     paths = batch.n_paths
     pi0 = nu0 @ pk.link
 
-    checks = []
-    ok = True
+    stats = []
     for t in times:
-        mu = pi0.copy()
-        nu = nu0.copy()
-        for _ in range(t):
-            mu = mu @ pk.p
-            nu = nu @ pk.p_tilde
-        fx = np.bincount(batch.x[:, t], minlength=pk.n) / paths
-        fxt = np.bincount(batch.x_tilde[:, t], minlength=pk.n_tilde) / paths
-        se_x = np.sqrt(np.maximum(mu * (1 - mu), 1e-12) / paths)
-        se_xt = np.sqrt(np.maximum(nu * (1 - nu), 1e-12) / paths)
-        obs_ok = bool(np.all(np.abs(fx - mu) <= 3 * se_x + 1e-12))
-        hid_ok = bool(np.all(np.abs(fxt - nu) <= 3 * se_xt + 1e-12))
+        joint = np.bincount(batch.x_tilde[:, t] * n + batch.x[:, t],
+                            minlength=nt * n).reshape(nt, n)
+        hid = joint.sum(axis=1)
+        seen = hid > 0
+        stats.append((t, int(seen.sum()), dict(zip(_CELL_GROUPS, (
+            _binomial_stat(joint.sum(axis=0), paths, kernels.evolve(pi0, pk.p, t)),
+            _binomial_stat(hid, paths, kernels.evolve(nu0, pk.p_tilde, t)),
+            _binomial_stat(joint[seen], hid[seen, None], pk.link[seen]),
+        )))))
+    cells = sum(s.size for _, _, groups in stats for s in groups.values())
+    limit = math.log(2 * max(cells, 1) / SAMPLE_ALPHA)
 
-        cond = []
-        for xt in range(pk.n_tilde):
-            sel = batch.x_tilde[:, t] == xt
-            hits = int(sel.sum())
-            if hits < min_hits:
-                continue
-            fcond = np.bincount(batch.x[sel, t], minlength=pk.n) / hits
-            row = pk.link[xt]
-            se = np.sqrt(np.maximum(row * (1 - row), 1e-12) / hits)
-            cond.append(bool(np.all(np.abs(fcond - row) <= 3 * se + 1e-12)))
-        cond_ok = all(cond) if cond else True
-        ok = ok and obs_ok and hid_ok and cond_ok
-        checks.append({
-            "time": int(t),
-            "observed_within_3se": obs_ok,
-            "hidden_within_3se": hid_ok,
-            "conditional_within_3se": cond_ok,
-            "conditioned_states": len(cond),
-        })
+    checks = []
+    for t, states, groups in stats:
+        check = {"time": int(t)}
+        check.update((key, bool(np.all(s <= limit))) for key, s in groups.items())
+        check["conditioned_states"] = states
+        check["max_stat"] = float(max(s.max(initial=0.0) for s in groups.values()))
+        checks.append(check)
+    ok = all(c[key] for c in checks for key in _CELL_GROUPS)
     return {"ok": ok, "checks": checks, "n_paths": paths}

@@ -15,6 +15,7 @@ Lambda e_d = pi(d) e_boundary.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +24,11 @@ from . import errors, kernels
 from .chains import BDParams
 from .kernels import as_matrix, sup_norm, total_variation
 from .spectra import Spectrum
-from .tolerances import EPS_NEG, RESID_TOL
+from .tolerances import (
+    EIG_GAP_MIN, EPS_NEG, EPS_STOCH, GROWTH_TOL, RATIO_MAX, RESID_TOL, SHARP_TOL,
+    SPECTRAL_TOL, TAIL_LIMIT, TAIL_TARGET,
+)
 
-TAIL_TARGET = 1e-12
-TAIL_LIMIT = 1e-9
 N_MAX_CAP = 10**6
 _GRID_CAP = 1 << (2 * N_MAX_CAP + 1).bit_length()
 
@@ -44,7 +46,7 @@ def separation(mu, pi) -> float:
     if np.min(pi) <= 0:
         raise errors.ZeroStationaryEntryError("separation needs pi > 0")
     s = float(np.max(1.0 - mu / pi))
-    slack = 1.5 * abs(float(mu.sum() - pi.sum())) + 1e-12
+    slack = 1.5 * abs(float(mu.sum() - pi.sum())) + EPS_NEG
     if s < total_variation(mu, pi) - slack:  # pragma: no cover - identity
         raise errors.DualChainError("separation fell below total variation")
     return s
@@ -194,7 +196,7 @@ def verify_sharpness(P, p_tilde, link, pi0, pi_tilde0, n_max: int = 100,
     pi = kernels.stationary(m)
 
     candidates = [
-        a for a in kernels.absorbing_states(pt) if sup_norm(L[a] - pi) <= 1e-9
+        a for a in kernels.absorbing_states(pt) if sup_norm(L[a] - pi) <= SHARP_TOL
     ]
     if boundary is None:
         if not candidates:
@@ -215,7 +217,7 @@ def verify_sharpness(P, p_tilde, link, pi0, pi_tilde0, n_max: int = 100,
         sep = separation(mu, pi)
         survival = float(1.0 - nu[boundary])
         rows.append((n, sep, survival))
-        if sep > survival + 1e-9:
+        if sep > survival + SHARP_TOL:
             raise errors.DualChainError(
                 f"separation exceeded survival at n={n}: {sep} > {survival}"
             )
@@ -224,7 +226,7 @@ def verify_sharpness(P, p_tilde, link, pi0, pi_tilde0, n_max: int = 100,
     table = np.array(rows)
     max_gap = float(np.max(np.abs(table[:, 1] - table[:, 2])))
     sharp = witness is not None
-    if sharp and max_gap > 1e-9:
+    if sharp and max_gap > SHARP_TOL:
         raise errors.DualChainError(
             f"witness present but sharp equality fails (gap {max_gap:.3g})"
         )
@@ -261,11 +263,11 @@ class AbsorptionStats:
         object.__setattr__(self, "survival", s)
         p.setflags(write=False)
         s.setflags(write=False)
-        if np.min(p) < -1e-12:
+        if np.min(p) < -EPS_NEG:
             raise errors.DualChainError(f"pmf has negative entry {p.min()}")
-        if abs(p.sum() + self.truncation_mass - 1.0) > 1e-9:
+        if abs(p.sum() + self.truncation_mass - 1.0) > EPS_STOCH:
             raise errors.DualChainError("pmf plus truncation mass misses 1")
-        if np.any(np.diff(s) > 1e-12):
+        if np.any(np.diff(s) > EPS_NEG):
             raise errors.DualChainError("survival is not nonincreasing")
 
     @property
@@ -281,7 +283,7 @@ def _tail_corrections(survival: np.ndarray):
     n = s.shape[0] - 1
     if s[-1] <= 0 or n < 1 or s[-2] <= 0:
         return 0.0, 0.0
-    rho = min(s[-1] / s[-2], 1.0 - 1e-12)
+    rho = min(s[-1] / s[-2], RATIO_MAX)
     g = rho / (1.0 - rho)
     extra_e = s[-1] * g
     extra_m2 = s[-1] * ((2 * n + 1) * g + 2 * rho / (1.0 - rho) ** 2)
@@ -363,7 +365,7 @@ def _invert_pgf(factors, n_max: int) -> np.ndarray:
         if c[M // 2:].sum() <= TAIL_LIMIT or M >= _GRID_CAP:
             break
         M *= 2
-    return np.where((c < 0) & (c > -1e-12), 0.0, c)
+    return np.where((c < 0) & (c > -EPS_NEG), 0.0, c)
 
 
 def absorption_spectral(spec: Spectrum, n_max: int | None = None) -> AbsorptionStats:
@@ -394,7 +396,7 @@ def absorption_spectral(spec: Spectrum, n_max: int | None = None) -> AbsorptionS
     mean = float(np.sum(1.0 / (1.0 - t)))
     variance = float(np.sum(t / (1.0 - t) ** 2))
     gap = float(1.0 - t[0])
-    if variance > mean / gap + 1e-9:
+    if variance > mean / gap + SPECTRAL_TOL:
         raise errors.SpectrumError("variance bound E/(1-t_1) violated")
 
     if n_max is None:
@@ -412,7 +414,7 @@ def absorption_spectral(spec: Spectrum, n_max: int | None = None) -> AbsorptionS
     survival = np.maximum(survival, 0.0)
 
     diffs = np.abs(t[:, None] - t[None, :])[~np.eye(N, dtype=bool)]
-    if N == 1 or float(diffs.min()) >= 1e-8:
+    if N == 1 or float(diffs.min()) >= EIG_GAP_MIN:
         coef = np.array(
             [np.prod((1.0 - np.delete(t, l)) / (t[l] - np.delete(t, l)))
              for l in range(N)]
@@ -420,8 +422,8 @@ def absorption_spectral(spec: Spectrum, n_max: int | None = None) -> AbsorptionS
         check = np.arange(max(N - 1, 0), min(length, max(N - 1, 0) + 50))
         terms = coef[None, :] * t[None, :] ** check[:, None]
         pf = terms.sum(axis=1)
-        decidable = N * np.finfo(float).eps * np.abs(terms).sum(axis=1) < 1e-9
-        if sup_norm(pf[decidable] - survival[check[decidable]]) > 1e-9:
+        decidable = N * np.finfo(float).eps * np.abs(terms).sum(axis=1) < SPECTRAL_TOL
+        if sup_norm(pf[decidable] - survival[check[decidable]]) > SPECTRAL_TOL:
             raise errors.SpectrumError("partial-fraction tail disagrees with pmf")
 
     return AbsorptionStats(
@@ -443,6 +445,8 @@ def absorption_recurrence(params: BDParams, n_max: int | None = None) -> Absorpt
     f_y(u) = p_y u / (1 - r_y u - q_y u f_{y-1}(u)), taken pointwise on an
     FFT grid of the unit circle; the total time is the independent sum of
     the pieces, so its generating function is their product, inverted once.
+    The automatic n_max starts at min(mean + 1, N_MAX_CAP) and doubles, up
+    to the cap, until the survival falls below TAIL_TARGET.
     """
     N = params.N
     if N == 0:
@@ -472,9 +476,17 @@ def absorption_recurrence(params: BDParams, n_max: int | None = None) -> Absorpt
     variance = float(VS.sum())
 
     if n_max is None:
+        # the walk leaves y upward with probability at most p_y per step, so
+        # P(T > n) >= (1 - p_y)^n: a tail that bound keeps above TAIL_LIMIT
+        # at the cap is refused before any grid is built
+        floor = math.exp(N_MAX_CAP * math.log1p(-float(p[:N].min())))
+        if floor > TAIL_LIMIT:
+            raise errors.TruncationTooCoarseError(
+                f"survivor mass at least {floor:.3g} at n_max={N_MAX_CAP}, mean {mean:.3g}"
+            )
         # the grid holds coefficients past n_max: a doubling of n_max
         # recomputes them only when it leaves the grid
-        n_max = int(mean + 1)
+        n_max = int(min(N_MAX_CAP, mean + 1))
         coef = _recurrence_pgf(params, n_max)
         while 1.0 - coef[: n_max + 1].sum() > TAIL_TARGET and n_max < N_MAX_CAP:
             n_max = min(n_max * 2, N_MAX_CAP)
@@ -484,9 +496,9 @@ def absorption_recurrence(params: BDParams, n_max: int | None = None) -> Absorpt
         coef = _recurrence_pgf(params, n_max)
     pmf = coef[: n_max + 1]
     trunc = max(1.0 - pmf.sum(), 0.0)
-    if trunc > TAIL_LIMIT:
+    if not trunc <= TAIL_LIMIT:       # also catches NaN
         raise errors.TruncationTooCoarseError(
-            f"survivor mass {trunc:.3g} at n_max={n_max}"
+            f"survivor mass {trunc:.3g} at n_max={n_max}, mean {mean:.3g}"
         )
     survival = np.maximum(1.0 - np.cumsum(pmf), 0.0)
     return AbsorptionStats(
@@ -537,5 +549,5 @@ def cutoff_report(family, N_values) -> dict:
             "gap_times_mean": gapE,
         })
     g = [row["gap_times_mean"] for row in rows]
-    growing = all(b > a * (1 + 1e-9) for a, b in zip(g, g[1:])) and len(g) > 1
+    growing = all(b > a * (1 + GROWTH_TOL) for a, b in zip(g, g[1:])) and len(g) > 1
     return {"rows": rows, "cutoff_flag": bool(growing)}

@@ -2,7 +2,8 @@
 
 All modules share three windows: a clamp for tiny negative entries produced
 by linear solves, a looser one for row-sum / stochasticity checks, and a
-residual tolerance for linear identities between kernels.
+residual tolerance for linear identities between kernels.  The gates of
+the separation, absorption-law and sampling checks follow.
 """
 
 # entries in [-EPS_NEG, 0) are treated as exact zeros; anything below is a
@@ -14,3 +15,29 @@ EPS_STOCH = 1e-9
 
 # sup-norm tolerance for matrix identities (duality, intertwining, harmonicity)
 RESID_TOL = 1e-10
+
+# separation against hidden survival: sep <= survival + SHARP_TOL, equality
+# within SHARP_TOL under a witness, and the link row of the absorbing state
+# equal to pi within SHARP_TOL
+SHARP_TOL = 1e-9
+
+# absorption-law horizons: the automatic n_max is the first n with survival
+# below TAIL_TARGET; a truncation leaving more than TAIL_LIMIT is refused
+TAIL_TARGET = 1e-12
+TAIL_LIMIT = 1e-9
+
+# geometric continuation of a survival tail: the decay ratio is capped here
+RATIO_MAX = 1.0 - 1e-12
+
+# spectral route: slack of the bound Var <= E / (1 - t_1), and the gate of
+# the partial-fraction survival cross-check
+SPECTRAL_TOL = 1e-9
+
+# eigenvalues closer than this are not expanded in partial fractions
+EIG_GAP_MIN = 1e-8
+
+# relative growth of (1 - t_1) E that counts as a rise in a cutoff sweep
+GROWTH_TOL = 1e-9
+
+# family-wise false-alarm bound of the sampled-law test of empirical_report
+SAMPLE_ALPHA = 1e-6

@@ -395,6 +395,15 @@ def test_absorption_recurrence_guards():
                                       interior_positive=False), n_max=2)
 
 
+def test_absorption_recurrence_auto_horizon_is_capped():
+    # the automatic horizon once started at int(mean + 1): a bare ValueError
+    # from np.arange at mean 1e31, a grid of 2^25 points at mean 1e7.  Both
+    # tails still hold most of the mass at the 10^6 cap.
+    for p0, mean in ((1e-31, r"1e\+31"), (1e-7, r"1e\+07")):
+        with pytest.raises(errors.TruncationTooCoarseError, match=f"n_max=1000000, mean {mean}"):
+            absorption_recurrence(make_bd([p0, 0.0], [0.0, 0.5]))
+
+
 def test_absorption_degenerate_single_state():
     params = BDParams(N=0, p=np.array([0.0]), q=np.array([0.0]), r=np.array([1.0]))
     stats = absorption_recurrence(params)
