@@ -22,7 +22,9 @@ from . import (
     spectra,
     stationary_times,
 )
-from .tolerances import RESID_TOL
+from .tolerances import (
+    ABSORPTION_TOL, DYNAMIC_TOL, RESID_TOL, SHARP_TOL, TRACE_TOL,
+)
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -437,22 +439,22 @@ def cmd_verify(cfg, outdir, opts):
         checks[name] = _check(value, tol)
 
     vd = duals.verify_duality(pipe.P, pipe.H, pipe.report.dual, n_max=opts.get("n_max", 20))
-    record("duality_static", vd["static"], 1e-10)
-    record("duality_dynamic", vd["dynamic"], 1e-9)
+    record("duality_static", vd["static"], RESID_TOL)
+    record("duality_dynamic", vd["dynamic"], DYNAMIC_TOL)
     d = pipe.res.diagnostics
-    record("harmonic_fixed_point", d["phi_harmonic"], 1e-10)
-    record("link_intertwining", d["intertwining"], 1e-10)
-    record("k_duality", d["k_duality_scaled"], 1e-10)
+    record("harmonic_fixed_point", d["phi_harmonic"], RESID_TOL)
+    record("link_intertwining", d["intertwining"], RESID_TOL)
+    record("k_duality", d["k_duality_scaled"], RESID_TOL)
     record("boundary_rows_carry_pi",
-           max(d["absorbing_rows"].values()) if d["absorbing_rows"] else 0.0, 1e-10)
+           max(d["absorbing_rows"].values(), default=0.0), RESID_TOL)
     record("trace_match", d["trace_comparison"]["max_deviation"],
-           1e-8 * pipe.P.n)
+           TRACE_TOL * pipe.P.n)
 
     try:
         sharp = pipe.sharpness(opts.get("n_max", 100))
         record("separation_dominated_by_survival", 0.0, 0.0)
         if sharp.sharp:
-            record("sharp_equality", sharp.max_gap, 1e-9)
+            record("sharp_equality", sharp.max_gap, SHARP_TOL)
         boundary = sharp.boundary
     except errors.DualChainError as e:
         checks["separation_dominated_by_survival"] = {
@@ -467,7 +469,7 @@ def cmd_verify(cfg, outdir, opts):
             abs(ex.mean - sp.mean) / sp.mean if sp.mean else 0.0,
             abs(ex.variance - sp.variance) / sp.variance if sp.variance else 0.0,
         )
-        record("absorption_agreement", dev, 1e-8)
+        record("absorption_agreement", dev, ABSORPTION_TOL)
 
     passed = all(c.get("passed") for c in checks.values())
     write_json(_out(outdir, "verify_summary.json"), {

@@ -185,6 +185,12 @@ def siegmund_dual(P) -> DualReport:
     m = K.matrix
     n = K.n
     F = np.cumsum(m, axis=1)
+    if K.kind is kernels.KernelKind.STOCHASTIC:
+        # from the last nonzero entry of row x on, F(x, .) is the row sum:
+        # exactly 1, so the differences outside the support are exact zeros
+        # rather than +-1e-16 of rounding
+        last = n - 1 - np.argmax(m[:, ::-1] != 0, axis=1)
+        F[np.arange(n)[None, :] >= last[:, None]] = 1.0
     Fpad = np.vstack([F, np.zeros(n)])
     dual = (Fpad[:-1] - Fpad[1:]).T  # dual[y, x] = F(x, y) - F(x+1, y)
 

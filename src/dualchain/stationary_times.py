@@ -345,10 +345,12 @@ def _invert_pgf(factors, n_max: int) -> np.ndarray:
     factors.
 
     ``factors(u)`` yields the value of each factor at the points u.  Their
-    product G is taken at the M = 2^k points u_j = exp(-2 pi i j / M) of the
-    unit circle, where G(u_j) is the discrete Fourier transform of the
-    coefficients folded modulo M, and one inverse FFT returns them: the
-    coefficient n picks up those at n + M, n + 2M, ..., in all P(T >= M).
+    product G is taken at the points u_j = exp(-2 pi i j / M), j = 0..M/2,
+    of the upper half of the unit circle, M = 2^k.  G(u_j) is the discrete
+    Fourier transform of the coefficients folded modulo M; they are real,
+    so G(u_{M-j}) is the conjugate of G(u_j), and one inverse real FFT
+    returns them from the half: the coefficient n picks up those at n + M,
+    n + 2M, ..., in all P(T >= M).
     M starts at 2 (n_max + 1) and doubles, up to the grid of the N_MAX_CAP
     horizon, until the upper half of the folded coefficients holds at most
     TAIL_LIMIT; for a tail that decays at least geometrically the folded
@@ -357,11 +359,11 @@ def _invert_pgf(factors, n_max: int) -> np.ndarray:
     """
     M = 1 << (2 * n_max + 1).bit_length()
     while True:
-        u = np.exp(-2j * np.pi * np.arange(M) / M)
-        G = np.ones(M, dtype=complex)
+        u = np.exp(-2j * np.pi * np.arange(M // 2 + 1) / M)
+        G = np.ones_like(u)
         for f in factors(u):
             G *= f
-        c = np.fft.ifft(G).real
+        c = np.fft.irfft(G, n=M)
         if c[M // 2:].sum() <= TAIL_LIMIT or M >= _GRID_CAP:
             break
         M *= 2

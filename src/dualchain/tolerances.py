@@ -3,7 +3,7 @@
 All modules share three windows: a clamp for tiny negative entries produced
 by linear solves, a looser one for row-sum / stochasticity checks, and a
 residual tolerance for linear identities between kernels.  The gates of
-the separation, absorption-law and sampling checks follow.
+the separation, absorption-law, spectrum and sampling checks follow.
 """
 
 # entries in [-EPS_NEG, 0) are treated as exact zeros; anything below is a
@@ -16,6 +16,13 @@ EPS_STOCH = 1e-9
 # sup-norm tolerance for matrix identities (duality, intertwining, harmonicity)
 RESID_TOL = 1e-10
 
+# n-step duality H (Phat^m)' = P^m H, m <= n_max: the powers carry more
+# rounding than the one-step identity gated by RESID_TOL
+DYNAMIC_TOL = 1e-9
+
+# power traces tr(P^m) and tr(Ptilde^m), m = 1..n, agree within TRACE_TOL * n
+TRACE_TOL = 1e-8
+
 # separation against hidden survival: sep <= survival + SHARP_TOL, equality
 # within SHARP_TOL under a witness, and the link row of the absorbing state
 # equal to pi within SHARP_TOL
@@ -25,6 +32,10 @@ SHARP_TOL = 1e-9
 # below TAIL_TARGET; a truncation leaving more than TAIL_LIMIT is refused
 TAIL_TARGET = 1e-12
 TAIL_LIMIT = 1e-9
+
+# relative deviation of the matrix-route absorption mean and variance from
+# the spectral route
+ABSORPTION_TOL = 1e-8
 
 # geometric continuation of a survival tail: the decay ratio is capped here
 RATIO_MAX = 1.0 - 1e-12

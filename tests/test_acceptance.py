@@ -76,6 +76,15 @@ def test_criterion_01_duality_identity_holds():
                    "on 200 random monotone kernels (n <= 31)")
 
 
+def _power_traces(m):
+    """Oracle: tr(m^k), k = 1..n, from n dense matrix products."""
+    out, pw = [], np.eye(m.shape[0])
+    for _ in range(m.shape[0]):
+        pw = pw @ m
+        out.append(np.trace(pw))
+    return np.array(out)
+
+
 def test_criterion_02_pipeline_invariants():
     ok = True
     for P in _monotone_corpus():
@@ -89,9 +98,13 @@ def test_criterion_02_pipeline_invariants():
         ok = ok and d["intertwining"] <= 1e-10
         ok = ok and d["k_duality"] <= 1e-10
         ok = ok and np.max(np.abs(res.link[n - 1] - res.pi)) <= 1e-10
-        ok = ok and d["trace_comparison"]["max_deviation"] <= 1e-8 * n
+        tc = d["trace_comparison"]
+        ok = ok and tc["max_deviation"] <= 1e-8 * n
+        ok = ok and np.max(np.abs(tc["traces"] - _power_traces(P))) <= 1e-12
+        ok = ok and np.max(np.abs(tc["traces_tilde"] - _power_traces(res.p_tilde))) <= 1e-12
     _report(2, ok, "harmonic positivity, stochastic link/transform, both "
-                   "intertwinings, boundary row and power traces on the "
+                   "intertwinings, boundary row and power traces (eigenvalue "
+                   "power sums, equal to the matrix-power traces) on the "
                    "same 200-kernel corpus")
 
 

@@ -226,6 +226,33 @@ def test_verify_k_duality_catches_corrupt_k(tmp_path, monkeypatch):
     assert [k for k, c in checks.items() if not c["passed"]] == ["k_duality"]
 
 
+def test_verify_trace_match_catches_moved_diagonal_mass(tmp_path, monkeypatch):
+    # 1e-6 of mass from Ptilde(x, x) to Ptilde(x, x+1) at x = N/2: rows stay
+    # stochastic, tr(Ptilde) moves by 1e-6, above the gate 3.1e-7 of n = 31
+    build = intertwining.build_intertwining
+
+    def corrupt(P, H, dual):
+        res = build(P, H, dual)
+        pt = res.p_tilde.copy()
+        x = pt.shape[0] // 2
+        pt[x, x] -= 1e-6
+        pt[x, x + 1] += 1e-6
+        d = dict(res.diagnostics, trace_comparison=intertwining.spectrum_equivalence(
+            kernels.as_matrix(P), pt))
+        return dataclasses.replace(res, p_tilde=pt, diagnostics=d)
+
+    monkeypatch.setattr(intertwining, "build_intertwining", corrupt)
+    cfg = {"kind": "moran_mutation", "N": 30, "a1": 0.5, "a2": 0.5,
+           "dual": {"family": "siegmund"}}
+    assert _run_cfg("verify", cfg, tmp_path) == 1
+    checks = json.loads((tmp_path / "verify_summary.json").read_text())["checks"]
+    # the sharpness step recomputes the link residual on the corrupted
+    # Ptilde, 1.9e-7, and fails as well
+    failed = [k for k, c in checks.items() if not c["passed"]]
+    assert failed == ["separation_dominated_by_survival", "trace_match"]
+    assert checks["trace_match"]["value"] == pytest.approx(1e-6, rel=1e-6)
+
+
 def test_cli_import_leaves_out_unused_scipy():
     code = ("import sys, dualchain.cli; "
             "print([m for m in ('scipy.stats', 'scipy.optimize', 'scipy.signal') "

@@ -10,12 +10,13 @@ from dualchain import cli, errors, kernels
 from dualchain.chains import bd_kernel, moran_kernel, mutation_bias
 from dualchain.coupling import (
     TrajectoryBatch,
+    _row_supports,
     empirical_report,
     exact_joint,
     product_kernel,
     simulate,
 )
-from dualchain.duals import siegmund_dual, siegmund_function
+from dualchain.duals import bd_siegmund_dual, siegmund_dual, siegmund_function
 from dualchain.intertwining import build_intertwining
 from dualchain.samplers import random_monotone_kernel
 
@@ -239,6 +240,19 @@ def test_sampled_chains_have_sparse_and_dense_rows(chains_to_sample):
     assert widest["moran_hypergeometric"] == 5
     assert widest["moran_10"] == 3
     assert int(np.count_nonzero(chains_to_sample["dense_20"].p, axis=1).min()) == 20
+
+
+@pytest.mark.parametrize("N, a1, a2", [(20, 0.3, 0.2), (40, 0.1, 0.1), (100, 0.3, 0.2)])
+def test_siegmund_hidden_chain_is_tridiagonal(N, a1, a2):
+    # rounding of the saturated cumulative sums once left 34, 64 and 561
+    # entries of order 1e-16 outside the band, rows of 5, 5 and 13 entries
+    _, res = moran_coupled(N, a1, a2)
+    assert np.count_nonzero(np.triu(res.p_tilde, 2)) == 0
+    assert np.count_nonzero(np.tril(res.p_tilde, -2)) == 0
+    assert _row_supports(res.p_tilde).shape[1] == 3
+    params = moran_kernel(N, mutation_bias(a1, a2, N))
+    dual = siegmund_dual(bd_kernel(params)).dual
+    assert np.abs(dual - bd_siegmund_dual(params)).max() <= np.finfo(float).eps
 
 
 @pytest.mark.parametrize("name", ["chain_a", "chain_b", "moran_hypergeometric",

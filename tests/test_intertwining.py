@@ -19,6 +19,7 @@ from dualchain.intertwining import (
     spectrum_equivalence,
 )
 from dualchain.samplers import random_monotone_kernel
+from dualchain.spectra import moran_mutation_spectrum
 
 
 def test_pipeline_chain_a_frozen_values(pipeline_a):
@@ -107,6 +108,31 @@ def test_spectrum_equivalence_shape(pipeline_a):
     assert out["equal"]
     with pytest.raises(errors.DimensionMismatchError):
         spectrum_equivalence(P.matrix, np.eye(3))
+
+
+def test_spectrum_equivalence_paper_scale_closed_form():
+    # the hidden chain of Moran (N, a1, a2) has the spectrum t_k of the
+    # chain itself, in closed form (the paper's birth-death section)
+    N = 300
+    P = bd_kernel(moran_kernel(N, mutation_bias(0.25, 0.25, N)))
+    res = build_intertwining(P, siegmund_function(N), siegmund_dual(P).dual)
+    t = moran_mutation_spectrum(N, 0.25, 0.25).eigenvalues
+    power_sums = np.sum(t[None, :] ** np.arange(1, N + 2)[:, None], axis=1)
+    out = res.diagnostics["trace_comparison"]
+    np.testing.assert_allclose(out["traces_tilde"], power_sums, rtol=0, atol=1e-10)
+    assert out["equal"]
+
+
+def test_spectrum_equivalence_catches_moved_diagonal_mass(pipeline_b):
+    # 1e-6 of mass from Ptilde(1, 1) to Ptilde(1, 2): rows stay stochastic,
+    # tr(Ptilde) moves by 1e-6, above the gate 3e-8 of n = 3
+    P, res = pipeline_b
+    pt = res.p_tilde.copy()
+    pt[1, 1] -= 1e-6
+    pt[1, 2] += 1e-6
+    out = spectrum_equivalence(P.matrix, pt)
+    assert out["traces"][0] - out["traces_tilde"][0] == pytest.approx(1e-6, rel=1e-6)
+    assert not out["equal"]
 
 
 def test_moran_hypergeometric_pipeline():

@@ -1,0 +1,30 @@
+"""Smoke runs of the experiment scripts that call the pipeline: each exits 0
+and prints its table, a header row and one row per chain, step or size."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# script, arguments, data rows expected under the header
+RUNS = [
+    ("sharpness_series.py", ["configs/chain_b.json", "30"], 31),   # n = 0..30
+    ("absorption_crosscheck.py", ["3", "1", "10"], 3),             # three chains
+    ("cutoff_table.py", [], 6),                                    # N = 25..800
+]
+
+
+@pytest.mark.parametrize("script, args, rows", RUNS, ids=[run[0] for run in RUNS])
+def test_script_prints_its_table(script, args, rows):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    table = [line for line in out.stdout.splitlines()
+             if line.strip() and not line.startswith("#")]
+    assert len(table) == rows + 1, out.stdout
+    assert "skipped" not in out.stdout

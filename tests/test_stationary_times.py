@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from dualchain.stationary_times import (
     sharpness_witness,
     verify_sharpness,
 )
+from dualchain.tolerances import EPS_NEG, TAIL_LIMIT
 
 
 def test_separation_basics():
@@ -362,6 +365,50 @@ def test_fft_routes_paper_scale_moran_200():
         k = min(stats.n_max, exact.n_max) + 1
         np.testing.assert_allclose(stats.pmf[:k], exact.pmf[:k], rtol=0, atol=1e-9)
         assert stats.mean == pytest.approx(mean, rel=1e-8)
+
+
+def _full_grid_invert(factors, n_max):
+    """Oracle: the same inversion over all M points of the unit circle, by
+    a complex inverse FFT."""
+    M = 1 << (2 * n_max + 1).bit_length()
+    while True:
+        u = np.exp(-2j * np.pi * np.arange(M) / M)
+        G = np.ones(M, dtype=complex)
+        for f in factors(u):
+            G *= f
+        c = np.fft.ifft(G).real
+        if c[M // 2:].sum() <= TAIL_LIMIT or M >= stationary_times._GRID_CAP:
+            break
+        M *= 2
+    return np.where((c < 0) & (c > -EPS_NEG), 0.0, c)
+
+
+def test_half_circle_inversion_matches_full_grid(monkeypatch):
+    params = moran_kernel(40, mutation_bias(0.1, 0.1, 40))
+    hidden = _hidden_params(params)
+    spec = bd_spectrum(params)
+    routes = (lambda: absorption_recurrence(make_bd([3e-5, 0.0], [0.0, 0.5])),
+              lambda: absorption_recurrence(hidden),
+              lambda: absorption_spectral(spec))
+    got = [route().pmf for route in routes]
+    monkeypatch.setattr(stationary_times, "_invert_pgf", _full_grid_invert)
+    for pmf, route in zip(got, routes):
+        want = route().pmf
+        assert pmf.shape == want.shape
+        np.testing.assert_allclose(pmf, want, rtol=0, atol=1e-15)
+
+
+def test_half_circle_inversion_memory_at_horizon_cap():
+    # mean 3.3e4, auto horizon doubled to the 10^6 cap: the full grid of
+    # 2^21 complex points peaked at 224 MB here
+    tracemalloc.start()
+    try:
+        stats = absorption_recurrence(make_bd([3e-5, 0.0], [0.0, 0.5]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.n_max == 10**6
+    assert peak < 150 * 2**20
 
 
 def test_bernoulli_shift_identity():

@@ -15,7 +15,8 @@ def small_float_literals(path: Path) -> list[tuple[int, float]]:
             and 0.0 < abs(node.value) < 1e-6]
 
 
-@pytest.mark.parametrize("module", ["stationary_times.py", "coupling.py"])
+@pytest.mark.parametrize("module", ["stationary_times.py", "coupling.py", "cli.py",
+                                    "intertwining.py"])
 def test_no_inline_tolerance_literals(module):
     assert small_float_literals(SRC / module) == []
 
