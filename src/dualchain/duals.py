@@ -17,7 +17,7 @@ from scipy import linalg as sla
 from . import errors, kernels
 from .chains import bd_kernel, is_irreducible_bd
 from .kernels import Kernel, as_matrix, sup_norm
-from .tolerances import EPS_NEG, EPS_STOCH, RESID_TOL
+from .tolerances import EPS_NEG, EPS_STOCH, RESID_TOL, ROW_MASS_TOL
 
 COND_LIMIT = 1e12
 
@@ -65,38 +65,50 @@ class DualFunction:
         return self.matrix.shape[0]
 
 
-def siegmund_function(N: int) -> DualFunction:
-    """H(x, y) = 1(x <= y); inverse is the first-difference matrix."""
-    H = np.triu(np.ones((N + 1, N + 1)))
-    inv = np.eye(N + 1) - np.diag(np.ones(N), k=1)
-    return DualFunction(H, "siegmund", {"N": N}, inverse=inv)
+def _two_block(N: int, k: int, alpha: float, beta: float):
+    """gamma, e and H of the cumulative function with blocks C = {0..k} and
+    C' = {k+1..N}.
 
-
-def ultrametric_function(N: int, k: int, alpha: float, beta: float) -> DualFunction:
-    """Two-block weighting of the cumulative indicator.
-
-    Blocks are C = {0..k} and C' = {k+1..N}; H(x, y) = 1(x <= y) times
-    (1 + gamma(x)) inside a block and 1 across blocks, gamma = alpha on C and
-    beta on C'.  The inverse is bidiagonal: row x holds 1/(1+gamma(x)) on the
-    diagonal and -1/(1+gamma(x)) just above, except that the boundary row k
-    carries the extra factor 1/(1+beta) on its superdiagonal entry.
+    H(x, y) = 1(x <= y) times (1 + gamma(x)) inside a block and 1 across
+    blocks, gamma = alpha on C and beta on C'.  The inverse is bidiagonal:
+    row x holds 1/(1+gamma(x)) on the diagonal and -e(x)/(1+gamma(x)) just
+    above, with e(k) = 1/(1+beta) and e = 1 elsewhere.  k = N with
+    alpha = beta = 0 is the one-block case, the Siegmund indicator.
     """
+    n = N + 1
+    low = np.arange(n) <= k
+    gamma = np.where(low, float(alpha), float(beta))
+    e = np.ones(n)
+    e[k] = 1.0 / (1.0 + beta)
+    H = np.triu(np.ones((n, n))) * (1.0 + gamma[:, None] * (low[:, None] == low[None, :]))
+    return gamma, e, H
+
+
+def _two_block_function(N, k, alpha, beta, family, params) -> DualFunction:
+    gamma, e, H = _two_block(N, k, alpha, beta)
+    inv = np.diag(1.0 / (1.0 + gamma)) - np.diag(e[:-1] / (1.0 + gamma[:-1]), k=1)
+    return DualFunction(H, family, params, inverse=inv)
+
+
+def _check_ultrametric(N: int, k: int, alpha: float, beta: float) -> None:
     if not (0 <= k < N):
         raise errors.InvalidUltrametricParamsError("need 0 <= k < N")
     if alpha < 0 or beta < 0:
         raise errors.InvalidUltrametricParamsError("need alpha, beta >= 0")
-    n = N + 1
-    gamma = np.where(np.arange(n) <= k, alpha, beta)
-    same_block = (np.arange(n)[:, None] <= k) == (np.arange(n)[None, :] <= k)
-    upper = np.triu(np.ones((n, n)))
-    H = upper * (1.0 + gamma[:, None] * same_block)
-    inv = np.zeros((n, n))
-    for x in range(n):
-        inv[x, x] = 1.0 / (1.0 + gamma[x])
-        if x + 1 < n:
-            extra = 1.0 / (1.0 + beta) if x == k else 1.0
-            inv[x, x + 1] = -extra / (1.0 + gamma[x])
-    return DualFunction(H, "ultrametric", {"N": N, "k": k, "alpha": alpha, "beta": beta}, inverse=inv)
+
+
+def siegmund_function(N: int) -> DualFunction:
+    """H(x, y) = 1(x <= y); inverse is the first-difference matrix."""
+    return _two_block_function(N, N, 0.0, 0.0, "siegmund", {"N": N})
+
+
+def ultrametric_function(N: int, k: int, alpha: float, beta: float) -> DualFunction:
+    """Two-block weighting of the cumulative indicator (see ``_two_block``):
+    H(x, y) = 1(x <= y) times (1 + gamma(x)) inside a block and 1 across."""
+    _check_ultrametric(N, k, alpha, beta)
+    return _two_block_function(
+        N, k, alpha, beta, "ultrametric", {"N": N, "k": k, "alpha": alpha, "beta": beta}
+    )
 
 
 def hypergeometric_function(N: int) -> DualFunction:
@@ -173,51 +185,72 @@ def is_monotone(P, slack: float = EPS_NEG) -> bool:
     return bool(np.all(F[1:] - F[:-1] <= slack))
 
 
+def _report(dual, H, B, tag) -> DualReport:
+    """Report on a candidate dual of the identity H dual' = B.
+
+    Entries below -EPS_NEG are violations, tagged ``tag(row)``, and make the
+    candidate infeasible; entries in [-EPS_NEG, 0) are clamped to 0 before
+    the residual and the mass leaks are taken.  Diagnostics are left for the
+    caller to fill.
+    """
+    violations = [
+        (tag(int(y)), (int(y), int(x)), float(dual[y, x]))
+        for y, x in zip(*np.nonzero(dual < -EPS_NEG))
+    ]
+    dual = np.where((dual < 0) & (dual >= -EPS_NEG), 0.0, dual)
+    return DualReport(
+        dual=dual,
+        feasible=not violations,
+        residual=sup_norm(H @ dual.T - B),
+        mass_leaks=1.0 - dual.sum(axis=1),
+        violations=violations,
+    )
+
+
+def _two_block_dual(K: Kernel, k: int, alpha: float, beta: float):
+    """Dual of K for the two-block cumulative function, in O(n^2).
+
+    Phat' = H^{-1} (P H): P H is a blockwise cumulative sum, (1+alpha) F(x, y)
+    for y <= k and (1+beta) F(x, y) - beta F(x, k) for y > k, with F(x, y) =
+    sum_{z<=y} P(x, z), and H^{-1} is the bidiagonal of ``_two_block``.
+    Returns (dual, F, H).  For stochastic K, F(x, .) is exactly 1 from the
+    last nonzero entry of row x on (the row sum), so the dual has exact
+    zeros there rather than +-1e-16 of rounding.
+    """
+    m, n = K.matrix, K.n
+    gamma, e, H = _two_block(n - 1, k, alpha, beta)
+    F = np.cumsum(m, axis=1)
+    if K.kind is kernels.KernelKind.STOCHASTIC:
+        last = n - 1 - np.argmax(m[:, ::-1] != 0, axis=1)
+        F[np.arange(n)[None, :] >= last[:, None]] = 1.0
+    PH = (1.0 + alpha) * F
+    PH[:, k + 1:] = (1.0 + beta) * F[:, k + 1:] - beta * F[:, k:k + 1]
+    below = np.vstack([PH[1:], np.zeros(n)])  # (P H)(x+1, .), zero past N
+    dual = ((PH - e[:, None] * below) / (1.0 + gamma[:, None])).T
+    return dual, F, H
+
+
 def siegmund_dual(P) -> DualReport:
     """Cumulative-indicator dual: Phat(y, x) = F(x, y) - F(x+1, y) with
-    F(x, y) = sum_{z<=y} P(x, z) and F(N+1, .) = 0.
+    F(x, y) = sum_{z<=y} P(x, z) and F(N+1, .) = 0; the one-block case
+    k = N, alpha = beta = 0 of the two-block dual.
 
     Feasible exactly when P is monotone; the violating difference is
     recorded otherwise.  For stochastic P the last state is absorbing for
     the dual and row y loses mass 1 - F(0, y).
     """
     K = P if isinstance(P, Kernel) else kernels.validate_kernel(P)
-    m = K.matrix
     n = K.n
-    F = np.cumsum(m, axis=1)
-    if K.kind is kernels.KernelKind.STOCHASTIC:
-        # from the last nonzero entry of row x on, F(x, .) is the row sum:
-        # exactly 1, so the differences outside the support are exact zeros
-        # rather than +-1e-16 of rounding
-        last = n - 1 - np.argmax(m[:, ::-1] != 0, axis=1)
-        F[np.arange(n)[None, :] >= last[:, None]] = 1.0
-    Fpad = np.vstack([F, np.zeros(n)])
-    dual = (Fpad[:-1] - Fpad[1:]).T  # dual[y, x] = F(x, y) - F(x+1, y)
-
-    violations = [
-        ("monotone", (int(y), int(x)), float(dual[y, x]))
-        for y, x in zip(*np.nonzero(dual < -EPS_NEG))
-    ]
-    feasible = not violations
-    dual = np.where((dual < 0) & (dual >= -EPS_NEG), 0.0, dual)
-    H = np.triu(np.ones((n, n)))
-    residual = sup_norm(H @ dual.T - m @ H)
-    leaks = 1.0 - dual.sum(axis=1)
-    diagnostics = {
-        "absorbing_last": n - 1 in kernels.absorbing_states(dual)
+    dual, _, H = _two_block_dual(K, n - 1, 0.0, 0.0)
+    rep = _report(dual, H, K.matrix @ H, lambda y: "monotone")
+    rep.diagnostics.update({
+        "absorbing_last": n - 1 in kernels.absorbing_states(rep.dual)
         if K.kind is kernels.KernelKind.STOCHASTIC
         else None,
-        "leak_at_zero": float(leaks[0]),
-        "stochastic_dual": bool(np.all(np.abs(leaks) <= EPS_STOCH)),
-    }
-    return DualReport(
-        dual=dual,
-        feasible=feasible,
-        residual=residual,
-        mass_leaks=leaks,
-        violations=violations,
-        diagnostics=diagnostics,
-    )
+        "leak_at_zero": float(rep.mass_leaks[0]),
+        "stochastic_dual": bool(np.all(np.abs(rep.mass_leaks) <= EPS_STOCH)),
+    })
+    return rep
 
 
 def bd_siegmund_dual(params) -> np.ndarray:
@@ -236,9 +269,10 @@ def bd_siegmund_dual(params) -> np.ndarray:
 
 
 def ultrametric_dual(P, k: int, alpha: float, beta: float) -> DualReport:
-    """Two-block ultrametric dual assembled from the four case formulas.
+    """Two-block ultrametric dual.
 
-    With F(x, y) = sum_{z<=y} P(x, z), F(N+1, .) = 0, gamma as in the dual
+    Computed as H^{-1} (P H) by ``_two_block_dual``.  Entrywise, with
+    F(x, y) = sum_{z<=y} P(x, z), F(N+1, .) = 0, gamma as in the dual
     function, and J(z) = P(k, z) - P(k+1, z)/(1+beta):
 
       x != k, y <= k:  (1+alpha)/(1+gamma(x)) * [F(x,y) - F(x+1,y)]
@@ -255,53 +289,16 @@ def ultrametric_dual(P, k: int, alpha: float, beta: float) -> DualReport:
     rows (row sums within EPS_STOCH of 1).
     """
     K = P if isinstance(P, Kernel) else kernels.validate_kernel(P)
-    m = K.matrix
     n = K.n
-    N = n - 1
-    if not (0 <= k < N):
-        raise errors.InvalidUltrametricParamsError("need 0 <= k < N")
-    if alpha < 0 or beta < 0:
-        raise errors.InvalidUltrametricParamsError("need alpha, beta >= 0")
-
-    gamma = np.where(np.arange(n) <= k, alpha, beta)
-    F = np.cumsum(m, axis=1)
-    Fpad = np.vstack([F, np.zeros(n)])
-    dF = Fpad[:-1] - Fpad[1:]  # dF[x, y] = F(x,y) - F(x+1,y)
-    dFk = dF[:, k]
-
-    dual = np.zeros((n, n))
-    ys = np.arange(n)
-    low = ys <= k
-    high = ~low
-    for x in range(n):
-        if x != k:
-            dual[low, x] = (1.0 + alpha) / (1.0 + gamma[x]) * dF[x, low]
-            dual[high, x] = (
-                dFk[x] / (1.0 + gamma[x])
-                + (1.0 + beta) / (1.0 + gamma[x]) * (dF[x, high] - dFk[x])
-            )
-    J = m[k] - m[k + 1] / (1.0 + beta)
-    cumJ = np.cumsum(J)
-    dual[low, k] = cumJ[low]
-    dual[high, k] = cumJ[k] / (1.0 + alpha) + (1.0 + beta) / (1.0 + alpha) * (
-        cumJ[high] - cumJ[k]
+    _check_ultrametric(n - 1, k, alpha, beta)
+    dual, F, H = _two_block_dual(K, k, alpha, beta)
+    rep = _report(
+        dual, H, K.matrix @ H,
+        lambda y: "lower-block-cumulative" if y <= k else "upper-block-cumulative",
     )
-
-    violations = [
-        (
-            "lower-block-cumulative" if y <= k else "upper-block-cumulative",
-            (int(y), int(x)),
-            float(dual[y, x]),
-        )
-        for y, x in zip(*np.nonzero(dual < -EPS_NEG))
-    ]
-    feasible = not violations
-    dual = np.where((dual < 0) & (dual >= -EPS_NEG), 0.0, dual)
-
-    Hfn = ultrametric_function(N, k, alpha, beta)
-    residual = sup_norm(Hfn.matrix @ dual.T - m @ Hfn.matrix)
-    row_mass = dual.sum(axis=1)
-    leaks = 1.0 - row_mass
+    row_mass = rep.dual.sum(axis=1)
+    low = np.arange(n) <= k
+    high = ~low
 
     # row-mass profile in closed form (must agree with the assembled rows)
     L = np.empty(n)
@@ -312,38 +309,25 @@ def ultrametric_dual(P, k: int, alpha: float, beta: float) -> DualReport:
         + alpha / ((1.0 + alpha) * (1.0 + beta)) * F[k + 1, k]
         + alpha / (1.0 + alpha) * (F[k + 1, high] - F[k + 1, k])
     )
-    if feasible and sup_norm(L - row_mass) > 1e-9:  # pragma: no cover
+    if rep.feasible and sup_norm(L - row_mass) > ROW_MASS_TOL:  # pragma: no cover
         raise errors.DualChainError("row-mass profile disagrees with assembly")
 
-    block_mass = F[:, k]
-    delta = float(block_mass.mean())
-    const_block = bool(np.ptp(block_mass) <= EPS_STOCH)
     # cumulative monotonicity across every adjacent row pair (x, x+1), x != k:
     # lower block uses F itself, upper block the above-k cumulative G = F - F(., k)
-    rows = np.array([x for x in range(N) if x != k], dtype=int)
-    lower_monotone = bool(np.all(dF[np.ix_(rows, low.nonzero()[0])] >= -EPS_NEG))
-    upper_cols = high.nonzero()[0]
-    upper_monotone = bool(
-        np.all((dF[np.ix_(rows, upper_cols)] - dFk[rows, None]) >= -EPS_NEG)
-    )
-    conservative = [int(y) for y in range(n) if abs(row_mass[y] - 1.0) <= EPS_STOCH]
-    diagnostics = {
+    dF = np.delete(F[:-1] - F[1:], k, axis=0)
+    lower_monotone = bool(np.all(dF[:, low] >= -EPS_NEG))
+    upper_monotone = bool(np.all(dF[:, high] - dF[:, k:k + 1] >= -EPS_NEG))
+    block_mass = F[:, k]
+    rep.diagnostics.update({
         "row_mass": row_mass,
-        "constant_block_mass": const_block,
-        "delta": delta,
+        "constant_block_mass": bool(np.ptp(block_mass) <= EPS_STOCH),
+        "delta": float(block_mass.mean()),
         "delta_substochastic": (1.0 + beta) / (1.0 + alpha + beta),
         "blockwise_monotone": bool(lower_monotone and upper_monotone),
-        "conservative_rows": conservative,
+        "conservative_rows": [int(y) for y in range(n) if abs(row_mass[y] - 1.0) <= EPS_STOCH],
         "substochastic": bool(np.all(row_mass <= 1 + EPS_STOCH)),
-    }
-    return DualReport(
-        dual=dual,
-        feasible=feasible,
-        residual=residual,
-        mass_leaks=leaks,
-        violations=violations,
-        diagnostics=diagnostics,
-    )
+    })
+    return rep
 
 
 def bd_ultrametric_rigidity(params, k: int, alpha: float, beta: float) -> dict:
@@ -454,22 +438,9 @@ def dual_via_solve(P, H: DualFunction) -> DualReport:
     else:
         X = np.linalg.solve(Hm, B)
     X = _support_refit(Hm, B, X)
-    dual = X.T
-    violations = [
-        ("nonnegativity", (int(y), int(x)), float(dual[y, x]))
-        for y, x in zip(*np.nonzero(dual < -EPS_NEG))
-    ]
-    feasible = not violations
-    dual = np.where((dual < 0) & (dual >= -EPS_NEG), 0.0, dual)
-    residual = sup_norm(Hm @ dual.T - B)
-    return DualReport(
-        dual=dual,
-        feasible=feasible,
-        residual=residual,
-        mass_leaks=1.0 - dual.sum(axis=1),
-        violations=violations,
-        diagnostics={"condition_estimate": cond},
-    )
+    rep = _report(X.T, Hm, B, lambda y: "nonnegativity")
+    rep.diagnostics["condition_estimate"] = cond
+    return rep
 
 
 def verify_duality(P, H, dual, n_max: int = 20) -> dict:
@@ -510,16 +481,13 @@ def potential_dual_check(R, P=None) -> dict:
     transpose_sub = bool(np.all(col_sums <= 1 + EPS_STOCH))
     if P is None:
         P = np.full((n, n), 1.0 / n)
-    m = as_matrix(P)
-    dual = ((np.eye(n) - Rm) @ m @ Hfn.matrix).T
-    feasible = bool(np.min(dual) >= -EPS_NEG)
-    dual = np.where((dual < 0) & (dual >= -EPS_NEG), 0.0, dual)
-    residual = sup_norm(Hfn.matrix @ dual.T - m @ Hfn.matrix)
+    m, Hm = as_matrix(P), Hfn.matrix
+    rep = _report(((np.eye(n) - Rm) @ m @ Hm).T, Hm, m @ Hm, lambda y: "nonnegativity")
     return {
-        "dual": dual,
-        "feasible": feasible,
+        "dual": rep.dual,
+        "feasible": rep.feasible,
         "transpose_substochastic": transpose_sub,
-        "row_sums_nonnegative": bool(np.all(dual.sum(axis=1) >= -EPS_NEG)),
-        "residual": residual,
+        "row_sums_nonnegative": bool(np.all(rep.dual.sum(axis=1) >= -EPS_NEG)),
+        "residual": rep.residual,
         "dual_function": Hfn,
     }

@@ -99,7 +99,7 @@ def build_intertwining(P, H: DualFunction, dual) -> IntertwiningResult:
     dec = kernels.classify(d)
     if dual_kind is kernels.KernelKind.STRICTLY_SUBSTOCHASTIC:
         # a strict mass loser cannot be irreducible and keep phi harmonic
-        diagnostics["dual_irreducible"] = kernels.is_irreducible(d)
+        diagnostics["dual_irreducible"] = dec.n_classes == 1
         if diagnostics["dual_irreducible"]:
             raise errors.DualChainError(
                 "strictly substochastic dual with positive harmonic vector "
@@ -122,7 +122,7 @@ def build_intertwining(P, H: DualFunction, dual) -> IntertwiningResult:
         class_constants.append((cls, c))
     diagnostics["phi_decomposition"] = sup_norm(recomposed - phi)
 
-    if dual_kind is kernels.KernelKind.STOCHASTIC and kernels.is_irreducible(d):
+    if dual_kind is kernels.KernelKind.STOCHASTIC and dec.n_classes == 1:
         diagnostics["phi_constant"] = float(np.ptp(phi))
         diagnostics["p_tilde_equals_dual"] = sup_norm(p_tilde - d)
     if len(class_constants) == 1:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import errors
-from .tolerances import EPS_NEG, EPS_STOCH, RESID_TOL
+from .tolerances import EPS_NEG, EPS_STOCH, HITTING_TOL, RESID_TOL
 
 
 class KernelKind(enum.Enum):
@@ -376,7 +376,7 @@ def hitting_probabilities(P, target) -> np.ndarray:
             raise errors.SingularSystemError(
                 "restricted hitting system is singular"
             ) from exc
-        if np.min(sol) < -1e-9 or np.max(sol) > 1 + 1e-9:
+        if np.min(sol) < -HITTING_TOL or np.max(sol) > 1 + HITTING_TOL:
             raise errors.SingularSystemError("hitting solve left [0, 1]")
         h[idx] = np.clip(sol, 0.0, 1.0)
     return h

@@ -17,7 +17,7 @@ from scipy.linalg import eigh_tridiagonal
 from . import errors
 from .chains import BDParams, bd_kernel, bd_stationary, is_irreducible_bd, make_bd
 from .duals import is_monotone
-from .tolerances import EPS_NEG, EPS_STOCH, RESID_TOL
+from .tolerances import EPS_NEG, EPS_STOCH, ROOT_BRACKET, ROOT_RTOL, ROOT_XTOL, SPECTRUM_TOL
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,9 @@ class Spectrum:
         t = np.asarray(self.eigenvalues, dtype=float)
         object.__setattr__(self, "eigenvalues", t)
         t.setflags(write=False)
-        if abs(t[0] - 1.0) > 1e-10:
+        if abs(t[0] - 1.0) > SPECTRUM_TOL:
             raise errors.SpectrumError(f"t_0 = {t[0]} is not 1")
-        if np.any(t > 1 + 1e-10) or np.any(t < -1 - 1e-10):
+        if np.any(t > 1 + SPECTRUM_TOL) or np.any(t < -1 - SPECTRUM_TOL):
             raise errors.SpectrumError("eigenvalue outside [-1, 1]")
         if np.any(np.diff(t) >= 0):
             raise errors.SpectrumError("eigenvalues not strictly decreasing")
@@ -69,7 +69,7 @@ def bd_spectrum(params: BDParams) -> Spectrum:
     vals = eigh_tridiagonal(d, e, eigvals_only=True)
     t = np.sort(vals)[::-1]
     t = np.clip(t, -1.0, 1.0)
-    if abs(t[0] - 1.0) <= 1e-10:
+    if abs(t[0] - 1.0) <= SPECTRUM_TOL:
         t[0] = 1.0
     return Spectrum(eigenvalues=t)
 
@@ -83,7 +83,7 @@ def spectral_weights(params: BDParams) -> Spectrum:
     vals, vecs = eigh_tridiagonal(d, e)
     order = np.argsort(vals)[::-1]
     t = np.clip(vals[order], -1.0, 1.0)
-    if abs(t[0] - 1.0) <= 1e-10:
+    if abs(t[0] - 1.0) <= SPECTRUM_TOL:
         t[0] = 1.0
     mu = vecs[0, order] ** 2
     pi0 = bd_stationary(params)[0]
@@ -128,7 +128,7 @@ def orthopoly_roots(params: BDParams, panels: int | None = None) -> np.ndarray:
     from scipy.optimize import brentq
 
     N = params.N
-    lo, hi = -1.0 - 1e-9, 1.0 + 1e-9
+    lo, hi = -1.0 - ROOT_BRACKET, 1.0 + ROOT_BRACKET
     k = panels if panels is not None else 4 * (N + 1)
     for _ in range(12):
         grid = np.linspace(lo, hi, k + 1)
@@ -138,7 +138,7 @@ def orthopoly_roots(params: BDParams, panels: int | None = None) -> np.ndarray:
         idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
         roots = [
             brentq(lambda s: orthopoly_oracle(params, s)[1], grid[i], grid[i + 1],
-                   xtol=1e-14, rtol=8.9e-16)
+                   xtol=ROOT_XTOL, rtol=ROOT_RTOL)
             for i in idx
         ]
         exact = grid[np.nonzero(R == 0)[0]]

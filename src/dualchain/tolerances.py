@@ -3,7 +3,8 @@
 All modules share three windows: a clamp for tiny negative entries produced
 by linear solves, a looser one for row-sum / stochasticity checks, and a
 residual tolerance for linear identities between kernels.  The gates of
-the separation, absorption-law, spectrum and sampling checks follow.
+the separation, absorption-law, spectrum, root-finding and sampling checks
+follow.
 """
 
 # entries in [-EPS_NEG, 0) are treated as exact zeros; anything below is a
@@ -19,6 +20,12 @@ RESID_TOL = 1e-10
 # n-step duality H (Phat^m)' = P^m H, m <= n_max: the powers carry more
 # rounding than the one-step identity gated by RESID_TOL
 DYNAMIC_TOL = 1e-9
+
+# a hitting-probability solve may leave [0, 1] by this much before clipping
+HITTING_TOL = 1e-9
+
+# the two-block dual's row masses agree with their closed-form profile
+ROW_MASS_TOL = 1e-9
 
 # power traces tr(P^m) and tr(Ptilde^m), m = 1..n, agree within TRACE_TOL * n
 TRACE_TOL = 1e-8
@@ -52,3 +59,14 @@ GROWTH_TOL = 1e-9
 
 # family-wise false-alarm bound of the sampled-law test of empirical_report
 SAMPLE_ALPHA = 1e-6
+
+# birth-death spectra: t_0 within SPECTRUM_TOL of 1 is 1, and eigenvalues
+# may leave [-1, 1] by this much
+SPECTRUM_TOL = 1e-10
+
+# orthogonal-polynomial roots: the bisection grid overhangs [-1, 1] by
+# ROOT_BRACKET; brentq stops at ROOT_XTOL + ROOT_RTOL |root| (its smallest
+# allowed rtol is 4 eps)
+ROOT_BRACKET = 1e-9
+ROOT_XTOL = 1e-14
+ROOT_RTOL = 8.9e-16

@@ -22,7 +22,9 @@ from dualchain.duals import (
     vandermonde_function,
     verify_duality,
 )
+from dualchain.kernels import KernelKind, validate_kernel
 from dualchain.samplers import random_kernel, random_monotone_kernel
+from dualchain.tolerances import EPS_NEG
 
 NON_MONOTONE = np.array([[0.1, 0.9], [0.8, 0.2]])
 
@@ -159,15 +161,51 @@ def test_monotone_iff_feasible(n, seed):
     assert siegmund_dual(Pm).feasible
 
 
+def _first_difference_siegmund(P):
+    """The cumulative dual as first differences of the row sums F, with
+    F(x, .) = 1 from the last nonzero entry of a stochastic row on."""
+    m = np.asarray(P, dtype=float)
+    n = m.shape[0]
+    F = np.cumsum(m, axis=1)
+    if validate_kernel(m).kind is KernelKind.STOCHASTIC:
+        last = n - 1 - np.argmax(m[:, ::-1] != 0, axis=1)
+        F[np.arange(n)[None, :] >= last[:, None]] = 1.0
+    Fpad = np.vstack([F, np.zeros(n)])
+    dual = (Fpad[:-1] - Fpad[1:]).T
+    violations = [
+        ("monotone", (int(y), int(x)), float(dual[y, x]))
+        for y, x in zip(*np.nonzero(dual < -EPS_NEG))
+    ]
+    return np.where((dual < 0) & (dual >= -EPS_NEG), 0.0, dual), violations
+
+
+def _dual_corpus(rng):
+    """Moran chains, random monotone kernels and non-monotone ones."""
+    moran = [bd_kernel(moran_kernel(N, mutation_bias(a1, a2, N))).matrix
+             for N, a1, a2 in [(10, .5, .5), (20, .3, .2), (29, .1, .1)]]
+    monotone = [random_monotone_kernel(rng, n) for n in (3, 5, 12, 30)]
+    return moran + monotone + [random_kernel(rng, n) for n in (4, 9, 30)] + [NON_MONOTONE]
+
+
+def test_siegmund_dual_is_first_difference(rng):
+    large = bd_kernel(moran_kernel(100, mutation_bias(0.3, 0.2, 100))).matrix
+    for P in _dual_corpus(rng) + [large]:
+        rep = siegmund_dual(P)
+        dual, violations = _first_difference_siegmund(P)
+        assert np.array_equal(rep.dual, dual)
+        assert rep.violations == violations
+        assert rep.feasible == (not violations)
+
+
 def test_ultrametric_dual_matches_direct_solve(rng):
-    for _ in range(10):
-        n = int(rng.integers(3, 8))
-        k = int(rng.integers(0, n - 1))
-        a, b = rng.uniform(0, 1.5, size=2)
-        P = random_kernel(rng, n)
-        rep = ultrametric_dual(P, k, a, b)
-        via = dual_via_solve(P, ultrametric_function(n - 1, k, a, b))
-        np.testing.assert_allclose(rep.dual, via.dual, atol=1e-10)
+    # every block boundary k, with alpha or beta at zero as well
+    for P in _dual_corpus(rng):
+        n = P.shape[0]
+        for k in range(n - 1):
+            for a, b in [(0.0, 0.0), (0.0, 0.4), (0.7, 0.0), (0.7, 0.4), (1.5, 2.0)]:
+                rep = ultrametric_dual(P, k, a, b)
+                via = dual_via_solve(P, ultrametric_function(n - 1, k, a, b))
+                np.testing.assert_allclose(rep.dual, via.dual, rtol=0, atol=1e-14)
 
 
 def test_ultrametric_dual_block_instance():
