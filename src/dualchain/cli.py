@@ -82,17 +82,17 @@ CONFIG_SCHEMA = {
 }
 
 
-def load_config(path: str) -> dict:
+CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
+
+def load_config(path: str):
+    """The parsed JSON of a config file; ``run`` checks it against
+    CONFIG_SCHEMA once the command-line flags are merged into its options."""
     try:
         with open(path) as f:
-            cfg = json.load(f)
+            return json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise errors.ConfigError(f"cannot read config {path}: {e}")
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as e:
-        raise errors.ConfigError(f"config schema violation: {e.message}")
-    return cfg
 
 
 def build_chain(cfg: dict):
@@ -268,16 +268,13 @@ class Pipeline:
             self.pt0, n_max=n_max,
         )
 
-    def absorption(self, boundary: int) -> stationary_times.AbsorptionStats:
-        """Law of the hidden arrival at ``boundary`` from the start state."""
-        return stationary_times.absorption_exact(self.res.p_tilde, self.pt0, boundary)
-
-    def spectral_absorption(self, boundary):
-        """The same law from the spectrum of P, or None unless P is
-        birth-death and the hidden chain runs from 0 to the top state."""
+    def spectral_moments(self, boundary):
+        """Mean and variance of the hidden arrival at ``boundary`` from the
+        spectrum of P, or None unless P is birth-death and the hidden chain
+        runs from 0 to the top state."""
         if self.params is None or boundary != self.P.n - 1 or self.start != 0:
             return None
-        return stationary_times.absorption_spectral(spectra.bd_spectrum(self.params))
+        return stationary_times.spectral_moments(spectra.bd_spectrum(self.params))
 
 
 def pipeline(cfg: dict, opts: dict) -> Pipeline:
@@ -355,19 +352,19 @@ def cmd_ssd(cfg, outdir, opts):
     pipe = pipeline(cfg, opts)
     sharp = pipe.sharpness(opts.get("n_max", 100))
     write_csv(_out(outdir, "ssd.csv"), ["n", "separation", "survival"], sharp.table)
-    ex = pipe.absorption(sharp.boundary)
+    mean, variance = stationary_times.hitting_moments(pipe.res.p_tilde, pipe.pt0,
+                                                      sharp.boundary)
     summary = {
         "boundary": sharp.boundary,
         "witness": sharp.witness,
         "sharp": sharp.sharp,
         "max_gap": sharp.max_gap,
-        "mean": ex.mean,
-        "variance": ex.variance,
+        "mean": mean,
+        "variance": variance,
     }
-    sp = pipe.spectral_absorption(sharp.boundary)
+    sp = pipe.spectral_moments(sharp.boundary)
     if sp is not None:
-        summary["mean_spectral"] = sp.mean
-        summary["variance_spectral"] = sp.variance
+        summary["mean_spectral"], summary["variance_spectral"] = sp
     write_json(_out(outdir, "ssd_summary.json"), summary)
     return 0
 
@@ -462,13 +459,10 @@ def cmd_verify(cfg, outdir, opts):
         }
         boundary = None
 
-    sp = pipe.spectral_absorption(boundary)
+    sp = pipe.spectral_moments(boundary)
     if sp is not None:
-        ex = pipe.absorption(boundary)
-        dev = max(
-            abs(ex.mean - sp.mean) / sp.mean if sp.mean else 0.0,
-            abs(ex.variance - sp.variance) / sp.variance if sp.variance else 0.0,
-        )
+        exact = stationary_times.hitting_moments(pipe.res.p_tilde, pipe.pt0, boundary)
+        dev = max(abs(v - ref) / ref if ref else 0.0 for v, ref in zip(exact, sp))
         record("absorption_agreement", dev, ABSORPTION_TOL)
 
     passed = all(c.get("passed") for c in checks.values())
@@ -502,7 +496,7 @@ def cmd_plotdata(cfg, outdir, opts):
                 rows.append((str(int(n)), "separation", sep))
                 rows.append((str(int(n)), "survival", surv))
         else:
-            ex = pipe.absorption(sharp.boundary)
+            ex = stationary_times.absorption_exact(pipe.res.p_tilde, pipe.pt0, sharp.boundary)
             rows = [(str(n), series, ex.pmf[n]) for n in range(ex.n_max + 1)]
     else:
         raise errors.ConfigError(f"unknown series {series!r}")
@@ -545,10 +539,14 @@ def make_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = make_parser().parse_args(argv)
     cfg = load_config(args.config)
-    opts = dict(cfg.get("options", {}))
-    for flag, key in FLAG_OPTIONS.items():
-        if getattr(args, flag) is not None:
-            opts[key] = getattr(args, flag)
+    flags = {key: getattr(args, flag) for flag, key in FLAG_OPTIONS.items()
+             if getattr(args, flag) is not None}
+    if isinstance(cfg, dict) and isinstance(cfg.get("options", {}), dict):
+        cfg["options"] = {**cfg.get("options", {}), **flags}
+    error = jsonschema.exceptions.best_match(CONFIG_VALIDATOR.iter_errors(cfg))
+    if error is not None:
+        raise errors.ConfigError(f"config schema violation at {error.json_path}: {error.message}")
+    opts = cfg["options"]
     try:
         return HANDLERS[args.command](cfg, args.out, opts)
     except Infeasible as e:

@@ -334,6 +334,16 @@ def evolve(pi0, P, n: int) -> np.ndarray:
     return v
 
 
+def reachable(edges: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Mask of the states reachable from the mask ``seeds`` along the
+    boolean adjacency ``edges`` (``edges.T`` for the states that reach them)."""
+    seen = seeds.copy()
+    while seeds.any():
+        seeds = edges[seeds].any(axis=0) & ~seen
+        seen |= seeds
+    return seen
+
+
 def hitting_probabilities(P, target) -> np.ndarray:
     """Probability of reaching ``target`` before the kernel kills the path.
 
@@ -351,20 +361,7 @@ def hitting_probabilities(P, target) -> np.ndarray:
     for t in target:
         h[t] = 1.0
 
-    pos = m > EPS_NEG
-    # reverse reachability from the target
-    can_reach = np.zeros(n, dtype=bool)
-    frontier = list(target)
-    for t in target:
-        can_reach[t] = True
-    while frontier:
-        y = frontier.pop()
-        preds = np.nonzero(pos[:, y])[0]
-        for x in preds:
-            if not can_reach[x]:
-                can_reach[x] = True
-                frontier.append(int(x))
-
+    can_reach = reachable((m > EPS_NEG).T, h > 0)
     solve_states = [x for x in range(n) if can_reach[x] and x not in target]
     if solve_states:
         idx = np.array(solve_states)

@@ -1,7 +1,8 @@
 """Separation distance, sharp strong-stationary structure, absorption laws.
 
 Three independent routes compute the law of the absorption time of the
-intertwined chain: exact matrix powers, the spectral product formula
+intertwined chain: matrix powers (moments from the fundamental matrix),
+the spectral product formula
 
     E(u^T) = prod_k (1 - t_k) u / (1 - t_k u)
 
@@ -19,14 +20,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 
 from . import errors, kernels
 from .chains import BDParams
 from .kernels import as_matrix, sup_norm, total_variation
 from .spectra import Spectrum
 from .tolerances import (
-    EIG_GAP_MIN, EPS_NEG, EPS_STOCH, GROWTH_TOL, RATIO_MAX, RESID_TOL, SHARP_TOL,
-    SPECTRAL_TOL, TAIL_LIMIT, TAIL_TARGET,
+    EIG_GAP_MIN, EPS_NEG, EPS_STOCH, GROWTH_TOL, RESID_TOL, SHARP_TOL, SPECTRAL_TOL,
+    TAIL_LIMIT, TAIL_TARGET,
 )
 
 N_MAX_CAP = 10**6
@@ -245,8 +247,8 @@ class AbsorptionStats:
     """Law of the absorption time truncated at n_max.
 
     pmf[n] = P(T = n) for n = 0..n_max; survival[n] = P(T > n); the mass
-    beyond n_max is ``truncation_mass``; mean and variance include tail
-    corrections (matrix route) or are closed-form exact (other routes).
+    beyond n_max is ``truncation_mass``; mean and variance are exact on
+    every route (none of them depends on n_max).
     """
 
     pmf: np.ndarray
@@ -275,19 +277,36 @@ class AbsorptionStats:
         return self.pmf.shape[0] - 1
 
 
-def _tail_corrections(survival: np.ndarray):
-    """Geometric continuation of the survival sequence past its last entry:
-    returns (extra E, extra second-moment sum) assuming P(T>n) decays with
-    the last observed ratio."""
-    s = survival
-    n = s.shape[0] - 1
-    if s[-1] <= 0 or n < 1 or s[-2] <= 0:
-        return 0.0, 0.0
-    rho = min(s[-1] / s[-2], RATIO_MAX)
-    g = rho / (1.0 - rho)
-    extra_e = s[-1] * g
-    extra_m2 = s[-1] * ((2 * n + 1) * g + 2 * rho / (1.0 - rho) ** 2)
-    return float(extra_e), float(extra_m2)
+def hitting_moments(p_tilde, start, boundary: int) -> tuple[float, float]:
+    """Mean and variance of the first arrival at the absorbing ``boundary``
+    from the fundamental matrix (Kemeny and Snell, Finite Markov Chains, III):
+    with Q = P~ on the states the start reaches (along entries above EPS_NEG)
+    but the boundary, m1 = (I - Q)^{-1} 1 and E T^2 = (I - Q)^{-1}(2 m1 - 1).
+    The diagonal of I - Q is each row's summed off-diagonal mass (GTH), not
+    1 - Q(x, x).  A reached state that cannot reach the boundary is refused.
+    """
+    pt = as_matrix(p_tilde)
+    start = kernels.validate_prob_vector(start, "start")
+    if boundary < 0 or boundary >= pt.shape[0]:
+        raise errors.DimensionMismatchError("boundary out of range")
+    if boundary not in kernels.absorbing_states(pt):
+        raise errors.NotAbsorbingError(f"state {boundary} is not absorbing")
+    edges = pt > EPS_NEG
+    at_boundary = np.arange(pt.shape[0]) == boundary
+    reached = kernels.reachable(edges, start > 0) & ~at_boundary
+    stuck = np.flatnonzero(reached & ~kernels.reachable(edges.T, at_boundary))
+    if stuck.size:
+        raise errors.TruncationTooCoarseError(
+            f"state {stuck[0]} is reached from the start but never reaches {boundary}")
+    idx = np.flatnonzero(reached)
+    rows = pt[idx]
+    rows[np.arange(idx.size), idx] = 0.0
+    A = -rows[:, idx]
+    A[np.diag_indices(idx.size)] = rows.sum(axis=1)
+    lu = lu_factor(A)
+    m1 = lu_solve(lu, np.ones(idx.size))
+    mean = float(start[idx] @ m1)
+    return mean, float(start[idx] @ lu_solve(lu, 2.0 * m1 - 1.0)) - mean**2
 
 
 def absorption_exact(p_tilde, start, boundary: int, n_max: int | None = None) -> AbsorptionStats:
@@ -295,15 +314,10 @@ def absorption_exact(p_tilde, start, boundary: int, n_max: int | None = None) ->
 
     n_max defaults to the first n with survival below 1e-12 (capped at
     10^6).  If the survivor mass still exceeds 1e-9 at the cap the
-    truncation is refused.
+    truncation is refused.  Mean and variance are ``hitting_moments``.
     """
-    pt = as_matrix(p_tilde)
-    start = kernels.validate_prob_vector(start, "start")
-    n = pt.shape[0]
-    if boundary < 0 or boundary >= n:
-        raise errors.DimensionMismatchError("boundary out of range")
-    if boundary not in kernels.absorbing_states(pt):
-        raise errors.NotAbsorbingError(f"state {boundary} is not absorbing")
+    mean, variance = hitting_moments(p_tilde, start, boundary)
+    pt, start = as_matrix(p_tilde), kernels.validate_prob_vector(start, "start")
 
     cap = min(n_max, N_MAX_CAP) if n_max is not None else N_MAX_CAP
     auto = n_max is None
@@ -327,14 +341,11 @@ def absorption_exact(p_tilde, start, boundary: int, n_max: int | None = None) ->
         raise errors.TruncationTooCoarseError(
             f"survivor mass {trunc:.3g} at n_max={len(pmf) - 1}"
         )
-    extra_e, extra_m2 = _tail_corrections(survival)
-    mean = float(survival.sum()) + extra_e
-    m2 = float(((2 * np.arange(survival.shape[0]) + 1) * survival).sum()) + extra_m2
     return AbsorptionStats(
         pmf=pmf,
         survival=survival,
         mean=mean,
-        variance=m2 - mean**2,
+        variance=variance,
         source="matrix-power",
         truncation_mass=trunc,
     )
@@ -370,6 +381,20 @@ def _invert_pgf(factors, n_max: int) -> np.ndarray:
     return np.where((c < 0) & (c > -EPS_NEG), 0.0, c)
 
 
+def spectral_moments(spec: Spectrum) -> tuple[float, float]:
+    """Mean sum 1/(1-t_k) and variance sum t_k/(1-t_k)^2 of the absorption
+    time, over the eigenvalues t_k, k >= 1, which must lie in (-1, 1); the
+    bound Var <= E/(1-t_1) is asserted."""
+    t = spec.eigenvalues[1:]
+    if np.any(t >= 1.0) or np.any(t <= -1.0):
+        raise errors.SpectrumError("spectral route needs t_k in (-1, 1) for k >= 1")
+    mean = float(np.sum(1.0 / (1.0 - t)))
+    variance = float(np.sum(t / (1.0 - t) ** 2))
+    if t.size and variance > mean / (1.0 - t[0]) + SPECTRAL_TOL:
+        raise errors.SpectrumError("variance bound E/(1-t_1) violated")
+    return mean, variance
+
+
 def absorption_spectral(spec: Spectrum, n_max: int | None = None) -> AbsorptionStats:
     """Absorption law from the eigenvalues alone.
 
@@ -377,14 +402,15 @@ def absorption_spectral(spec: Spectrum, n_max: int | None = None) -> AbsorptionS
     generates the exact pmf for any sign pattern (for nonnegative spectra
     this is the independent-geometric-sum representation; factors with
     t_k < 0 contribute the Bernoulli-shift correction); it is evaluated on
-    an FFT grid of the unit circle and inverted once.  Moments come from
-    the closed sums E = sum 1/(1-t_k) and Var = sum t_k/(1-t_k)^2, and the
-    variance bound Var <= E/(1-t_1) is asserted.  Survival for n >= N-1 is cross-checked
+    an FFT grid of the unit circle and inverted once.  Moments are
+    ``spectral_moments``.  Survival for n >= N-1 is cross-checked
     against the partial-fraction expansion sum_l c_l t_l^n when the
     eigenvalue gaps allow, but only at the n where that sum's own rounding
     bound N eps sum_l |c_l t_l^n| is below the check's 1e-9 gate: the c_l
-    grow like 1e29 at N = 100, and there the sum cannot decide anything.
+    grow like 1e29 at N = 100, and there (or where a term overflows) the sum
+    cannot decide anything.
     """
+    mean, variance = spectral_moments(spec)
     t = spec.eigenvalues[1:]
     N = t.shape[0]
     if N == 0:
@@ -392,14 +418,6 @@ def absorption_spectral(spec: Spectrum, n_max: int | None = None) -> AbsorptionS
             pmf=np.array([1.0]), survival=np.array([0.0]),
             mean=0.0, variance=0.0, source="spectral",
         )
-    if np.any(t >= 1.0) or np.any(t <= -1.0):
-        raise errors.SpectrumError("spectral route needs t_k in (-1, 1) for k >= 1")
-
-    mean = float(np.sum(1.0 / (1.0 - t)))
-    variance = float(np.sum(t / (1.0 - t) ** 2))
-    gap = float(1.0 - t[0])
-    if variance > mean / gap + SPECTRAL_TOL:
-        raise errors.SpectrumError("variance bound E/(1-t_1) violated")
 
     if n_max is None:
         tbar = float(np.max(np.abs(t)))
@@ -415,17 +433,18 @@ def absorption_spectral(spec: Spectrum, n_max: int | None = None) -> AbsorptionS
     survival = 1.0 - np.cumsum(pmf)
     survival = np.maximum(survival, 0.0)
 
-    diffs = np.abs(t[:, None] - t[None, :])[~np.eye(N, dtype=bool)]
-    if N == 1 or float(diffs.min()) >= EIG_GAP_MIN:
-        coef = np.array(
-            [np.prod((1.0 - np.delete(t, l)) / (t[l] - np.delete(t, l)))
-             for l in range(N)]
-        )
+    if N == 1 or float(-np.diff(t).max()) >= EIG_GAP_MIN:
         check = np.arange(max(N - 1, 0), min(length, max(N - 1, 0) + 50))
-        terms = coef[None, :] * t[None, :] ** check[:, None]
-        pf = terms.sum(axis=1)
-        decidable = N * np.finfo(float).eps * np.abs(terms).sum(axis=1) < SPECTRAL_TOL
-        if sup_norm(pf[decidable] - survival[check[decidable]]) > SPECTRAL_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):
+            coef = np.array(
+                [np.prod((1.0 - np.delete(t, l)) / (t[l] - np.delete(t, l)))
+                 for l in range(N)]
+            )
+            terms = coef[None, :] * t[None, :] ** check[:, None]
+            bound = N * np.finfo(float).eps * np.abs(terms).sum(axis=1)
+        decidable = bound < SPECTRAL_TOL
+        pf = terms[decidable].sum(axis=1)
+        if sup_norm(pf - survival[check[decidable]]) > SPECTRAL_TOL:
             raise errors.SpectrumError("partial-fraction tail disagrees with pmf")
 
     return AbsorptionStats(
@@ -539,9 +558,7 @@ def cutoff_report(family, N_values) -> dict:
     for N in N_values:
         obj = family(N)
         spec = obj if isinstance(obj, Spectrum) else bd_spectrum(obj)
-        t = spec.eigenvalues[1:]
-        E = float(np.sum(1.0 / (1.0 - t)))
-        V = float(np.sum(t / (1.0 - t) ** 2))
+        E, V = spectral_moments(spec)
         gapE = spec.gap * E
         rows.append({
             "N": int(N),

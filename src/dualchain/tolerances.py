@@ -40,12 +40,9 @@ SHARP_TOL = 1e-9
 TAIL_TARGET = 1e-12
 TAIL_LIMIT = 1e-9
 
-# relative deviation of the matrix-route absorption mean and variance from
-# the spectral route
+# relative deviation of the exact absorption mean and variance of the matrix
+# route (fundamental matrix of Ptilde) from the spectral route (closed sums)
 ABSORPTION_TOL = 1e-8
-
-# geometric continuation of a survival tail: the decay ratio is capped here
-RATIO_MAX = 1.0 - 1e-12
 
 # spectral route: slack of the bound Var <= E / (1 - t_1), and the gate of
 # the partial-fraction survival cross-check

@@ -1,15 +1,17 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
 import dualchain
-from dualchain import errors, intertwining, kernels
+from dualchain import cli, errors, intertwining, kernels
 from dualchain.chains import moran_kernel, mutation_bias
 from dualchain.cli import main, run
 from dualchain.spectra import bd_spectrum
@@ -302,6 +304,44 @@ def test_config_schema_violation(tmp_path):
     bad.write_text(json.dumps({"kind": "unheard-of"}))
     with pytest.raises(errors.ConfigError):
         run(["build", "--config", str(bad), "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("command, flag, value, path", [
+    ("simulate", "--trials", "0", "$.options.trials"),
+    ("ssd", "--nmax", "0", "$.options.n_max"),
+    ("verify", "--nmax", "-3", "$.options.n_max"),
+    ("simulate", "--seed", "-1", "$.options.seed"),
+])
+def test_flags_are_checked_against_the_schema(tmp_path, command, flag, value, path):
+    # each flag once skipped the schema: nan frequencies, an IndexError, a
+    # ValueError from the RNG
+    with pytest.raises(errors.ConfigError, match=re.escape(f"at {path}:")):
+        _run(command, "chain_a.json", tmp_path, flag, value)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_schema_is_checked_once(tmp_path, monkeypatch):
+    jsonschema.Draft202012Validator.check_schema(cli.CONFIG_SCHEMA)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the schema is re-checked per run")
+
+    monkeypatch.setattr(jsonschema.Draft202012Validator, "check_schema", fail)
+    monkeypatch.setattr(jsonschema, "validate", fail)
+    assert _run("build", "chain_a.json", tmp_path) == 0
+    with pytest.raises(errors.ConfigError, match=r"at \$\.kind:"):
+        _run_cfg("build", {"kind": "unheard-of"}, tmp_path)
+
+
+@pytest.mark.parametrize("N", [30, 100, 300])
+@pytest.mark.parametrize("a", [0.1, 0.25, 0.5])
+def test_verify_moran_mutation_green(tmp_path, N, a):
+    cfg = {"kind": "moran_mutation", "N": N, "a1": a, "a2": a,
+           "dual": {"family": "siegmund"}}
+    assert _run_cfg("verify", cfg, tmp_path) == 0
+    summary = json.loads((tmp_path / "verify_summary.json").read_text())
+    assert summary["all_passed"]
+    assert summary["checks"]["absorption_agreement"]["passed"]
 
 
 def test_main_exit_codes(tmp_path, monkeypatch, capsys):

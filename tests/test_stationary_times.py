@@ -1,11 +1,15 @@
+import json
 import tracemalloc
+import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualchain import errors, stationary_times
+from dualchain import cli, errors, stationary_times
 from dualchain.chains import (
     BDParams,
     bd_kernel,
@@ -26,6 +30,7 @@ from dualchain.stationary_times import (
     absorption_spectral,
     admissible_initials,
     cutoff_report,
+    hitting_moments,
     separation,
     sharpness_witness,
     verify_sharpness,
@@ -431,6 +436,94 @@ def test_absorption_exact_truncation_guard(pipeline_b):
         absorption_exact(res.p_tilde, np.array([1.0, 0.0, 0.0]), boundary=2, n_max=3)
     with pytest.raises(errors.NotAbsorbingError):
         absorption_exact(res.p_tilde, np.array([1.0, 0.0, 0.0]), boundary=0)
+
+
+# hidden chain whose start never reaches the second absorbing state 3
+TWO_ABSORBING = np.array([[0.5, 0.5, 0.0, 0.0],
+                          [0.25, 0.25, 0.5, 0.0],
+                          [0.0, 0.0, 1.0, 0.0],
+                          [0.0, 0.0, 0.0, 1.0]])
+
+
+def test_hitting_moments_chain_b_exact(pipeline_b):
+    _, res = pipeline_b
+    mean, variance = hitting_moments(res.p_tilde, np.array([1.0, 0.0, 0.0]), 2)
+    assert mean == pytest.approx(20 / 3, rel=1e-13)
+    assert variance == pytest.approx(190 / 9, rel=1e-13)
+
+
+def _fraction_moments(pt, start, boundary):
+    """Oracle: m1 and E T^2 by Gauss-Jordan elimination over the rationals,
+    on the float entries of P~ with I - Q formed exactly."""
+    S = [x for x in range(pt.shape[0]) if x != boundary]
+    A = [[Fraction(int(x == y)) - Fraction(pt[x, y]) for y in S] for x in S]
+
+    def solve(b):
+        M = [row + [bi] for row, bi in zip(A, b)]
+        for c in range(len(S)):
+            piv = next(r for r in range(c, len(S)) if M[r][c] != 0)
+            M[c], M[piv] = M[piv], M[c]
+            M[c] = [v / M[c][c] for v in M[c]]
+            for r in range(len(S)):
+                if r != c and M[r][c] != 0:
+                    M[r] = [v - M[r][c] * w for v, w in zip(M[r], M[c])]
+        return [row[-1] for row in M]
+
+    m1 = solve([Fraction(1)] * len(S))
+    m2 = solve([2 * m - 1 for m in m1])
+    w = [Fraction(start[x]) for x in S]
+    mean = sum(a * b for a, b in zip(w, m1))
+    return float(mean), float(sum(a * b for a, b in zip(w, m2)) - mean**2)
+
+
+def test_hitting_moments_match_rational_solve_moran_hypergeometric():
+    # the hidden chain of the shipped config runs from 6 down to 0; every
+    # state but 0 is transient
+    path = Path(__file__).resolve().parent.parent / "configs" / "moran_hypergeometric.json"
+    cfg = json.loads(path.read_text())
+    pipe = cli.pipeline(cfg, cfg["options"])
+    want = _fraction_moments(pipe.res.p_tilde, pipe.pt0, 0)
+    got = hitting_moments(pipe.res.p_tilde, pipe.pt0, 0)
+    assert got == pytest.approx(want, rel=1e-12)
+    assert absorption_exact(pipe.res.p_tilde, pipe.pt0, 0).variance == got[1]
+
+
+def test_hitting_moments_work_on_the_states_the_start_reaches():
+    # state 3 is absorbing and unreachable: I - Q over {0, 1, 3} is singular
+    start = np.array([1.0, 0.0, 0.0, 0.0])
+    mean, variance = hitting_moments(TWO_ABSORBING, start, 2)
+    assert mean == pytest.approx(5.0, rel=1e-14)
+    assert variance == pytest.approx(12.0, rel=1e-14)
+    assert _fraction_moments(TWO_ABSORBING[:3, :3], start[:3], 2) == (5.0, 12.0)
+    exact = absorption_exact(TWO_ABSORBING, start, 2)
+    assert (exact.mean, exact.variance) == (mean, variance)
+
+
+def test_hitting_moments_refuse_a_boundary_that_may_never_be_reached():
+    # from 0 the chain ends in 3 with probability 3/5; the step loop would
+    # run to its 10^6-step cap before refusing with "survivor mass"
+    pt = TWO_ABSORBING.copy()
+    pt[0] = [0.5, 0.25, 0.0, 0.25]
+    start = np.array([1.0, 0.0, 0.0, 0.0])
+    for route in (hitting_moments, absorption_exact):
+        with pytest.raises(errors.TruncationTooCoarseError,
+                           match="state 3 is reached from the start but never reaches 2"):
+            route(pt, start, 2)
+    # started at 1 the chain still reaches 0 and from there 3
+    with pytest.raises(errors.TruncationTooCoarseError, match="state 3"):
+        hitting_moments(pt, np.array([0.0, 1.0, 0.0, 0.0]), 2)
+    assert hitting_moments(pt, np.array([0.0, 0.0, 1.0, 0.0]), 2) == (0.0, 0.0)
+
+
+def test_absorption_spectral_overflowing_coefficients_stay_silent():
+    # 100 eigenvalues 1e-5 apart: the partial-fraction coefficients overflow,
+    # so the tail check decides nothing, without a RuntimeWarning
+    t = np.concatenate([[1.0], 0.5 - 1e-5 * np.arange(100)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = absorption_spectral(Spectrum(t))
+    oracle = series_spectral_pmf(t[1:], stats.n_max)
+    np.testing.assert_allclose(stats.pmf, oracle, rtol=0, atol=1e-14)
 
 
 def test_absorption_recurrence_guards():
