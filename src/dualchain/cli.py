@@ -71,7 +71,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "n_max": {"type": "integer", "minimum": 1},
                 "trials": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer", "minimum": 0},
+                "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
                 "start": {"type": "integer", "minimum": 0},
                 "sweep": {"type": "array", "items": {"type": "integer", "minimum": 1}},
                 "series": {"type": "string"},
@@ -82,7 +82,14 @@ CONFIG_SCHEMA = {
 }
 
 
-CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+# JSON Schema counts a float with an integer value, such as 50.0, as an
+# integer; sizes, horizons and states must be Python ints (not bools)
+CONFIG_VALIDATOR = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, v: isinstance(v, int) and not isinstance(v, bool)
+    ),
+)(CONFIG_SCHEMA)
 
 
 def load_config(path: str):

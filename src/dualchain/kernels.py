@@ -78,11 +78,6 @@ def validate_prob_vector(v, name: str = "vector") -> np.ndarray:
     return np.clip(v, 0.0, None)
 
 
-def cumulative(v) -> np.ndarray:
-    """Running sums: out[x] = sum_{y <= x} v[y]."""
-    return np.cumsum(np.asarray(v, dtype=float))
-
-
 def total_variation(mu, nu) -> float:
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu, dtype=float)

@@ -61,9 +61,8 @@ def admissible_initials(link, pi0, pi=None) -> dict:
     when its particular solution has negative mass, a linear-programming
     feasibility pass searches the affine solution set for a nonnegative
     point.  Raises NotAdmissibleError when none exists.  The report also
-    carries a left probability eigenvector of the link, the point rows
-    (e_b' Lambda = e_c'), and, when ``pi`` is supplied, the cumulative
-    closed-form candidate
+    carries the point rows (e_b' Lambda = e_c') and, when ``pi`` is
+    supplied, the cumulative closed-form candidate
 
         pi_tilde0(x) = pi_cum(x) (pi0(x)/pi(x) - pi0(x+1)/pi(x+1))
 
@@ -101,12 +100,6 @@ def admissible_initials(link, pi0, pi=None) -> dict:
         method = "lp"
     sol = np.clip(sol, 0.0, None)
 
-    vals, vecs = np.linalg.eig(L.T)
-    j = int(np.argmin(np.abs(vals - 1.0)))
-    v = np.real(vecs[:, j])
-    v = np.clip(v / v.sum(), 0.0, None)
-    pi_link = v / v.sum()
-
     point_pairs = []
     for b in range(n):
         c = int(np.argmax(L[b]))
@@ -117,7 +110,6 @@ def admissible_initials(link, pi0, pi=None) -> dict:
         "pi_tilde0": sol,
         "residual": residual,
         "method": method,
-        "pi_link": pi_link,
         "point_pairs": point_pairs,
     }
     if pi is not None:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dualchain
-from dualchain import cli, errors, intertwining, kernels
+from dualchain import cli, duals, errors, intertwining, kernels
 from dualchain.chains import moran_kernel, mutation_bias
 from dualchain.cli import main, run
 from dualchain.spectra import bd_spectrum
@@ -255,6 +255,34 @@ def test_verify_trace_match_catches_moved_diagonal_mass(tmp_path, monkeypatch):
     assert checks["trace_match"]["value"] == pytest.approx(1e-6, rel=1e-6)
 
 
+def test_verify_duality_gates_catch_a_bad_dual(tmp_path, monkeypatch):
+    # 5e-10 of mass from Phat(1, 1) to Phat(1, 0): the pipeline gates the
+    # duality residual at EPS_STOCH and accepts it, verify at RESID_TOL
+    build = cli.build_dual
+
+    def corrupt(cfg, P):
+        H, rep = build(cfg, P)
+        d = rep.dual.copy()
+        d[1, 1] -= 5e-10
+        d[1, 0] += 5e-10
+        return H, dataclasses.replace(rep, dual=d)
+
+    monkeypatch.setattr(cli, "build_dual", corrupt)
+    cfg = {"kind": "moran_mutation", "N": 30, "a1": 0.5, "a2": 0.5,
+           "dual": {"family": "siegmund"}}
+    assert _run_cfg("verify", cfg, tmp_path) == 1
+    checks = json.loads((tmp_path / "verify_summary.json").read_text())["checks"]
+    assert not checks["duality_static"]["passed"]
+    assert checks["duality_static"]["value"] == pytest.approx(5e-10, rel=1e-3)
+
+    assert _run_cfg("verify", cfg, tmp_path, "--nmax", "7") == 1
+    checks = json.loads((tmp_path / "verify_summary.json").read_text())["checks"]
+    P, _ = cli.build_chain(cfg)
+    H, rep = corrupt(cfg, P)
+    assert checks["duality_dynamic"]["value"] == duals.verify_duality(
+        P, H, rep.dual, n_max=7)["dynamic"]
+
+
 def test_cli_import_leaves_out_unused_scipy():
     code = ("import sys, dualchain.cli; "
             "print([m for m in ('scipy.stats', 'scipy.optimize', 'scipy.signal') "
@@ -311,6 +339,7 @@ def test_config_schema_violation(tmp_path):
     ("ssd", "--nmax", "0", "$.options.n_max"),
     ("verify", "--nmax", "-3", "$.options.n_max"),
     ("simulate", "--seed", "-1", "$.options.seed"),
+    ("simulate", "--seed", str(2**64), "$.options.seed"),
 ])
 def test_flags_are_checked_against_the_schema(tmp_path, command, flag, value, path):
     # each flag once skipped the schema: nan frequencies, an IndexError, a
@@ -318,6 +347,23 @@ def test_flags_are_checked_against_the_schema(tmp_path, command, flag, value, pa
     with pytest.raises(errors.ConfigError, match=re.escape(f"at {path}:")):
         _run(command, "chain_a.json", tmp_path, flag, value)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, entry, path", [
+    ("ssd", {"options": {"n_max": 50.0}}, "$.options.n_max"),
+    ("simulate", {"options": {"trials": 100.0}}, "$.options.trials"),
+    ("ssd", {"options": {"start": 1.0}}, "$.options.start"),
+    ("intertwine", {"dual": {"family": "ultrametric", "k": 2.0, "alpha": 0.5, "beta": 0.0}},
+     "$.dual.k"),
+    ("build", {"N": 10.0}, "$.N"),
+])
+def test_integral_floats_are_not_integers(tmp_path, command, entry, path):
+    # JSON Schema counts 50.0 as an integer: these once passed the schema and
+    # ended in a TypeError or an IndexError, and N = 10.0 ran
+    cfg = {"kind": "moran_mutation", "N": 10, "a1": 0.5, "a2": 0.5, **entry}
+    with pytest.raises(errors.ConfigError, match=re.escape(f"at {path}:")):
+        _run_cfg(command, cfg, tmp_path)
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 
 def test_config_schema_is_checked_once(tmp_path, monkeypatch):

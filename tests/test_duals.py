@@ -361,7 +361,6 @@ def test_verify_duality_residuals(chain_a):
     out = verify_duality(P, H, rep.dual, n_max=25)
     assert out["static"] <= 1e-12
     assert out["dynamic"] <= 1e-11
-    assert out["symmetric"] <= 1e-12
     # the identity holds algebraically even for an infeasible candidate
     bad = siegmund_dual(NON_MONOTONE)
     out2 = verify_duality(NON_MONOTONE, siegmund_function(1), bad.dual)

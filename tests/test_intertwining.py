@@ -10,6 +10,7 @@ from dualchain.duals import (
     hypergeometric_function,
     siegmund_dual,
     siegmund_function,
+    verify_duality,
 )
 from dualchain.intertwining import (
     build_intertwining,
@@ -59,6 +60,23 @@ def test_pipeline_diagnostics_tiny(pipeline_b):
     assert d["absorbing_match"]
     assert d["absorbing_rows"] == {2: pytest.approx(0.0, abs=1e-12)}
     assert d["trace_comparison"]["equal"]
+
+
+def test_pipeline_records_only_the_one_step_duality_residual():
+    # static is the first step of verify_duality's loop, equal bit for bit
+    # to ||H dual' - P H||; the n-step loop is left to verify
+    rng = np.random.default_rng(20240509)
+    chains = [bd_kernel(moran_kernel(N, mutation_bias(0.5, 0.5, N))) for N in (10, 100)]
+    chains += [random_monotone_kernel(rng, int(rng.integers(2, 40))) for _ in range(20)]
+    for P in chains:
+        m = kernels.as_matrix(P)
+        H = siegmund_function(m.shape[0] - 1)
+        dual = siegmund_dual(P).dual
+        out = verify_duality(P, H, dual)
+        assert set(out) == {"static", "dynamic"}
+        assert out["static"] == kernels.sup_norm(H.matrix @ dual.T - m @ H.matrix)
+        res = build_intertwining(P, H, dual)
+        assert res.diagnostics["duality"] == {"static": out["static"]}
 
 
 def test_pipeline_requires_irreducible():
