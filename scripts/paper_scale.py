@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Wall time of `verify` and `ssd` on Moran mutation chains at paper scale.
+"""Wall time of `verify`, `ssd` and `simulate` on Moran mutation chains at
+paper scale.
 
 Usage: python3 scripts/paper_scale.py [N1 N2 ...]    (default: N = 1000)
 
-For each N and each a1 = a2 = a in {.1, .25, .5}, both commands run through
+For each N and each a1 = a2 = a in {.1, .25, .5}, each command runs through
 `dualchain.cli.run` on a moran_mutation config with the Siegmund dual, each
 into its own temporary directory.  One row per run: N, a, the command, its
 exit code, its wall seconds (import excluded) and, for verify, all_passed.
@@ -19,7 +20,7 @@ from pathlib import Path
 from dualchain.cli import run
 
 A_VALUES = (0.1, 0.25, 0.5)
-COMMANDS = ("verify", "ssd")
+COMMANDS = ("verify", "ssd", "simulate")
 
 
 def run_once(command, N, a):

@@ -55,6 +55,7 @@ from .intertwining import (
     build_intertwining,
     constant_column_check,
     duality_from_intertwining,
+    identity_residuals,
     link_row_check,
     spectrum_equivalence,
 )

@@ -331,7 +331,8 @@ def cmd_intertwine(cfg, outdir, opts):
               [(str(i), res.phi[i], res.pi[i]) for i in range(pipe.P.n)])
     write_json(_out(outdir, "intertwine_summary.json"), {
         "feasible": True,
-        "diagnostics": res.diagnostics,
+        "diagnostics": {**res.diagnostics, **intertwining.identity_residuals(
+            pipe.P, pipe.H, pipe.report.dual, res)},
         "class_constants": res.class_constants,
     })
     return 0
@@ -446,12 +447,13 @@ def cmd_verify(cfg, outdir, opts):
     record("duality_static", vd["static"], RESID_TOL)
     record("duality_dynamic", vd["dynamic"], DYNAMIC_TOL)
     d = pipe.res.diagnostics
+    r = intertwining.identity_residuals(pipe.P, pipe.H, pipe.report.dual, pipe.res)
     record("harmonic_fixed_point", d["phi_harmonic"], RESID_TOL)
-    record("link_intertwining", d["intertwining"], RESID_TOL)
-    record("k_duality", d["k_duality_scaled"], RESID_TOL)
+    record("link_intertwining", r["intertwining"], RESID_TOL)
+    record("k_duality", r["k_duality_scaled"], RESID_TOL)
     record("boundary_rows_carry_pi",
            max(d["absorbing_rows"].values(), default=0.0), RESID_TOL)
-    record("trace_match", d["trace_comparison"]["max_deviation"],
+    record("trace_match", r["trace_comparison"]["max_deviation"],
            TRACE_TOL * pipe.P.n)
 
     try:

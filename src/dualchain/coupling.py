@@ -248,9 +248,9 @@ def _binomial_stat(counts, trials, probs) -> np.ndarray:
 _CELL_GROUPS = ("observed_ok", "hidden_ok", "conditional_ok")
 
 
-def empirical_report(batch: TrajectoryBatch, pk: ProductKernel, pi_tilde0,
-                     times=None) -> dict:
-    """Test occupation frequencies against the exact laws at selected times.
+def empirical_report(batch: TrajectoryBatch, pk: ProductKernel, pi_tilde0) -> dict:
+    """Test occupation frequencies against the exact laws at the middle and
+    the last step of the batch.
 
     The cells are the observed and hidden marginals and, for every hidden
     state some path occupies, the observed coordinate given that state
@@ -260,8 +260,7 @@ def empirical_report(batch: TrajectoryBatch, pk: ProductKernel, pi_tilde0,
     sampler fails the report with probability at most SAMPLE_ALPHA.
     """
     nu0 = _start_law(pk, pi_tilde0)
-    if times is None:
-        times = sorted({batch.n_steps // 2, batch.n_steps} - {0})
+    times = sorted({batch.n_steps // 2, batch.n_steps} - {0})
     n, nt = pk.n, pk.n_tilde
     paths = batch.n_paths
     pi0 = nu0 @ pk.link

@@ -28,14 +28,12 @@ class DualFunction:
 
     ``family`` tags the construction ("siegmund", "ultrametric",
     "hypergeometric", "vandermonde", "potential", "custom"); ``params`` keeps
-    the construction data; ``inverse`` is attached when a closed form exists
-    and is verified against H at build time.
+    the construction data.
     """
 
     matrix: np.ndarray
     family: str
     params: dict = field(default_factory=dict)
-    inverse: np.ndarray | None = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -51,14 +49,6 @@ class DualFunction:
             raise errors.TrivialDualFunctionError(
                 "dual function has a vanishing row or column"
             )
-        if self.inverse is not None:
-            inv = np.asarray(self.inverse, dtype=float)
-            object.__setattr__(self, "inverse", inv)
-            inv.setflags(write=False)
-            if sup_norm(m @ inv - np.eye(m.shape[0])) > RESID_TOL:
-                raise errors.SingularDualFunctionError(
-                    "attached inverse fails H @ inv = Id"
-                )
 
     @property
     def n(self) -> int:
@@ -85,9 +75,7 @@ def _two_block(N: int, k: int, alpha: float, beta: float):
 
 
 def _two_block_function(N, k, alpha, beta, family, params) -> DualFunction:
-    gamma, e, H = _two_block(N, k, alpha, beta)
-    inv = np.diag(1.0 / (1.0 + gamma)) - np.diag(e[:-1] / (1.0 + gamma[:-1]), k=1)
-    return DualFunction(H, family, params, inverse=inv)
+    return DualFunction(_two_block(N, k, alpha, beta)[2], family, params)
 
 
 def _check_ultrametric(N: int, k: int, alpha: float, beta: float) -> None:
@@ -98,7 +86,7 @@ def _check_ultrametric(N: int, k: int, alpha: float, beta: float) -> None:
 
 
 def siegmund_function(N: int) -> DualFunction:
-    """H(x, y) = 1(x <= y); inverse is the first-difference matrix."""
+    """H(x, y) = 1(x <= y); its inverse is the first-difference matrix."""
     return _two_block_function(N, N, 0.0, 0.0, "siegmund", {"N": N})
 
 
@@ -132,7 +120,7 @@ def vandermonde_function(N: int) -> DualFunction:
 
 def potential_function(R) -> DualFunction:
     """H = (Id - R)^{-1} = sum_n R^n for strictly substochastic R with no
-    mass-conserving class; the inverse Id - R is attached exactly."""
+    mass-conserving class."""
     RK = kernels.validate_kernel(R, require="substochastic")
     if RK.kind is not kernels.KernelKind.STRICTLY_SUBSTOCHASTIC:
         raise errors.PotentialHasStochasticClassError("R must lose mass somewhere")
@@ -143,7 +131,7 @@ def potential_function(R) -> DualFunction:
         )
     n = RK.n
     H = np.linalg.solve(np.eye(n) - RK.matrix, np.eye(n))
-    return DualFunction(H, "potential", {"R": RK.matrix}, inverse=np.eye(n) - RK.matrix)
+    return DualFunction(H, "potential", {"R": RK.matrix})
 
 
 def dual_function(family: str, N: int | None = None, **params) -> DualFunction:
@@ -177,12 +165,12 @@ class DualReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def is_monotone(P, slack: float = EPS_NEG) -> bool:
+def is_monotone(P) -> bool:
     """Rows are stochastically nondecreasing: cumulative sums F(x, y) are
-    nonincreasing in x for every y.  For a birth-death kernel this is
-    p_x + q_{x+1} <= 1."""
+    nonincreasing in x for every y, up to EPS_NEG.  For a birth-death kernel
+    this is p_x + q_{x+1} <= 1."""
     F = np.cumsum(as_matrix(P), axis=1)
-    return bool(np.all(F[1:] - F[:-1] <= slack))
+    return bool(np.all(F[1:] - F[:-1] <= EPS_NEG))
 
 
 def _report(dual, H, B, tag) -> DualReport:
@@ -372,13 +360,10 @@ def bd_ultrametric_rigidity(params, k: int, alpha: float, beta: float) -> dict:
 
 def cond1_estimate(H: DualFunction) -> float:
     m = H.matrix
-    if H.inverse is not None:
-        inv = H.inverse
-    else:
-        try:
-            inv = np.linalg.inv(m)
-        except np.linalg.LinAlgError:
-            return np.inf
+    try:
+        inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        return np.inf
     return float(np.linalg.norm(m, 1) * np.linalg.norm(inv, 1))
 
 

@@ -9,8 +9,10 @@ and an H-dual Phat, the pipeline produces
     K = H D_phi^{-1}
 
 with Ptilde Lambda = Lambda Pback and K Ptilde' = P K, where Pback is the
-time reversal of P.  Every identity is checked numerically and the harmonic
-structure of phi is decomposed over the mass-conserving classes of Phat.
+time reversal of P.  ``build_intertwining`` builds these and gates what
+makes them well defined; ``identity_residuals`` measures each identity on
+the result, including the decomposition of the harmonic phi over the
+mass-conserving classes of Phat.
 """
 from __future__ import annotations
 
@@ -42,18 +44,18 @@ def _stochastic_or_raise(m: np.ndarray, what: str) -> None:
 
 
 def build_intertwining(P, H: DualFunction, dual) -> IntertwiningResult:
-    """Run the full pipeline and verify each of its claims.
+    """Run the full pipeline and gate each of its claims.
 
     Raises when P is not stochastic irreducible, when the one-step duality
     residual ||P H - H dual'|| exceeds EPS_STOCH, when phi fails to be
-    positive, or when the link or transformed kernel misses stochasticity.
-    The returned diagnostics record that residual under
-    ``duality["static"]`` (the n-step identity follows by induction and is
-    gated by ``verify``), and the residuals of: the weighted duality identity
-    Phat (H' D_pi) = (H' D_pi) Pback, the intertwining, the K-duality
-    (absolute and entrywise-scaled, see kernels.scaled_residual), the
-    harmonicity of phi, the class-constant decomposition of phi, plus the
-    absorbing-state matches and power-trace spectrum comparison.
+    positive or harmonic for the dual, when the link or transformed kernel
+    misses stochasticity, when phi is not constant on a mass-conserving
+    class of the dual, or when the dual and Ptilde absorb at different
+    states.  The diagnostics record what these gates read: the one-step
+    residual under ``duality["static"]`` (the n-step identity follows by
+    induction and is gated by ``verify``), the harmonicity of phi and the
+    distance of each absorbing link row from pi.  The identities the result
+    satisfies are checked by ``identity_residuals``.
     """
     PK = kernels.validate_kernel(P, require="stochastic")
     if not kernels.is_irreducible(PK):
@@ -76,40 +78,25 @@ def build_intertwining(P, H: DualFunction, dual) -> IntertwiningResult:
             f"phi fails harmonicity for the dual: {harmonic_resid:.3g}"
         )
 
-    weighted = Hm.T * pi[None, :]          # H' D_pi
-    link = weighted / phi[:, None]         # Lambda
+    link = Hm.T * pi[None, :] / phi[:, None]    # Lambda = D_phi^{-1} H' D_pi
     p_tilde = d * (phi[None, :] / phi[:, None])
     K = Hm / phi[None, :]
     _stochastic_or_raise(link, "Lambda")
     _stochastic_or_raise(p_tilde, "Ptilde")
 
-    diagnostics = {
-        "duality": {"static": static},
-        "weighted_duality": sup_norm(d @ weighted - weighted @ back),
-        "intertwining": sup_norm(p_tilde @ link - link @ back),
-        "k_duality": sup_norm(K @ p_tilde.T - m @ K),
-        # K reaches 1e30 on paper-scale chains, where the absolute residual
-        # above is rounding of entries that size; this one is relative to
-        # the rounding each entry can carry
-        "k_duality_scaled": kernels.scaled_residual(K, p_tilde.T, m, K),
-        "phi_harmonic": harmonic_resid,
-    }
-
+    diagnostics = {"duality": {"static": static}, "phi_harmonic": harmonic_resid}
     dual_kind = kernels.validate_kernel(d).kind
     dec = kernels.classify(d)
-    if dual_kind is kernels.KernelKind.STRICTLY_SUBSTOCHASTIC:
-        # a strict mass loser cannot be irreducible and keep phi harmonic
-        diagnostics["dual_irreducible"] = dec.n_classes == 1
-        if diagnostics["dual_irreducible"]:
-            raise errors.DualChainError(
-                "strictly substochastic dual with positive harmonic vector "
-                "cannot be irreducible"
-            )
+    # a strict mass loser cannot be irreducible and keep phi harmonic
+    if dual_kind is kernels.KernelKind.STRICTLY_SUBSTOCHASTIC and dec.n_classes == 1:
+        raise errors.DualChainError(
+            "strictly substochastic dual with positive harmonic vector "
+            "cannot be irreducible"
+        )
     if not dec.stochastic_classes:
         raise errors.DualChainError("dual has no mass-conserving class")
 
     class_constants = []
-    recomposed = np.zeros_like(phi)
     for cls in dec.stochastic_classes:
         vals = phi[list(cls)]
         c = float(vals.mean())
@@ -117,29 +104,18 @@ def build_intertwining(P, H: DualFunction, dual) -> IntertwiningResult:
             raise errors.DualChainError(
                 f"phi is not constant on mass-conserving class {cls}"
             )
-        h = kernels.hitting_probabilities(d, list(cls))
-        recomposed += c * h
         class_constants.append((cls, c))
-    diagnostics["phi_decomposition"] = sup_norm(recomposed - phi)
 
     if dual_kind is kernels.KernelKind.STOCHASTIC and dec.n_classes == 1:
         diagnostics["phi_constant"] = float(np.ptp(phi))
         diagnostics["p_tilde_equals_dual"] = sup_norm(p_tilde - d)
-    if len(class_constants) == 1:
-        # c and h of the one class are left by the loop above
-        diagnostics["doob"] = sup_norm(phi / c - h)
 
-    abs_dual = set(dec.absorbing_states)
-    abs_tilde = set(kernels.absorbing_states(p_tilde))
-    diagnostics["absorbing_match"] = abs_dual == abs_tilde
-    if not diagnostics["absorbing_match"]:
+    abs_tilde = kernels.absorbing_states(p_tilde)
+    if set(dec.absorbing_states) != set(abs_tilde):
         raise errors.DualChainError(
             "absorbing states of the dual and its stochastic transform differ"
         )
-    diagnostics["absorbing_rows"] = {
-        a: float(sup_norm(link[a] - pi)) for a in sorted(abs_tilde)
-    }
-    diagnostics["trace_comparison"] = spectrum_equivalence(m, p_tilde)
+    diagnostics["absorbing_rows"] = {a: float(sup_norm(link[a] - pi)) for a in abs_tilde}
 
     return IntertwiningResult(
         pi=pi,
@@ -151,6 +127,41 @@ def build_intertwining(P, H: DualFunction, dual) -> IntertwiningResult:
         class_constants=class_constants,
         diagnostics=diagnostics,
     )
+
+
+def identity_residuals(P, H: DualFunction, dual, res: IntertwiningResult) -> dict:
+    """Residuals of the identities that ``res = build_intertwining(P, H,
+    dual)`` satisfies, computed from ``res`` itself.
+
+    weighted_duality    ||Phat (H' D_pi) - (H' D_pi) Pback||
+    intertwining        ||Ptilde Lambda - Lambda Pback||
+    k_duality           ||K Ptilde' - P K||, and k_duality_scaled, the same
+                        residual entry by entry relative to the rounding
+                        that entry can carry (see kernels.scaled_residual)
+    phi_decomposition   ||sum_l c_l h_l - phi||, h_l the probability that
+                        the dual reaches class l of ``res.class_constants``
+    trace_comparison    spectrum_equivalence(P, Ptilde)
+
+    None of them is gated here; ``verify`` gates intertwining,
+    k_duality_scaled and the trace comparison.
+    """
+    m = as_matrix(P)
+    d = as_matrix(dual)
+    weighted = H.matrix.T * res.pi[None, :]          # H' D_pi
+    K, p_tilde, link, back = res.K, res.p_tilde, res.link, res.back
+    recomposed = np.zeros_like(res.phi)
+    for cls, c in res.class_constants:
+        recomposed += c * kernels.hitting_probabilities(d, list(cls))
+    return {
+        "weighted_duality": sup_norm(d @ weighted - weighted @ back),
+        "intertwining": sup_norm(p_tilde @ link - link @ back),
+        "k_duality": sup_norm(K @ p_tilde.T - m @ K),
+        # K reaches 1e30 on paper-scale chains, where the absolute residual
+        # above is rounding of entries that size
+        "k_duality_scaled": kernels.scaled_residual(K, p_tilde.T, m, K),
+        "phi_decomposition": sup_norm(recomposed - res.phi),
+        "trace_comparison": spectrum_equivalence(m, p_tilde),
+    }
 
 
 def link_row_check(link, pi, a_tilde: int, p_tilde) -> float:

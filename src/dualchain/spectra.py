@@ -122,14 +122,14 @@ def orthopoly_oracle(params: BDParams, t):
     return vals, R
 
 
-def orthopoly_roots(params: BDParams, panels: int | None = None) -> np.ndarray:
+def orthopoly_roots(params: BDParams) -> np.ndarray:
     """Isolate the N+1 simple roots of R_{N+1} on [-1, 1] by sign-change
-    bisection, doubling the panel count until all are bracketed."""
+    bisection on 4(N+1) panels, doubling the count until all are bracketed."""
     from scipy.optimize import brentq
 
     N = params.N
     lo, hi = -1.0 - ROOT_BRACKET, 1.0 + ROOT_BRACKET
-    k = panels if panels is not None else 4 * (N + 1)
+    k = 4 * (N + 1)
     for _ in range(12):
         grid = np.linspace(lo, hi, k + 1)
         _, R = orthopoly_oracle(params, grid)

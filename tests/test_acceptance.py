@@ -34,7 +34,7 @@ from dualchain.duals import (
     ultrametric_dual,
     verify_duality,
 )
-from dualchain.intertwining import build_intertwining
+from dualchain.intertwining import build_intertwining, identity_residuals
 from dualchain.samplers import random_monotone_bd, random_monotone_kernel
 from dualchain.spectra import (
     bd_spectrum,
@@ -89,8 +89,9 @@ def test_criterion_02_pipeline_invariants():
     ok = True
     for P in _monotone_corpus():
         n = P.shape[0]
-        res = build_intertwining(P, siegmund_function(n - 1), siegmund_dual(P).dual)
-        d = res.diagnostics
+        H, dual = siegmund_function(n - 1), siegmund_dual(P).dual
+        res = build_intertwining(P, H, dual)
+        d = {**res.diagnostics, **identity_residuals(P, H, dual, res)}
         ok = ok and np.min(res.phi) > 0
         ok = ok and d["phi_harmonic"] <= 1e-10
         ok = ok and np.max(np.abs(res.link.sum(axis=1) - 1)) <= 1e-9

@@ -209,16 +209,15 @@ def test_verify_cutoff_sweep_all_green(tmp_path):
 
 def test_verify_k_duality_catches_corrupt_k(tmp_path, monkeypatch):
     # the smallest positive entry of K off by a relative 1e-8: the scaled
-    # residual reads 2.5e-9, while max|R| / max|K| would read 5e-18
+    # residual, computed by verify from the corrupted K, reads 5.0e-9, while
+    # max|R| / max|K| would read 5e-18
     build = intertwining.build_intertwining
 
     def corrupt(P, H, dual):
         res = build(P, H, dual)
         K = res.K.copy()
         K[K == K[K > 0].min()] *= 1.0 + 1e-8
-        d = dict(res.diagnostics, k_duality_scaled=kernels.scaled_residual(
-            K, res.p_tilde.T, kernels.as_matrix(P), K))
-        return dataclasses.replace(res, K=K, diagnostics=d)
+        return dataclasses.replace(res, K=K)
 
     monkeypatch.setattr(intertwining, "build_intertwining", corrupt)
     cfg = {"kind": "moran_mutation", "N": 30, "a1": 0.5, "a2": 0.5,
@@ -239,19 +238,19 @@ def test_verify_trace_match_catches_moved_diagonal_mass(tmp_path, monkeypatch):
         x = pt.shape[0] // 2
         pt[x, x] -= 1e-6
         pt[x, x + 1] += 1e-6
-        d = dict(res.diagnostics, trace_comparison=intertwining.spectrum_equivalence(
-            kernels.as_matrix(P), pt))
-        return dataclasses.replace(res, p_tilde=pt, diagnostics=d)
+        return dataclasses.replace(res, p_tilde=pt)
 
     monkeypatch.setattr(intertwining, "build_intertwining", corrupt)
     cfg = {"kind": "moran_mutation", "N": 30, "a1": 0.5, "a2": 0.5,
            "dual": {"family": "siegmund"}}
     assert _run_cfg("verify", cfg, tmp_path) == 1
     checks = json.loads((tmp_path / "verify_summary.json").read_text())["checks"]
-    # the sharpness step recomputes the link residual on the corrupted
-    # Ptilde, 1.9e-7, and fails as well
+    # verify computes the link (1.9e-7) and K-duality (1.5e-6) residuals
+    # from the corrupted Ptilde, and the sharpness step recomputes the link
+    # residual, so these fail as well
     failed = [k for k, c in checks.items() if not c["passed"]]
-    assert failed == ["separation_dominated_by_survival", "trace_match"]
+    assert failed == ["k_duality", "link_intertwining",
+                      "separation_dominated_by_survival", "trace_match"]
     assert checks["trace_match"]["value"] == pytest.approx(1e-6, rel=1e-6)
 
 
@@ -281,6 +280,32 @@ def test_verify_duality_gates_catch_a_bad_dual(tmp_path, monkeypatch):
     H, rep = corrupt(cfg, P)
     assert checks["duality_dynamic"]["value"] == duals.verify_duality(
         P, H, rep.dual, n_max=7)["dynamic"]
+
+
+MORAN_30 = {"kind": "moran_mutation", "N": 30, "a1": 0.5, "a2": 0.5,
+            "dual": {"family": "siegmund"}}
+
+
+@pytest.mark.parametrize("config", ["chain_b.json", MORAN_30], ids=["chain_b", "moran30"])
+@pytest.mark.parametrize("args", [
+    ["ssd"], ["simulate"], ["plotdata", "--series", "phi_profile"],
+    ["plotdata", "--series", "sep_vs_survival"], ["plotdata", "--series", "absorption_pmf"],
+], ids=lambda args: args[-1])
+def test_commands_that_write_no_identity_residual_compute_none(
+        tmp_path, monkeypatch, config, args):
+    # the trace comparison, the scaled K-duality residual and the hitting
+    # solves of the phi decomposition are computed only for intertwine and
+    # verify, which write or gate them
+    def boom(*a, **k):
+        raise AssertionError("identity residual computed")
+
+    monkeypatch.setattr(intertwining, "spectrum_equivalence", boom)
+    monkeypatch.setattr(kernels, "scaled_residual", boom)
+    monkeypatch.setattr(kernels, "hitting_probabilities", boom)
+    if isinstance(config, dict):
+        assert _run_cfg(*args[:1], config, tmp_path, *args[1:]) == 0
+    else:
+        assert _run(args[0], config, tmp_path, *args[1:]) == 0
 
 
 def test_cli_import_leaves_out_unused_scipy():

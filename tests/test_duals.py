@@ -45,19 +45,15 @@ def test_dual_function_rejects_bad_input():
         DualFunction(np.array([[1.0, -0.5], [0.0, 1.0]]), "custom")
     with pytest.raises(errors.TrivialDualFunctionError):
         DualFunction(np.array([[1.0, 0.0], [1.0, 0.0]]), "custom")
-    with pytest.raises(errors.SingularDualFunctionError):
-        DualFunction(np.eye(2), "custom", inverse=2 * np.eye(2))
 
 
 def test_siegmund_function_shape():
     H = siegmund_function(3)
     assert np.array_equal(H.matrix, np.triu(np.ones((4, 4))))
-    np.testing.assert_allclose(H.matrix @ H.inverse, np.eye(4), atol=1e-14)
 
 
-def test_ultrametric_function_inverse_attached():
+def test_ultrametric_function_params():
     H = ultrametric_function(3, 1, 0.7, 0.4)
-    np.testing.assert_allclose(H.matrix @ H.inverse, np.eye(4), atol=1e-12)
     assert H.params == {"N": 3, "k": 1, "alpha": 0.7, "beta": 0.4}
     # alpha = beta = 0 degenerates to the cumulative indicator
     H0 = ultrametric_function(3, 1, 0.0, 0.0)

@@ -16,6 +16,7 @@ from dualchain.intertwining import (
     build_intertwining,
     constant_column_check,
     duality_from_intertwining,
+    identity_residuals,
     link_row_check,
     spectrum_equivalence,
 )
@@ -49,17 +50,17 @@ def test_pipeline_chain_b_frozen_values(pipeline_b):
 
 
 def test_pipeline_diagnostics_tiny(pipeline_b):
-    _, res = pipeline_b
+    P, res = pipeline_b
     d = res.diagnostics
+    r = identity_residuals(P, siegmund_function(2), siegmund_dual(P).dual, res)
     assert d["duality"]["static"] <= 1e-12
-    assert d["weighted_duality"] <= 1e-12
-    assert d["intertwining"] <= 1e-12
-    assert d["k_duality"] <= 1e-12
+    assert r["weighted_duality"] <= 1e-12
+    assert r["intertwining"] <= 1e-12
+    assert r["k_duality"] <= 1e-12
     assert d["phi_harmonic"] <= 1e-12
-    assert d["phi_decomposition"] <= 1e-12
-    assert d["absorbing_match"]
+    assert r["phi_decomposition"] <= 1e-12
     assert d["absorbing_rows"] == {2: pytest.approx(0.0, abs=1e-12)}
-    assert d["trace_comparison"]["equal"]
+    assert r["trace_comparison"]["equal"]
 
 
 def test_pipeline_records_only_the_one_step_duality_residual():
@@ -133,10 +134,11 @@ def test_spectrum_equivalence_paper_scale_closed_form():
     # chain itself, in closed form (the paper's birth-death section)
     N = 300
     P = bd_kernel(moran_kernel(N, mutation_bias(0.25, 0.25, N)))
-    res = build_intertwining(P, siegmund_function(N), siegmund_dual(P).dual)
+    H, dual = siegmund_function(N), siegmund_dual(P).dual
+    res = build_intertwining(P, H, dual)
     t = moran_mutation_spectrum(N, 0.25, 0.25).eigenvalues
     power_sums = np.sum(t[None, :] ** np.arange(1, N + 2)[:, None], axis=1)
-    out = res.diagnostics["trace_comparison"]
+    out = identity_residuals(P, H, dual, res)["trace_comparison"]
     np.testing.assert_allclose(out["traces_tilde"], power_sums, rtol=0, atol=1e-10)
     assert out["equal"]
 
@@ -163,7 +165,7 @@ def test_moran_hypergeometric_pipeline():
     assert res.diagnostics["absorbing_rows"].keys() == {0}
     np.testing.assert_allclose(res.link[0], res.pi, atol=1e-12)
     np.testing.assert_allclose(res.phi[0], 1.0, atol=1e-12)
-    assert res.diagnostics["trace_comparison"]["equal"]
+    assert identity_residuals(P, H, rep.dual, res)["trace_comparison"]["equal"]
 
 
 def test_k_duality_scaled_at_paper_scale():
@@ -172,8 +174,9 @@ def test_k_duality_scaled_at_paper_scale():
     # smallest positive K entry off by a relative 1e-8 shows only in the
     # scaled residual, not in a normwise max|R| / max|K|
     P = bd_kernel(moran_kernel(100, mutation_bias(0.5, 0.5, 100)))
-    res = build_intertwining(P, siegmund_function(100), siegmund_dual(P).dual)
-    d = res.diagnostics
+    H, dual = siegmund_function(100), siegmund_dual(P).dual
+    res = build_intertwining(P, H, dual)
+    d = identity_residuals(P, H, dual, res)
     assert d["k_duality"] > 1.0
     assert d["k_duality_scaled"] <= 1e-14
     assert d["k_duality_scaled"] == kernels.scaled_residual(
@@ -190,10 +193,11 @@ def test_k_duality_scaled_at_paper_scale():
 def test_pipeline_invariants_random_monotone(n, seed):
     rng = np.random.default_rng(seed)
     P = random_monotone_kernel(rng, n)
-    res = build_intertwining(P, siegmund_function(n - 1), siegmund_dual(P).dual)
+    H, dual = siegmund_function(n - 1), siegmund_dual(P).dual
+    res = build_intertwining(P, H, dual)
     assert np.min(res.phi) > 0
     assert res.phi[-1] == pytest.approx(1.0, abs=1e-12)
-    d = res.diagnostics
+    d = identity_residuals(P, H, dual, res)
     assert d["intertwining"] <= 1e-10
     assert d["k_duality"] <= 1e-10
     assert d["trace_comparison"]["max_deviation"] <= 1e-8 * n

@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dualchain import errors, kernels
-from dualchain.chains import bd_kernel, bd_stationary, moran_kernel, mutation_bias
+from dualchain.chains import (
+    bd_kernel,
+    bd_stationary,
+    moran_kernel,
+    mutation_bias,
+    wright_fisher_kernel,
+)
+from dualchain.samplers import random_monotone_kernel
 
 UNIT = st.floats(0.01, 1.0, allow_nan=False)
 
@@ -34,6 +41,38 @@ def test_validate_require_stochastic():
         kernels.validate_kernel([[0.5, 0.2], [0.5, 0.5]], require="stochastic")
     K = kernels.validate_kernel([[0.5, 0.2], [0.5, 0.5]])
     assert K.kind is kernels.KernelKind.STRICTLY_SUBSTOCHASTIC
+
+
+KK = kernels.KernelKind
+ROWS = {
+    "stochastic": [[0.5, 0.5], [0.25, 0.75]],
+    "substochastic": [[0.5, 0.5], [0.25, 0.5]],     # row 1 sums to 0.75
+    "general": [[0.5, 0.5], [0.75, 0.5]],           # row 1 sums to 1.25
+}
+
+
+@pytest.mark.parametrize("rows, require, outcome", [
+    ("stochastic", None, KK.STOCHASTIC),
+    ("stochastic", "stochastic", KK.STOCHASTIC),
+    ("stochastic", "substochastic", KK.STOCHASTIC),
+    ("substochastic", None, KK.STRICTLY_SUBSTOCHASTIC),
+    ("substochastic", "stochastic", errors.NotStochasticError),
+    ("substochastic", "substochastic", KK.STRICTLY_SUBSTOCHASTIC),
+    ("general", None, KK.GENERAL),
+    ("general", "stochastic", errors.RowSumExceedsOneError),
+    ("general", "substochastic", errors.RowSumExceedsOneError),
+])
+def test_validate_kind_and_requirement_table(rows, require, outcome):
+    if isinstance(outcome, KK):
+        assert kernels.validate_kernel(ROWS[rows], require=require).kind is outcome
+    else:
+        with pytest.raises(outcome, match="row 1 sums to"):
+            kernels.validate_kernel(ROWS[rows], require=require)
+
+
+def test_validate_rejects_unknown_requirement():
+    with pytest.raises(ValueError, match="unknown requirement 'doubly'"):
+        kernels.validate_kernel(ROWS["stochastic"], require="doubly")
 
 
 def test_kernel_accepts_kernel_instance():
@@ -73,6 +112,38 @@ def test_stationary_relative_accuracy_tiny_masses():
     pi = kernels.stationary(bd_kernel(params))
     ref = bd_stationary(params)
     np.testing.assert_allclose(pi, ref, rtol=1e-12, atol=0)
+
+
+def _gth_full_update(m):
+    """Oracle: GTH elimination updating the whole leading block each step."""
+    n = m.shape[0]
+    A = m.copy()
+    for k in range(n - 1, 0, -1):
+        A[:k, k] /= A[k, :k].sum()
+        A[:k, :k] += np.outer(A[:k, k], A[k, :k])
+    pi = np.ones(n)
+    for k in range(1, n):
+        pi[k] = pi[:k] @ A[:k, k]
+    return pi / pi.sum()
+
+
+def _oracle_kernels():
+    rng = np.random.default_rng(20240510)
+    out = {f"moran{N}": bd_kernel(moran_kernel(N, mutation_bias(0.5, 0.5, N)))
+           for N in (10, 300, 1000)}
+    out.update({f"dense{n}": random_monotone_kernel(rng, n) for n in (5, 30, 200)})
+    out["wright_fisher40"] = wright_fisher_kernel(40, mutation_bias(0.3, 0.2, 40))
+    return out
+
+
+ORACLE_KERNELS = _oracle_kernels()
+
+
+@pytest.mark.parametrize("name", ORACLE_KERNELS)
+def test_stationary_equals_the_full_update_oracle(name):
+    # the rows and columns the elimination skips would only gain exact zeros
+    P = ORACLE_KERNELS[name]
+    assert np.array_equal(kernels.stationary(P), _gth_full_update(kernels.as_matrix(P)))
 
 
 @settings(max_examples=40, deadline=None)
