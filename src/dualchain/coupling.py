@@ -65,15 +65,16 @@ def product_kernel(P, p_tilde, link) -> ProductKernel:
     nt = pt.shape[0]
     if L.shape != (nt, m.shape[0]):
         raise errors.DimensionMismatchError("link must map hidden rows to observed columns")
-    r = sup_norm(pt @ L - L @ m)
+    W = L @ m                                    # (Lambda P)(xt, y)
+    V = pt @ L                                   # (Ptilde Lambda)(xt, y)
+    r = sup_norm(V - W)
     if r > RESID_TOL:
         raise errors.IntertwiningResidualError(f"link residual {r:.3g}")
 
-    W = L @ m                                    # (xt, y)
     inv_lp = np.divide(1.0, W, out=np.zeros_like(W), where=W > 0)
     consistent = (L.T > EPS_NEG)                 # (x, xt)
     # row sum at pair (x, xt): sum_y P(x, y) (Ptilde Lambda)(xt, y) / (Lambda P)(xt, y)
-    sums = (m @ ((pt @ L) * inv_lp).T).reshape(-1)
+    sums = (m @ (V * inv_lp).T).reshape(-1)
     bad = consistent.reshape(-1) & (np.abs(sums - 1.0) > EPS_STOCH)
     if np.any(bad):
         s = int(np.argmax(bad))
@@ -81,14 +82,6 @@ def product_kernel(P, p_tilde, link) -> ProductKernel:
             f"coupled row at pair {divmod(s, nt)} sums to {sums[s]}"
         )
     return ProductKernel(p=m, p_tilde=pt, link=L, inv_lp=inv_lp, consistent=consistent)
-
-
-def _start_law(pk: ProductKernel, pi_tilde0) -> np.ndarray:
-    """The hidden chain's initial law, checked against the coupled kernel."""
-    nu0 = kernels.validate_prob_vector(pi_tilde0, "pi_tilde0")
-    if nu0.shape[0] != pk.n_tilde:
-        raise errors.DimensionMismatchError("pi_tilde0 length mismatch")
-    return nu0
 
 
 def exact_joint(pk: ProductKernel, pi_tilde0, n_steps: int) -> dict:
@@ -100,7 +93,7 @@ def exact_joint(pk: ProductKernel, pi_tilde0, n_steps: int) -> dict:
     The law rho(x, xt) moves through the factors:
     rho <- (((rho' P) o 1/(Lambda P))' Ptilde) o Lambda'.
     """
-    nu0 = _start_law(pk, pi_tilde0)
+    nu0 = kernels.validate_prob_vector(pi_tilde0, "pi_tilde0", pk.n_tilde)
     L = pk.link
     rho = nu0[None, :] * L.T                     # rho0(x, xt)
     pi0 = nu0 @ L
@@ -174,7 +167,7 @@ def simulate(pk: ProductKernel, pi_tilde0, n_steps: int, n_paths: int,
     only exact zeros, so the draws pick the same states as an inverse
     transform over whole rows.
     """
-    nu0 = _start_law(pk, pi_tilde0)
+    nu0 = kernels.validate_prob_vector(pi_tilde0, "pi_tilde0", pk.n_tilde)
     g = np.random.Generator(np.random.Philox(key=seed))
     start_cum = np.cumsum((nu0[None, :] * pk.link.T).reshape(-1))
     start_cum[-1] = 1.0     # guard against round-off overshoot
@@ -259,7 +252,7 @@ def empirical_report(batch: TrajectoryBatch, pk: ProductKernel, pi_tilde0) -> di
     cells at all times: by a union over both sides of every cell, a correct
     sampler fails the report with probability at most SAMPLE_ALPHA.
     """
-    nu0 = _start_law(pk, pi_tilde0)
+    nu0 = kernels.validate_prob_vector(pi_tilde0, "pi_tilde0", pk.n_tilde)
     times = sorted({batch.n_steps // 2, batch.n_steps} - {0})
     n, nt = pk.n, pk.n_tilde
     paths = batch.n_paths

@@ -449,12 +449,12 @@ def verify_duality(P, H, dual, n_max: int = 20) -> dict:
     return {"static": steps[0], "dynamic": max(steps)}
 
 
-def potential_dual_check(R, P=None) -> dict:
+def potential_dual_check(R) -> dict:
     """Feasibility of the potential dual against a strictly substochastic R
     whose transpose is also substochastic.
 
-    Defaults to the uniform kernel P = (n)^{-1} ones; the dual is computed
-    as Phat' = (Id - R) P H and must be entrywise nonnegative with
+    For the uniform kernel P = (n)^{-1} ones the dual is computed as
+    Phat' = (Id - R) P H and must be entrywise nonnegative with
     nonnegative row sums.
     """
     Hfn = potential_function(R)
@@ -462,9 +462,7 @@ def potential_dual_check(R, P=None) -> dict:
     n = Rm.shape[0]
     col_sums = Rm.sum(axis=0)
     transpose_sub = bool(np.all(col_sums <= 1 + EPS_STOCH))
-    if P is None:
-        P = np.full((n, n), 1.0 / n)
-    m, Hm = as_matrix(P), Hfn.matrix
+    m, Hm = np.full((n, n), 1.0 / n), Hfn.matrix
     rep = _report(((np.eye(n) - Rm) @ m @ Hm).T, Hm, m @ Hm, lambda y: "nonnegativity")
     return {
         "dual": rep.dual,

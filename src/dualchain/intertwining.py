@@ -58,8 +58,7 @@ def build_intertwining(P, H: DualFunction, dual) -> IntertwiningResult:
     satisfies are checked by ``identity_residuals``.
     """
     PK = kernels.validate_kernel(P, require="stochastic")
-    if not kernels.is_irreducible(PK):
-        raise errors.NotIrreducibleError("pipeline requires irreducible P")
+    pi = kernels.stationary(PK)     # raises NotIrreducibleError first
     m = PK.matrix
     Hm = H.matrix
     d = as_matrix(dual)
@@ -67,7 +66,6 @@ def build_intertwining(P, H: DualFunction, dual) -> IntertwiningResult:
     if static > EPS_STOCH:
         raise errors.DualityResidualError(f"duality residual {static:.3g} too large")
 
-    pi = kernels.stationary(PK)
     back = kernels.reversal(PK, pi).matrix
     phi = Hm.T @ pi
     if np.min(phi) <= 0:

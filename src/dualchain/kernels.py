@@ -65,10 +65,15 @@ def as_matrix(P) -> np.ndarray:
     return P.matrix if isinstance(P, Kernel) else np.asarray(P, dtype=float)
 
 
-def validate_prob_vector(v, name: str = "vector") -> np.ndarray:
+def validate_prob_vector(v, name: str, n: int) -> np.ndarray:
+    """The law ``v`` on n states, checked and with its rounding negatives
+    clipped; each failure names the quantity."""
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise errors.DimensionMismatchError(f"{name} must be 1-d")
+    if v.shape[0] != n:
+        raise errors.DimensionMismatchError(
+            f"{name} length mismatch: {v.shape[0]} entries for {n} states")
     if not np.all(np.isfinite(v)):
         raise errors.NonFiniteEntryError(f"{name} has non-finite entries")
     if np.min(v) < -EPS_NEG:

@@ -69,10 +69,8 @@ def admissible_initials(link, pi0, pi=None) -> dict:
     which is valid exactly when the ratio pi0/pi is nonincreasing.
     """
     L = as_matrix(link)
-    pi0 = kernels.validate_prob_vector(pi0, "pi0")
+    pi0 = kernels.validate_prob_vector(pi0, "pi0", L.shape[1])
     n = L.shape[0]
-    if pi0.shape[0] != n:
-        raise errors.DimensionMismatchError("pi0 length mismatch")
 
     sol, *_ = np.linalg.lstsq(L.T, pi0, rcond=None)
     residual = sup_norm(L.T @ sol - pi0)
@@ -162,7 +160,6 @@ class SharpnessReport:
     max_gap: float
     witness: int | None
     boundary: int
-    admissibility_residual: float
     sharp: bool
 
 
@@ -179,8 +176,8 @@ def verify_sharpness(P, p_tilde, link, pi0, pi_tilde0, n_max: int = 100,
     m = as_matrix(P)
     pt = as_matrix(p_tilde)
     L = as_matrix(link)
-    pi0 = kernels.validate_prob_vector(pi0, "pi0")
-    pt0 = kernels.validate_prob_vector(pi_tilde0, "pi_tilde0")
+    pi0 = kernels.validate_prob_vector(pi0, "pi0", m.shape[0])
+    pt0 = kernels.validate_prob_vector(pi_tilde0, "pi_tilde0", pt.shape[0])
     adm = sup_norm(pt0 @ L - pi0)
     if adm > RESID_TOL:
         raise errors.NotAdmissibleError(f"initial laws not linked: {adm:.3g}")
@@ -229,7 +226,6 @@ def verify_sharpness(P, p_tilde, link, pi0, pi_tilde0, n_max: int = 100,
         max_gap=max_gap,
         witness=witness,
         boundary=boundary,
-        admissibility_residual=adm,
         sharp=sharp,
     )
 
@@ -240,7 +236,8 @@ class AbsorptionStats:
 
     pmf[n] = P(T = n) for n = 0..n_max; survival[n] = P(T > n); the mass
     beyond n_max is ``truncation_mass``; mean and variance are exact on
-    every route (none of them depends on n_max).
+    every route (none of them depends on n_max).  Every route cuts and
+    refuses the law by the rule of ``_truncate``.
     """
 
     pmf: np.ndarray
@@ -248,7 +245,6 @@ class AbsorptionStats:
     mean: float
     variance: float
     source: str
-    truncation_mass: float = 0.0
 
     def __post_init__(self):
         p = np.asarray(self.pmf, dtype=float)
@@ -268,6 +264,10 @@ class AbsorptionStats:
     def n_max(self) -> int:
         return self.pmf.shape[0] - 1
 
+    @property
+    def truncation_mass(self) -> float:
+        return float(self.survival[-1])
+
 
 def hitting_moments(p_tilde, start, boundary: int) -> tuple[float, float]:
     """Mean and variance of the first arrival at the absorbing ``boundary``
@@ -278,7 +278,7 @@ def hitting_moments(p_tilde, start, boundary: int) -> tuple[float, float]:
     1 - Q(x, x).  A reached state that cannot reach the boundary is refused.
     """
     pt = as_matrix(p_tilde)
-    start = kernels.validate_prob_vector(start, "start")
+    start = kernels.validate_prob_vector(start, "start", pt.shape[0])
     if boundary < 0 or boundary >= pt.shape[0]:
         raise errors.DimensionMismatchError("boundary out of range")
     if boundary not in kernels.absorbing_states(pt):
@@ -301,46 +301,58 @@ def hitting_moments(p_tilde, start, boundary: int) -> tuple[float, float]:
     return mean, float(start[idx] @ lu_solve(lu, 2.0 * m1 - 1.0)) - mean**2
 
 
+def _truncate(coef, n_max: int | None, mean: float,
+              beyond: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Cut the law P(T = n) = coef[n] of one route by the rule all three
+    routes share; return the cut pmf and its survival.
+
+    ``beyond`` is P(T >= len(coef)), 0 for an FFT grid, whose coefficients
+    hold the whole mass.  The survival P(T > n) is summed from the tail,
+    beyond + sum_{k > n} coef[k], so it keeps its relative accuracy down to
+    TAIL_TARGET, where 1 - sum_{k <= n} coef[k] would carry the rounding of
+    n additions near 1.  An explicit n_max is the cut.  Otherwise the cut
+    is the first n with P(T > n) <= TAIL_TARGET, at most N_MAX_CAP.  A cut
+    that leaves more than TAIL_LIMIT of the mass beyond it is refused.
+    Rounding negatives above -1e-12 in the cut pmf are zeroed.
+    """
+    survival = np.maximum(np.append(np.cumsum(coef[:0:-1])[::-1], 0.0) + beyond, 0.0)
+    if n_max is None:
+        below = survival[: N_MAX_CAP + 1] <= TAIL_TARGET
+        n_max = int(below.argmax()) if below.any() else below.shape[0] - 1
+    pmf, survival = coef[: n_max + 1], survival[: n_max + 1]
+    pmf = np.where((pmf < 0) & (pmf > -EPS_NEG), 0.0, pmf)
+    trunc = float(survival[-1])
+    if not trunc <= TAIL_LIMIT:       # also catches NaN
+        raise errors.TruncationTooCoarseError(
+            f"survivor mass {trunc:.3g} at n_max={pmf.shape[0] - 1}, mean {mean:.3g}"
+        )
+    return pmf, survival
+
+
 def absorption_exact(p_tilde, start, boundary: int, n_max: int | None = None) -> AbsorptionStats:
     """Law of the first arrival at an absorbing state by matrix powers.
 
-    n_max defaults to the first n with survival below 1e-12 (capped at
-    10^6).  If the survivor mass still exceeds 1e-9 at the cap the
-    truncation is refused.  Mean and variance are ``hitting_moments``.
+    The steps stop at n_max, or by default at the first n with survival
+    below TAIL_TARGET, at most N_MAX_CAP; the law is then cut and refused
+    by ``_truncate``.  Mean and variance are ``hitting_moments``.
     """
     mean, variance = hitting_moments(p_tilde, start, boundary)
-    pt, start = as_matrix(p_tilde), kernels.validate_prob_vector(start, "start")
+    pt = as_matrix(p_tilde)
+    start = kernels.validate_prob_vector(start, "start", pt.shape[0])
 
     cap = min(n_max, N_MAX_CAP) if n_max is not None else N_MAX_CAP
-    auto = n_max is None
+    target = TAIL_TARGET if n_max is None else -1.0
     pmf = [float(start[boundary])]
-    survival = [1.0 - pmf[0]]
     nu = start
     arrived = pmf[0]
-    while True:
-        steps = len(pmf) - 1
-        if survival[-1] <= (TAIL_TARGET if auto else -1.0) or steps >= cap:
-            break
+    while 1.0 - arrived > target and len(pmf) <= cap:
         nu = nu @ pt
         new_arrived = float(nu[boundary])
         pmf.append(max(new_arrived - arrived, 0.0))
         arrived = new_arrived
-        survival.append(1.0 - arrived)
-    pmf = np.array(pmf)
-    survival = np.array(survival)
-    trunc = float(survival[-1])
-    if trunc > TAIL_LIMIT:
-        raise errors.TruncationTooCoarseError(
-            f"survivor mass {trunc:.3g} at n_max={len(pmf) - 1}"
-        )
-    return AbsorptionStats(
-        pmf=pmf,
-        survival=survival,
-        mean=mean,
-        variance=variance,
-        source="matrix-power",
-        truncation_mass=trunc,
-    )
+    pmf, survival = _truncate(np.array(pmf), len(pmf) - 1, mean, beyond=1.0 - arrived)
+    return AbsorptionStats(pmf=pmf, survival=survival, mean=mean, variance=variance,
+                           source="matrix-power")
 
 
 def _invert_pgf(factors, n_max: int) -> np.ndarray:
@@ -358,7 +370,8 @@ def _invert_pgf(factors, n_max: int) -> np.ndarray:
     horizon, until the upper half of the folded coefficients holds at most
     TAIL_LIMIT; for a tail that decays at least geometrically the folded
     mass is then of the order of the square of that, whatever n_max is.
-    Rounding negatives above -1e-12 are zeroed.
+    The coefficients keep their rounding negatives, so that a sum over the
+    grid's tail carries no bias.
     """
     M = 1 << (2 * n_max + 1).bit_length()
     while True:
@@ -370,7 +383,7 @@ def _invert_pgf(factors, n_max: int) -> np.ndarray:
         if c[M // 2:].sum() <= TAIL_LIMIT or M >= _GRID_CAP:
             break
         M *= 2
-    return np.where((c < 0) & (c > -EPS_NEG), 0.0, c)
+    return c
 
 
 def spectral_moments(spec: Spectrum) -> tuple[float, float]:
@@ -394,8 +407,9 @@ def absorption_spectral(spec: Spectrum, n_max: int | None = None) -> AbsorptionS
     generates the exact pmf for any sign pattern (for nonnegative spectra
     this is the independent-geometric-sum representation; factors with
     t_k < 0 contribute the Bernoulli-shift correction); it is evaluated on
-    an FFT grid of the unit circle and inverted once.  Moments are
-    ``spectral_moments``.  Survival for n >= N-1 is cross-checked
+    an FFT grid of the unit circle and inverted once, and the law is cut
+    and refused by ``_truncate``.  Moments are ``spectral_moments``.
+    Survival for n >= N-1 is cross-checked
     against the partial-fraction expansion sum_l c_l t_l^n when the
     eigenvalue gaps allow, but only at the n where that sum's own rounding
     bound N eps sum_l |c_l t_l^n| is below the check's 1e-9 gate: the c_l
@@ -405,27 +419,20 @@ def absorption_spectral(spec: Spectrum, n_max: int | None = None) -> AbsorptionS
     mean, variance = spectral_moments(spec)
     t = spec.eigenvalues[1:]
     N = t.shape[0]
-    if N == 0:
-        return AbsorptionStats(
-            pmf=np.array([1.0]), survival=np.array([0.0]),
-            mean=0.0, variance=0.0, source="spectral",
-        )
 
+    horizon = n_max
     if n_max is None:
-        tbar = float(np.max(np.abs(t)))
-        if tbar <= 0:
-            n_max = N + 1
-        else:
-            n_max = min(int(np.log(TAIL_TARGET / N) / np.log(tbar)) + N + 2, N_MAX_CAP)
-        n_max = max(n_max, N + 1)
-    length = n_max + 1
+        # the survival is about N t_bar^(n - N), below TAIL_TARGET past this
+        # bound; the bound only sizes the first grid, which then holds the cut
+        tbar = float(np.max(np.abs(t), initial=0.0))
+        bound = int(np.log(TAIL_TARGET / N) / np.log(tbar)) + N + 2 if tbar > 0 else 0
+        horizon = max(min(bound, N_MAX_CAP), N + 1)
+    pmf, survival = _truncate(
+        _invert_pgf(lambda u: ((1.0 - tk) * u / (1.0 - tk * u) for tk in t), horizon),
+        n_max, mean)
+    length = pmf.shape[0]
 
-    pmf = _invert_pgf(lambda u: ((1.0 - tk) * u / (1.0 - tk * u) for tk in t), n_max)
-    pmf = pmf[:length]
-    survival = 1.0 - np.cumsum(pmf)
-    survival = np.maximum(survival, 0.0)
-
-    if N == 1 or float(-np.diff(t).max()) >= EIG_GAP_MIN:
+    if N < 2 or float(-np.diff(t).max()) >= EIG_GAP_MIN:
         check = np.arange(max(N - 1, 0), min(length, max(N - 1, 0) + 50))
         with np.errstate(over="ignore", invalid="ignore"):
             coef = np.array(
@@ -439,14 +446,8 @@ def absorption_spectral(spec: Spectrum, n_max: int | None = None) -> AbsorptionS
         if sup_norm(pf - survival[check[decidable]]) > SPECTRAL_TOL:
             raise errors.SpectrumError("partial-fraction tail disagrees with pmf")
 
-    return AbsorptionStats(
-        pmf=pmf,
-        survival=survival,
-        mean=mean,
-        variance=variance,
-        source="spectral",
-        truncation_mass=float(survival[-1]),
-    )
+    return AbsorptionStats(pmf=pmf, survival=survival, mean=mean, variance=variance,
+                           source="spectral")
 
 
 def absorption_recurrence(params: BDParams, n_max: int | None = None) -> AbsorptionStats:
@@ -457,9 +458,9 @@ def absorption_recurrence(params: BDParams, n_max: int | None = None) -> Absorpt
     Var(S_{y-1}) + A_y; their generating functions obey
     f_y(u) = p_y u / (1 - r_y u - q_y u f_{y-1}(u)), taken pointwise on an
     FFT grid of the unit circle; the total time is the independent sum of
-    the pieces, so its generating function is their product, inverted once.
-    The automatic n_max starts at min(mean + 1, N_MAX_CAP) and doubles, up
-    to the cap, until the survival falls below TAIL_TARGET.
+    the pieces, so its generating function is their product, inverted once
+    on the grid of the horizon min(mean + 1, N_MAX_CAP) (or n_max), and the
+    law is cut and refused by ``_truncate``.
     """
     N = params.N
     if N == 0:
@@ -497,31 +498,12 @@ def absorption_recurrence(params: BDParams, n_max: int | None = None) -> Absorpt
             raise errors.TruncationTooCoarseError(
                 f"survivor mass at least {floor:.3g} at n_max={N_MAX_CAP}, mean {mean:.3g}"
             )
-        # the grid holds coefficients past n_max: a doubling of n_max
-        # recomputes them only when it leaves the grid
-        n_max = int(min(N_MAX_CAP, mean + 1))
-        coef = _recurrence_pgf(params, n_max)
-        while 1.0 - coef[: n_max + 1].sum() > TAIL_TARGET and n_max < N_MAX_CAP:
-            n_max = min(n_max * 2, N_MAX_CAP)
-            if n_max >= coef.shape[0]:
-                coef = _recurrence_pgf(params, n_max)
-    else:
-        coef = _recurrence_pgf(params, n_max)
-    pmf = coef[: n_max + 1]
-    trunc = max(1.0 - pmf.sum(), 0.0)
-    if not trunc <= TAIL_LIMIT:       # also catches NaN
-        raise errors.TruncationTooCoarseError(
-            f"survivor mass {trunc:.3g} at n_max={n_max}, mean {mean:.3g}"
-        )
-    survival = np.maximum(1.0 - np.cumsum(pmf), 0.0)
-    return AbsorptionStats(
-        pmf=pmf,
-        survival=survival,
-        mean=mean,
-        variance=variance,
-        source="recurrence",
-        truncation_mass=float(trunc),
-    )
+    # the grid of the mean + 1 horizon runs past the cut: its upper half
+    # holds at most TAIL_LIMIT
+    coef = _recurrence_pgf(params, int(min(N_MAX_CAP, mean + 1)) if n_max is None else n_max)
+    pmf, survival = _truncate(coef, n_max, mean)
+    return AbsorptionStats(pmf=pmf, survival=survival, mean=mean, variance=variance,
+                           source="recurrence")
 
 
 def _recurrence_pgf(params: BDParams, n_max: int) -> np.ndarray:

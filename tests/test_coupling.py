@@ -42,7 +42,7 @@ def pair_matrix(pk):
 def dense_simulate(pk, pi_tilde0, n_steps, n_paths, seed=0):
     """Oracle: the same Philox stream with inverse transform over whole
     rows, gathering (n_paths, n) slices of P, Ptilde and the link each step."""
-    nu0 = kernels.validate_prob_vector(pi_tilde0, "pi_tilde0")
+    nu0 = kernels.validate_prob_vector(pi_tilde0, "pi_tilde0", pk.n_tilde)
     g = np.random.Generator(np.random.Philox(key=seed))
     start_cum = np.cumsum((nu0[None, :] * pk.link.T).reshape(-1))
     cum_p = np.cumsum(pk.p, axis=1)
@@ -89,6 +89,23 @@ def test_product_kernel_rows_and_consistency(coupled_a):
     # consistent pairs are exactly the positive link entries
     np.testing.assert_array_equal(pk.consistent, res.link.T > 1e-12)
     assert pk.pair_index(1, 0) == 2
+
+
+def test_product_kernel_reuses_its_products():
+    # oracle: the factors as they were formed with Lambda P and Ptilde Lambda
+    # each computed twice
+    pk, _ = moran_coupled(30, 0.3, 0.2)
+    m, pt, L = pk.p, pk.p_tilde, pk.link
+    assert kernels.sup_norm(pt @ L - L @ m) <= 1e-10
+    W = L @ m
+    inv_lp = np.divide(1.0, W, out=np.zeros_like(W), where=W > 0)
+    sums = (m @ ((pt @ L) * inv_lp).T).reshape(-1)
+    assert np.abs(sums[pk.consistent.reshape(-1)] - 1.0).max() <= 1e-9
+    assert np.array_equal(pk.inv_lp, inv_lp)
+    oracle = dataclasses.replace(pk, inv_lp=inv_lp)
+    nu0 = np.eye(pk.n_tilde)[0]
+    assert np.array_equal(exact_joint(pk, nu0, 20)["joint"],
+                          exact_joint(oracle, nu0, 20)["joint"])
 
 
 def test_product_kernel_rejects_wrong_link(pipeline_a):

@@ -82,8 +82,10 @@ def test_pipeline_records_only_the_one_step_duality_residual():
 
 def test_pipeline_requires_irreducible():
     P = np.array([[1.0, 0.0], [0.5, 0.5]])
-    with pytest.raises(errors.NotIrreducibleError):
-        build_intertwining(P, siegmund_function(1), siegmund_dual(P).dual)
+    # refused before the duality gate reads the (here wrong) dual
+    for dual in (siegmund_dual(P).dual, np.eye(2)):
+        with pytest.raises(errors.NotIrreducibleError):
+            build_intertwining(P, siegmund_function(1), dual)
 
 
 def test_pipeline_rejects_wrong_dual(pipeline_a, chain_a):

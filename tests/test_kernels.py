@@ -82,12 +82,14 @@ def test_kernel_accepts_kernel_instance():
 
 
 def test_validate_prob_vector():
-    v = kernels.validate_prob_vector([0.25, 0.75])
+    v = kernels.validate_prob_vector([0.25, 0.75], "v", 2)
     assert v.sum() == pytest.approx(1.0)
     with pytest.raises(errors.NotStochasticError):
-        kernels.validate_prob_vector([0.5, 0.4])
+        kernels.validate_prob_vector([0.5, 0.4], "v", 2)
     with pytest.raises(errors.NegativeEntryError):
-        kernels.validate_prob_vector([-0.1, 1.1])
+        kernels.validate_prob_vector([-0.1, 1.1], "v", 2)
+    with pytest.raises(errors.DimensionMismatchError, match="v length mismatch: 2 entries for 3"):
+        kernels.validate_prob_vector([0.25, 0.75], "v", 3)
 
 
 def test_total_variation_basic():

@@ -19,6 +19,7 @@ from dualchain.chains import (
     mutation_bias,
     reflected_walk_params,
 )
+from dualchain.coupling import empirical_report, exact_joint, product_kernel, simulate
 from dualchain.duals import dual_via_solve, hypergeometric_function, siegmund_dual, siegmund_function
 from dualchain.intertwining import build_intertwining
 from dualchain.kernels import total_variation
@@ -35,7 +36,7 @@ from dualchain.stationary_times import (
     sharpness_witness,
     verify_sharpness,
 )
-from dualchain.tolerances import EPS_NEG, TAIL_LIMIT
+from dualchain.tolerances import TAIL_LIMIT, TAIL_TARGET
 
 
 def test_separation_basics():
@@ -340,24 +341,58 @@ def test_fft_routes_short_explicit_horizon():
     # n_max, so no mass of T >= M folds back onto the first coefficients
     n = np.arange(6)
     geometric = np.where(n > 0, 0.1 * 0.9 ** (n - 1.0), 0.0)
-    sp = absorption_spectral(Spectrum(np.array([1.0, 0.9])), n_max=5)
-    np.testing.assert_allclose(sp.pmf, geometric, rtol=0, atol=1e-15)
-    assert sp.truncation_mass == pytest.approx(0.9**5, rel=1e-12)
-    single = make_bd([0.1, 0.0], [0.0, 0.0], interior_positive=False)
-    with pytest.raises(errors.TruncationTooCoarseError, match="0.59"):
-        absorption_recurrence(single, n_max=5)
+    coef = stationary_times._invert_pgf(lambda u: [0.1 * u / (1.0 - 0.9 * u)], 5)
+    np.testing.assert_allclose(coef[:6], geometric, rtol=0, atol=1e-15)
 
     params = moran_kernel(40, mutation_bias(0.1, 0.1, 40))
     spec = bd_spectrum(params)
-    oracle = series_spectral_pmf(spec.eigenvalues[1:], 60)
-    np.testing.assert_allclose(absorption_spectral(spec, n_max=60).pmf, oracle,
-                               rtol=0, atol=1e-14)
+    t = spec.eigenvalues[1:]
+    coef = stationary_times._invert_pgf(
+        lambda u: ((1.0 - tk) * u / (1.0 - tk * u) for tk in t), 60)
+    oracle = series_spectral_pmf(t, 60)
+    np.testing.assert_allclose(coef[:61], oracle, rtol=0, atol=1e-14)
     hidden = _hidden_params(params)
     pmf = stationary_times._recurrence_pgf(hidden, 60)[:61]
     oracle = series_recurrence_pmf(hidden, 60)
     np.testing.assert_allclose(pmf, oracle, rtol=0, atol=1e-14)
-    with pytest.raises(errors.TruncationTooCoarseError):
-        absorption_recurrence(hidden, n_max=60)
+    for route in (lambda: absorption_spectral(spec, n_max=60),
+                  lambda: absorption_recurrence(hidden, n_max=60)):
+        with pytest.raises(errors.TruncationTooCoarseError, match="at n_max=60, mean 584"):
+            route()
+
+
+def test_routes_refuse_a_short_explicit_horizon_alike():
+    # P(T = n) = 0.1 * 0.9^(n-1): the mass 0.9^5 = 0.59 lies beyond n = 5
+    routes = (
+        lambda: absorption_exact(np.array([[0.9, 0.1], [0.0, 1.0]]), np.array([1.0, 0.0]),
+                                 boundary=1, n_max=5),
+        lambda: absorption_spectral(Spectrum(np.array([1.0, 0.9])), n_max=5),
+        lambda: absorption_recurrence(make_bd([0.1, 0.0], [0.0, 0.0],
+                                              interior_positive=False), n_max=5),
+    )
+    for route in routes:
+        with pytest.raises(errors.TruncationTooCoarseError) as info:
+            route()
+        assert str(info.value) == "survivor mass 0.59 at n_max=5, mean 10"
+
+
+@pytest.mark.parametrize("N, a1, a2", [(10, 0.5, 0.5), (20, 0.3, 0.2), (40, 0.1, 0.1),
+                                       (300, 0.25, 0.25)])
+def test_routes_share_the_automatic_horizon(N, a1, a2):
+    # each route cuts at the first n with P(T > n) <= 1e-12; their
+    # survivals round differently near 1e-12, so the cuts may differ slightly
+    params, res, start = _moran_pipeline(N, a1, a2)
+    horizons = [absorption_exact(res.p_tilde, start, boundary=N).n_max,
+                absorption_spectral(bd_spectrum(params)).n_max,
+                absorption_recurrence(bd_params_from_kernel(res.p_tilde)).n_max]
+    assert max(horizons) <= 1.01 * min(horizons), horizons
+
+
+def test_absorption_spectral_refuses_a_hopeless_tail():
+    # mean 1e6: the grid of the capped horizon aliases the tail, which the
+    # truncation rule refuses before the partial-fraction check reads it
+    with pytest.raises(errors.TruncationTooCoarseError, match="at n_max=1000000, mean 1e\\+06"):
+        absorption_spectral(Spectrum(np.array([1.0, 1.0 - 1e-6])))
 
 
 def test_fft_routes_paper_scale_moran_200():
@@ -385,34 +420,44 @@ def _full_grid_invert(factors, n_max):
         if c[M // 2:].sum() <= TAIL_LIMIT or M >= stationary_times._GRID_CAP:
             break
         M *= 2
-    return np.where((c < 0) & (c > -EPS_NEG), 0.0, c)
+    return c
 
 
 def test_half_circle_inversion_matches_full_grid(monkeypatch):
+    # grid against grid: the cut, read off the survival near 1e-12, moves
+    # with the rounding of either inversion (by 14 steps at Moran (40, .1, .1))
     params = moran_kernel(40, mutation_bias(0.1, 0.1, 40))
     hidden = _hidden_params(params)
     spec = bd_spectrum(params)
-    routes = (lambda: absorption_recurrence(make_bd([3e-5, 0.0], [0.0, 0.5])),
-              lambda: absorption_recurrence(hidden),
-              lambda: absorption_spectral(spec))
-    got = [route().pmf for route in routes]
-    monkeypatch.setattr(stationary_times, "_invert_pgf", _full_grid_invert)
-    for pmf, route in zip(got, routes):
-        want = route().pmf
-        assert pmf.shape == want.shape
-        np.testing.assert_allclose(pmf, want, rtol=0, atol=1e-15)
+    invert = stationary_times._invert_pgf
+    grids = []
+
+    def record(factors, n_max):
+        grids.append((factors, n_max, invert(factors, n_max)))
+        return grids[-1][2]
+
+    monkeypatch.setattr(stationary_times, "_invert_pgf", record)
+    absorption_recurrence(make_bd([3e-5, 0.0], [0.0, 0.5]))
+    absorption_recurrence(hidden)
+    absorption_spectral(spec)
+    assert len(grids) == 3
+    for factors, n_max, got in grids:
+        want = _full_grid_invert(factors, n_max)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
 def test_half_circle_inversion_memory_at_horizon_cap():
-    # mean 3.3e4, auto horizon doubled to the 10^6 cap: the full grid of
-    # 2^21 complex points peaked at 224 MB here
+    # mean 3.3e4, survival below 1e-12 only near n = 9e5, on the capped grid
+    # of 2^21 points: the full grid of complex points peaked at 224 MB
     tracemalloc.start()
     try:
         stats = absorption_recurrence(make_bd([3e-5, 0.0], [0.0, 0.5]))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert stats.n_max == 10**6
+    assert 8e5 < stats.n_max < 10**6
+    assert stats.survival[-1] <= TAIL_TARGET < stats.survival[-2]
     assert peak < 150 * 2**20
 
 
@@ -515,6 +560,30 @@ def test_hitting_moments_refuse_a_boundary_that_may_never_be_reached():
     assert hitting_moments(pt, np.array([0.0, 0.0, 1.0, 0.0]), 2) == (0.0, 0.0)
 
 
+def test_start_laws_of_the_wrong_length_are_named(pipeline_b):
+    # each entry point names the law it was handed, not a numpy index
+    P, res = pipeline_b
+    pk = product_kernel(P.matrix, res.p_tilde, res.link)
+    e0, short = np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0])
+    batch = simulate(pk, e0, n_steps=2, n_paths=4)
+    calls = {
+        "start": (lambda: hitting_moments(res.p_tilde, short, 2),
+                  lambda: absorption_exact(res.p_tilde, short, 2)),
+        "pi0": (lambda: verify_sharpness(P.matrix, res.p_tilde, res.link, short, e0),
+                lambda: admissible_initials(res.link, short)),
+        "pi_tilde0": (lambda: verify_sharpness(P.matrix, res.p_tilde, res.link, res.link[0],
+                                               short),
+                      lambda: exact_joint(pk, short, 2),
+                      lambda: simulate(pk, short, n_steps=2, n_paths=4),
+                      lambda: empirical_report(batch, pk, short)),
+    }
+    for name, routes in calls.items():
+        for route in routes:
+            with pytest.raises(errors.DimensionMismatchError,
+                               match=f"^{name} length mismatch: 2 entries for 3 states$"):
+                route()
+
+
 def test_absorption_spectral_overflowing_coefficients_stay_silent():
     # 100 eigenvalues 1e-5 apart: the partial-fraction coefficients overflow,
     # so the tail check decides nothing, without a RuntimeWarning
@@ -550,6 +619,8 @@ def test_absorption_degenerate_single_state():
     assert stats.mean == 0.0 and stats.pmf[0] == 1.0
     exact = absorption_exact(np.array([[1.0]]), np.array([1.0]), boundary=0)
     assert exact.mean == 0.0 and exact.survival[0] == 0.0
+    spectral = absorption_spectral(Spectrum(np.array([1.0])))
+    assert spectral.pmf.tolist() == [1.0] and spectral.mean == 0.0
 
 
 @settings(max_examples=25, deadline=None)
