@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Wall time of `verify`, `ssd` and `simulate` on Moran mutation chains at
-paper scale.
+"""Wall time of `verify`, `ssd`, `simulate` and `plotdata --series
+absorption_pmf` on Moran mutation chains at paper scale.
 
 Usage: python3 scripts/paper_scale.py [N1 N2 ...]    (default: N = 1000)
 
@@ -20,7 +20,9 @@ from pathlib import Path
 from dualchain.cli import run
 
 A_VALUES = (0.1, 0.25, 0.5)
-COMMANDS = ("verify", "ssd", "simulate")
+COMMANDS = ("verify", "ssd", "simulate", "plotdata")
+# extra arguments per command: plotdata times the matrix-power absorption law
+EXTRA = {"plotdata": ["--series", "absorption_pmf"]}
 
 
 def run_once(command, N, a):
@@ -32,7 +34,8 @@ def run_once(command, N, a):
         config.write_text(json.dumps(cfg))
         t0 = time.perf_counter()
         try:
-            code = run([command, "--config", str(config), "--out", tmp])
+            code = run([command, "--config", str(config), "--out", tmp,
+                        *EXTRA.get(command, [])])
         except Exception as e:  # the exit code dualchain.cli.main gives it
             print(f"# {command} N={N} a={a}: {type(e).__name__}: {e}")
             code = 1

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
-from scipy import linalg as sla
 
 from . import errors, kernels
 from .chains import bd_kernel, is_irreducible_bd
@@ -416,10 +415,12 @@ def dual_via_solve(P, H: DualFunction) -> DualReport:
             f"condition estimate {cond:.3g} above {COND_LIMIT:.0e}"
         )
     B = m @ Hm
+    from scipy.linalg import solve_triangular
+
     if H.family in ("siegmund", "ultrametric"):
-        X = sla.solve_triangular(Hm, B, lower=False)
+        X = solve_triangular(Hm, B, lower=False)
     elif H.family == "hypergeometric":
-        X = sla.solve_triangular(Hm[::-1], B[::-1], lower=True)
+        X = solve_triangular(Hm[::-1], B[::-1], lower=True)
     else:
         X = np.linalg.solve(Hm, B)
     X = _support_refit(Hm, B, X)

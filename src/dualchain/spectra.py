@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from . import errors
 from .chains import BDParams, bd_kernel, bd_stationary, is_irreducible_bd, make_bd
@@ -65,6 +64,8 @@ def _symmetrized(params: BDParams):
 def bd_spectrum(params: BDParams) -> Spectrum:
     if not is_irreducible_bd(params):
         raise errors.NotIrreducibleError("spectrum requires an irreducible chain")
+    from scipy.linalg import eigh_tridiagonal
+
     d, e = _symmetrized(params)
     vals = eigh_tridiagonal(d, e, eigvals_only=True)
     t = np.sort(vals)[::-1]
@@ -79,6 +80,8 @@ def spectral_weights(params: BDParams) -> Spectrum:
     eigenvector of Q)^2; self-checked against mu_0 = pi(0) and sum = 1."""
     if not is_irreducible_bd(params):
         raise errors.NotIrreducibleError("weights require an irreducible chain")
+    from scipy.linalg import eigh_tridiagonal
+
     d, e = _symmetrized(params)
     vals, vecs = eigh_tridiagonal(d, e)
     order = np.argsort(vals)[::-1]

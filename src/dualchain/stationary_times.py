@@ -1,8 +1,10 @@
 """Separation distance, sharp strong-stationary structure, absorption laws.
 
 Three independent routes compute the law of the absorption time of the
-intertwined chain: matrix powers (moments from the fundamental matrix),
-the spectral product formula
+intertwined chain: matrix powers (moments from the fundamental matrix;
+the pmf and survival advanced a block of steps at a time as sums of
+nonnegative products, the survival summed from the surviving paths), the
+spectral product formula
 
     E(u^T) = prod_k (1 - t_k) u / (1 - t_k u)
 
@@ -20,11 +22,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from . import errors, kernels
 from .chains import BDParams
-from .kernels import as_matrix, sup_norm, total_variation
+from .kernels import as_matrix, sup_norm
 from .spectra import Spectrum
 from .tolerances import (
     EIG_GAP_MIN, EPS_NEG, EPS_STOCH, GROWTH_TOL, RESID_TOL, SHARP_TOL, SPECTRAL_TOL,
@@ -32,6 +33,11 @@ from .tolerances import (
 )
 
 N_MAX_CAP = 10**6
+# steps per iteration of absorption_exact's loop; a power of 2, as W and
+# Q^B are built by doubling
+_BLOCK = 64
+# entries of the stacked laws whose separations verify_sharpness takes at once
+_SEP_CHUNK = 1 << 17
 _GRID_CAP = 1 << (2 * N_MAX_CAP + 1).bit_length()
 
 
@@ -43,15 +49,20 @@ def separation(mu, pi) -> float:
     everywhere gives sep = -delta and TV = delta / 2), so the gate allows
     that defect on top of 1e-12 for rounding.
     """
-    mu = np.asarray(mu, dtype=float)
-    pi = np.asarray(pi, dtype=float)
+    s, below_tv = _separations(np.asarray(mu, dtype=float), np.asarray(pi, dtype=float))
+    if below_tv:  # pragma: no cover - identity
+        raise errors.DualChainError("separation fell below total variation")
+    return float(s)
+
+
+def _separations(mu, pi):
+    """sep(mu_i, pi) of each row mu_i of ``mu``, and whether it fell below
+    total variation by more than the slack of ``separation``."""
     if np.min(pi) <= 0:
         raise errors.ZeroStationaryEntryError("separation needs pi > 0")
-    s = float(np.max(1.0 - mu / pi))
-    slack = 1.5 * abs(float(mu.sum() - pi.sum())) + EPS_NEG
-    if s < total_variation(mu, pi) - slack:  # pragma: no cover - identity
-        raise errors.DualChainError("separation fell below total variation")
-    return s
+    s = np.max(1.0 - mu / pi, axis=-1)
+    slack = 1.5 * np.abs(mu.sum(axis=-1) - pi.sum()) + EPS_NEG
+    return s, s < 0.5 * np.abs(mu - pi).sum(axis=-1) - slack
 
 
 def admissible_initials(link, pi0, pi=None) -> dict:
@@ -201,20 +212,30 @@ def verify_sharpness(P, p_tilde, link, pi0, pi_tilde0, n_max: int = 100,
     wit = sharpness_witness(L, pi, boundary)
     witness = wit["witnesses"][0] if wit["witnesses"] else None
 
-    rows = []
+    table = np.empty((n_max + 1, 3))
+    table[:, 0] = np.arange(n_max + 1)
     mu = pi0.copy()
     nu = pt0.copy()
-    for n in range(n_max + 1):
-        sep = separation(mu, pi)
-        survival = float(1.0 - nu[boundary])
-        rows.append((n, sep, survival))
-        if sep > survival + SHARP_TOL:
+    stack = np.empty((min(n_max + 1, max(1, _SEP_CHUNK // m.shape[0])), m.shape[0]))
+    for lo in range(0, n_max + 1, stack.shape[0]):
+        hi = min(lo + stack.shape[0], n_max + 1)
+        for n in range(lo, hi):
+            if n:
+                mu = mu @ m
+                nu = nu @ pt
+            stack[n - lo] = mu
+            table[n, 2] = 1.0 - nu[boundary]
+        sep, below_tv = _separations(stack[: hi - lo], pi)
+        table[lo:hi, 1] = sep
+        bad = np.flatnonzero(below_tv | (sep > table[lo:hi, 2] + SHARP_TOL))
+        if bad.size:
+            n = lo + int(bad[0])
+            if below_tv[bad[0]]:  # pragma: no cover - identity
+                raise errors.DualChainError("separation fell below total variation")
             raise errors.DualChainError(
-                f"separation exceeded survival at n={n}: {sep} > {survival}"
+                f"separation exceeded survival at n={n}: {float(table[n, 1])} > "
+                f"{float(table[n, 2])}"
             )
-        mu = mu @ m
-        nu = nu @ pt
-    table = np.array(rows)
     max_gap = float(np.max(np.abs(table[:, 1] - table[:, 2])))
     sharp = witness is not None
     if sharp and max_gap > SHARP_TOL:
@@ -295,6 +316,8 @@ def hitting_moments(p_tilde, start, boundary: int) -> tuple[float, float]:
     rows[np.arange(idx.size), idx] = 0.0
     A = -rows[:, idx]
     A[np.diag_indices(idx.size)] = rows.sum(axis=1)
+    from scipy.linalg import lu_factor, lu_solve
+
     lu = lu_factor(A)
     m1 = lu_solve(lu, np.ones(idx.size))
     mean = float(start[idx] @ m1)
@@ -332,9 +355,18 @@ def _truncate(coef, n_max: int | None, mean: float,
 def absorption_exact(p_tilde, start, boundary: int, n_max: int | None = None) -> AbsorptionStats:
     """Law of the first arrival at an absorbing state by matrix powers.
 
-    The steps stop at n_max, or by default at the first n with survival
-    below TAIL_TARGET, at most N_MAX_CAP; the law is then cut and refused
-    by ``_truncate``.  Mean and variance are ``hitting_moments``.
+    With Q = P~ without the boundary's row and column, r = P~[:, boundary]
+    off the boundary and nu_k the law at step k of the paths not yet
+    arrived, P(T = k + j) = nu_k Q^(j-1) r.  The loop advances _BLOCK
+    steps at a time: pmf[k+1 .. k+B] = nu_k W with W = [r, Qr, ..,
+    Q^(B-1) r], then nu_(k+B) = nu_k Q^B, W and Q^B being built by
+    doubling.  Every quantity is a sum of nonnegative products, and the
+    mass left, P(T > k) = nu_k 1, is summed from the surviving paths, not
+    taken as 1 - P(arrived), so each keeps its relative accuracy down to
+    TAIL_TARGET.  The blocks stop past n_max, or by default past the first
+    n with survival below TAIL_TARGET, at most N_MAX_CAP; the law is then
+    cut and refused by ``_truncate``.  Mean and variance are
+    ``hitting_moments``.
     """
     mean, variance = hitting_moments(p_tilde, start, boundary)
     pt = as_matrix(p_tilde)
@@ -342,15 +374,24 @@ def absorption_exact(p_tilde, start, boundary: int, n_max: int | None = None) ->
 
     cap = min(n_max, N_MAX_CAP) if n_max is not None else N_MAX_CAP
     target = TAIL_TARGET if n_max is None else -1.0
-    pmf = [float(start[boundary])]
-    nu = start
-    arrived = pmf[0]
-    while 1.0 - arrived > target and len(pmf) <= cap:
-        nu = nu @ pt
-        new_arrived = float(nu[boundary])
-        pmf.append(max(new_arrived - arrived, 0.0))
-        arrived = new_arrived
-    pmf, survival = _truncate(np.array(pmf), len(pmf) - 1, mean, beyond=1.0 - arrived)
+    Q = pt.copy()
+    Q[boundary] = 0.0
+    W = Q[:, [boundary]].copy()
+    Q[:, boundary] = 0.0
+    QB = Q
+    while W.shape[1] < _BLOCK:
+        W = np.hstack([W, QB @ W])
+        QB = QB @ QB
+    nu = start.copy()
+    nu[boundary] = 0.0
+    blocks = [start[[boundary]]]
+    length, left = 1, float(nu.sum())
+    while left > target and length <= cap:
+        blocks.append(nu @ W)
+        nu = nu @ QB
+        length, left = length + _BLOCK, float(nu.sum())
+    pmf, survival = _truncate(np.concatenate(blocks), None if n_max is None else cap, mean,
+                              beyond=left)
     return AbsorptionStats(pmf=pmf, survival=survival, mean=mean, variance=variance,
                            source="matrix-power")
 
@@ -409,6 +450,12 @@ def absorption_spectral(spec: Spectrum, n_max: int | None = None) -> AbsorptionS
     t_k < 0 contribute the Bernoulli-shift correction); it is evaluated on
     an FFT grid of the unit circle and inverted once, and the law is cut
     and refused by ``_truncate``.  Moments are ``spectral_moments``.
+    With the automatic horizon a hopeless tail is refused before any grid
+    is built: when every t_k >= 0, each factor is the generating function
+    of a Geometric(1 - t_k) time on {1, 2, ..}, so T is the sum of such
+    independent times and T >= G_1 with t_1 = max t_k; hence
+    P(T > n) >= P(G_1 > n) = t_1^n, and a floor t_1^N_MAX_CAP above
+    TAIL_LIMIT means no cut within the cap can hold.
     Survival for n >= N-1 is cross-checked
     against the partial-fraction expansion sum_l c_l t_l^n when the
     eigenvalue gaps allow, but only at the n where that sum's own rounding
@@ -422,6 +469,11 @@ def absorption_spectral(spec: Spectrum, n_max: int | None = None) -> AbsorptionS
 
     horizon = n_max
     if n_max is None:
+        floor = float(t[0]) ** N_MAX_CAP if N and t[-1] >= 0.0 else 0.0
+        if floor > TAIL_LIMIT:
+            raise errors.TruncationTooCoarseError(
+                f"survivor mass at least {floor:.3g} at n_max={N_MAX_CAP}, mean {mean:.3g}"
+            )
         # the survival is about N t_bar^(n - N), below TAIL_TARGET past this
         # bound; the bound only sizes the first grid, which then holds the cut
         tbar = float(np.max(np.abs(t), initial=0.0))

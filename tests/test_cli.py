@@ -308,16 +308,20 @@ def test_commands_that_write_no_identity_residual_compute_none(
         assert _run(args[0], config, tmp_path, *args[1:]) == 0
 
 
-def test_cli_import_leaves_out_unused_scipy():
+def test_cli_import_leaves_out_unused_scipy(tmp_path):
+    # the import loads no SciPy module, and a simulate run loads no scipy.linalg
     code = ("import sys, dualchain.cli; "
             "print([m for m in ('scipy.stats', 'scipy.optimize', 'scipy.signal') "
-            "if m in sys.modules])")
+            "if m in sys.modules]); "
+            "assert dualchain.cli.run(sys.argv[1:]) == 0; "
+            "print('scipy.linalg' in sys.modules)")
     src = str(Path(dualchain.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    args = ["simulate", "--config", str(CONFIGS / "chain_b.json"), "--out", str(tmp_path)]
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
                          text=True, check=True, env=env, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "False"]
 
 
 def test_verify_infeasible_exit_2(tmp_path):

@@ -1,4 +1,6 @@
 import json
+import re
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -20,7 +22,14 @@ from dualchain.chains import (
     reflected_walk_params,
 )
 from dualchain.coupling import empirical_report, exact_joint, product_kernel, simulate
-from dualchain.duals import dual_via_solve, hypergeometric_function, siegmund_dual, siegmund_function
+from dualchain.duals import (
+    dual_via_solve,
+    hypergeometric_function,
+    siegmund_dual,
+    siegmund_function,
+    ultrametric_dual,
+    ultrametric_function,
+)
 from dualchain.intertwining import build_intertwining
 from dualchain.kernels import total_variation
 from dualchain.samplers import random_monotone_bd, random_monotone_kernel
@@ -389,10 +398,18 @@ def test_routes_share_the_automatic_horizon(N, a1, a2):
 
 
 def test_absorption_spectral_refuses_a_hopeless_tail():
-    # mean 1e6: the grid of the capped horizon aliases the tail, which the
-    # truncation rule refuses before the partial-fraction check reads it
-    with pytest.raises(errors.TruncationTooCoarseError, match="at n_max=1000000, mean 1e\\+06"):
-        absorption_spectral(Spectrum(np.array([1.0, 1.0 - 1e-6])))
+    # P(T > n) >= t_1^n refuses before the capped grid is built: inverting
+    # it took 0.45 s and 3.0 s here, and read the survivor mass of the first
+    # chain off the aliased grid as 0.279 where (1 - 1e-6)^(10^6) is 0.368
+    for spec, message in (
+        (Spectrum(np.array([1.0, 1.0 - 1e-6])), "0.368 at n_max=1000000, mean 1e\\+06"),
+        (moran_mutation_spectrum(100, 1e-5, 1e-5), "0.819 at n_max=1000000, mean 5.01e\\+06"),
+    ):
+        t0 = time.perf_counter()
+        with pytest.raises(errors.TruncationTooCoarseError,
+                           match=f"survivor mass at least {message}"):
+            absorption_spectral(spec)
+        assert time.perf_counter() - t0 < 0.05
 
 
 def test_fft_routes_paper_scale_moran_200():
@@ -481,6 +498,97 @@ def test_absorption_exact_truncation_guard(pipeline_b):
         absorption_exact(res.p_tilde, np.array([1.0, 0.0, 0.0]), boundary=2, n_max=3)
     with pytest.raises(errors.NotAbsorbingError):
         absorption_exact(res.p_tilde, np.array([1.0, 0.0, 0.0]), boundary=0)
+
+
+def _stepwise_absorption(pt, start, boundary, n_max):
+    """Oracle: pmf and survival one step of the surviving law at a time."""
+    Q = pt.copy()
+    Q[boundary] = 0.0
+    r = Q[:, boundary].copy()
+    Q[:, boundary] = 0.0
+    nu = start.copy()
+    nu[boundary] = 0.0
+    pmf, survival = [start[boundary]], [nu.sum()]
+    for _ in range(n_max):
+        pmf.append(nu @ r)
+        nu = nu @ Q
+        survival.append(nu.sum())
+    return np.array(pmf), np.array(survival)
+
+
+def _blocked_cases():
+    # (P~, start, boundary): birth-death, a start with mass on the boundary,
+    # and the dense hidden chain of an ultrametric dual
+    params = moran_kernel(4, mutation_bias(0.5, 0.5, 4))
+    P = bd_kernel(params)
+    moran = build_intertwining(P, siegmund_function(4), siegmund_dual(P).dual).p_tilde
+    P = random_monotone_kernel(np.random.default_rng(3), 6)
+    dense = build_intertwining(P, ultrametric_function(5, 1, 0.5, 0.0),
+                               ultrametric_dual(P, 1, 0.5, 0.0).dual).p_tilde
+    assert np.count_nonzero(dense[1] > 0) == 4
+    return [(moran, np.eye(5)[0], 4), (moran, np.array([0.5, 0, 0, 0, 0.5]), 4),
+            (dense, np.eye(6)[0], 5), (dense, np.array([1e-10, 0, 0, 0, 0, 1 - 1e-10]), 5)]
+
+
+B = stationary_times._BLOCK
+
+
+@pytest.mark.parametrize("n_max", [1, B - 1, B, B + 1, 3 * B + 5, None])
+def test_blocked_absorption_matches_stepwise_oracle(n_max):
+    # explicit horizons on either side of the block ends, and the automatic
+    # one: the first n with P(T > n) <= TAIL_TARGET on the oracle's survival
+    for pt, start, boundary in _blocked_cases():
+        pmf, survival = _stepwise_absorption(pt, start, boundary, 3 * B + 5)
+        assert survival[-1] <= TAIL_TARGET      # the oracle runs past the auto cut
+        cut = n_max if n_max is not None else int(np.argmax(survival <= TAIL_TARGET))
+        if survival[cut] > TAIL_LIMIT:
+            with pytest.raises(errors.TruncationTooCoarseError,
+                               match=f"survivor mass {survival[cut]:.3g} at n_max={cut},"):
+                absorption_exact(pt, start, boundary, n_max=n_max)
+            continue
+        exact = absorption_exact(pt, start, boundary, n_max=n_max)
+        assert exact.n_max == cut
+        np.testing.assert_allclose(exact.pmf, pmf[: cut + 1], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(exact.survival, survival[: cut + 1], rtol=0, atol=1e-15)
+
+
+def test_absorption_exact_survival_relative_to_extended_precision():
+    # survival as the surviving mass, not 1 - P(arrived): at the automatic
+    # horizon the latter was 2.3e-3 off, and cut one step late
+    params, res, start = _moran_pipeline(100, 0.25, 0.25)
+    exact = absorption_exact(res.p_tilde, start, boundary=100)
+    Q = res.p_tilde.astype(np.longdouble)
+    Q[:, 100] = 0.0
+    nu = start.astype(np.longdouble)
+    for _ in range(exact.n_max - 1):
+        nu = nu @ Q
+    before, want = nu.sum(), (nu @ Q).sum()
+    assert want <= TAIL_TARGET < before
+    assert abs(exact.survival[-1] - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("chunk", [stationary_times._SEP_CHUNK, 5 * 21])
+def test_verify_sharpness_names_the_first_n_separation_exceeds_survival(monkeypatch, chunk):
+    # 5e-11 of every transient row of P~ moved onto the boundary passes the
+    # link gate, but the hidden chain then arrives early
+    monkeypatch.setattr(stationary_times, "_SEP_CHUNK", chunk)
+    N = 20
+    P = bd_kernel(moran_kernel(N, mutation_bias(0.5, 0.5, N)))
+    res = build_intertwining(P, siegmund_function(N), siegmund_dual(P).dual)
+    pt = res.p_tilde.copy()
+    pt[np.arange(N), np.arange(N)] -= 5e-11
+    pt[:N, N] += 5e-11
+    start = np.eye(N + 1)[0]
+    mu, nu = res.link[0], start
+    for n in range(400):
+        sep, survival = separation(mu, res.pi), 1.0 - nu[N]
+        if sep > survival + 1e-9:
+            break
+        mu, nu = mu @ P.matrix, nu @ pt
+    assert 0 < n < 400
+    message = f"separation exceeded survival at n={n}: {sep} > {survival}"
+    with pytest.raises(errors.DualChainError, match=f"^{re.escape(message)}$"):
+        verify_sharpness(P.matrix, pt, res.link, res.link[0], start, n_max=400)
 
 
 # hidden chain whose start never reaches the second absorbing state 3
