@@ -5,7 +5,10 @@ For each sampled chain the mean, variance and pmf of the hidden absorption
 time are computed by matrix powers, by the spectral product formula, and by
 the first-passage recurrences, each at its own automatic horizon; the worst
 pairwise deviations are printed (the pmfs over the shortest horizon), with
-the spread max - min of the three horizons, which share one truncation rule.
+the spread max - min of the three horizons.  The three laws come from one
+engine of blocked matrix powers and share one truncation rule, so n_spread
+is expected to read 0; another value means two routes disagree near the
+1e-12 cut.
 
 Usage: python3 scripts/absorption_crosscheck.py [n_chains] [seed] [max_N]
 

@@ -1,20 +1,23 @@
 """Separation distance, sharp strong-stationary structure, absorption laws.
 
 Three independent routes compute the law of the absorption time of the
-intertwined chain: matrix powers (moments from the fundamental matrix;
-the pmf and survival advanced a block of steps at a time as sums of
-nonnegative products, the survival summed from the surviving paths), the
-spectral product formula
+intertwined chain, all by one engine of matrix powers (the pmf and
+survival advanced a block of steps at a time, the survival summed from the
+surviving paths): on P~ itself (moments from the fundamental matrix); on
+the pure-birth chain of the eigenvalues t_k of P, which holds at state k
+with probability t_k, since the generating function of T is
 
     E(u^T) = prod_k (1 - t_k) u / (1 - t_k u)
 
-and the birth-death first-passage recurrences for mean, variance and
-probability generating function.  The last two evaluate their generating
-function on an FFT grid of the unit circle and invert it once (Abate and
-Whitt, "Numerical inversion of probability generating functions", Oper.
-Res. Lett. 12, 1992).  Separation obeys sep(pi_n, pi) <= P(T > n) with
-equality in the presence of a witness state d with
-Lambda e_d = pi(d) e_boundary.
+(for t_k >= 0 a sum of independent Geometric(1 - t_k) times; Fill,
+"The passage time distribution for a birth-and-death chain", J. Theor.
+Probab. 22, 2009); and on the pure-birth chain of the eigenvalues of the
+transient block of a birth-death P~, whose passage time from 0 to N has the
+same product form (Keilson, "Log-concavity and log-convexity in passage
+time densities of diffusion and birth-death processes", J. Appl. Probab.
+8, 1971), with moments from the first-passage recurrences.  Separation
+obeys sep(pi_n, pi) <= P(T > n) with equality in the presence of a witness
+state d with Lambda e_d = pi(d) e_boundary.
 """
 from __future__ import annotations
 
@@ -38,7 +41,6 @@ N_MAX_CAP = 10**6
 _BLOCK = 64
 # entries of the stacked laws whose separations verify_sharpness takes at once
 _SEP_CHUNK = 1 << 17
-_GRID_CAP = 1 << (2 * N_MAX_CAP + 1).bit_length()
 
 
 def separation(mu, pi) -> float:
@@ -325,18 +327,18 @@ def hitting_moments(p_tilde, start, boundary: int) -> tuple[float, float]:
 
 
 def _truncate(coef, n_max: int | None, mean: float,
-              beyond: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+              beyond: float) -> tuple[np.ndarray, np.ndarray]:
     """Cut the law P(T = n) = coef[n] of one route by the rule all three
     routes share; return the cut pmf and its survival.
 
-    ``beyond`` is P(T >= len(coef)), 0 for an FFT grid, whose coefficients
-    hold the whole mass.  The survival P(T > n) is summed from the tail,
-    beyond + sum_{k > n} coef[k], so it keeps its relative accuracy down to
-    TAIL_TARGET, where 1 - sum_{k <= n} coef[k] would carry the rounding of
-    n additions near 1.  An explicit n_max is the cut.  Otherwise the cut
-    is the first n with P(T > n) <= TAIL_TARGET, at most N_MAX_CAP.  A cut
-    that leaves more than TAIL_LIMIT of the mass beyond it is refused.
-    Rounding negatives above -1e-12 in the cut pmf are zeroed.
+    ``beyond`` is P(T >= len(coef)).  The survival P(T > n) is summed from
+    the tail, beyond + sum_{k > n} coef[k], so it keeps its relative
+    accuracy down to TAIL_TARGET, where 1 - sum_{k <= n} coef[k] would
+    carry the rounding of n additions near 1.  An explicit n_max is the
+    cut.  Otherwise the cut is the first n with P(T > n) <= TAIL_TARGET, at
+    most N_MAX_CAP.  A cut that leaves more than TAIL_LIMIT of the mass
+    beyond it is refused.  Rounding negatives above -1e-12 in the cut pmf
+    are zeroed.
     """
     survival = np.maximum(np.append(np.cumsum(coef[:0:-1])[::-1], 0.0) + beyond, 0.0)
     if n_max is None:
@@ -352,26 +354,24 @@ def _truncate(coef, n_max: int | None, mean: float,
     return pmf, survival
 
 
-def absorption_exact(p_tilde, start, boundary: int, n_max: int | None = None) -> AbsorptionStats:
-    """Law of the first arrival at an absorbing state by matrix powers.
+def _absorb(pt, start, boundary: int, n_max: int | None,
+            mean: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pmf and survival of the first arrival at ``boundary`` of the chain
+    ``pt`` from ``start``, cut by ``_truncate``; ``mean`` only enters its
+    refusal message.
 
-    With Q = P~ without the boundary's row and column, r = P~[:, boundary]
+    With Q = pt without the boundary's row and column, r = pt[:, boundary]
     off the boundary and nu_k the law at step k of the paths not yet
     arrived, P(T = k + j) = nu_k Q^(j-1) r.  The loop advances _BLOCK
     steps at a time: pmf[k+1 .. k+B] = nu_k W with W = [r, Qr, ..,
     Q^(B-1) r], then nu_(k+B) = nu_k Q^B, W and Q^B being built by
-    doubling.  Every quantity is a sum of nonnegative products, and the
-    mass left, P(T > k) = nu_k 1, is summed from the surviving paths, not
-    taken as 1 - P(arrived), so each keeps its relative accuracy down to
-    TAIL_TARGET.  The blocks stop past n_max, or by default past the first
-    n with survival below TAIL_TARGET, at most N_MAX_CAP; the law is then
-    cut and refused by ``_truncate``.  Mean and variance are
-    ``hitting_moments``.
+    doubling.  The mass left, P(T > k) = nu_k 1, is summed from the
+    surviving paths, not taken as 1 - P(arrived).  For a nonnegative pt
+    every quantity is a sum of nonnegative products, so each keeps its
+    relative accuracy down to TAIL_TARGET.  The blocks stop past n_max, or
+    by default past the first n with survival below TAIL_TARGET, at most
+    N_MAX_CAP.
     """
-    mean, variance = hitting_moments(p_tilde, start, boundary)
-    pt = as_matrix(p_tilde)
-    start = kernels.validate_prob_vector(start, "start", pt.shape[0])
-
     cap = min(n_max, N_MAX_CAP) if n_max is not None else N_MAX_CAP
     target = TAIL_TARGET if n_max is None else -1.0
     Q = pt.copy()
@@ -390,41 +390,34 @@ def absorption_exact(p_tilde, start, boundary: int, n_max: int | None = None) ->
         blocks.append(nu @ W)
         nu = nu @ QB
         length, left = length + _BLOCK, float(nu.sum())
-    pmf, survival = _truncate(np.concatenate(blocks), None if n_max is None else cap, mean,
-                              beyond=left)
+    return _truncate(np.concatenate(blocks), None if n_max is None else cap, mean,
+                     beyond=left)
+
+
+def _pure_birth_law(t, n_max: int | None, mean: float) -> tuple[np.ndarray, np.ndarray]:
+    """``_absorb`` on the chain on 0..N, N = len(t), that holds at k with
+    probability t_k and steps to k + 1 otherwise, run from 0 to N: its time
+    has the generating function prod_k (1 - t_k) u / (1 - t_k u).  When
+    some t_k < 0 the kernel is signed, the engine's sums cancel, and the
+    law is accurate only in absolute terms."""
+    N = t.shape[0]
+    K = np.zeros((N + 1, N + 1))
+    K[np.arange(N), np.arange(N)] = t
+    K[np.arange(N), np.arange(1, N + 1)] = 1.0 - t
+    K[N, N] = 1.0
+    return _absorb(K, np.eye(N + 1)[0], N, n_max, mean)
+
+
+def absorption_exact(p_tilde, start, boundary: int, n_max: int | None = None) -> AbsorptionStats:
+    """Law of the first arrival at an absorbing state by matrix powers of
+    P~ (``_absorb``), with the mean and variance of ``hitting_moments``.
+    """
+    mean, variance = hitting_moments(p_tilde, start, boundary)
+    pt = as_matrix(p_tilde)
+    start = kernels.validate_prob_vector(start, "start", pt.shape[0])
+    pmf, survival = _absorb(pt, start, boundary, n_max, mean)
     return AbsorptionStats(pmf=pmf, survival=survival, mean=mean, variance=variance,
                            source="matrix-power")
-
-
-def _invert_pgf(factors, n_max: int) -> np.ndarray:
-    """Coefficients 0..M-1, M > 2 n_max, of a product of generating-function
-    factors.
-
-    ``factors(u)`` yields the value of each factor at the points u.  Their
-    product G is taken at the points u_j = exp(-2 pi i j / M), j = 0..M/2,
-    of the upper half of the unit circle, M = 2^k.  G(u_j) is the discrete
-    Fourier transform of the coefficients folded modulo M; they are real,
-    so G(u_{M-j}) is the conjugate of G(u_j), and one inverse real FFT
-    returns them from the half: the coefficient n picks up those at n + M,
-    n + 2M, ..., in all P(T >= M).
-    M starts at 2 (n_max + 1) and doubles, up to the grid of the N_MAX_CAP
-    horizon, until the upper half of the folded coefficients holds at most
-    TAIL_LIMIT; for a tail that decays at least geometrically the folded
-    mass is then of the order of the square of that, whatever n_max is.
-    The coefficients keep their rounding negatives, so that a sum over the
-    grid's tail carries no bias.
-    """
-    M = 1 << (2 * n_max + 1).bit_length()
-    while True:
-        u = np.exp(-2j * np.pi * np.arange(M // 2 + 1) / M)
-        G = np.ones_like(u)
-        for f in factors(u):
-            G *= f
-        c = np.fft.irfft(G, n=M)
-        if c[M // 2:].sum() <= TAIL_LIMIT or M >= _GRID_CAP:
-            break
-        M *= 2
-    return c
 
 
 def spectral_moments(spec: Spectrum) -> tuple[float, float]:
@@ -447,13 +440,14 @@ def absorption_spectral(spec: Spectrum, n_max: int | None = None) -> AbsorptionS
     The product of the generating-function factors (1-t_k)u/(1-t_k u)
     generates the exact pmf for any sign pattern (for nonnegative spectra
     this is the independent-geometric-sum representation; factors with
-    t_k < 0 contribute the Bernoulli-shift correction); it is evaluated on
-    an FFT grid of the unit circle and inverted once, and the law is cut
-    and refused by ``_truncate``.  Moments are ``spectral_moments``.
-    With the automatic horizon a hopeless tail is refused before any grid
-    is built: when every t_k >= 0, each factor is the generating function
-    of a Geometric(1 - t_k) time on {1, 2, ..}, so T is the sum of such
-    independent times and T >= G_1 with t_1 = max t_k; hence
+    t_k < 0 contribute the Bernoulli-shift correction).  It is the law of
+    the pure-birth chain that holds at k with probability t_k, computed by
+    ``_pure_birth_law``; when some t_k < 0 that kernel is signed and the
+    pmf is accurate only in absolute terms.  Moments are
+    ``spectral_moments``.
+    With the automatic horizon a hopeless tail is refused before the
+    engine runs: when every t_k >= 0, T is the sum of independent
+    Geometric(1 - t_k) times and T >= G_1 with t_1 = max t_k; hence
     P(T > n) >= P(G_1 > n) = t_1^n, and a floor t_1^N_MAX_CAP above
     TAIL_LIMIT means no cut within the cap can hold.
     Survival for n >= N-1 is cross-checked
@@ -467,30 +461,22 @@ def absorption_spectral(spec: Spectrum, n_max: int | None = None) -> AbsorptionS
     t = spec.eigenvalues[1:]
     N = t.shape[0]
 
-    horizon = n_max
     if n_max is None:
+        # spares the engine 10^6 steps towards a cut it cannot reach
         floor = float(t[0]) ** N_MAX_CAP if N and t[-1] >= 0.0 else 0.0
         if floor > TAIL_LIMIT:
             raise errors.TruncationTooCoarseError(
                 f"survivor mass at least {floor:.3g} at n_max={N_MAX_CAP}, mean {mean:.3g}"
             )
-        # the survival is about N t_bar^(n - N), below TAIL_TARGET past this
-        # bound; the bound only sizes the first grid, which then holds the cut
-        tbar = float(np.max(np.abs(t), initial=0.0))
-        bound = int(np.log(TAIL_TARGET / N) / np.log(tbar)) + N + 2 if tbar > 0 else 0
-        horizon = max(min(bound, N_MAX_CAP), N + 1)
-    pmf, survival = _truncate(
-        _invert_pgf(lambda u: ((1.0 - tk) * u / (1.0 - tk * u) for tk in t), horizon),
-        n_max, mean)
+    pmf, survival = _pure_birth_law(t, n_max, mean)
     length = pmf.shape[0]
 
     if N < 2 or float(-np.diff(t).max()) >= EIG_GAP_MIN:
         check = np.arange(max(N - 1, 0), min(length, max(N - 1, 0) + 50))
-        with np.errstate(over="ignore", invalid="ignore"):
-            coef = np.array(
-                [np.prod((1.0 - np.delete(t, l)) / (t[l] - np.delete(t, l)))
-                 for l in range(N)]
-            )
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            ratio = (1.0 - t)[None, :] / (t[:, None] - t[None, :])
+            ratio[np.diag_indices(N)] = 1.0
+            coef = ratio.prod(axis=1)
             terms = coef[None, :] * t[None, :] ** check[:, None]
             bound = N * np.finfo(float).eps * np.abs(terms).sum(axis=1)
         decidable = bound < SPECTRAL_TOL
@@ -507,12 +493,15 @@ def absorption_recurrence(params: BDParams, n_max: int | None = None) -> Absorpt
 
     The passage pieces S_y (time from y to y+1) satisfy
     E(S_y) = 1/p_y + (q_y/p_y) E(S_{y-1}) and Var(S_y) = (q_y/p_y)
-    Var(S_{y-1}) + A_y; their generating functions obey
-    f_y(u) = p_y u / (1 - r_y u - q_y u f_{y-1}(u)), taken pointwise on an
-    FFT grid of the unit circle; the total time is the independent sum of
-    the pieces, so its generating function is their product, inverted once
-    on the grid of the horizon min(mean + 1, N_MAX_CAP) (or n_max), and the
-    law is cut and refused by ``_truncate``.
+    Var(S_{y-1}) + A_y.  By Keilson's passage-time theorem the generating
+    function of T is prod_k (1 - theta_k) u / (1 - theta_k u) over the
+    eigenvalues theta_k of the transient block (states 0..N-1), for every
+    birth-death chain with p_y > 0: the skip-free numerator is
+    p_0 .. p_(N-1) u^N and the denominator det(I - u Q).  The theta_k come
+    from its symmetrisation, diagonal r_y and off-diagonal
+    sqrt(p_y q_(y+1)); the law is that of the pure-birth chain of the
+    theta_k (``_pure_birth_law``), accurate only in absolute terms when
+    some theta_k < 0.
     """
     N = params.N
     if N == 0:
@@ -544,31 +533,19 @@ def absorption_recurrence(params: BDParams, n_max: int | None = None) -> Absorpt
     if n_max is None:
         # the walk leaves y upward with probability at most p_y per step, so
         # P(T > n) >= (1 - p_y)^n: a tail that bound keeps above TAIL_LIMIT
-        # at the cap is refused before any grid is built
+        # at the cap is refused without the 10^6 engine steps
         floor = math.exp(N_MAX_CAP * math.log1p(-float(p[:N].min())))
         if floor > TAIL_LIMIT:
             raise errors.TruncationTooCoarseError(
                 f"survivor mass at least {floor:.3g} at n_max={N_MAX_CAP}, mean {mean:.3g}"
             )
-    # the grid of the mean + 1 horizon runs past the cut: its upper half
-    # holds at most TAIL_LIMIT
-    coef = _recurrence_pgf(params, int(min(N_MAX_CAP, mean + 1)) if n_max is None else n_max)
-    pmf, survival = _truncate(coef, n_max, mean)
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    # largest first, the order of the spectral route's t_k
+    theta = eigvalsh_tridiagonal(r[:N], np.sqrt(p[: N - 1] * q[1:N]))[::-1]
+    pmf, survival = _pure_birth_law(theta, n_max, mean)
     return AbsorptionStats(pmf=pmf, survival=survival, mean=mean, variance=variance,
                            source="recurrence")
-
-
-def _recurrence_pgf(params: BDParams, n_max: int) -> np.ndarray:
-    p, q, r = params.p, params.q, params.r
-
-    def passages(u):
-        # |f| <= 1 on the circle, so each denominator has modulus >= p_y > 0
-        f = np.zeros_like(u)
-        for y in range(params.N):
-            f = p[y] * u / (1.0 - r[y] * u - q[y] * u * f)
-            yield f
-
-    return _invert_pgf(passages, n_max)
 
 
 def cutoff_report(family, N_values) -> dict:

@@ -258,14 +258,16 @@ def test_absorption_spectral_check_catches_corrupt_pmf(monkeypatch):
     N = 10
     spec = bd_spectrum(moran_kernel(N, mutation_bias(0.5, 0.5, N)))
     absorption_spectral(spec)
-    invert = stationary_times._invert_pgf
+    absorb = stationary_times._absorb
 
-    def corrupt(factors, n_max):
-        out = invert(factors, n_max)  # the finished pmf
-        out[N + 5] += 1e-8
-        return out
+    def corrupt(*args):
+        # 1e-8 more mass at n = N + 5, and so in the survival before it
+        pmf, survival = absorb(*args)
+        pmf[N + 5] += 1e-8
+        survival[: N + 5] += 1e-8
+        return pmf, survival
 
-    monkeypatch.setattr(stationary_times, "_invert_pgf", corrupt)
+    monkeypatch.setattr(stationary_times, "_absorb", corrupt)
     with pytest.raises(errors.SpectrumError, match="partial-fraction"):
         absorption_spectral(spec)
 
@@ -346,28 +348,31 @@ def test_fft_routes_match_series_oracle(case, chain_b):
 
 
 def test_fft_routes_short_explicit_horizon():
-    # n_max far inside the tail: the grid is sized from the tail, not from
-    # n_max, so no mass of T >= M folds back onto the first coefficients
-    n = np.arange(6)
-    geometric = np.where(n > 0, 0.1 * 0.9 ** (n - 1.0), 0.0)
-    coef = stationary_times._invert_pgf(lambda u: [0.1 * u / (1.0 - 0.9 * u)], 5)
-    np.testing.assert_allclose(coef[:6], geometric, rtol=0, atol=1e-15)
-
+    # n_max far inside the tail: the cut is refused, naming the exact mean
     params = moran_kernel(40, mutation_bias(0.1, 0.1, 40))
     spec = bd_spectrum(params)
-    t = spec.eigenvalues[1:]
-    coef = stationary_times._invert_pgf(
-        lambda u: ((1.0 - tk) * u / (1.0 - tk * u) for tk in t), 60)
-    oracle = series_spectral_pmf(t, 60)
-    np.testing.assert_allclose(coef[:61], oracle, rtol=0, atol=1e-14)
     hidden = _hidden_params(params)
-    pmf = stationary_times._recurrence_pgf(hidden, 60)[:61]
-    oracle = series_recurrence_pmf(hidden, 60)
-    np.testing.assert_allclose(pmf, oracle, rtol=0, atol=1e-14)
     for route in (lambda: absorption_spectral(spec, n_max=60),
                   lambda: absorption_recurrence(hidden, n_max=60)):
         with pytest.raises(errors.TruncationTooCoarseError, match="at n_max=60, mean 584"):
             route()
+
+
+def test_pure_birth_engine_short_horizon_matches_series_oracles(monkeypatch):
+    # the engine on the pure-birth kernel of the eigenvalues at n_max = 60,
+    # far inside the tail, with the refusal of such a cut lifted: the
+    # spectral law, the signed (1/2, -1/2) law and the passage-time law
+    monkeypatch.setattr(stationary_times, "TAIL_LIMIT", 1.0)
+    params = moran_kernel(40, mutation_bias(0.1, 0.1, 40))
+    for t in (bd_spectrum(params).eigenvalues[1:], np.array([0.5, -0.5])):
+        pmf, survival = stationary_times._pure_birth_law(t, 60, 0.0)
+        oracle = series_spectral_pmf(t, 60)
+        np.testing.assert_allclose(pmf, oracle, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(survival, 1.0 - np.cumsum(oracle), rtol=0, atol=1e-14)
+    hidden = _hidden_params(params)
+    recurrence = absorption_recurrence(hidden, n_max=60)
+    oracle = series_recurrence_pmf(hidden, 60)
+    np.testing.assert_allclose(recurrence.pmf, oracle, rtol=0, atol=1e-14)
 
 
 def test_routes_refuse_a_short_explicit_horizon_alike():
@@ -388,19 +393,22 @@ def test_routes_refuse_a_short_explicit_horizon_alike():
 @pytest.mark.parametrize("N, a1, a2", [(10, 0.5, 0.5), (20, 0.3, 0.2), (40, 0.1, 0.1),
                                        (300, 0.25, 0.25)])
 def test_routes_share_the_automatic_horizon(N, a1, a2):
-    # each route cuts at the first n with P(T > n) <= 1e-12; their
-    # survivals round differently near 1e-12, so the cuts may differ slightly
+    # each route cuts at the first n with P(T > n) <= 1e-12, and each sums
+    # that survival from the surviving paths of one engine, so the cuts are
+    # equal (those of the FFT inversions lay up to 29 steps from the matrix
+    # route's at N = 300)
     params, res, start = _moran_pipeline(N, a1, a2)
     horizons = [absorption_exact(res.p_tilde, start, boundary=N).n_max,
                 absorption_spectral(bd_spectrum(params)).n_max,
                 absorption_recurrence(bd_params_from_kernel(res.p_tilde)).n_max]
-    assert max(horizons) <= 1.01 * min(horizons), horizons
+    assert len(set(horizons)) == 1, horizons
 
 
 def test_absorption_spectral_refuses_a_hopeless_tail():
-    # P(T > n) >= t_1^n refuses before the capped grid is built: inverting
-    # it took 0.45 s and 3.0 s here, and read the survivor mass of the first
-    # chain off the aliased grid as 0.279 where (1 - 1e-6)^(10^6) is 0.368
+    # P(T > n) >= t_1^n refuses before the engine runs its 10^6 steps (an
+    # FFT inversion of the capped grid once took 0.45 s and 3.0 s, and read
+    # the survivor mass of the first chain as 0.279 where (1 - 1e-6)^(10^6)
+    # is 0.368)
     for spec, message in (
         (Spectrum(np.array([1.0, 1.0 - 1e-6])), "0.368 at n_max=1000000, mean 1e\\+06"),
         (moran_mutation_spectrum(100, 1e-5, 1e-5), "0.819 at n_max=1000000, mean 5.01e\\+06"),
@@ -424,49 +432,9 @@ def test_fft_routes_paper_scale_moran_200():
         assert stats.mean == pytest.approx(mean, rel=1e-8)
 
 
-def _full_grid_invert(factors, n_max):
-    """Oracle: the same inversion over all M points of the unit circle, by
-    a complex inverse FFT."""
-    M = 1 << (2 * n_max + 1).bit_length()
-    while True:
-        u = np.exp(-2j * np.pi * np.arange(M) / M)
-        G = np.ones(M, dtype=complex)
-        for f in factors(u):
-            G *= f
-        c = np.fft.ifft(G).real
-        if c[M // 2:].sum() <= TAIL_LIMIT or M >= stationary_times._GRID_CAP:
-            break
-        M *= 2
-    return c
-
-
-def test_half_circle_inversion_matches_full_grid(monkeypatch):
-    # grid against grid: the cut, read off the survival near 1e-12, moves
-    # with the rounding of either inversion (by 14 steps at Moran (40, .1, .1))
-    params = moran_kernel(40, mutation_bias(0.1, 0.1, 40))
-    hidden = _hidden_params(params)
-    spec = bd_spectrum(params)
-    invert = stationary_times._invert_pgf
-    grids = []
-
-    def record(factors, n_max):
-        grids.append((factors, n_max, invert(factors, n_max)))
-        return grids[-1][2]
-
-    monkeypatch.setattr(stationary_times, "_invert_pgf", record)
-    absorption_recurrence(make_bd([3e-5, 0.0], [0.0, 0.5]))
-    absorption_recurrence(hidden)
-    absorption_spectral(spec)
-    assert len(grids) == 3
-    for factors, n_max, got in grids:
-        want = _full_grid_invert(factors, n_max)
-        assert got.shape == want.shape
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
-
-
 def test_half_circle_inversion_memory_at_horizon_cap():
-    # mean 3.3e4, survival below 1e-12 only near n = 9e5, on the capped grid
-    # of 2^21 points: the full grid of complex points peaked at 224 MB
+    # mean 3.3e4, survival below 1e-12 only near n = 9e5: the law out to
+    # there stays small (a full FFT grid of complex points peaked at 224 MB)
     tracemalloc.start()
     try:
         stats = absorption_recurrence(make_bd([3e-5, 0.0], [0.0, 0.5]))
