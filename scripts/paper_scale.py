@@ -7,11 +7,14 @@ Usage: python3 scripts/paper_scale.py [N1 N2 ...]    (default: N = 1000)
 For each N and each a1 = a2 = a in {.1, .25, .5}, each command runs through
 `dualchain.cli.run` on a moran_mutation config with the Siegmund dual, each
 into its own temporary directory.  One row per run: N, a, the command, its
-exit code, its wall seconds (import excluded) and, for verify, all_passed.
-Timings depend on the BLAS thread count; OPENBLAS_NUM_THREADS=1 makes them
-comparable between runs.
+exit code, its wall seconds (import excluded), its cold wall seconds (the
+same command in a fresh `python -m dualchain.cli` process, interpreter
+start and import included) and, for verify, all_passed.  Timings depend on
+the BLAS thread count; OPENBLAS_NUM_THREADS=1 makes them comparable between
+runs.
 """
 import json
+import subprocess
 import sys
 import tempfile
 import time
@@ -26,34 +29,42 @@ EXTRA = {"plotdata": ["--series", "absorption_pmf"]}
 
 
 def run_once(command, N, a):
-    """(exit code, wall seconds, all_passed or "-") of one command."""
+    """(exit code, wall seconds, cold wall seconds, all_passed or "-") of one
+    command."""
     cfg = {"kind": "moran_mutation", "N": N, "a1": a, "a2": a,
            "dual": {"family": "siegmund"}}
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(cfg))
+        argv = [command, "--config", str(config), "--out", tmp, *EXTRA.get(command, [])]
         t0 = time.perf_counter()
         try:
-            code = run([command, "--config", str(config), "--out", tmp,
-                        *EXTRA.get(command, [])])
+            code = run(argv)
         except Exception as e:  # the exit code dualchain.cli.main gives it
             print(f"# {command} N={N} a={a}: {type(e).__name__}: {e}")
             code = 1
         wall = time.perf_counter() - t0
         summary = Path(tmp) / "verify_summary.json"
         passed = json.loads(summary.read_text())["all_passed"] if summary.exists() else "-"
-    return code, wall, passed
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "dualchain.cli", *argv],
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        cold = time.perf_counter() - t0
+        if proc.returncode != code:
+            print(f"# {command} N={N} a={a}: the cold run exited {proc.returncode}")
+    return code, wall, cold, passed
 
 
 def main(argv):
     Ns = [int(v) for v in argv[1:]] or [1000]
-    print(f"{'N':>6} {'a':>5} {'command':<8} {'exit':>4} {'wall_s':>9} {'all_passed':>10}")
+    print(f"{'N':>6} {'a':>5} {'command':<8} {'exit':>4} {'wall_s':>9} {'cold_s':>9} "
+          f"{'all_passed':>10}")
     for N in Ns:
         for a in A_VALUES:
             for command in COMMANDS:
-                code, wall, passed = run_once(command, N, a)
-                print(f"{N:>6} {a:>5} {command:<8} {code:>4} {wall:>9.3f} {passed!s:>10}",
-                      flush=True)
+                code, wall, cold, passed = run_once(command, N, a)
+                print(f"{N:>6} {a:>5} {command:<8} {code:>4} {wall:>9.3f} {cold:>9.3f} "
+                      f"{passed!s:>10}", flush=True)
 
 
 if __name__ == "__main__":

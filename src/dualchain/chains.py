@@ -104,8 +104,9 @@ def bd_stationary(params: BDParams) -> np.ndarray:
     if not is_irreducible_bd(params):
         raise errors.NotIrreducibleError("stationary product form needs p_0, q_N > 0")
     ratios = params.p[:-1] / params.q[1:]
-    w = np.concatenate([[1.0], np.cumprod(ratios)])
-    return w / w.sum()
+    with np.errstate(over="ignore"):
+        w = np.concatenate([[1.0], np.cumprod(ratios)])
+    return kernels.normalize_stationary(w, "birth-death product form")
 
 
 def reflected_walk_params(N: int, p: float, q: float) -> BDParams:

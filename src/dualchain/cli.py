@@ -9,7 +9,6 @@ import sys
 import tempfile
 from dataclasses import dataclass
 
-import jsonschema
 import numpy as np
 
 from . import (
@@ -82,14 +81,55 @@ CONFIG_SCHEMA = {
 }
 
 
-# JSON Schema counts a float with an integer value, such as 50.0, as an
-# integer; sizes, horizons and states must be Python ints (not bools)
-CONFIG_VALIDATOR = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda checker, v: isinstance(v, int) and not isinstance(v, bool)
-    ),
-)(CONFIG_SCHEMA)
+def _is_type(value, kind: str) -> bool:
+    # JSON Schema counts a float with an integer value, such as 50.0, as an
+    # integer; sizes, horizons and states must be Python ints (not bools)
+    if kind in ("integer", "number"):
+        allowed = int if kind == "integer" else (int, float)
+        return isinstance(value, allowed) and not isinstance(value, bool)
+    return isinstance(value, {"object": dict, "array": list, "string": str}[kind])
+
+
+# the JSON Schema keywords _violations implements; CONFIG_SCHEMA uses no other
+SCHEMA_KEYWORDS = ("type", "enum", "minimum", "maximum", "required", "properties", "items")
+
+
+def _violations(value, schema: dict, path: tuple):
+    """(path, message) of each way ``value`` breaks ``schema``, in the order
+    and the wording of jsonschema's Draft 2020-12 validator."""
+    for key, arg in schema.items():
+        if key == "type" and not _is_type(value, arg):
+            yield path, f"{value!r} is not of type {arg!r}"
+        elif key == "enum" and value not in arg:
+            yield path, f"{value!r} is not one of {arg!r}"
+        elif key == "minimum" and _is_type(value, "number") and value < arg:
+            yield path, f"{value!r} is less than the minimum of {arg!r}"
+        elif key == "maximum" and _is_type(value, "number") and value > arg:
+            yield path, f"{value!r} is greater than the maximum of {arg!r}"
+        elif key == "required" and isinstance(value, dict):
+            yield from ((path, f"{name!r} is a required property")
+                        for name in arg if name not in value)
+        elif key == "properties" and isinstance(value, dict):
+            for name, sub in arg.items():
+                if name in value:
+                    yield from _violations(value[name], sub, path + (name,))
+        elif key == "items" and isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from _violations(item, arg, path + (i,))
+        elif key not in SCHEMA_KEYWORDS:
+            raise KeyError(f"schema keyword {key!r} is not implemented")
+
+
+def check_config(cfg) -> None:
+    """Raise ConfigError for a config that breaks CONFIG_SCHEMA, at the
+    violation jsonschema's best_match would pick: the shallowest, and among
+    siblings the last in path order."""
+    found = max(_violations(cfg, CONFIG_SCHEMA, ()), default=None,
+                key=lambda v: (-len(v[0]), v[0]))
+    if found is not None:
+        path, message = found
+        where = "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+        raise errors.ConfigError(f"config schema violation at {where}: {message}")
 
 
 def load_config(path: str):
@@ -552,9 +592,7 @@ def run(argv=None) -> int:
              if getattr(args, flag) is not None}
     if isinstance(cfg, dict) and isinstance(cfg.get("options", {}), dict):
         cfg["options"] = {**cfg.get("options", {}), **flags}
-    error = jsonschema.exceptions.best_match(CONFIG_VALIDATOR.iter_errors(cfg))
-    if error is not None:
-        raise errors.ConfigError(f"config schema violation at {error.json_path}: {error.message}")
+    check_config(cfg)
     opts = cfg["options"]
     try:
         return HANDLERS[args.command](cfg, args.out, opts)

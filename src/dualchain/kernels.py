@@ -296,12 +296,34 @@ def stationary(P) -> np.ndarray:
         r, c = (col > 0).argmax(), (row > 0).argmax()
         A[r:k, c:k] += col[r:, None] * row[c:]
     pi = np.ones(n)
-    for k in range(1, n):
-        pi[k] = pi[:k] @ A[:k, k]
-    pi /= pi.sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n):
+            pi[k] = pi[:k] @ A[:k, k]
+    pi = normalize_stationary(pi, "GTH back-substitution")
     if sup_norm(pi @ m - pi) > RESID_TOL:
         raise errors.SingularSystemError("stationary solve did not converge")
     return pi
+
+
+def normalize_stationary(w: np.ndarray, stage: str) -> np.ndarray:
+    """w / sum(w) for the unnormalised stationary weights ``w`` of an
+    irreducible chain, which are positive in exact arithmetic.  A law whose
+    entries the float range cannot hold (a weight or the sum overflows, or an
+    entry underflows to 0) is refused by ``stage`` and size, before a NaN or
+    an infinity reaches the caller; compute ``w`` with overflow ignored.
+    """
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if not np.isfinite(total):
+        why = "its unnormalised weights overflow"
+    else:
+        w = w / total
+        if w.all():
+            return w
+        why = "an entry underflows to 0"
+    raise errors.ZeroStationaryEntryError(
+        f"{stage}: the stationary law of n = {w.size} states leaves the float range ({why})"
+    )
 
 
 def reversal(P, pi) -> Kernel:

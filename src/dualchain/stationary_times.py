@@ -29,7 +29,7 @@ import numpy as np
 from . import errors, kernels
 from .chains import BDParams
 from .kernels import as_matrix, sup_norm
-from .spectra import Spectrum
+from .spectra import Spectrum, tridiagonal_eigenvalues
 from .tolerances import (
     EIG_GAP_MIN, EPS_NEG, EPS_STOCH, GROWTH_TOL, RESID_TOL, SHARP_TOL, SPECTRAL_TOL,
     TAIL_LIMIT, TAIL_TARGET,
@@ -318,12 +318,9 @@ def hitting_moments(p_tilde, start, boundary: int) -> tuple[float, float]:
     rows[np.arange(idx.size), idx] = 0.0
     A = -rows[:, idx]
     A[np.diag_indices(idx.size)] = rows.sum(axis=1)
-    from scipy.linalg import lu_factor, lu_solve
-
-    lu = lu_factor(A)
-    m1 = lu_solve(lu, np.ones(idx.size))
+    m1 = np.linalg.solve(A, np.ones(idx.size))
     mean = float(start[idx] @ m1)
-    return mean, float(start[idx] @ lu_solve(lu, 2.0 * m1 - 1.0)) - mean**2
+    return mean, float(start[idx] @ np.linalg.solve(A, 2.0 * m1 - 1.0)) - mean**2
 
 
 def _truncate(coef, n_max: int | None, mean: float,
@@ -539,10 +536,8 @@ def absorption_recurrence(params: BDParams, n_max: int | None = None) -> Absorpt
             raise errors.TruncationTooCoarseError(
                 f"survivor mass at least {floor:.3g} at n_max={N_MAX_CAP}, mean {mean:.3g}"
             )
-    from scipy.linalg import eigvalsh_tridiagonal
-
     # largest first, the order of the spectral route's t_k
-    theta = eigvalsh_tridiagonal(r[:N], np.sqrt(p[: N - 1] * q[1:N]))[::-1]
+    theta = tridiagonal_eigenvalues(r[:N], np.sqrt(p[: N - 1] * q[1:N]))[::-1]
     pmf, survival = _pure_birth_law(theta, n_max, mean)
     return AbsorptionStats(pmf=pmf, survival=survival, mean=mean, variance=variance,
                            source="recurrence")

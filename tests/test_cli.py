@@ -4,11 +4,13 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dualchain
 from dualchain import cli, duals, errors, intertwining, kernels
@@ -308,20 +310,37 @@ def test_commands_that_write_no_identity_residual_compute_none(
         assert _run(args[0], config, tmp_path, *args[1:]) == 0
 
 
-def test_cli_import_leaves_out_unused_scipy(tmp_path):
-    # the import loads no SciPy module, and a simulate run loads no scipy.linalg
+MORAN_10 = {"kind": "moran_mutation", "N": 10, "a1": 0.5, "a2": 0.5,
+            "dual": {"family": "siegmund"}}
+
+
+@pytest.mark.parametrize("config", ["chain_b.json", MORAN_10],
+                         ids=["chain_b", "moran_mutation_10"])
+@pytest.mark.parametrize("args", [
+    ["ssd"], ["simulate"], ["build"], ["dual"], ["intertwine"], ["verify"],
+    ["plotdata", "--series", "absorption_pmf"],
+], ids=lambda args: args[0])
+def test_cli_import_leaves_out_unused_scipy(tmp_path, config, args):
+    # the import loads no SciPy module, and a run loads neither scipy.linalg
+    # nor jsonschema: numpy's LAPACK takes the small solves and the config
+    # check is built in.  Only spectrum needs SciPy (eigenvectors).
     code = ("import sys, dualchain.cli; "
             "print([m for m in ('scipy.stats', 'scipy.optimize', 'scipy.signal') "
             "if m in sys.modules]); "
             "assert dualchain.cli.run(sys.argv[1:]) == 0; "
-            "print('scipy.linalg' in sys.modules)")
+            "print([m for m in ('scipy.linalg', 'jsonschema') if m in sys.modules])")
     src = str(Path(dualchain.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    args = ["simulate", "--config", str(CONFIGS / "chain_b.json"), "--out", str(tmp_path)]
-    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+    if isinstance(config, dict):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+    else:
+        path = CONFIGS / config
+    argv = [*args, "--config", str(path), "--out", str(tmp_path)]
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                          text=True, check=True, env=env, timeout=120)
-    assert out.stdout.split() == ["[]", "False"]
+    assert out.stdout.split() == ["[]", "[]"]
 
 
 def test_verify_infeasible_exit_2(tmp_path):
@@ -359,7 +378,8 @@ def test_plotdata_unknown_series(tmp_path):
 def test_config_schema_violation(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"kind": "unheard-of"}))
-    with pytest.raises(errors.ConfigError):
+    with pytest.raises(errors.ConfigError,
+                       match=r"at \$\.kind: 'unheard-of' is not one of \['dense', "):
         run(["build", "--config", str(bad), "--out", str(tmp_path)])
 
 
@@ -395,17 +415,87 @@ def test_integral_floats_are_not_integers(tmp_path, command, entry, path):
     assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 
-def test_config_schema_is_checked_once(tmp_path, monkeypatch):
+def _schema_keywords(schema):
+    for key, arg in schema.items():
+        yield key
+        subs = arg.values() if key == "properties" else [arg] if key == "items" else []
+        for sub in subs:
+            yield from _schema_keywords(sub)
+
+
+def test_config_check_implements_every_schema_keyword():
+    jsonschema = pytest.importorskip("jsonschema")
     jsonschema.Draft202012Validator.check_schema(cli.CONFIG_SCHEMA)
+    assert set(_schema_keywords(cli.CONFIG_SCHEMA)) <= set(cli.SCHEMA_KEYWORDS)
 
-    def fail(*args, **kwargs):
-        raise AssertionError("the schema is re-checked per run")
 
-    monkeypatch.setattr(jsonschema.Draft202012Validator, "check_schema", fail)
-    monkeypatch.setattr(jsonschema, "validate", fail)
-    assert _run("build", "chain_a.json", tmp_path) == 0
-    with pytest.raises(errors.ConfigError, match=r"at \$\.kind:"):
-        _run_cfg("build", {"kind": "unheard-of"}, tmp_path)
+# names the mutations add: every key CONFIG_SCHEMA knows, and one it does not
+SCHEMA_NAMES = ["kind", "N", "matrix", "p", "q", "r", "bias", "a1", "a2", "dual",
+                "options", "family", "k", "alpha", "beta", "R", "n_max", "trials",
+                "seed", "start", "sweep", "series", "other"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2**64 + 1)
+    | st.floats(-2, 2, allow_nan=False) | st.sampled_from([50.0, 1.0, 0.0, -0.0])
+    | st.sampled_from(["siegmund", "ultrametric", "dense", "moran_mutation", "", "x"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(SCHEMA_NAMES), inner, max_size=3),
+    max_leaves=6,
+)
+SHIPPED = [json.loads(path.read_text()) for path in sorted(CONFIGS.glob("*.json"))]
+
+
+def _nodes(node, path=()):
+    yield path
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    cfg = draw(st.sampled_from(SHIPPED + [MORAN_10]))
+    cfg = json.loads(json.dumps(cfg))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_nodes(cfg))))
+        value = draw(JSON_VALUES)
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "add":
+            target = parent[path[-1]] if path else cfg
+            if isinstance(target, dict):
+                target[draw(st.sampled_from(SCHEMA_NAMES))] = value
+        elif not path:
+            cfg = value
+        elif action == "delete" and isinstance(parent, dict):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_configs())
+def test_config_check_agrees_with_jsonschema(cfg):
+    # oracle: jsonschema's Draft 2020-12 validator with the int-not-float
+    # integer type; both accept or both reject, and a lone violation is
+    # reported at the same path in the same words
+    jsonschema = pytest.importorskip("jsonschema")
+    base = jsonschema.Draft202012Validator
+    validator = jsonschema.validators.extend(base, type_checker=base.TYPE_CHECKER.redefine(
+        "integer", lambda checker, v: isinstance(v, int) and not isinstance(v, bool),
+    ))(cli.CONFIG_SCHEMA)
+    want = list(validator.iter_errors(cfg))
+    if not want:
+        cli.check_config(cfg)
+        return
+    with pytest.raises(errors.ConfigError) as exc:
+        cli.check_config(cfg)
+    if len(want) == 1:
+        assert str(exc.value) == (
+            f"config schema violation at {want[0].json_path}: {want[0].message}")
 
 
 @pytest.mark.parametrize("N", [30, 100, 300])
@@ -428,6 +518,34 @@ def test_main_exit_codes(tmp_path, monkeypatch, capsys):
         main()
     assert exc.value.code == 1
     assert "error: ConfigError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["build", "ssd"])
+def test_stationary_law_outside_the_float_range_exits_1(tmp_path, monkeypatch, capsys,
+                                                        command):
+    # build once wrote 1041 NaN stationary entries at Moran (1040, .5, .5), and
+    # ssd ended in an unnamed NonFiniteEntryError after three RuntimeWarnings
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**MORAN_10, "N": 1040}))
+    monkeypatch.setattr(
+        "sys.argv", ["dualchain", command, "--config", str(path), "--out", str(tmp_path)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            main()
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == (
+        "error: ZeroStationaryEntryError: GTH back-substitution: the stationary law of "
+        "n = 1041 states leaves the float range (its unnormalised weights overflow)\n")
+    assert not list(tmp_path.glob("*_summary.json"))
+
+
+def test_moran_1000_stays_inside_the_float_range(tmp_path):
+    cfg = {**MORAN_10, "N": 1000}
+    assert _run_cfg("build", cfg, tmp_path) == 0
+    pi = np.array(json.loads((tmp_path / "build_summary.json").read_text())["stationary"])
+    assert np.all(np.isfinite(pi)) and pi.min() > 0
+    assert _run_cfg("ssd", cfg, tmp_path) == 0
 
 
 def test_nmax_override(tmp_path):

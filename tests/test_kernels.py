@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +116,25 @@ def test_stationary_relative_accuracy_tiny_masses():
     pi = kernels.stationary(bd_kernel(params))
     ref = bd_stationary(params)
     np.testing.assert_allclose(pi, ref, rtol=1e-12, atol=0)
+
+
+def test_stationary_law_outside_the_float_range_is_refused_by_name():
+    # Moran (1040, .5, .5) has pi = Binomial(1040, 1/2): its entries span
+    # 2^1040 / C(1040, 520), more than a float holds, and both routes once
+    # returned NaN with an overflow warning
+    params = moran_kernel(1040, mutation_bias(0.5, 0.5, 1040))
+    routes = [(lambda: kernels.stationary(bd_kernel(params)), "GTH back-substitution"),
+              (lambda: bd_stationary(params), "birth-death product form")]
+    for route, stage in routes:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.ZeroStationaryEntryError,
+                               match=f"^{stage}: the stationary law of n = 1041 states "
+                                     "leaves the float range"):
+                route()
+    # a weight that underflows to 0 is refused too
+    with pytest.raises(errors.ZeroStationaryEntryError, match="underflows to 0"):
+        kernels.normalize_stationary(np.array([1.0, 1e-300, 0.0]), "test")
 
 
 def _gth_full_update(m):

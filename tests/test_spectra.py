@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualchain import errors
+from dualchain import errors, spectra
 from dualchain.chains import (
     bd_kernel,
     bd_stationary,
@@ -23,6 +23,7 @@ from dualchain.spectra import (
     orthopoly_roots,
     spectral_weights,
     spectrum_monotonicity_checks,
+    tridiagonal_eigenvalues,
 )
 
 
@@ -46,6 +47,26 @@ def test_bd_spectrum_matches_dense_eigensolver(rng):
         t = bd_spectrum(params).eigenvalues
         ref = np.sort(np.linalg.eigvals(bd_kernel(params).matrix).real)[::-1]
         np.testing.assert_allclose(t, ref, atol=1e-10)
+
+
+def _moran_tridiagonal(n):
+    # the symmetrised Moran (n, .1, .1) kernel, cut to its first n states
+    params = moran_kernel(n, mutation_bias(0.1, 0.1, n))
+    return params.r[:n], np.sqrt(params.p[: n - 1] * params.q[1:n])
+
+
+@pytest.mark.parametrize("n", [1, 2, 41, spectra.DENSE_EIGVALS_MAX,
+                               spectra.DENSE_EIGVALS_MAX + 1])
+def test_tridiagonal_eigenvalues_match_scipy_bitwise(n):
+    # both sides of the size selection end in LAPACK dsterf on the same
+    # tridiagonal, so the dense numpy branch returns SciPy's bits
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    rng = np.random.default_rng(n)
+    for d, e in [(rng.normal(size=n), rng.normal(size=n - 1)), _moran_tridiagonal(n)]:
+        got = tridiagonal_eigenvalues(d, e)
+        assert np.array_equal(got, eigvalsh_tridiagonal(d, e))
+        assert np.all(np.diff(got) >= 0)
 
 
 def test_bd_spectrum_requires_irreducible():

@@ -609,6 +609,39 @@ def test_hitting_moments_match_rational_solve_moran_hypergeometric():
     assert absorption_exact(pipe.res.p_tilde, pipe.pt0, 0).variance == got[1]
 
 
+def _lu_moments(pt, start, boundary):
+    # oracle: SciPy's getrf/getrs on I - Q over every state but the boundary,
+    # with the GTH diagonal; np.linalg.solve runs the same LAPACK gesv steps
+    from scipy.linalg import lu_factor, lu_solve
+
+    S = np.flatnonzero(np.arange(pt.shape[0]) != boundary)
+    rows = pt[S]
+    rows[np.arange(S.size), S] = 0.0
+    A = -rows[:, S]
+    A[np.diag_indices(S.size)] = rows.sum(axis=1)
+    lu = lu_factor(A)
+    m1 = lu_solve(lu, np.ones(S.size))
+    mean = float(start[S] @ m1)
+    return mean, float(start[S] @ lu_solve(lu, 2.0 * m1 - 1.0)) - mean**2
+
+
+def test_hitting_moments_match_lu_oracle_bitwise():
+    P = bd_kernel(moran_kernel(40, mutation_bias(0.1, 0.1, 40)))
+    res = build_intertwining(P, siegmund_function(40), siegmund_dual(P).dual)
+    start = np.eye(41)[0]
+    assert np.array_equal(hitting_moments(res.p_tilde, start, 40),
+                          _lu_moments(res.p_tilde, start, 40))
+    # a dense chain absorbed at 3, from a spread start
+    rng = np.random.default_rng(17)
+    pt = rng.random((30, 30))
+    pt[3] = 0.0
+    pt[3, 3] = 1.0
+    pt /= pt.sum(axis=1, keepdims=True)
+    start = rng.random(30)
+    start /= start.sum()
+    assert np.array_equal(hitting_moments(pt, start, 3), _lu_moments(pt, start, 3))
+
+
 def test_hitting_moments_work_on_the_states_the_start_reaches():
     # state 3 is absorbing and unreachable: I - Q over {0, 1, 3} is singular
     start = np.array([1.0, 0.0, 0.0, 0.0])
