@@ -254,7 +254,6 @@ def _out(outdir: str, name: str) -> str:
 
 def cmd_build(cfg, outdir, opts):
     P, params = build_chain(cfg)
-    write_matrix_csv(_out(outdir, "kernel.csv"), P.matrix)
     summary = {
         "kind": cfg["kind"],
         "n": P.n,
@@ -263,6 +262,7 @@ def cmd_build(cfg, outdir, opts):
     }
     if summary["irreducible"]:
         summary["stationary"] = kernels.stationary(P)
+    write_matrix_csv(_out(outdir, "kernel.csv"), P.matrix)
     write_json(_out(outdir, "build_summary.json"), summary)
     return 0
 
@@ -270,17 +270,17 @@ def cmd_build(cfg, outdir, opts):
 def cmd_dual(cfg, outdir, opts):
     P, _ = build_chain(cfg)
     H, report = build_dual(cfg, P)
-    write_matrix_csv(_out(outdir, "dual.csv"), report.dual)
-    write_matrix_csv(_out(outdir, "dual_function.csv"), H.matrix)
     summary = {
         "family": cfg.get("dual", {"family": "siegmund"})["family"],
         "feasible": report.feasible,
-        "residual": report.residual,
+        "residual": duals.verify_duality(P, H, report.dual, n_max=1)["static"],
         "mass_leaks": report.mass_leaks,
         "leak0": float(report.mass_leaks[0]),
         "violations": report.violations[:10],
         "diagnostics": report.diagnostics,
     }
+    write_matrix_csv(_out(outdir, "dual.csv"), report.dual)
+    write_matrix_csv(_out(outdir, "dual_function.csv"), H.matrix)
     write_json(_out(outdir, "dual_summary.json"), summary)
     return 0 if report.feasible else 2
 
@@ -364,6 +364,7 @@ INFEASIBLE = {
 def cmd_intertwine(cfg, outdir, opts):
     pipe = pipeline(cfg, opts)
     res = pipe.res
+    residuals = intertwining.identity_residuals(pipe.P, pipe.H, pipe.report.dual, res)
     write_matrix_csv(_out(outdir, "link.csv"), res.link)
     write_matrix_csv(_out(outdir, "p_tilde.csv"), res.p_tilde)
     write_matrix_csv(_out(outdir, "k_map.csv"), res.K)
@@ -371,8 +372,7 @@ def cmd_intertwine(cfg, outdir, opts):
               [(str(i), res.phi[i], res.pi[i]) for i in range(pipe.P.n)])
     write_json(_out(outdir, "intertwine_summary.json"), {
         "feasible": True,
-        "diagnostics": {**res.diagnostics, **intertwining.identity_residuals(
-            pipe.P, pipe.H, pipe.report.dual, res)},
+        "diagnostics": {**res.diagnostics, **residuals},
         "class_constants": res.class_constants,
     })
     return 0
@@ -384,8 +384,8 @@ def cmd_spectrum(cfg, outdir, opts):
         raise errors.ConfigError("spectrum needs a birth-death chain")
     spec = spectra.spectral_weights(params)
     rows = [(str(k), spec.eigenvalues[k], spec.weights[k]) for k in range(spec.n)]
-    write_csv(_out(outdir, "spectrum.csv"), ["k", "t_k", "mu_k"], rows)
     checks = spectra.spectrum_monotonicity_checks(params)
+    write_csv(_out(outdir, "spectrum.csv"), ["k", "t_k", "mu_k"], rows)
     write_json(_out(outdir, "spectrum_summary.json"), {
         "gap": spec.gap,
         "monotone": checks["monotone"],
@@ -399,7 +399,6 @@ def cmd_spectrum(cfg, outdir, opts):
 def cmd_ssd(cfg, outdir, opts):
     pipe = pipeline(cfg, opts)
     sharp = pipe.sharpness(opts.get("n_max", 100))
-    write_csv(_out(outdir, "ssd.csv"), ["n", "separation", "survival"], sharp.table)
     mean, variance = stationary_times.hitting_moments(pipe.res.p_tilde, pipe.pt0,
                                                       sharp.boundary)
     summary = {
@@ -413,6 +412,7 @@ def cmd_ssd(cfg, outdir, opts):
     sp = pipe.spectral_moments(sharp.boundary)
     if sp is not None:
         summary["mean_spectral"], summary["variance_spectral"] = sp
+    write_csv(_out(outdir, "ssd.csv"), ["n", "separation", "survival"], sharp.table)
     write_json(_out(outdir, "ssd_summary.json"), summary)
     return 0
 
@@ -436,16 +436,17 @@ def cmd_simulate(cfg, outdir, opts):
         mu = kernels.evolve(pipe.pt0 @ pk.link, pk.p, t)
         for s in range(pk.n):
             rows.append((str(t), "observed", str(s), fx[s], mu[s]))
-    write_csv(_out(outdir, "empirical.csv"),
-              ["time", "coordinate", "state", "frequency", "exact"], rows)
-    write_json(_out(outdir, "simulate_summary.json"), {
+    summary = {
         "ok": rep["ok"],
         "checks": rep["checks"],
         "n_paths": batch.n_paths,
         "seed": batch.seed,
         "fingerprint": batch.fingerprint,
         "trajectory_digest": batch.digest(),
-    })
+    }
+    write_csv(_out(outdir, "empirical.csv"),
+              ["time", "coordinate", "state", "frequency", "exact"], rows)
+    write_json(_out(outdir, "simulate_summary.json"), summary)
     return 0
 
 

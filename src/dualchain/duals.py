@@ -55,7 +55,7 @@ class DualFunction:
 
 
 def _two_block(N: int, k: int, alpha: float, beta: float):
-    """gamma, e and H of the cumulative function with blocks C = {0..k} and
+    """gamma and e of the cumulative function with blocks C = {0..k} and
     C' = {k+1..N}.
 
     H(x, y) = 1(x <= y) times (1 + gamma(x)) inside a block and 1 across
@@ -64,17 +64,19 @@ def _two_block(N: int, k: int, alpha: float, beta: float):
     above, with e(k) = 1/(1+beta) and e = 1 elsewhere.  k = N with
     alpha = beta = 0 is the one-block case, the Siegmund indicator.
     """
-    n = N + 1
-    low = np.arange(n) <= k
-    gamma = np.where(low, float(alpha), float(beta))
-    e = np.ones(n)
+    gamma = np.where(np.arange(N + 1) <= k, float(alpha), float(beta))
+    e = np.ones(N + 1)
     e[k] = 1.0 / (1.0 + beta)
-    H = np.triu(np.ones((n, n))) * (1.0 + gamma[:, None] * (low[:, None] == low[None, :]))
-    return gamma, e, H
+    return gamma, e
 
 
 def _two_block_function(N, k, alpha, beta, family, params) -> DualFunction:
-    return DualFunction(_two_block(N, k, alpha, beta)[2], family, params)
+    """The H that ``_two_block`` describes."""
+    gamma, _ = _two_block(N, k, alpha, beta)
+    low = np.arange(N + 1) <= k
+    same_block = low[:, None] == low[None, :]
+    H = np.triu(np.ones((N + 1, N + 1))) * (1.0 + gamma[:, None] * same_block)
+    return DualFunction(H, family, params)
 
 
 def _check_ultrametric(N: int, k: int, alpha: float, beta: float) -> None:
@@ -153,12 +155,12 @@ class DualReport:
 
     ``feasible`` is False when the candidate has entries below -EPS_NEG; the
     offending entries are listed in ``violations`` as (condition, (row, col),
-    value).  ``mass_leaks`` holds 1 - row sums of the dual.
+    value).  ``mass_leaks`` holds 1 - row sums of the dual.  The residual
+    of the duality identity is ``verify_duality``'s to measure.
     """
 
     dual: np.ndarray
     feasible: bool
-    residual: float
     mass_leaks: np.ndarray
     violations: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
@@ -172,13 +174,12 @@ def is_monotone(P) -> bool:
     return bool(np.all(F[1:] - F[:-1] <= EPS_NEG))
 
 
-def _report(dual, H, B, tag) -> DualReport:
-    """Report on a candidate dual of the identity H dual' = B.
+def _report(dual, tag) -> DualReport:
+    """Report on a candidate dual.
 
     Entries below -EPS_NEG are violations, tagged ``tag(row)``, and make the
     candidate infeasible; entries in [-EPS_NEG, 0) are clamped to 0 before
-    the residual and the mass leaks are taken.  Diagnostics are left for the
-    caller to fill.
+    the mass leaks are taken.  Diagnostics are left for the caller to fill.
     """
     violations = [
         (tag(int(y)), (int(y), int(x)), float(dual[y, x]))
@@ -188,7 +189,6 @@ def _report(dual, H, B, tag) -> DualReport:
     return DualReport(
         dual=dual,
         feasible=not violations,
-        residual=sup_norm(H @ dual.T - B),
         mass_leaks=1.0 - dual.sum(axis=1),
         violations=violations,
     )
@@ -200,12 +200,12 @@ def _two_block_dual(K: Kernel, k: int, alpha: float, beta: float):
     Phat' = H^{-1} (P H): P H is a blockwise cumulative sum, (1+alpha) F(x, y)
     for y <= k and (1+beta) F(x, y) - beta F(x, k) for y > k, with F(x, y) =
     sum_{z<=y} P(x, z), and H^{-1} is the bidiagonal of ``_two_block``.
-    Returns (dual, F, H).  For stochastic K, F(x, .) is exactly 1 from the
+    Returns (dual, F).  For stochastic K, F(x, .) is exactly 1 from the
     last nonzero entry of row x on (the row sum), so the dual has exact
     zeros there rather than +-1e-16 of rounding.
     """
     m, n = K.matrix, K.n
-    gamma, e, H = _two_block(n - 1, k, alpha, beta)
+    gamma, e = _two_block(n - 1, k, alpha, beta)
     F = np.cumsum(m, axis=1)
     if K.kind is kernels.KernelKind.STOCHASTIC:
         last = n - 1 - np.argmax(m[:, ::-1] != 0, axis=1)
@@ -214,7 +214,7 @@ def _two_block_dual(K: Kernel, k: int, alpha: float, beta: float):
     PH[:, k + 1:] = (1.0 + beta) * F[:, k + 1:] - beta * F[:, k:k + 1]
     below = np.vstack([PH[1:], np.zeros(n)])  # (P H)(x+1, .), zero past N
     dual = ((PH - e[:, None] * below) / (1.0 + gamma[:, None])).T
-    return dual, F, H
+    return dual, F
 
 
 def siegmund_dual(P) -> DualReport:
@@ -228,8 +228,7 @@ def siegmund_dual(P) -> DualReport:
     """
     K = P if isinstance(P, Kernel) else kernels.validate_kernel(P)
     n = K.n
-    dual, _, H = _two_block_dual(K, n - 1, 0.0, 0.0)
-    rep = _report(dual, H, K.matrix @ H, lambda y: "monotone")
+    rep = _report(_two_block_dual(K, n - 1, 0.0, 0.0)[0], lambda y: "monotone")
     rep.diagnostics.update({
         "absorbing_last": n - 1 in kernels.absorbing_states(rep.dual)
         if K.kind is kernels.KernelKind.STOCHASTIC
@@ -278,11 +277,9 @@ def ultrametric_dual(P, k: int, alpha: float, beta: float) -> DualReport:
     K = P if isinstance(P, Kernel) else kernels.validate_kernel(P)
     n = K.n
     _check_ultrametric(n - 1, k, alpha, beta)
-    dual, F, H = _two_block_dual(K, k, alpha, beta)
-    rep = _report(
-        dual, H, K.matrix @ H,
-        lambda y: "lower-block-cumulative" if y <= k else "upper-block-cumulative",
-    )
+    dual, F = _two_block_dual(K, k, alpha, beta)
+    rep = _report(dual, lambda y: "lower-block-cumulative" if y <= k
+                  else "upper-block-cumulative")
     row_mass = rep.dual.sum(axis=1)
     low = np.arange(n) <= k
     high = ~low
@@ -424,7 +421,7 @@ def dual_via_solve(P, H: DualFunction) -> DualReport:
     else:
         X = np.linalg.solve(Hm, B)
     X = _support_refit(Hm, B, X)
-    rep = _report(X.T, Hm, B, lambda y: "nonnegativity")
+    rep = _report(X.T, lambda y: "nonnegativity")
     rep.diagnostics["condition_estimate"] = cond
     return rep
 
@@ -464,12 +461,12 @@ def potential_dual_check(R) -> dict:
     col_sums = Rm.sum(axis=0)
     transpose_sub = bool(np.all(col_sums <= 1 + EPS_STOCH))
     m, Hm = np.full((n, n), 1.0 / n), Hfn.matrix
-    rep = _report(((np.eye(n) - Rm) @ m @ Hm).T, Hm, m @ Hm, lambda y: "nonnegativity")
+    rep = _report(((np.eye(n) - Rm) @ m @ Hm).T, lambda y: "nonnegativity")
     return {
         "dual": rep.dual,
         "feasible": rep.feasible,
         "transpose_substochastic": transpose_sub,
         "row_sums_nonnegative": bool(np.all(rep.dual.sum(axis=1) >= -EPS_NEG)),
-        "residual": rep.residual,
+        "residual": verify_duality(m, Hfn, rep.dual, n_max=1)["static"],
         "dual_function": Hfn,
     }

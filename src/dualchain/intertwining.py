@@ -70,7 +70,7 @@ def build_intertwining(P, H: DualFunction, dual) -> IntertwiningResult:
     phi = Hm.T @ pi
     if np.min(phi) <= 0:
         raise errors.HarmonicNotPositiveError("phi = H' pi has a nonpositive entry")
-    harmonic_resid = sup_norm(d @ phi - phi)
+    harmonic_resid = kernels.check_harmonic(d, phi)
     if harmonic_resid > RESID_TOL:
         raise errors.DualityResidualError(
             f"phi fails harmonicity for the dual: {harmonic_resid:.3g}"

@@ -176,15 +176,15 @@ class SharpnessReport:
     sharp: bool
 
 
-def verify_sharpness(P, p_tilde, link, pi0, pi_tilde0, n_max: int = 100,
-                     boundary: int | None = None) -> SharpnessReport:
+def verify_sharpness(P, p_tilde, link, pi0, pi_tilde0,
+                     n_max: int = 100) -> SharpnessReport:
     """Tabulate sep(pi_n, pi) against P(T_boundary > n).
 
     ``P`` must be the kernel the link intertwines with p_tilde (for a
     reversible chain that is the chain itself; in general its reversal).
-    The inequality sep <= survival is asserted at every n once the boundary
-    row of the link equals pi; equality is asserted when a witness state
-    exists.
+    The boundary is the last absorbing state of p_tilde whose link row is
+    pi within SHARP_TOL.  The inequality sep <= survival is asserted at
+    every n; equality is asserted when a witness state exists.
     """
     m = as_matrix(P)
     pt = as_matrix(p_tilde)
@@ -202,14 +202,9 @@ def verify_sharpness(P, p_tilde, link, pi0, pi_tilde0, n_max: int = 100,
     candidates = [
         a for a in kernels.absorbing_states(pt) if sup_norm(L[a] - pi) <= SHARP_TOL
     ]
-    if boundary is None:
-        if not candidates:
-            raise errors.NotAbsorbingError("no absorbing state carries pi in the link")
-        boundary = candidates[-1]
-    elif boundary not in candidates:
-        raise errors.NotAbsorbingError(
-            f"state {boundary} is not an absorbing pi-row of the link"
-        )
+    if not candidates:
+        raise errors.NotAbsorbingError("no absorbing state carries pi in the link")
+    boundary = candidates[-1]
 
     wit = sharpness_witness(L, pi, boundary)
     witness = wit["witnesses"][0] if wit["witnesses"] else None
@@ -402,7 +397,9 @@ def _pure_birth_law(t, n_max: int | None, mean: float) -> tuple[np.ndarray, np.n
     K[np.arange(N), np.arange(N)] = t
     K[np.arange(N), np.arange(1, N + 1)] = 1.0 - t
     K[N, N] = 1.0
-    return _absorb(K, np.eye(N + 1)[0], N, n_max, mean)
+    start = np.zeros(N + 1)
+    start[0] = 1.0
+    return _absorb(K, start, N, n_max, mean)
 
 
 def absorption_exact(p_tilde, start, boundary: int, n_max: int | None = None) -> AbsorptionStats:

@@ -16,6 +16,7 @@ import dualchain
 from dualchain import cli, duals, errors, intertwining, kernels
 from dualchain.chains import moran_kernel, mutation_bias
 from dualchain.cli import main, run
+from dualchain.samplers import random_monotone_kernel
 from dualchain.spectra import bd_spectrum
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -75,6 +76,28 @@ def test_dual_rejects_non_monotone(tmp_path):
     assert summary["violations"]
 
 
+ULTRAMETRIC = {
+    "kind": "dense",
+    "matrix": random_monotone_kernel(np.random.default_rng(0), 6).tolist(),
+    "dual": {"family": "ultrametric", "k": 2, "alpha": 0.5, "beta": 0.0},
+}
+
+
+@pytest.mark.parametrize("config", [
+    *(path.name for path in sorted(CONFIGS.glob("*.json")) if path.stem != "non_monotone"),
+    ULTRAMETRIC,
+], ids=lambda config: config if isinstance(config, str) else "ultrametric")
+def test_dual_residual_is_the_pipeline_gate(tmp_path, config):
+    # the residual `dual` writes is the one build_intertwining gates, bit for bit
+    cfg = config if isinstance(config, dict) else json.loads((CONFIGS / config).read_text())
+    assert _run_cfg("dual", cfg, tmp_path) == 0
+    residual = json.loads((tmp_path / "dual_summary.json").read_text())["residual"]
+    P, _ = cli.build_chain(cfg)
+    H, rep = cli.build_dual(cfg, P)
+    res = intertwining.build_intertwining(P, H, rep.dual)
+    assert residual == res.diagnostics["duality"]["static"]
+
+
 def test_intertwine_chain_b(tmp_path):
     assert _run("intertwine", "chain_b.json", tmp_path) == 0
     for name in ("link.csv", "p_tilde.csv", "k_map.csv", "phi.csv"):
@@ -82,6 +105,18 @@ def test_intertwine_chain_b(tmp_path):
     phi = np.loadtxt(tmp_path / "phi.csv", delimiter=",", skiprows=1)
     np.testing.assert_allclose(phi[:, 1], [1 / 6, 1 / 2, 1.0], atol=1e-12)
     np.testing.assert_allclose(phi[:, 2], [1 / 6, 1 / 3, 1 / 2], atol=1e-12)
+
+
+def test_intertwine_writes_nothing_when_a_residual_fails(tmp_path, monkeypatch):
+    def boom(*a, **k):
+        raise errors.DualChainError("residual failed")
+
+    monkeypatch.setattr(intertwining, "identity_residuals", boom)
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(errors.DualChainError):
+        _run("intertwine", "chain_b.json", out)
+    assert list(out.iterdir()) == []
 
 
 def test_intertwine_exit_2_when_infeasible(tmp_path):
@@ -527,8 +562,10 @@ def test_stationary_law_outside_the_float_range_exits_1(tmp_path, monkeypatch, c
     # ssd ended in an unnamed NonFiniteEntryError after three RuntimeWarnings
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**MORAN_10, "N": 1040}))
+    out = tmp_path / "out"
+    out.mkdir()
     monkeypatch.setattr(
-        "sys.argv", ["dualchain", command, "--config", str(path), "--out", str(tmp_path)])
+        "sys.argv", ["dualchain", command, "--config", str(path), "--out", str(out)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SystemExit) as exc:
@@ -537,7 +574,7 @@ def test_stationary_law_outside_the_float_range_exits_1(tmp_path, monkeypatch, c
     assert capsys.readouterr().err == (
         "error: ZeroStationaryEntryError: GTH back-substitution: the stationary law of "
         "n = 1041 states leaves the float range (its unnormalised weights overflow)\n")
-    assert not list(tmp_path.glob("*_summary.json"))
+    assert list(out.iterdir()) == []
 
 
 def test_moran_1000_stays_inside_the_float_range(tmp_path):
@@ -552,6 +589,18 @@ def test_nmax_override(tmp_path):
     assert _run("ssd", "chain_a.json", tmp_path, "--nmax", "12") == 0
     table = np.loadtxt(tmp_path / "ssd.csv", delimiter=",", skiprows=1)
     assert table.shape[0] == 13
+
+
+def test_nmax_leaves_the_absorption_pmf_alone(tmp_path):
+    # the series runs to the automatic cut of absorption_exact
+    tables = []
+    for n_max in ("5", "40"):
+        out = tmp_path / n_max
+        assert _run("plotdata", "chain_b.json", out, "--series", "absorption_pmf",
+                    "--nmax", n_max) == 0
+        tables.append((out / "series.csv").read_text())
+    assert tables[0] == tables[1]
+    assert len(tables[0].splitlines()) == 128  # header and n = 0..126
 
 
 def test_verify_non_reversible_chain_all_passed(tmp_path):

@@ -119,7 +119,8 @@ def test_siegmund_dual_chain_a(chain_a):
     assert rep.feasible
     np.testing.assert_allclose(rep.dual, [[0.5, 0.2], [0.0, 1.0]], atol=1e-15)
     np.testing.assert_allclose(rep.mass_leaks, [0.3, 0.0], atol=1e-15)
-    assert rep.residual <= 1e-12
+    assert verify_duality(bd_kernel(chain_a), siegmund_function(1), rep.dual,
+                          n_max=1)["static"] <= 1e-12
     # boundary identities of the cumulative construction
     P = bd_kernel(chain_a).matrix
     assert rep.dual[0, 1] == pytest.approx(1 - P[1, 1], abs=1e-15)
@@ -220,7 +221,8 @@ def test_ultrametric_dual_block_instance():
         d["row_mass"], [0.65, 1.0, 0.8558823529411765, 1.0], atol=1e-12
     )
     assert d["conservative_rows"] == [1, 3]
-    assert rep.residual <= 1e-12
+    H = ultrametric_function(3, 1, 0.7, 0.4)
+    assert verify_duality(P, H, rep.dual, n_max=1)["static"] <= 1e-12
 
 
 def test_ultrametric_dual_rejects_bad_params(chain_b):
@@ -314,9 +316,10 @@ def test_dual_via_solve_condition_gate():
 
 def test_dual_via_solve_hypergeometric_moran():
     params = moran_kernel(6, mutation_bias(0.3, 0.2, 6))
-    rep = dual_via_solve(bd_kernel(params), hypergeometric_function(6))
+    P, H = bd_kernel(params), hypergeometric_function(6)
+    rep = dual_via_solve(P, H)
     assert rep.feasible
-    assert rep.residual <= 1e-12
+    assert verify_duality(P, H, rep.dual, n_max=1)["static"] <= 1e-12
     np.testing.assert_allclose(
         rep.dual.sum(axis=1), 1 - 0.3 * np.arange(7) / 6, atol=1e-12
     )
@@ -328,10 +331,11 @@ def test_dual_via_solve_support_refit_large_moran():
     # must strip it without loosening the identity
     N = 20
     params = moran_kernel(N, mutation_bias(0.3, 0.2, N))
-    rep = dual_via_solve(bd_kernel(params), hypergeometric_function(N))
+    P, H = bd_kernel(params), hypergeometric_function(N)
+    rep = dual_via_solve(P, H)
     assert rep.feasible
     assert rep.dual.min() >= 0
-    assert rep.residual <= 1e-10
+    assert verify_duality(P, H, rep.dual, n_max=1)["static"] <= 1e-10
     off_band = rep.dual[np.triu_indices(N + 1, k=1)]
     assert np.max(np.abs(off_band)) == 0
 

@@ -175,15 +175,6 @@ def test_verify_sharpness_moran_hypergeometric():
     assert rep.max_gap <= 1e-9
 
 
-def test_verify_sharpness_rejects_bad_boundary(pipeline_a):
-    P, res = pipeline_a
-    with pytest.raises(errors.NotAbsorbingError):
-        verify_sharpness(
-            P, res.p_tilde, res.link,
-            np.array([1.0, 0.0]), np.array([1.0, 0.0]), boundary=0,
-        )
-
-
 def test_absorption_exact_chain_a_geometric(pipeline_a):
     _, res = pipeline_a
     stats = absorption_exact(res.p_tilde, np.array([1.0, 0.0]), boundary=1)
