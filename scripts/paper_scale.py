@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Wall time of `dual`, `verify`, `ssd`, `simulate` and `plotdata --series
-absorption_pmf` on Moran mutation chains at paper scale.
+"""Wall time of `dual`, `intertwine`, `verify`, `ssd`, `simulate` and
+`plotdata --series absorption_pmf` on Moran mutation chains at paper scale.
 
 Usage: python3 scripts/paper_scale.py [N1 N2 ...]    (default: N = 1000)
 
@@ -23,7 +23,7 @@ from pathlib import Path
 from dualchain.cli import run
 
 A_VALUES = (0.1, 0.25, 0.5)
-COMMANDS = ("dual", "verify", "ssd", "simulate", "plotdata")
+COMMANDS = ("dual", "intertwine", "verify", "ssd", "simulate", "plotdata")
 # extra arguments per command: plotdata times the matrix-power absorption law
 EXTRA = {"plotdata": ["--series", "absorption_pmf"]}
 

@@ -198,25 +198,23 @@ def build_dual(cfg: dict, P):
     return H, duals.dual_via_solve(P, H)
 
 
-def _fmt(x) -> str:
-    return "%.17g" % float(x)
-
-
-def write_csv(path: str, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def write_matrix_csv(path: str, m: np.ndarray) -> None:
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    header = [f"c{j}" for j in range(m.shape[1])]
-    write_csv(path, header, m)
-
-
-def write_json(path: str, payload: dict) -> None:
-    _atomic_write(path, json.dumps(_plain(payload), indent=2, sort_keys=True) + "\n")
+def _render(body) -> str:
+    """The text of one output file.  A summary dict becomes indented JSON
+    with sorted keys; a ``(header, rows)`` table and a matrix (header c0,
+    c1, ...) become CSV with every number in %.17g, which re-reads
+    bit-exactly."""
+    if isinstance(body, dict):
+        return json.dumps(_plain(body), indent=2, sort_keys=True) + "\n"
+    if isinstance(body, tuple):
+        header, rows = body
+        lines = [",".join(v if isinstance(v, str) else "%.17g" % float(v) for v in row)
+                 for row in rows]
+    else:
+        m = np.atleast_2d(np.asarray(body, dtype=float))
+        header = [f"c{j}" for j in range(m.shape[1])]
+        fmt = ",".join(["%.17g"] * m.shape[1])
+        lines = [fmt % tuple(row) for row in m]
+    return "\n".join([",".join(header), *lines]) + "\n"
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -232,6 +230,8 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _plain(obj):
+    """``obj`` in JSON's types; a non-finite float, which JSON cannot hold,
+    becomes None (null)."""
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -243,16 +243,11 @@ def _plain(obj):
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return float(obj) if math.isfinite(obj) else None
     return obj
 
 
-def _out(outdir: str, name: str) -> str:
-    os.makedirs(outdir, exist_ok=True)
-    return os.path.join(outdir, name)
-
-
-def cmd_build(cfg, outdir, opts):
+def cmd_build(cfg, opts):
     P, params = build_chain(cfg)
     summary = {
         "kind": cfg["kind"],
@@ -262,12 +257,10 @@ def cmd_build(cfg, outdir, opts):
     }
     if summary["irreducible"]:
         summary["stationary"] = kernels.stationary(P)
-    write_matrix_csv(_out(outdir, "kernel.csv"), P.matrix)
-    write_json(_out(outdir, "build_summary.json"), summary)
-    return 0
+    return 0, {"kernel.csv": P.matrix, "build_summary.json": summary}
 
 
-def cmd_dual(cfg, outdir, opts):
+def cmd_dual(cfg, opts):
     P, _ = build_chain(cfg)
     H, report = build_dual(cfg, P)
     summary = {
@@ -279,10 +272,9 @@ def cmd_dual(cfg, outdir, opts):
         "violations": report.violations[:10],
         "diagnostics": report.diagnostics,
     }
-    write_matrix_csv(_out(outdir, "dual.csv"), report.dual)
-    write_matrix_csv(_out(outdir, "dual_function.csv"), H.matrix)
-    write_json(_out(outdir, "dual_summary.json"), summary)
-    return 0 if report.feasible else 2
+    return 0 if report.feasible else 2, {
+        "dual.csv": report.dual, "dual_function.csv": H.matrix, "dual_summary.json": summary,
+    }
 
 
 class Infeasible(Exception):
@@ -361,42 +353,44 @@ INFEASIBLE = {
 }
 
 
-def cmd_intertwine(cfg, outdir, opts):
+def cmd_intertwine(cfg, opts):
     pipe = pipeline(cfg, opts)
     res = pipe.res
     residuals = intertwining.identity_residuals(pipe.P, pipe.H, pipe.report.dual, res)
-    write_matrix_csv(_out(outdir, "link.csv"), res.link)
-    write_matrix_csv(_out(outdir, "p_tilde.csv"), res.p_tilde)
-    write_matrix_csv(_out(outdir, "k_map.csv"), res.K)
-    write_csv(_out(outdir, "phi.csv"), ["state", "phi", "pi"],
-              [(str(i), res.phi[i], res.pi[i]) for i in range(pipe.P.n)])
-    write_json(_out(outdir, "intertwine_summary.json"), {
-        "feasible": True,
-        "diagnostics": {**res.diagnostics, **residuals},
-        "class_constants": res.class_constants,
-    })
-    return 0
+    return 0, {
+        "link.csv": res.link,
+        "p_tilde.csv": res.p_tilde,
+        "k_map.csv": res.K,
+        "phi.csv": (["state", "phi", "pi"],
+                    [(str(i), res.phi[i], res.pi[i]) for i in range(pipe.P.n)]),
+        "intertwine_summary.json": {
+            "feasible": True,
+            "diagnostics": {**res.diagnostics, **residuals},
+            "class_constants": res.class_constants,
+        },
+    }
 
 
-def cmd_spectrum(cfg, outdir, opts):
+def cmd_spectrum(cfg, opts):
     P, params = build_chain(cfg)
     if params is None:
         raise errors.ConfigError("spectrum needs a birth-death chain")
     spec = spectra.spectral_weights(params)
     rows = [(str(k), spec.eigenvalues[k], spec.weights[k]) for k in range(spec.n)]
     checks = spectra.spectrum_monotonicity_checks(params)
-    write_csv(_out(outdir, "spectrum.csv"), ["k", "t_k", "mu_k"], rows)
-    write_json(_out(outdir, "spectrum_summary.json"), {
-        "gap": spec.gap,
-        "monotone": checks["monotone"],
-        "min_eigenvalue": checks["min_eigenvalue"],
-        "min_holding": checks["min_holding"],
-        "spectrally_nonnegative": checks["spectrally_nonnegative"],
-    })
-    return 0
+    return 0, {
+        "spectrum.csv": (["k", "t_k", "mu_k"], rows),
+        "spectrum_summary.json": {
+            "gap": spec.gap,
+            "monotone": checks["monotone"],
+            "min_eigenvalue": checks["min_eigenvalue"],
+            "min_holding": checks["min_holding"],
+            "spectrally_nonnegative": checks["spectrally_nonnegative"],
+        },
+    }
 
 
-def cmd_ssd(cfg, outdir, opts):
+def cmd_ssd(cfg, opts):
     pipe = pipeline(cfg, opts)
     sharp = pipe.sharpness(opts.get("n_max", 100))
     mean, variance = stationary_times.hitting_moments(pipe.res.p_tilde, pipe.pt0,
@@ -412,12 +406,11 @@ def cmd_ssd(cfg, outdir, opts):
     sp = pipe.spectral_moments(sharp.boundary)
     if sp is not None:
         summary["mean_spectral"], summary["variance_spectral"] = sp
-    write_csv(_out(outdir, "ssd.csv"), ["n", "separation", "survival"], sharp.table)
-    write_json(_out(outdir, "ssd_summary.json"), summary)
-    return 0
+    return 0, {"ssd.csv": (["n", "separation", "survival"], sharp.table),
+               "ssd_summary.json": summary}
 
 
-def cmd_simulate(cfg, outdir, opts):
+def cmd_simulate(cfg, opts):
     pipe = pipeline(cfg, opts)
     pk = coupling.product_kernel(pipe.p_bar, pipe.res.p_tilde, pipe.res.link)
     batch = coupling.simulate(
@@ -444,15 +437,14 @@ def cmd_simulate(cfg, outdir, opts):
         "fingerprint": batch.fingerprint,
         "trajectory_digest": batch.digest(),
     }
-    write_csv(_out(outdir, "empirical.csv"),
-              ["time", "coordinate", "state", "frequency", "exact"], rows)
-    write_json(_out(outdir, "simulate_summary.json"), summary)
-    return 0
+    return 0, {"empirical.csv": (["time", "coordinate", "state", "frequency", "exact"], rows),
+               "simulate_summary.json": summary}
 
 
-def cmd_cutoff(cfg, outdir, opts):
+def cmd_cutoff(cfg, opts):
     if cfg["kind"] != "moran_mutation":
         raise errors.ConfigError("cutoff sweeps are defined for moran_mutation configs")
+    build_chain(cfg)  # the checks of N, a1 and a2 every other command runs
     sweep = opts.get("sweep")
     if not sweep:
         raise errors.ConfigError("cutoff needs options.sweep with a list of N")
@@ -469,14 +461,13 @@ def cmd_cutoff(cfg, outdir, opts):
             str(N), row["mean"], row["variance"], row["relative_variance"],
             row["gap_times_mean"], row["mean"] / asym if asym > 0 else float("nan"),
         ))
-    write_csv(_out(outdir, "cutoff.csv"),
-              ["N", "mean", "variance", "relative_variance", "gap_times_mean",
-               "ratio_to_asymptote"], rows)
-    write_json(_out(outdir, "cutoff_summary.json"), {"cutoff_flag": out["cutoff_flag"]})
-    return 0
+    header = ["N", "mean", "variance", "relative_variance", "gap_times_mean",
+              "ratio_to_asymptote"]
+    return 0, {"cutoff.csv": (header, rows),
+               "cutoff_summary.json": {"cutoff_flag": out["cutoff_flag"]}}
 
 
-def cmd_verify(cfg, outdir, opts):
+def cmd_verify(cfg, opts):
     """Gated end-to-end verification with one pass/fail entry per identity."""
     pipe = pipeline(cfg, opts)
     checks = {"dual_nonnegative": _check(0.0, 0.0)}
@@ -516,15 +507,12 @@ def cmd_verify(cfg, outdir, opts):
         record("absorption_agreement", dev, ABSORPTION_TOL)
 
     passed = all(c.get("passed") for c in checks.values())
-    write_json(_out(outdir, "verify_summary.json"), {
-        "feasible": True,
-        "checks": checks,
-        "all_passed": passed,
-    })
-    return 0 if passed else 1
+    return 0 if passed else 1, {
+        "verify_summary.json": {"feasible": True, "checks": checks, "all_passed": passed},
+    }
 
 
-def cmd_plotdata(cfg, outdir, opts):
+def cmd_plotdata(cfg, opts):
     series = opts.get("series")
     if not series:
         raise errors.ConfigError("plotdata needs --series or options.series")
@@ -550,10 +538,11 @@ def cmd_plotdata(cfg, outdir, opts):
             rows = [(str(n), series, ex.pmf[n]) for n in range(ex.n_max + 1)]
     else:
         raise errors.ConfigError(f"unknown series {series!r}")
-    write_csv(_out(outdir, "series.csv"), ["n", "series", "value"], rows)
-    return 0
+    return 0, {"series.csv": (["n", "series", "value"], rows)}
 
 
+# Each handler maps (cfg, opts) to (exit code, {file name: body}), a body
+# being a summary dict, a matrix or a (header, rows) table; it writes nothing.
 HANDLERS = {
     "build": cmd_build,
     "dual": cmd_dual,
@@ -596,12 +585,19 @@ def run(argv=None) -> int:
     check_config(cfg)
     opts = cfg["options"]
     try:
-        return HANDLERS[args.command](cfg, args.out, opts)
+        code, files = HANDLERS[args.command](cfg, opts)
     except Infeasible as e:
         summary = INFEASIBLE[args.command]
-        if summary is not None:
-            write_json(_out(args.out, f"{args.command}_summary.json"), summary(e.args[0]))
-        return 2
+        code, files = 2, {} if summary is None else {
+            f"{args.command}_summary.json": summary(e.args[0])}
+    # every file is rendered before the first is written, so a command or a
+    # rendering that raises leaves no output behind
+    texts = {name: _render(body) for name, body in files.items()}
+    if texts:
+        os.makedirs(args.out, exist_ok=True)
+    for name, text in texts.items():
+        _atomic_write(os.path.join(args.out, name), text)
+    return code
 
 
 def main() -> None:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dualchain
-from dualchain import cli, duals, errors, intertwining, kernels
+from dualchain import cli, duals, errors, intertwining, kernels, stationary_times
 from dualchain.chains import moran_kernel, mutation_bias
 from dualchain.cli import main, run
 from dualchain.samplers import random_monotone_kernel
@@ -119,6 +119,19 @@ def test_intertwine_writes_nothing_when_a_residual_fails(tmp_path, monkeypatch):
     assert list(out.iterdir()) == []
 
 
+def test_a_summary_that_fails_to_render_writes_nothing(tmp_path, monkeypatch):
+    # ssd.csv renders first; rendering ssd_summary.json then raises
+    def boom(obj):
+        raise TypeError("summary does not render")
+
+    monkeypatch.setattr(cli, "_plain", boom)
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(TypeError, match="summary does not render"):
+        _run("ssd", "chain_b.json", out)
+    assert list(out.iterdir()) == []
+
+
 def test_intertwine_exit_2_when_infeasible(tmp_path):
     assert _run("intertwine", "non_monotone.json", tmp_path) == 2
     summary = json.loads((tmp_path / "intertwine_summary.json").read_text())
@@ -215,6 +228,25 @@ def test_cutoff_requires_moran_mutation(tmp_path):
         _run("cutoff", "chain_a.json", tmp_path)
 
 
+@pytest.mark.parametrize("change, error", [
+    ({"a1": None}, "ConfigError: moran_mutation needs N, a1, a2"),
+    ({"a1": 1.5}, "InvalidBiasError: mutation rates must lie in [0, 1]"),
+], ids=["no_a1", "a1_above_1"])
+def test_cutoff_checks_the_chain_like_every_command(tmp_path, change, error):
+    # cutoff once read a1 and a2 unchecked: a KeyError without a1, and a
+    # cutoff.csv for a1 = 1.5, a chain that does not exist
+    cfg = json.loads((CONFIGS / "cutoff_sweep.json").read_text())
+    cfg.update(change)
+    cfg = {key: value for key, value in cfg.items() if value is not None}
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(errors.DualChainError) as info:
+        run(["cutoff", "--config", str(tmp_path / "config.json"), "--out", str(out)])
+    assert f"{type(info.value).__name__}: {info.value}" == error
+    assert list(out.iterdir()) == []
+
+
 def test_verify_chain_b_all_green(tmp_path):
     assert _run("verify", "chain_b.json", tmp_path) == 0
     summary = json.loads((tmp_path / "verify_summary.json").read_text())
@@ -242,6 +274,23 @@ def test_verify_cutoff_sweep_all_green(tmp_path):
     summary = json.loads((tmp_path / "verify_summary.json").read_text())
     assert summary["all_passed"]
     assert summary["checks"]["k_duality"]["value"] <= 1e-14
+
+
+def test_verify_writes_a_non_finite_value_as_null(tmp_path, monkeypatch):
+    # a sharpness check that raises records the value nan, which json.dumps
+    # once wrote as the bare token NaN
+    def boom(*a, **k):
+        raise errors.DualChainError("sharpness failed")
+
+    monkeypatch.setattr(stationary_times, "verify_sharpness", boom)
+    assert _run("verify", "chain_b.json", tmp_path) == 1
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    text = (tmp_path / "verify_summary.json").read_text()
+    check = json.loads(text, parse_constant=reject)["checks"]["separation_dominated_by_survival"]
+    assert check == {"value": None, "passed": False, "detail": "sharpness failed"}
 
 
 def test_verify_k_duality_catches_corrupt_k(tmp_path, monkeypatch):
@@ -644,3 +693,44 @@ def test_plotdata_infeasible_writes_no_series(tmp_path, series):
     # the spectrum series builds no dual; on this dense chain it is a ConfigError
     assert _run("plotdata", "non_monotone.json", tmp_path, "--series", series) == 2
     assert not (tmp_path / "series.csv").exists()
+
+
+BIAS = [0.1, 0.3, 0.5, 0.7, 0.9]
+RUNS = {"build": ["build"], "dual": ["dual"], "intertwine": ["intertwine"],
+        "spectrum": ["spectrum"], "ssd": ["ssd"], "simulate": ["simulate"],
+        "verify": ["verify"],
+        **{f"plotdata-{series}": ["plotdata", "--series", series]
+           for series in ("spectrum", "phi_profile", "sep_vs_survival", "absorption_pmf")}}
+# the runs that build the dual
+PIPELINE_RUNS = ["dual", "intertwine", "ssd", "simulate", "verify", "plotdata-phi_profile",
+                 "plotdata-sep_vs_survival", "plotdata-absorption_pmf"]
+NOT_BD = {"spectrum": "ConfigError: spectrum needs a birth-death chain",
+          "plotdata-spectrum": "ConfigError: spectrum series needs a birth-death chain"}
+
+
+@pytest.mark.parametrize("cfg, failing", [
+    ({"kind": "moran", "N": 4, "bias": BIAS}, {}),
+    ({"kind": "bernoulli_laplace", "N": 8}, dict.fromkeys(PIPELINE_RUNS, 2)),  # not monotone
+    ({"kind": "wright_fisher", "N": 4, "bias": BIAS}, NOT_BD),
+    ({**NON_REVERSIBLE, "dual": {"family": "potential",
+                                 "R": [[0.5, 0.2, 0.0], [0.1, 0.5, 0.2], [0.0, 0.1, 0.5]]}},
+     {**NOT_BD, **dict.fromkeys(PIPELINE_RUNS[1:],
+                                "DualChainError: dual has no mass-conserving class")}),
+    ({**MORAN_10, "N": 6, "a1": 0.3, "a2": 0.2, "dual": {"family": "vandermonde"}}, {}),
+], ids=["moran", "bernoulli_laplace", "wright_fisher", "potential", "vandermonde"])
+def test_chain_kinds_and_dual_families_exit_codes(tmp_path, cfg, failing):
+    # the exit code of every command (0 unless listed in `failing`) and, for
+    # exit 1, the error main prints; a run that exits 1 writes nothing
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    got, want = {}, {}
+    for name, args in RUNS.items():
+        out = tmp_path / name
+        out.mkdir()
+        try:
+            got[name] = run([*args, "--config", str(path), "--out", str(out)])
+        except errors.DualChainError as e:
+            got[name] = f"{type(e).__name__}: {e}"
+            assert list(out.iterdir()) == [], name
+        want[name] = failing.get(name, 0)
+    assert got == want

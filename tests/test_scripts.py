@@ -14,7 +14,7 @@ RUNS = [
     ("sharpness_series.py", ["configs/chain_b.json", "30"], 31),   # n = 0..30
     ("absorption_crosscheck.py", ["3", "1", "10"], 3),             # three chains
     ("cutoff_table.py", [], 6),                                    # N = 25..800
-    ("paper_scale.py", ["30"], 15),                                # 3 a x 5 commands
+    ("paper_scale.py", ["30"], 18),                                # 3 a x 6 commands
 ]
 
 

@@ -317,7 +317,7 @@ def _hidden_params(params):
 
 
 @pytest.mark.parametrize("case", ["chain_b", "moran_20", "moran_40", "negative"])
-def test_fft_routes_match_series_oracle(case, chain_b):
+def test_spectral_and_recurrence_routes_match_series_oracles(case, chain_b):
     params = {
         "chain_b": chain_b,
         "moran_20": moran_kernel(20, mutation_bias(0.3, 0.2, 20)),
@@ -338,7 +338,7 @@ def test_fft_routes_match_series_oracle(case, chain_b):
     np.testing.assert_allclose(recurrence.pmf, oracle, rtol=0, atol=1e-14)
 
 
-def test_fft_routes_short_explicit_horizon():
+def test_spectral_and_recurrence_routes_refuse_a_short_explicit_horizon():
     # n_max far inside the tail: the cut is refused, naming the exact mean
     params = moran_kernel(40, mutation_bias(0.1, 0.1, 40))
     spec = bd_spectrum(params)
@@ -411,7 +411,7 @@ def test_absorption_spectral_refuses_a_hopeless_tail():
         assert time.perf_counter() - t0 < 0.05
 
 
-def test_fft_routes_paper_scale_moran_200():
+def test_spectral_and_recurrence_routes_match_exact_law_moran_200():
     params, res, start = _moran_pipeline(200, 0.5, 0.5)
     exact = absorption_exact(res.p_tilde, start, boundary=200)
     t = bd_spectrum(params).eigenvalues[1:]
@@ -423,7 +423,7 @@ def test_fft_routes_paper_scale_moran_200():
         assert stats.mean == pytest.approx(mean, rel=1e-8)
 
 
-def test_half_circle_inversion_memory_at_horizon_cap():
+def test_recurrence_memory_at_horizon_cap():
     # mean 3.3e4, survival below 1e-12 only near n = 9e5: the law out to
     # there stays small (a full FFT grid of complex points peaked at 224 MB)
     tracemalloc.start()
