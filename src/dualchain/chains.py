@@ -79,34 +79,29 @@ def bd_kernel(params: BDParams) -> kernels.Kernel:
 
 
 def bd_params_from_kernel(P) -> BDParams:
-    """Read birth-death vectors back from a tridiagonal stochastic matrix."""
-    m = kernels.as_matrix(P)
-    n = m.shape[0]
-    off = np.abs(np.triu(m, 2)) + np.abs(np.tril(m, -2))
-    if np.max(off, initial=0.0) > EPS_NEG:
+    """Read birth-death vectors back from a tridiagonal stochastic matrix:
+    one whose entries off the three central diagonals are exactly zero."""
+    bands = kernels._bands(P)
+    if bands is None:
         raise errors.DimensionMismatchError("kernel is not tridiagonal")
-    p = np.zeros(n)
-    q = np.zeros(n)
-    p[: n - 1] = np.diag(m, 1)
-    q[1:] = np.diag(m, -1)
-    return make_bd(p, q, np.diag(m).copy(), interior_positive=False)
+    sub, main, sup = bands
+    return make_bd(np.append(sup, 0.0), np.append(0.0, sub), main.copy(),
+                   interior_positive=False)
 
 
 def is_irreducible_bd(params: BDParams) -> bool:
-    interior = all(
-        params.p[x] > EPS_NEG and params.q[x] > EPS_NEG for x in range(1, params.N)
-    )
-    return bool(params.p[0] > EPS_NEG and params.q[params.N] > EPS_NEG and interior)
+    """``kernels.is_irreducible`` of ``bd_kernel(params)``: p_x, q_(x+1) >
+    EPS_NEG for x < N."""
+    return kernels._joined_both_ways(params.q[1:], params.p[:-1])
 
 
 def bd_stationary(params: BDParams) -> np.ndarray:
-    """Product-form stationary law pi(y) = pi(0) prod_{z<y} p_z / q_{z+1}."""
+    """Product-form stationary law pi(y) = pi(0) prod_{z<y} p_z / q_{z+1},
+    ``kernels.stationary`` of ``bd_kernel(params)`` without the matrix."""
     if not is_irreducible_bd(params):
-        raise errors.NotIrreducibleError("stationary product form needs p_0, q_N > 0")
-    ratios = params.p[:-1] / params.q[1:]
-    with np.errstate(over="ignore"):
-        w = np.concatenate([[1.0], np.cumprod(ratios)])
-    return kernels.normalize_stationary(w, "birth-death product form")
+        raise errors.NotIrreducibleError(
+            "stationary product form needs p_x, q_(x+1) > 0 for x < N")
+    return kernels._product_form(params.q[1:], params.p[:-1])
 
 
 def reflected_walk_params(N: int, p: float, q: float) -> BDParams:

@@ -5,6 +5,12 @@ States are always 0..n-1 and kernels are dense float64 matrices.  A kernel is
 *stochastic* when every row sums to 1 within EPS_STOCH, *strictly
 substochastic* when no row exceeds 1 but at least one loses mass, and
 *general nonnegative* otherwise (dual functions, potentials).
+
+A kernel whose entries off the three central diagonals are exactly zero (a
+birth-death chain, its Siegmund dual, the hidden chain of the two) records
+those diagonals as its ``bands``.  ``classify``, ``is_irreducible``,
+``absorbing_states``, ``stationary`` and ``reachable`` run their O(n)
+birth-death forms on them; raw arrays go through the same detection.
 """
 from __future__ import annotations
 
@@ -26,13 +32,19 @@ class KernelKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Kernel:
-    """A validated nonnegative square matrix, immutable after construction."""
+    """A validated nonnegative square matrix, immutable after construction.
+
+    ``bands`` holds its (sub, main, super) diagonals, read-only views of
+    ``matrix``, when every other entry is exactly zero, and None otherwise.
+    """
 
     matrix: np.ndarray
     kind: KernelKind
+    bands: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
+        object.__setattr__(self, "bands", _bands(self.matrix))
 
     @property
     def n(self) -> int:
@@ -63,6 +75,23 @@ def scaled_residual(A, B, C, D) -> float:
 
 def as_matrix(P) -> np.ndarray:
     return P.matrix if isinstance(P, Kernel) else np.asarray(P, dtype=float)
+
+
+def _bands(P) -> tuple | None:
+    """The (sub, main, super) diagonals of the nonempty square matrix ``P``
+    as read-only views, when every entry off them is exactly zero; None
+    otherwise.  A Kernel's are its ``bands``.  Counting the nonzeros of the
+    matrix and of the three views allocates nothing of size n x n."""
+    if isinstance(P, Kernel):
+        return P.bands
+    m = as_matrix(P)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        return None
+    sub, main, sup = m.diagonal(-1), m.diagonal(), m.diagonal(1)
+    if np.count_nonzero(m) != (np.count_nonzero(sub) + np.count_nonzero(main)
+                               + np.count_nonzero(sup)):
+        return None
+    return sub, main, sup
 
 
 def validate_prob_vector(v, name: str, n: int) -> np.ndarray:
@@ -203,11 +232,19 @@ def classify(P) -> ClassDecomposition:
 
     Edges are entries above EPS_NEG.  The class list is a deterministic
     topological order of the condensation (mass flows forward); ties are
-    broken by the smallest contained state.
+    broken by the smallest contained state.  A tridiagonal P is split into
+    runs of states (``_classify_bands``); any other goes through Tarjan.
     """
     m = as_matrix(P)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise errors.NonSquareError("classify needs a square matrix")
+    bands = _bands(P)
+    return _classify_dense(m) if bands is None else _classify_bands(bands)
+
+
+def _classify_dense(m: np.ndarray) -> ClassDecomposition:
+    """``classify`` of any square matrix, by Tarjan on its positivity
+    pattern."""
     n = m.shape[0]
     pos = m > EPS_NEG
     adj = [list(np.nonzero(pos[x])[0]) for x in range(n)]
@@ -217,16 +254,70 @@ def classify(P) -> ClassDecomposition:
     for ci, comp in enumerate(comps):
         for v in comp:
             comp_id[v] = ci
-    k = len(comps)
-    out_edges: list[set] = [set() for _ in range(k)]
-    indeg = [0] * k
+    out_edges: list[set] = [set() for _ in comps]
     for x in range(n):
         for y in adj[x]:
             a, b = comp_id[x], comp_id[y]
-            if a != b and b not in out_edges[a]:
+            if a != b:
                 out_edges[a].add(b)
-                indeg[b] += 1
-    # Kahn's algorithm with a min-heap keyed by the smallest member state
+
+    classes = [tuple(sorted(comps[c])) for c in _flow_order(comps, out_edges)]
+    stochastic_classes = []
+    for cls in classes:
+        idx = list(cls)
+        block_sums = m[np.ix_(idx, idx)].sum(axis=1)
+        if np.all(np.abs(block_sums - 1.0) <= EPS_STOCH):
+            stochastic_classes.append(cls)
+    return ClassDecomposition(
+        classes=classes,
+        stochastic_classes=stochastic_classes,
+        absorbing_states=_absorbing_dense(m),
+    )
+
+
+def _classify_bands(bands) -> ClassDecomposition:
+    """``classify`` of a tridiagonal matrix from its ``bands``.
+
+    States x and x + 1 communicate exactly when the entries between them
+    are above EPS_NEG both ways, so the classes are the runs of states so
+    joined.  The condensation is a path: two neighbouring runs are joined
+    one way, if at all.
+    """
+    sub, main, sup = bands
+    n = main.size
+    up, down = sup > EPS_NEG, sub > EPS_NEG
+    joined = up & down
+    cuts = (np.flatnonzero(~joined) + 1).tolist()    # first state of each later run
+    bounds = [0, *cuts, n]
+    comps = [tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+    out_edges: list[set] = [set() for _ in comps]
+    for i, b in enumerate(cuts):
+        if up[b - 1]:
+            out_edges[i].add(i + 1)
+        elif down[b - 1]:
+            out_edges[i + 1].add(i)
+    # the mass each row keeps in its own run, summed (sub + main) + sup as
+    # numpy sums a short dense row
+    kept = (np.append(0.0, np.where(joined, sub, 0.0)) + main
+            + np.append(np.where(joined, sup, 0.0), 0.0))
+    full = np.logical_and.reduceat(np.abs(kept - 1.0) <= EPS_STOCH, bounds[:-1])
+    order = _flow_order(comps, out_edges)
+    return ClassDecomposition(
+        classes=[comps[c] for c in order],
+        stochastic_classes=[comps[c] for c in order if full[c]],
+        absorbing_states=_absorbing_bands(bands),
+    )
+
+
+def _flow_order(comps: list, out_edges: list[set]) -> list[int]:
+    """Indices of ``comps`` in topological order of the condensation whose
+    edges are ``out_edges``: Kahn's algorithm with a min-heap keyed by the
+    smallest member state."""
+    k = len(comps)
+    indeg = [0] * k
+    for targets in out_edges:
+        for b in targets:
+            indeg[b] += 1
     heap = [(min(comps[c]), c) for c in range(k) if indeg[c] == 0]
     heapq.heapify(heap)
     order = []
@@ -239,45 +330,54 @@ def classify(P) -> ClassDecomposition:
                 heapq.heappush(heap, (min(comps[b]), b))
     if len(order) != k:
         raise errors.DualChainError("condensation is not acyclic (internal bug)")
-
-    classes = [tuple(sorted(comps[c])) for c in order]
-    stochastic_classes = []
-    for cls in classes:
-        idx = list(cls)
-        block_sums = m[np.ix_(idx, idx)].sum(axis=1)
-        if np.all(np.abs(block_sums - 1.0) <= EPS_STOCH):
-            stochastic_classes.append(cls)
-    return ClassDecomposition(
-        classes=classes,
-        stochastic_classes=stochastic_classes,
-        absorbing_states=absorbing_states(m),
-    )
+    return order
 
 
 def absorbing_states(P) -> list[int]:
     """States a with P(a, a) within EPS_STOCH of 1 and every other entry of
     row a at most EPS_NEG, in increasing order."""
-    m = np.array(as_matrix(P), dtype=float)
+    bands = _bands(P)
+    return _absorbing_dense(as_matrix(P)) if bands is None else _absorbing_bands(bands)
+
+
+def _absorbing_dense(m: np.ndarray) -> list[int]:
+    m = np.array(m, dtype=float)
     stays = np.abs(np.diag(m) - 1.0) <= EPS_STOCH
     np.fill_diagonal(m, -np.inf)
     leaves = np.max(m, axis=1, initial=-np.inf) > EPS_NEG
     return [int(a) for a in np.flatnonzero(stays & ~leaves)]
 
 
+def _absorbing_bands(bands) -> list[int]:
+    sub, main, sup = bands
+    leaves = np.zeros(main.size, dtype=bool)
+    leaves[:-1] |= sup > EPS_NEG
+    leaves[1:] |= sub > EPS_NEG
+    return np.flatnonzero((np.abs(main - 1.0) <= EPS_STOCH) & ~leaves).tolist()
+
+
 def is_irreducible(P) -> bool:
-    return classify(P).n_classes == 1
+    bands = _bands(P)
+    if bands is None:
+        return classify(P).n_classes == 1
+    return _joined_both_ways(bands[0], bands[2])
+
+
+def _joined_both_ways(sub, sup) -> bool:
+    """Whether a tridiagonal kernel with these off-diagonals is irreducible:
+    every entry of both is above EPS_NEG."""
+    return bool(np.all(sub > EPS_NEG) and np.all(sup > EPS_NEG))
 
 
 def stationary(P) -> np.ndarray:
     """Unique stationary law of an irreducible stochastic kernel.
 
-    GTH elimination (Grassmann, Taksar & Heyman 1985): censor the states
-    n-1, ..., 1 one at a time, taking each state's exit rate as the sum of
-    its remaining off-diagonal entries rather than 1 - P(k, k), then back
-    substitute.  No step subtracts, so every entry of pi has small relative
-    error, however tiny it is.  Each step updates only the block its
-    nonzero entries reach, so a banded kernel costs O(n^2) in all.  The
-    residual ||pi' P - pi'|| is then gated at RESID_TOL.
+    A tridiagonal kernel gets the product form w = [1, cumprod(up/down)]
+    (``_product_form``); any other the GTH elimination (``_gth``).  Both
+    only multiply, divide and add nonnegative numbers, so every entry of pi
+    has small relative error, however tiny it is; on a tridiagonal kernel
+    they compute the same bits.  The residual ||pi' P - pi'|| is then gated
+    at RESID_TOL.
     """
     K = P if isinstance(P, Kernel) else validate_kernel(P)
     if K.kind is not KernelKind.STOCHASTIC:
@@ -285,7 +385,25 @@ def stationary(P) -> np.ndarray:
     if not is_irreducible(K):
         raise errors.NotIrreducibleError("kernel is not irreducible")
     m = K.matrix
-    n = K.n
+    if K.bands is None:
+        pi = normalize_stationary(_gth(m), "GTH back-substitution")
+    else:
+        pi = _product_form(K.bands[0], K.bands[2])
+    if sup_norm(pi @ m - pi) > RESID_TOL:
+        raise errors.SingularSystemError("stationary solve did not converge")
+    return pi
+
+
+def _gth(m: np.ndarray) -> np.ndarray:
+    """Unnormalised stationary weights of the irreducible stochastic ``m``
+    by GTH elimination (Grassmann, Taksar & Heyman 1985): censor the states
+    n-1, ..., 1 one at a time, taking each state's exit rate as the sum of
+    its remaining off-diagonal entries rather than 1 - P(k, k), then back
+    substitute.  No step subtracts.  Each step updates only the block its
+    nonzero entries reach, so a banded kernel costs O(n^2) in all.  On a
+    tridiagonal kernel each exit rate is the one entry q_k, and w(k) =
+    w(k-1) p_(k-1) / q_k: the product form."""
+    n = m.shape[0]
     A = m.copy()
     for k in range(n - 1, 0, -1):
         col, row = A[:k, k], A[k, :k]
@@ -295,14 +413,20 @@ def stationary(P) -> np.ndarray:
         # nonnegative); on a birth-death kernel the update is 1 x 1
         r, c = (col > 0).argmax(), (row > 0).argmax()
         A[r:k, c:k] += col[r:, None] * row[c:]
-    pi = np.ones(n)
+    w = np.ones(n)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n):
-            pi[k] = pi[:k] @ A[:k, k]
-    pi = normalize_stationary(pi, "GTH back-substitution")
-    if sup_norm(pi @ m - pi) > RESID_TOL:
-        raise errors.SingularSystemError("stationary solve did not converge")
-    return pi
+            w[k] = w[:k] @ A[:k, k]
+    return w
+
+
+def _product_form(sub, sup) -> np.ndarray:
+    """Stationary law pi(y) = pi(0) prod_{z<y} sup(z) / sub(z) of the
+    irreducible tridiagonal stochastic kernel with off-diagonals ``sub``
+    (x+1 -> x) and ``sup`` (x -> x+1)."""
+    with np.errstate(over="ignore"):
+        w = np.concatenate([[1.0], np.cumprod(sup / sub)])
+    return normalize_stationary(w, "birth-death product form")
 
 
 def normalize_stationary(w: np.ndarray, stage: str) -> np.ndarray:
@@ -351,14 +475,37 @@ def evolve(pi0, P, n: int) -> np.ndarray:
     return v
 
 
-def reachable(edges: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+def reachable(P, seeds: np.ndarray) -> np.ndarray:
     """Mask of the states reachable from the mask ``seeds`` along the
-    boolean adjacency ``edges`` (``edges.T`` for the states that reach them)."""
+    entries of P above EPS_NEG (the transposed matrix for the states that
+    reach them).  On a tridiagonal P these are runs of states
+    (``_run_reach``); on any other a breadth-first search (``_bfs``)."""
+    bands = _bands(P)
+    if bands is None:
+        return _bfs(as_matrix(P) > EPS_NEG, seeds)
+    sub, _, sup = bands
+    return (_run_reach(seeds, sup > EPS_NEG)
+            | _run_reach(seeds[::-1], (sub > EPS_NEG)[::-1])[::-1])
+
+
+def _bfs(edges: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """``reachable`` along the boolean adjacency ``edges``, layer by layer."""
     seen = seeds.copy()
     while seeds.any():
         seeds = edges[seeds].any(axis=0) & ~seen
         seen |= seeds
     return seen
+
+
+def _run_reach(seeds: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """States y with a seed s <= y and step[s .. y-1] all true: on a path,
+    the states reached moving up along the steps x -> x + 1 marked in
+    ``step``.  The steps cut the states into runs; a state is reached when
+    its run holds a seed at or below it."""
+    starts = np.append(True, ~step)
+    first = np.maximum.accumulate(np.where(starts, np.arange(starts.size), 0))
+    below = np.append(0, np.cumsum(seeds))     # below[y]: seeds among 0 .. y-1
+    return below[1:] > below[first]
 
 
 def hitting_probabilities(P, target) -> np.ndarray:
@@ -378,7 +525,7 @@ def hitting_probabilities(P, target) -> np.ndarray:
     for t in target:
         h[t] = 1.0
 
-    can_reach = reachable((m > EPS_NEG).T, h > 0)
+    can_reach = reachable(m.T, h > 0)
     solve_states = [x for x in range(n) if can_reach[x] and x not in target]
     if solve_states:
         idx = np.array(solve_states)

@@ -146,14 +146,12 @@ def sharpness_witness(link, pi, boundary: int, H=None) -> dict:
     L = as_matrix(link)
     pi = np.asarray(pi, dtype=float)
     n = L.shape[0]
-    witnesses = []
-    for d in range(n):
-        target = np.zeros(n)
-        target[boundary] = pi[d]
-        if sup_norm(L[:, d] - target) <= RESID_TOL:
-            witnesses.append(d)
+    # |Lambda - T| with T zero but for row ``boundary``, which is pi; a
+    # witness is a column of it with sup norm within the tolerance
+    dev = np.abs(L)
+    dev[boundary] = np.abs(L[boundary] - pi)
     out = {
-        "witnesses": witnesses,
+        "witnesses": np.flatnonzero(dev.max(axis=0) <= RESID_TOL).tolist(),
         "degenerate_identity": bool(sup_norm(L - np.eye(n)) <= RESID_TOL),
     }
     if H is not None:
@@ -301,10 +299,9 @@ def hitting_moments(p_tilde, start, boundary: int) -> tuple[float, float]:
         raise errors.DimensionMismatchError("boundary out of range")
     if boundary not in kernels.absorbing_states(pt):
         raise errors.NotAbsorbingError(f"state {boundary} is not absorbing")
-    edges = pt > EPS_NEG
     at_boundary = np.arange(pt.shape[0]) == boundary
-    reached = kernels.reachable(edges, start > 0) & ~at_boundary
-    stuck = np.flatnonzero(reached & ~kernels.reachable(edges.T, at_boundary))
+    reached = kernels.reachable(pt, start > 0) & ~at_boundary
+    stuck = np.flatnonzero(reached & ~kernels.reachable(pt.T, at_boundary))
     if stuck.size:
         raise errors.TruncationTooCoarseError(
             f"state {stuck[0]} is reached from the start but never reaches {boundary}")
@@ -482,6 +479,35 @@ def absorption_spectral(spec: Spectrum, n_max: int | None = None) -> AbsorptionS
                            source="spectral")
 
 
+def _passage_moments(params: BDParams) -> tuple[float, float]:
+    """Mean and variance of the passage from 0 to N, summed over the pieces
+    S_y of ``absorption_recurrence``.  The recurrences run on Python floats:
+    the same IEEE operations in the same order as on numpy scalars, faster.
+    Where a square overflows or underflows to a zero divisor, Python floats
+    raise, and the numpy scalars take over, giving inf or nan."""
+    try:
+        return _passage_sums(params.N, params.p.tolist(), params.q.tolist())
+    except (OverflowError, ZeroDivisionError):
+        return _passage_sums(params.N, params.p, params.q)
+
+
+def _passage_sums(N: int, p, q) -> tuple[float, float]:
+    ES = [1.0 / p[0]]
+    VS = [(1.0 - p[0]) / p[0] ** 2]
+    for y in range(1, N):
+        ES.append(1.0 / p[y] + (q[y] / p[y]) * ES[y - 1])
+        A = (
+            (p[y] - 1.0) / p[y] ** 2
+            + 2.0 * (1.0 - p[y]) / p[y] * ES[y]
+            + 2.0 * q[y] * (p[y] - 1.0) / p[y] ** 2 * ES[y - 1]
+            + 2.0 * q[y] / p[y] * ES[y - 1] * ES[y]
+            - q[y] * (q[y] - p[y]) / p[y] ** 2 * ES[y - 1] ** 2
+        )
+        VS.append((q[y] / p[y]) * VS[y - 1] + A)
+    # numpy's pairwise sums, as over the arrays these lists replace
+    return float(np.sum(ES)), float(np.sum(VS))
+
+
 def absorption_recurrence(params: BDParams, n_max: int | None = None) -> AbsorptionStats:
     """First-passage route for a birth-death chain run from 0 up to N.
 
@@ -507,22 +533,7 @@ def absorption_recurrence(params: BDParams, n_max: int | None = None) -> Absorpt
     if np.any(p[:N] <= 0):
         raise errors.ZeroUpProbabilityError("needs p_y > 0 for y < N")
 
-    ES = np.zeros(N)
-    VS = np.zeros(N)
-    ES[0] = 1.0 / p[0]
-    VS[0] = (1.0 - p[0]) / p[0] ** 2
-    for y in range(1, N):
-        ES[y] = 1.0 / p[y] + (q[y] / p[y]) * ES[y - 1]
-        A = (
-            (p[y] - 1.0) / p[y] ** 2
-            + 2.0 * (1.0 - p[y]) / p[y] * ES[y]
-            + 2.0 * q[y] * (p[y] - 1.0) / p[y] ** 2 * ES[y - 1]
-            + 2.0 * q[y] / p[y] * ES[y - 1] * ES[y]
-            - q[y] * (q[y] - p[y]) / p[y] ** 2 * ES[y - 1] ** 2
-        )
-        VS[y] = (q[y] / p[y]) * VS[y - 1] + A
-    mean = float(ES.sum())
-    variance = float(VS.sum())
+    mean, variance = _passage_moments(params)
 
     if n_max is None:
         # the walk leaves y upward with probability at most p_y per step, so

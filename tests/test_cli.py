@@ -608,7 +608,8 @@ def test_main_exit_codes(tmp_path, monkeypatch, capsys):
 def test_stationary_law_outside_the_float_range_exits_1(tmp_path, monkeypatch, capsys,
                                                         command):
     # build once wrote 1041 NaN stationary entries at Moran (1040, .5, .5), and
-    # ssd ended in an unnamed NonFiniteEntryError after three RuntimeWarnings
+    # ssd ended in an unnamed NonFiniteEntryError after three RuntimeWarnings;
+    # the tridiagonal kernel's law comes from the product form
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**MORAN_10, "N": 1040}))
     out = tmp_path / "out"
@@ -621,8 +622,8 @@ def test_stationary_law_outside_the_float_range_exits_1(tmp_path, monkeypatch, c
             main()
     assert exc.value.code == 1
     assert capsys.readouterr().err == (
-        "error: ZeroStationaryEntryError: GTH back-substitution: the stationary law of "
-        "n = 1041 states leaves the float range (its unnormalised weights overflow)\n")
+        "error: ZeroStationaryEntryError: birth-death product form: the stationary law "
+        "of n = 1041 states leaves the float range (its unnormalised weights overflow)\n")
     assert list(out.iterdir()) == []
 
 

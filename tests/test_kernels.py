@@ -10,11 +10,15 @@ from dualchain import errors, kernels
 from dualchain.chains import (
     bd_kernel,
     bd_stationary,
+    make_bd,
     moran_kernel,
     mutation_bias,
     wright_fisher_kernel,
 )
-from dualchain.samplers import random_monotone_kernel
+from dualchain.duals import siegmund_dual, siegmund_function
+from dualchain.intertwining import build_intertwining
+from dualchain.samplers import random_monotone_bd, random_monotone_kernel
+from dualchain.stationary_times import hitting_moments
 
 UNIT = st.floats(0.01, 1.0, allow_nan=False)
 
@@ -121,9 +125,13 @@ def test_stationary_relative_accuracy_tiny_masses():
 def test_stationary_law_outside_the_float_range_is_refused_by_name():
     # Moran (1040, .5, .5) has pi = Binomial(1040, 1/2): its entries span
     # 2^1040 / C(1040, 520), more than a float holds, and both routes once
-    # returned NaN with an overflow warning
+    # returned NaN with an overflow warning; a kernel with one entry off the
+    # three diagonals goes through GTH, which is refused by its own name
     params = moran_kernel(1040, mutation_bias(0.5, 0.5, 1040))
-    routes = [(lambda: kernels.stationary(bd_kernel(params)), "GTH back-substitution"),
+    dense = bd_kernel(params).matrix.copy()
+    dense[0, 2] = 1e-300
+    routes = [(lambda: kernels.stationary(dense), "GTH back-substitution"),
+              (lambda: kernels.stationary(bd_kernel(params)), "birth-death product form"),
               (lambda: bd_stationary(params), "birth-death product form")]
     for route, stage in routes:
         with warnings.catch_warnings():
@@ -250,3 +258,88 @@ def test_total_variation_triangle(u, v):
     tuv = kernels.total_variation(mu, nu)
     assert tuv <= kernels.total_variation(mu, rho) + kernels.total_variation(rho, nu) + 1e-12
     assert 0.0 <= tuv <= 1.0
+
+
+def test_bands_are_recorded_only_for_tridiagonal_kernels():
+    m = bd_kernel(moran_kernel(6, mutation_bias(0.3, 0.2, 6))).matrix
+    sub, main, sup = kernels.validate_kernel(m).bands
+    assert np.array_equal(sub, np.diag(m, -1)) and np.array_equal(main, np.diag(m))
+    assert np.array_equal(sup, np.diag(m, 1))
+    wide = m.copy()
+    wide[3, 1] = 1e-300         # one entry two places below the diagonal
+    assert kernels.validate_kernel(wide).bands is None
+    assert kernels._bands(wide) is None and kernels._bands(wide.T) is None
+    assert kernels._bands(np.ones((2, 3))) is None and kernels._bands(np.zeros((0, 0))) is None
+
+
+def _banded_cases():
+    """Seeded birth-death kernels, irreducible and not, with their Siegmund
+    duals and hidden chains: every one tridiagonal."""
+    rng = np.random.default_rng(20261019)
+    cases = []
+    for k in range(60):
+        N = int(rng.integers(1, 16))
+        base = random_monotone_bd(rng, N)
+        p, q = base.p.copy(), base.q.copy()
+        variant = k % 5
+        if variant == 1 and N > 1:          # an interior up or down step cut
+            (p if rng.random() < 0.5 else q)[int(rng.integers(1, N))] = 0.0
+        elif variant == 2:                  # absorbing ends
+            p[0] = 0.0 if rng.random() < 0.7 else p[0]
+            q[N] = 0.0 if rng.random() < 0.7 else q[N]
+        elif variant == 3:                  # steps at the EPS_NEG threshold
+            p[int(rng.integers(0, N))] = 5e-13
+            q[int(rng.integers(1, N + 1))] = 2e-12
+        P = bd_kernel(make_bd(p, q, interior_positive=False)).matrix
+        cases.append((f"P{k}", P))
+        cases.append((f"dual{k}", siegmund_dual(P).dual))
+        if variant in (0, 4):
+            res = build_intertwining(P, siegmund_function(N), siegmund_dual(P).dual)
+            cases.append((f"p_tilde{k}", res.p_tilde))
+    return cases
+
+
+def _dense_stationary(m):
+    """``stationary`` by the dense algorithms alone."""
+    K = kernels.validate_kernel(m)
+    if K.kind is not kernels.KernelKind.STOCHASTIC:
+        raise errors.NotStochasticError("not stochastic")
+    if kernels._classify_dense(K.matrix).n_classes != 1:
+        raise errors.NotIrreducibleError("not irreducible")
+    return kernels.normalize_stationary(kernels._gth(K.matrix), "GTH back-substitution")
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except errors.DualChainError as exc:
+        return type(exc)
+
+
+def test_banded_paths_give_what_the_dense_algorithms_give(monkeypatch):
+    cases = _banded_cases()
+    assert sum(name.startswith("p_tilde") for name, _ in cases) >= 20
+    raised = 0
+    for name, m in cases:
+        assert kernels._bands(m) is not None, name
+        assert kernels.classify(m) == kernels._classify_dense(m), name
+        assert kernels.is_irreducible(m) == (kernels._classify_dense(m).n_classes == 1), name
+        assert kernels.absorbing_states(m) == kernels._absorbing_dense(m), name
+        banded, dense = _outcome(kernels.stationary, m), _outcome(_dense_stationary, m)
+        if isinstance(dense, np.ndarray):
+            assert np.array_equal(banded, dense), name
+        else:
+            assert banded is dense, name
+            raised += dense is errors.NotIrreducibleError
+        edges = m > kernels.EPS_NEG
+        for seeds in (np.arange(m.shape[0]) == 0, np.arange(m.shape[0]) % 3 == 1):
+            assert np.array_equal(kernels.reachable(m, seeds), kernels._bfs(edges, seeds))
+            assert np.array_equal(kernels.reachable(m.T, seeds), kernels._bfs(edges.T, seeds))
+    assert raised >= 10
+
+    runs = [(m, start, b) for _, m in cases for b in kernels._absorbing_dense(m)
+            for start in (np.eye(m.shape[0])[0], np.full(m.shape[0], 1 / m.shape[0]))]
+    banded = [_outcome(hitting_moments, *run) for run in runs]
+    assert sum(isinstance(out, tuple) for out in banded) >= 40
+    monkeypatch.setattr(kernels, "_bands", lambda P: None)     # every kernel dense
+    assert [_outcome(hitting_moments, *run) for run in runs] == banded

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualchain import cli, errors, stationary_times
+from dualchain import cli, errors, kernels, stationary_times
 from dualchain.chains import (
     BDParams,
     bd_kernel,
@@ -29,6 +29,7 @@ from dualchain.duals import (
     siegmund_function,
     ultrametric_dual,
     ultrametric_function,
+    verify_duality,
 )
 from dualchain.intertwining import build_intertwining
 from dualchain.kernels import total_variation
@@ -45,7 +46,7 @@ from dualchain.stationary_times import (
     sharpness_witness,
     verify_sharpness,
 )
-from dualchain.tolerances import TAIL_LIMIT, TAIL_TARGET
+from dualchain.tolerances import RESID_TOL, TAIL_LIMIT, TAIL_TARGET
 
 
 def test_separation_basics():
@@ -130,6 +131,36 @@ def test_sharpness_witness_siegmund(pipeline_b):
     assert wit["witnesses"] == [2]
     assert not wit["degenerate_identity"]
     assert (2, 2, 1.0) in wit["h_point_rows"]
+
+
+def test_sharpness_witness_is_the_per_state_loop():
+    def per_state(L, pi, boundary):
+        """Oracle: the witness test one state at a time."""
+        witnesses = []
+        for d in range(L.shape[0]):
+            target = np.zeros(L.shape[0])
+            target[boundary] = pi[d]
+            if np.max(np.abs(L[:, d] - target)) <= RESID_TOL:
+                witnesses.append(d)
+        return witnesses
+
+    # random links with planted witness columns, some moved off by a
+    # deviation just inside or just outside the tolerance
+    rng = np.random.default_rng(2110)
+    found = 0
+    for _ in range(30):
+        n = int(rng.integers(2, 12))
+        L = rng.dirichlet(np.ones(n), size=n)
+        pi = rng.dirichlet(np.ones(n))
+        boundary = int(rng.integers(n))
+        for d in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False):
+            L[:, d] = 0.0
+            L[boundary, d] = pi[d]
+            L[int(rng.integers(n)), d] += rng.choice([0.0, 0.5, 2.0]) * RESID_TOL
+        witnesses = sharpness_witness(L, pi, boundary)["witnesses"]
+        assert witnesses == per_state(L, pi, boundary)
+        found += len(witnesses)
+    assert found >= 30
 
 
 def test_verify_sharpness_chain_a(pipeline_a):
@@ -761,3 +792,85 @@ def test_cutoff_report_flat_family_no_flag(chain_b):
     out = cutoff_report(lambda N: chain_b, [2, 4, 8])
     assert not out["cutoff_flag"]
     assert all(r["relative_variance"] > 0 for r in out["rows"])
+
+
+def _passage_moments_on_numpy_scalars(params):
+    """Oracle: the recurrences of ``absorption_recurrence`` on numpy scalars."""
+    N, p, q = params.N, params.p, params.q
+    ES = np.zeros(N)
+    VS = np.zeros(N)
+    ES[0] = 1.0 / p[0]
+    VS[0] = (1.0 - p[0]) / p[0] ** 2
+    for y in range(1, N):
+        ES[y] = 1.0 / p[y] + (q[y] / p[y]) * ES[y - 1]
+        A = (
+            (p[y] - 1.0) / p[y] ** 2
+            + 2.0 * (1.0 - p[y]) / p[y] * ES[y]
+            + 2.0 * q[y] * (p[y] - 1.0) / p[y] ** 2 * ES[y - 1]
+            + 2.0 * q[y] / p[y] * ES[y - 1] * ES[y]
+            - q[y] * (q[y] - p[y]) / p[y] ** 2 * ES[y - 1] ** 2
+        )
+        VS[y] = (q[y] / p[y]) * VS[y - 1] + A
+    return float(ES.sum()), float(VS.sum())
+
+
+def test_passage_moments_are_the_numpy_scalar_recurrences_bit_for_bit():
+    rng = np.random.default_rng(1019)
+    overflows = 0
+    for k in range(200):
+        N = int(rng.integers(1, 60))
+        if k % 2:
+            # up steps spread over six decades, down steps filling the rest;
+            # every tenth chain is long and nearly stuck, so E(S_y)^2 overflows
+            stuck = k % 10 == 1
+            N = 59 if stuck else N
+            p = np.append(10.0 ** rng.uniform(-6, -4 if stuck else np.log10(0.5), size=N), 0.0)
+            q = np.append(0.0, rng.uniform(0, 1, size=N) * (1 - p[1:] - 1e-9))
+            q[1:N] = np.maximum(q[1:N], 1e-6)
+            params = make_bd(p, q)
+        else:
+            params = random_monotone_bd(rng, N)
+        with np.errstate(all="ignore"):     # the long chains overflow to inf
+            moments = _passage_moments_on_numpy_scalars(params)
+            assert np.array_equal(stationary_times._passage_moments(params), moments,
+                                  equal_nan=True)
+        overflows += not np.isfinite(moments).all()
+        if k % 20 == 0:         # and through the route itself
+            small = random_monotone_bd(rng, 8)
+            rc = absorption_recurrence(small)
+            assert (rc.mean, rc.variance) == _passage_moments_on_numpy_scalars(small)
+    assert 20 <= overflows <= 100
+    # p_0^2 underflows to a zero divisor
+    params = make_bd([1e-200, 0.3, 0.0], [0.0, 0.2, 0.5])
+    with np.errstate(all="ignore"):
+        assert np.array_equal(stationary_times._passage_moments(params),
+                              _passage_moments_on_numpy_scalars(params), equal_nan=True)
+
+
+def test_moran_solve_takes_the_banded_path(monkeypatch):
+    # the moran_ssd solve sequence of the benchmark on Moran (40, .1, .1)
+    calls = {"_strongly_connected_components": 0, "_gth": 0, "_bfs": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(kernels, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(kernels, name, counted)
+    N, a1, a2 = 40, 0.1, 0.1
+    start = np.zeros(N + 1)
+    start[0] = 1.0
+    params = moran_kernel(N, mutation_bias(a1, a2, N))
+    P = bd_kernel(params)
+    H = siegmund_function(N)
+    rep = siegmund_dual(P)
+    verify_duality(P, H, rep.dual, n_max=20)
+    res = build_intertwining(P, H, rep.dual)
+    sharp = verify_sharpness(P.matrix, res.p_tilde, res.link, res.link[0], start, n_max=100)
+    absorption_exact(res.p_tilde, start, sharp.boundary)
+    sp = absorption_spectral(bd_spectrum(params))
+    absorption_recurrence(bd_params_from_kernel(res.p_tilde), n_max=sp.n_max)
+    assert calls == {"_strongly_connected_components": 0, "_gth": 0, "_bfs": 0}
+    # the counters see the dense path
+    dense = random_monotone_kernel(np.random.default_rng(5), 6)
+    kernels.stationary(dense)
+    kernels.reachable(dense, np.arange(6) == 0)
+    assert all(calls.values())
