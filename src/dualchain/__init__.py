@@ -15,7 +15,6 @@ from .chains import (
     bd_kernel,
     bd_params_from_kernel,
     bd_stationary,
-    complement_bias,
     is_irreducible_bd,
     make_bd,
     make_bias,
@@ -41,7 +40,6 @@ from .duals import (
     dual_via_solve,
     hypergeometric_function,
     is_monotone,
-    potential_dual_check,
     potential_function,
     siegmund_dual,
     siegmund_function,
@@ -53,10 +51,8 @@ from .duals import (
 from .intertwining import (
     IntertwiningResult,
     build_intertwining,
-    constant_column_check,
     duality_from_intertwining,
     identity_residuals,
-    link_row_check,
     spectrum_equivalence,
 )
 from .kernels import (
@@ -69,7 +65,6 @@ from .kernels import (
     is_irreducible,
     reversal,
     stationary,
-    total_variation,
     validate_kernel,
 )
 from .spectra import (
@@ -89,10 +84,8 @@ from .stationary_times import (
     absorption_exact,
     absorption_recurrence,
     absorption_spectral,
-    admissible_initials,
     cutoff_report,
     separation,
-    sharpness_witness,
     verify_sharpness,
 )
 

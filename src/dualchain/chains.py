@@ -152,15 +152,6 @@ def make_bias(values) -> BiasFunction:
     )
 
 
-def complement_bias(bias: BiasFunction) -> BiasFunction:
-    """Bias of the complement count N - X: u -> 1 - p(1 - u).
-
-    On the grid this is an exact reversal, so applying it twice returns the
-    original table bit for bit.
-    """
-    return make_bias(1.0 - bias.values[::-1])
-
-
 def mutation_bias(a1: float, a2: float, N: int) -> BiasFunction:
     """Two-parameter mutation mechanism p(u) = (1 - a2) u + a1 (1 - u)."""
     if not (0 <= a1 <= 1 and 0 <= a2 <= 1):

@@ -446,27 +446,3 @@ def verify_duality(P, H, dual, n_max: int = 20) -> dict:
         steps.append(sup_norm(left - right))
     return {"static": steps[0], "dynamic": max(steps)}
 
-
-def potential_dual_check(R) -> dict:
-    """Feasibility of the potential dual against a strictly substochastic R
-    whose transpose is also substochastic.
-
-    For the uniform kernel P = (n)^{-1} ones the dual is computed as
-    Phat' = (Id - R) P H and must be entrywise nonnegative with
-    nonnegative row sums.
-    """
-    Hfn = potential_function(R)
-    Rm = Hfn.params["R"]
-    n = Rm.shape[0]
-    col_sums = Rm.sum(axis=0)
-    transpose_sub = bool(np.all(col_sums <= 1 + EPS_STOCH))
-    m, Hm = np.full((n, n), 1.0 / n), Hfn.matrix
-    rep = _report(((np.eye(n) - Rm) @ m @ Hm).T, lambda y: "nonnegativity")
-    return {
-        "dual": rep.dual,
-        "feasible": rep.feasible,
-        "transpose_substochastic": transpose_sub,
-        "row_sums_nonnegative": bool(np.all(rep.dual.sum(axis=1) >= -EPS_NEG)),
-        "residual": verify_duality(m, Hfn, rep.dual, n_max=1)["static"],
-        "dual_function": Hfn,
-    }

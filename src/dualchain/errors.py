@@ -100,7 +100,7 @@ class NotAbsorbingError(DualChainError):
 
 
 class NotAdmissibleError(DualChainError):
-    """No nonnegative hidden-chain initial law maps onto the requested one."""
+    """The hidden initial law does not map onto the observed one through the link."""
 
 
 class TruncationTooCoarseError(DualChainError):

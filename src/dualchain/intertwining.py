@@ -162,40 +162,6 @@ def identity_residuals(P, H: DualFunction, dual, res: IntertwiningResult) -> dic
     }
 
 
-def link_row_check(link, pi, a_tilde: int, p_tilde) -> float:
-    """Residual of pi' = e_a' Lambda at an absorbing state a of Ptilde."""
-    L = as_matrix(link)
-    pt = as_matrix(p_tilde)
-    if a_tilde not in kernels.absorbing_states(pt):
-        raise errors.NotAbsorbingError(f"state {a_tilde} is not absorbing")
-    r = sup_norm(L[a_tilde] - np.asarray(pi, dtype=float))
-    if r > RESID_TOL:
-        raise errors.IntertwiningResidualError(
-            f"link row {a_tilde} deviates from pi by {r:.3g}"
-        )
-    return r
-
-
-def constant_column_check(H, dual=None) -> list[tuple[int, float]]:
-    """Strictly positive constant columns of H; each such column index is an
-    absorbing state of any attached dual kernel."""
-    Hm = H.matrix if isinstance(H, DualFunction) else np.asarray(H, dtype=float)
-    out = []
-    for j in range(Hm.shape[1]):
-        col = Hm[:, j]
-        if col[0] > EPS_NEG and np.max(np.abs(col - col[0])) <= RESID_TOL:
-            out.append((j, float(col[0])))
-    if dual is not None:
-        d = as_matrix(dual)
-        absorbing = set(kernels.absorbing_states(d))
-        for j, _ in out:
-            if j not in absorbing:
-                raise errors.NotAbsorbingError(
-                    f"constant column {j} is not absorbing in the dual"
-                )
-    return out
-
-
 def duality_from_intertwining(p_tilde, link, pi, p_back):
     """Reverse direction: an intertwining Ptilde Lambda = Lambda Pback with
     stochastic link yields the dual pair H = D_pi^{-1} Lambda', Phat =

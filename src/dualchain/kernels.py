@@ -112,12 +112,6 @@ def validate_prob_vector(v, name: str, n: int) -> np.ndarray:
     return np.clip(v, 0.0, None)
 
 
-def total_variation(mu, nu) -> float:
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    return 0.5 * float(np.abs(mu - nu).sum())
-
-
 def validate_kernel(matrix, require: str | None = None) -> Kernel:
     """Validate a square nonnegative matrix and classify its row-sum kind.
 

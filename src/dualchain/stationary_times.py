@@ -67,102 +67,13 @@ def _separations(mu, pi):
     return s, s < 0.5 * np.abs(mu - pi).sum(axis=-1) - slack
 
 
-def admissible_initials(link, pi0, pi=None) -> dict:
-    """Solve pi_tilde0' Lambda = pi0' under nonnegativity.
-
-    A direct dense solve (least squares for singular links) is tried first;
-    when its particular solution has negative mass, a linear-programming
-    feasibility pass searches the affine solution set for a nonnegative
-    point.  Raises NotAdmissibleError when none exists.  The report also
-    carries the point rows (e_b' Lambda = e_c') and, when ``pi`` is
-    supplied, the cumulative closed-form candidate
-
-        pi_tilde0(x) = pi_cum(x) (pi0(x)/pi(x) - pi0(x+1)/pi(x+1))
-
-    which is valid exactly when the ratio pi0/pi is nonincreasing.
-    """
-    L = as_matrix(link)
-    pi0 = kernels.validate_prob_vector(pi0, "pi0", L.shape[1])
-    n = L.shape[0]
-
-    sol, *_ = np.linalg.lstsq(L.T, pi0, rcond=None)
-    residual = sup_norm(L.T @ sol - pi0)
-    method = "solve"
-    if residual > RESID_TOL:
-        raise errors.NotAdmissibleError(
-            f"pi0 is not in the row span of the link (residual {residual:.3g})"
-        )
-    if np.min(sol) < -EPS_NEG:
-        from scipy.optimize import linprog
-
-        lp = linprog(
-            c=np.zeros(n),
-            A_eq=L.T,
-            b_eq=pi0,
-            bounds=[(0, None)] * n,
-            method="highs",
-        )
-        if not lp.success:
-            raise errors.NotAdmissibleError(
-                f"no nonnegative solution; unconstrained minimum {sol.min():.3g}"
-            )
-        sol = lp.x
-        residual = sup_norm(L.T @ sol - pi0)
-        method = "lp"
-    sol = np.clip(sol, 0.0, None)
-
-    point_pairs = []
-    for b in range(n):
-        c = int(np.argmax(L[b]))
-        if abs(L[b, c] - 1.0) <= RESID_TOL and L[b].sum() - L[b, c] <= RESID_TOL:
-            point_pairs.append((b, c))
-
-    out = {
-        "pi_tilde0": sol,
-        "residual": residual,
-        "method": method,
-        "point_pairs": point_pairs,
-    }
-    if pi is not None:
-        pi = np.asarray(pi, dtype=float)
-        ratio = pi0 / pi
-        pic = np.cumsum(pi)
-        rpad = np.concatenate([ratio, [0.0]])
-        candidate = pic * (rpad[:-1] - rpad[1:])
-        out["closed_form"] = {
-            "value": candidate,
-            "ratio_nonincreasing": bool(np.all(np.diff(ratio) <= EPS_NEG)),
-            "link_residual": sup_norm(candidate @ L - pi0),
-        }
-    return out
-
-
-def sharpness_witness(link, pi, boundary: int, H=None) -> dict:
-    """States d with Lambda e_d = pi(d) e_boundary (tolerance 1e-10).
-
-    When H is supplied, also lists the rows of H supported on a single
-    column (e_d' H = c e_a'), the dual-side form of the same condition.
-    """
-    L = as_matrix(link)
-    pi = np.asarray(pi, dtype=float)
-    n = L.shape[0]
-    # |Lambda - T| with T zero but for row ``boundary``, which is pi; a
-    # witness is a column of it with sup norm within the tolerance
+def _witnesses(L, pi, boundary: int) -> list[int]:
+    """States d with Lambda e_d = pi(d) e_boundary (tolerance 1e-10): the
+    columns of |Lambda - T|, T zero but for row ``boundary`` = pi, whose
+    sup norm is within the tolerance."""
     dev = np.abs(L)
     dev[boundary] = np.abs(L[boundary] - pi)
-    out = {
-        "witnesses": np.flatnonzero(dev.max(axis=0) <= RESID_TOL).tolist(),
-        "degenerate_identity": bool(sup_norm(L - np.eye(n)) <= RESID_TOL),
-    }
-    if H is not None:
-        Hm = H.matrix if hasattr(H, "matrix") else np.asarray(H, dtype=float)
-        rows = []
-        for d in range(Hm.shape[0]):
-            a = int(np.argmax(np.abs(Hm[d])))
-            if Hm[d, a] > EPS_NEG and np.abs(Hm[d]).sum() - abs(Hm[d, a]) <= RESID_TOL:
-                rows.append((d, a, float(Hm[d, a])))
-        out["h_point_rows"] = rows
-    return out
+    return np.flatnonzero(dev.max(axis=0) <= RESID_TOL).tolist()
 
 
 @dataclass(frozen=True)
@@ -204,8 +115,8 @@ def verify_sharpness(P, p_tilde, link, pi0, pi_tilde0,
         raise errors.NotAbsorbingError("no absorbing state carries pi in the link")
     boundary = candidates[-1]
 
-    wit = sharpness_witness(L, pi, boundary)
-    witness = wit["witnesses"][0] if wit["witnesses"] else None
+    witnesses = _witnesses(L, pi, boundary)
+    witness = witnesses[0] if witnesses else None
 
     table = np.empty((n_max + 1, 3))
     table[:, 0] = np.arange(n_max + 1)

@@ -9,7 +9,6 @@ from dualchain.chains import (
     bd_kernel,
     bd_params_from_kernel,
     bd_stationary,
-    complement_bias,
     is_irreducible_bd,
     make_bd,
     make_bias,
@@ -64,13 +63,6 @@ def test_bias_table_validation():
         make_bias([0.2, 1.4])
     b = make_bias([0.1, 0.5, 0.9])
     assert b.nondecreasing and b.positive_at_zero
-
-
-def test_complement_bias_involution():
-    b = make_bias([0.1, 0.4, 0.7, 0.95])
-    np.testing.assert_allclose(
-        complement_bias(complement_bias(b)).values, b.values, atol=1e-15
-    )
 
 
 def test_mutation_bias_endpoints():

@@ -340,6 +340,19 @@ def test_verify_trace_match_catches_moved_diagonal_mass(tmp_path, monkeypatch):
     assert checks["trace_match"]["value"] == pytest.approx(1e-6, rel=1e-6)
 
 
+def test_absorption_agreement_measures_a_zero_reference_absolutely(tmp_path, monkeypatch):
+    # at Moran (1, .5, .5) the one eigenvalue below 1 is 0, so the spectral
+    # variance is exactly 0; a wrong variance must not pass as a relative
+    # gap of 0
+    monkeypatch.setattr(stationary_times, "hitting_moments", lambda *a: (1.0, 0.5))
+    cfg = {"kind": "moran_mutation", "N": 1, "a1": 0.5, "a2": 0.5,
+           "dual": {"family": "siegmund"}}
+    assert _run_cfg("verify", cfg, tmp_path) == 1
+    checks = json.loads((tmp_path / "verify_summary.json").read_text())["checks"]
+    assert [k for k, c in checks.items() if not c["passed"]] == ["absorption_agreement"]
+    assert checks["absorption_agreement"]["value"] == 0.5
+
+
 def test_verify_duality_gates_catch_a_bad_dual(tmp_path, monkeypatch):
     # 5e-10 of mass from Phat(1, 1) to Phat(1, 0): the pipeline gates the
     # duality residual at EPS_STOCH and accepts it, verify at RESID_TOL

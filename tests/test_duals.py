@@ -13,7 +13,6 @@ from dualchain.duals import (
     dual_via_solve,
     hypergeometric_function,
     is_monotone,
-    potential_dual_check,
     potential_function,
     siegmund_dual,
     siegmund_function,
@@ -22,7 +21,7 @@ from dualchain.duals import (
     vandermonde_function,
     verify_duality,
 )
-from dualchain.kernels import KernelKind, validate_kernel
+from dualchain.kernels import KernelKind, absorbing_states, validate_kernel
 from dualchain.samplers import random_kernel, random_monotone_kernel
 from dualchain.tolerances import EPS_NEG
 
@@ -323,6 +322,8 @@ def test_dual_via_solve_hypergeometric_moran():
     np.testing.assert_allclose(
         rep.dual.sum(axis=1), 1 - 0.3 * np.arange(7) / 6, atol=1e-12
     )
+    # column 0 of H is constant, so state 0 is absorbing in the dual
+    assert 0 in absorbing_states(rep.dual)
 
 
 def test_dual_via_solve_support_refit_large_moran():
@@ -365,12 +366,3 @@ def test_verify_duality_residuals(chain_a):
     bad = siegmund_dual(NON_MONOTONE)
     out2 = verify_duality(NON_MONOTONE, siegmund_function(1), bad.dual)
     assert out2["static"] <= 1e-12
-
-
-def test_potential_dual_check_uniform():
-    R = np.array([[0.3, 0.2], [0.1, 0.4]])
-    out = potential_dual_check(R)
-    assert out["transpose_substochastic"]
-    assert out["feasible"]
-    assert out["row_sums_nonnegative"]
-    assert out["residual"] <= 1e-12

@@ -14,10 +14,8 @@ from dualchain.duals import (
 )
 from dualchain.intertwining import (
     build_intertwining,
-    constant_column_check,
     duality_from_intertwining,
     identity_residuals,
-    link_row_check,
     spectrum_equivalence,
 )
 from dualchain.samplers import random_monotone_kernel
@@ -92,24 +90,6 @@ def test_pipeline_rejects_wrong_dual(pipeline_a, chain_a):
     P = bd_kernel(chain_a)
     with pytest.raises(errors.DualityResidualError):
         build_intertwining(P, siegmund_function(1), np.eye(2))
-
-
-def test_link_row_check(pipeline_b):
-    _, res = pipeline_b
-    assert link_row_check(res.link, res.pi, 2, res.p_tilde) <= 1e-12
-    with pytest.raises(errors.NotAbsorbingError):
-        link_row_check(res.link, res.pi, 0, res.p_tilde)
-
-
-def test_constant_column_detection():
-    H = hypergeometric_function(4)
-    params = moran_kernel(4, mutation_bias(0.3, 0.2, 4))
-    rep = dual_via_solve(bd_kernel(params), H)
-    cols = constant_column_check(H, rep.dual)
-    assert cols == [(0, 1.0)]
-    # a non-absorbing constant column must be flagged
-    with pytest.raises(errors.NotAbsorbingError):
-        constant_column_check(np.ones((2, 2)), np.array([[0.5, 0.5], [0.5, 0.5]]))
 
 
 def test_duality_round_trip(pipeline_b):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from dualchain import errors, kernels
 from dualchain.chains import (
@@ -19,8 +18,6 @@ from dualchain.duals import siegmund_dual, siegmund_function
 from dualchain.intertwining import build_intertwining
 from dualchain.samplers import random_monotone_bd, random_monotone_kernel
 from dualchain.stationary_times import hitting_moments
-
-UNIT = st.floats(0.01, 1.0, allow_nan=False)
 
 
 def random_stochastic(rng, n):
@@ -96,11 +93,6 @@ def test_validate_prob_vector():
         kernels.validate_prob_vector([-0.1, 1.1], "v", 2)
     with pytest.raises(errors.DimensionMismatchError, match="v length mismatch: 2 entries for 3"):
         kernels.validate_prob_vector([0.25, 0.75], "v", 3)
-
-
-def test_total_variation_basic():
-    assert kernels.total_variation([1, 0], [0, 1]) == pytest.approx(1.0)
-    assert kernels.total_variation([0.5, 0.5], [0.5, 0.5]) == 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -244,20 +236,6 @@ def test_check_harmonic():
         [0.0, 0.0, 1.0],
     ])
     assert kernels.check_harmonic(m, [0.0, 0.5, 1.0]) <= 1e-15
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    arrays(np.float64, (4,), elements=UNIT),
-    arrays(np.float64, (4,), elements=UNIT),
-)
-def test_total_variation_triangle(u, v):
-    mu = u / u.sum()
-    nu = v / v.sum()
-    rho = np.full(4, 0.25)
-    tuv = kernels.total_variation(mu, nu)
-    assert tuv <= kernels.total_variation(mu, rho) + kernels.total_variation(rho, nu) + 1e-12
-    assert 0.0 <= tuv <= 1.0
 
 
 def test_bands_are_recorded_only_for_tridiagonal_kernels():

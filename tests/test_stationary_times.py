@@ -32,18 +32,15 @@ from dualchain.duals import (
     verify_duality,
 )
 from dualchain.intertwining import build_intertwining
-from dualchain.kernels import total_variation
 from dualchain.samplers import random_monotone_bd, random_monotone_kernel
 from dualchain.spectra import Spectrum, bd_spectrum, moran_mutation_spectrum
 from dualchain.stationary_times import (
     absorption_exact,
     absorption_recurrence,
     absorption_spectral,
-    admissible_initials,
     cutoff_report,
     hitting_moments,
     separation,
-    sharpness_witness,
     verify_sharpness,
 )
 from dualchain.tolerances import RESID_TOL, TAIL_LIMIT, TAIL_TARGET
@@ -63,7 +60,7 @@ def test_separation_allows_mass_defect():
     pi = np.array([0.1, 0.2, 0.3, 0.4])
     delta = 1e-11
     mu = pi * (1.0 + delta)
-    assert total_variation(mu, pi) - (-delta) > 1e-12
+    assert 0.5 * np.abs(mu - pi).sum() - (-delta) > 1e-12
     assert separation(mu, pi) == pytest.approx(-delta, rel=1e-3)
 
 
@@ -79,61 +76,7 @@ def test_separation_gate_on_mixed_dense_chain():
     assert rep.max_gap <= 1e-9
 
 
-def test_admissible_initials_solve_path(pipeline_b):
-    _, res = pipeline_b
-    out = admissible_initials(res.link, np.array([1.0, 0.0, 0.0]), pi=res.pi)
-    assert out["method"] == "solve"
-    np.testing.assert_allclose(out["pi_tilde0"], [1.0, 0.0, 0.0], atol=1e-12)
-    assert out["residual"] <= 1e-12
-    assert (0, 0) in out["point_pairs"]
-    cf = out["closed_form"]
-    assert cf["ratio_nonincreasing"]
-    np.testing.assert_allclose(cf["value"], out["pi_tilde0"], atol=1e-12)
-    assert cf["link_residual"] <= 1e-12
-
-
-def test_admissible_initials_closed_form_uniform(pipeline_b):
-    _, res = pipeline_b
-    pi0 = np.full(3, 1 / 3)
-    out = admissible_initials(res.link, pi0, pi=res.pi)
-    cf = out["closed_form"]
-    assert cf["ratio_nonincreasing"]
-    assert cf["link_residual"] <= 1e-12
-    np.testing.assert_allclose(cf["value"] @ res.link, pi0, atol=1e-12)
-
-
-def test_admissible_initials_lp_fallback():
-    # singular link whose least-squares solution is negative although a
-    # nonnegative one exists
-    L = np.array([[1.0, 0.0, 0.0], [0.5, 0.2, 0.3], [0.0, 0.4, 0.6]])
-    a = np.array([0.9, 0.05, 0.05])
-    out = admissible_initials(L, a @ L)
-    assert out["method"] == "lp"
-    assert np.min(out["pi_tilde0"]) >= 0
-    assert out["residual"] <= 1e-9
-
-
-def test_admissible_initials_rejects_outside_span():
-    L = np.array([[0.5, 0.5], [0.5, 0.5]])
-    with pytest.raises(errors.NotAdmissibleError):
-        admissible_initials(L, np.array([1.0, 0.0]))
-
-
-def test_admissible_initials_rejects_outside_hull():
-    L = np.array([[1.0, 0.0], [0.5, 0.5]])
-    with pytest.raises(errors.NotAdmissibleError):
-        admissible_initials(L, np.array([0.2, 0.8]))
-
-
-def test_sharpness_witness_siegmund(pipeline_b):
-    _, res = pipeline_b
-    wit = sharpness_witness(res.link, res.pi, boundary=2, H=siegmund_function(2))
-    assert wit["witnesses"] == [2]
-    assert not wit["degenerate_identity"]
-    assert (2, 2, 1.0) in wit["h_point_rows"]
-
-
-def test_sharpness_witness_is_the_per_state_loop():
+def test_sharpness_witness_is_the_per_state_loop(pipeline_b):
     def per_state(L, pi, boundary):
         """Oracle: the witness test one state at a time."""
         witnesses = []
@@ -157,10 +100,21 @@ def test_sharpness_witness_is_the_per_state_loop():
             L[:, d] = 0.0
             L[boundary, d] = pi[d]
             L[int(rng.integers(n)), d] += rng.choice([0.0, 0.5, 2.0]) * RESID_TOL
-        witnesses = sharpness_witness(L, pi, boundary)["witnesses"]
+        witnesses = stationary_times._witnesses(L, pi, boundary)
         assert witnesses == per_state(L, pi, boundary)
         found += len(witnesses)
     assert found >= 30
+    # the Siegmund link of chain b: the top state is the one witness
+    _, res = pipeline_b
+    assert stationary_times._witnesses(res.link, res.pi, 2) == [2]
+
+
+def test_verify_sharpness_refuses_unlinked_initial_laws(pipeline_b):
+    # the hidden start e_0 maps onto the link row e_0, not onto e_2
+    P, res = pipeline_b
+    e0, e2 = np.eye(3)[0], np.eye(3)[2]
+    with pytest.raises(errors.NotAdmissibleError, match="^initial laws not linked: 1$"):
+        verify_sharpness(P.matrix, res.p_tilde, res.link, e2, e0)
 
 
 def test_verify_sharpness_chain_a(pipeline_a):
@@ -700,8 +654,7 @@ def test_start_laws_of_the_wrong_length_are_named(pipeline_b):
     calls = {
         "start": (lambda: hitting_moments(res.p_tilde, short, 2),
                   lambda: absorption_exact(res.p_tilde, short, 2)),
-        "pi0": (lambda: verify_sharpness(P.matrix, res.p_tilde, res.link, short, e0),
-                lambda: admissible_initials(res.link, short)),
+        "pi0": (lambda: verify_sharpness(P.matrix, res.p_tilde, res.link, short, e0),),
         "pi_tilde0": (lambda: verify_sharpness(P.matrix, res.p_tilde, res.link, res.link[0],
                                                short),
                       lambda: exact_joint(pk, short, 2),
