@@ -92,6 +92,17 @@ def test_pipeline_rejects_wrong_dual(pipeline_a, chain_a):
         build_intertwining(P, siegmund_function(1), np.eye(2))
 
 
+def test_constant_column_detection():
+    H = hypergeometric_function(4)
+    params = moran_kernel(4, mutation_bias(0.3, 0.2, 4))
+    rep = dual_via_solve(bd_kernel(params), H)
+    # column 0 of H is the only constant column, and the dual absorbs there
+    constant = [j for j in range(H.n) if np.ptp(H.matrix[:, j]) == 0]
+    assert constant == [0]
+    np.testing.assert_allclose(H.matrix[:, 0], 1.0)
+    assert 0 in kernels.absorbing_states(rep.dual)
+
+
 def test_duality_round_trip(pipeline_b):
     _, res = pipeline_b
     H, dual = duality_from_intertwining(res.p_tilde, res.link, res.pi, res.back)

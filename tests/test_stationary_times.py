@@ -76,7 +76,15 @@ def test_separation_gate_on_mixed_dense_chain():
     assert rep.max_gap <= 1e-9
 
 
-def test_sharpness_witness_is_the_per_state_loop(pipeline_b):
+def test_sharpness_witness_siegmund(pipeline_b):
+    # the Siegmund link of chain b: the top state is the one witness, and
+    # it is the point row of H (row 2 of the Siegmund function at 2 is e_2)
+    _, res = pipeline_b
+    assert stationary_times._witnesses(res.link, res.pi, 2) == [2]
+    np.testing.assert_array_equal(siegmund_function(2).matrix[2], [0.0, 0.0, 1.0])
+
+
+def test_sharpness_witness_is_the_per_state_loop():
     def per_state(L, pi, boundary):
         """Oracle: the witness test one state at a time."""
         witnesses = []
@@ -104,9 +112,6 @@ def test_sharpness_witness_is_the_per_state_loop(pipeline_b):
         assert witnesses == per_state(L, pi, boundary)
         found += len(witnesses)
     assert found >= 30
-    # the Siegmund link of chain b: the top state is the one witness
-    _, res = pipeline_b
-    assert stationary_times._witnesses(res.link, res.pi, 2) == [2]
 
 
 def test_verify_sharpness_refuses_unlinked_initial_laws(pipeline_b):
