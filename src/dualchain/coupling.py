@@ -84,37 +84,52 @@ def product_kernel(P, p_tilde, link) -> ProductKernel:
     return ProductKernel(p=m, p_tilde=pt, link=L, inv_lp=inv_lp, consistent=consistent)
 
 
+# exact_joint stacks the laws of a block of steps: at most 2^17 entries (1 MB)
+# of joint law per block, the budget of stationary_times._SEP_CHUNK
+_JOINT_CHUNK = 1 << 17
+
+
 def exact_joint(pk: ProductKernel, pi_tilde0, n_steps: int) -> dict:
     """Push the product-form initial law through the coupled kernel and
-    certify, at every step, the three structural identities: observed
-    marginal = pi0 P^n, hidden marginal = nu0 Ptilde^n, and joint law =
-    product form nu_n(xt) Lambda(xt, x).
+    certify, at every step 1..n_steps, the three structural identities:
+    observed marginal = pi0 P^n, hidden marginal = nu0 Ptilde^n, and joint
+    law = product form nu_n(xt) Lambda(xt, x).
 
     The law rho(x, xt) moves through the factors:
     rho <- (((rho' P) o 1/(Lambda P))' Ptilde) o Lambda'.
+    The laws of a block of B steps, B n n_tilde <= 2^17 and B >= 1, are
+    stacked and each deviation is one reduction over the block; a maximum
+    is exact, so the deviations are those of a check after every step.
     """
+    if n_steps < 0:
+        raise ValueError("n_steps must be nonnegative")
     nu0 = kernels.validate_prob_vector(pi_tilde0, "pi_tilde0", pk.n_tilde)
-    L = pk.link
-    rho = nu0[None, :] * L.T                     # rho0(x, xt)
-    pi0 = nu0 @ L
-
-    mu = pi0.copy()
-    nu = nu0.copy()
+    Lt = pk.link.T
+    n, nt = pk.n, pk.n_tilde
+    rho = nu0[None, :] * Lt                      # rho0(x, xt)
+    mu, nu = nu0 @ pk.link, nu0
+    B = min(max(1, _JOINT_CHUNK // (n * nt)), max(n_steps, 1))
+    rhos, mus, nus = np.empty((B, n, nt)), np.empty((B, n)), np.empty((B, nt))
+    pushed = np.empty((nt, n))
     obs_dev = hid_dev = prod_dev = 0.0
-    for _ in range(n_steps):
-        rho = (((rho.T @ pk.p) * pk.inv_lp).T @ pk.p_tilde) * L.T
-        mu = mu @ pk.p
-        nu = nu @ pk.p_tilde
-        obs_dev = max(obs_dev, sup_norm(rho.sum(axis=1) - mu))
-        hid_dev = max(hid_dev, sup_norm(rho.sum(axis=0) - nu))
-        prod_dev = max(prod_dev, sup_norm(rho - (nu[None, :] * L.T)))
+    for lo in range(0, n_steps, B):
+        b = min(B, n_steps - lo)
+        for i in range(b):
+            np.multiply(np.matmul(rho.T, pk.p, out=pushed), pk.inv_lp, out=pushed)
+            rho = np.multiply(np.matmul(pushed.T, pk.p_tilde, out=rhos[i]), Lt, out=rhos[i])
+            mu = np.matmul(mu, pk.p, out=mus[i])
+            nu = np.matmul(nu, pk.p_tilde, out=nus[i])
+        # np.maximum keeps a NaN deviation, which max() would drop
+        obs_dev = np.maximum(obs_dev, sup_norm(rhos[:b].sum(axis=2) - mus[:b]))
+        hid_dev = np.maximum(hid_dev, sup_norm(rhos[:b].sum(axis=1) - nus[:b]))
+        prod_dev = np.maximum(prod_dev, sup_norm(rhos[:b] - nus[:b, None, :] * Lt))
     return {
-        "joint": rho.reshape(-1),
-        "observed_marginal_dev": obs_dev,
-        "hidden_marginal_dev": hid_dev,
-        "product_form_dev": prod_dev,
-        "observed_final": mu,
-        "hidden_final": nu,
+        "joint": rho.reshape(-1).copy(),
+        "observed_marginal_dev": float(obs_dev),
+        "hidden_marginal_dev": float(hid_dev),
+        "product_form_dev": float(prod_dev),
+        "observed_final": mu.copy(),
+        "hidden_final": nu.copy(),
     }
 
 
@@ -167,6 +182,10 @@ def simulate(pk: ProductKernel, pi_tilde0, n_steps: int, n_paths: int,
     only exact zeros, so the draws pick the same states as an inverse
     transform over whole rows.
     """
+    if n_steps < 0:
+        raise ValueError("n_steps must be nonnegative")
+    if n_paths < 1:
+        raise ValueError("n_paths must be positive")
     nu0 = kernels.validate_prob_vector(pi_tilde0, "pi_tilde0", pk.n_tilde)
     g = np.random.Generator(np.random.Philox(key=seed))
     start_cum = np.cumsum((nu0[None, :] * pk.link.T).reshape(-1))
@@ -250,8 +269,13 @@ def empirical_report(batch: TrajectoryBatch, pk: ProductKernel, pi_tilde0) -> di
     against its link row.  A cell rejects when its statistic (see
     ``_binomial_stat``) exceeds log(2 K / SAMPLE_ALPHA), K the number of
     cells at all times: by a union over both sides of every cell, a correct
-    sampler fails the report with probability at most SAMPLE_ALPHA.
+    sampler fails the report with probability at most SAMPLE_ALPHA.  A
+    batch with no step or no path has nothing to test and is refused.
     """
+    if batch.n_steps < 1:
+        raise ValueError("batch must have at least one step")
+    if batch.n_paths < 1:
+        raise ValueError("batch must have at least one path")
     nu0 = kernels.validate_prob_vector(pi_tilde0, "pi_tilde0", pk.n_tilde)
     times = sorted({batch.n_steps // 2, batch.n_steps} - {0})
     n, nt = pk.n, pk.n_tilde

@@ -212,9 +212,15 @@ def test_criterion_06_nondecreasing_bias_monotone():
         N = int(rng.integers(2, 101))
         table = np.sort(rng.uniform(0.0, 1.0, size=N + 1))
         params = moran_kernel(N, make_bias(table))
-        ok = ok and is_monotone(bd_kernel(params).matrix)
+        P = bd_kernel(params)
+        ok = ok and is_monotone(P.matrix)
+        # a monotone chain has a feasible Siegmund dual, the closed form's
+        rep = siegmund_dual(P)
+        ok = ok and rep.feasible
+        ok = ok and np.abs(rep.dual - bd_siegmund_dual(params)).max() <= np.finfo(float).eps
     _report(6, ok, "200 sampling chains with nondecreasing bias tables "
-                   "(N <= 100) are all monotone")
+                   "(N <= 100) are all monotone, with a feasible Siegmund "
+                   "dual equal to the closed form")
 
 
 def test_criterion_07_scale_function_agreement():

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualchain import cli, errors, kernels
+from dualchain import cli, coupling, errors, kernels
 from dualchain.chains import bd_kernel, moran_kernel, mutation_bias
 from dualchain.coupling import (
     TrajectoryBatch,
@@ -37,6 +37,43 @@ def pair_matrix(pk):
     big[idx] = 0.0
     big[idx, idx] = 1.0
     return big
+
+
+def stepwise_joint(pk, pi_tilde0, n_steps):
+    """Oracle: the law pushed one step at a time, with the three deviations
+    taken after every step."""
+    nu0 = kernels.validate_prob_vector(pi_tilde0, "pi_tilde0", pk.n_tilde)
+    L = pk.link
+    rho = nu0[None, :] * L.T
+    mu = nu0 @ L
+    nu = nu0.copy()
+    obs_dev = hid_dev = prod_dev = 0.0
+    for _ in range(n_steps):
+        rho = (((rho.T @ pk.p) * pk.inv_lp).T @ pk.p_tilde) * L.T
+        mu = mu @ pk.p
+        nu = nu @ pk.p_tilde
+        obs_dev = max(obs_dev, kernels.sup_norm(rho.sum(axis=1) - mu))
+        hid_dev = max(hid_dev, kernels.sup_norm(rho.sum(axis=0) - nu))
+        prod_dev = max(prod_dev, kernels.sup_norm(rho - (nu[None, :] * L.T)))
+    return {
+        "joint": rho.reshape(-1),
+        "observed_marginal_dev": obs_dev,
+        "hidden_marginal_dev": hid_dev,
+        "product_form_dev": prod_dev,
+        "observed_final": mu,
+        "hidden_final": nu,
+    }
+
+
+_DEVS = ("observed_marginal_dev", "hidden_marginal_dev", "product_form_dev")
+
+
+def assert_same_joint(got, want):
+    for key in ("joint", "observed_final", "hidden_final"):
+        assert np.array_equal(got[key], want[key]), key
+        assert got[key].base is None, key    # owns its memory, not a view of a stack
+    for key in _DEVS:
+        assert got[key] == want[key], key
 
 
 def dense_simulate(pk, pi_tilde0, n_steps, n_paths, seed=0):
@@ -145,6 +182,82 @@ def test_exact_joint_matches_pair_matrix(coupled_a, coupled_b):
         for t in range(1, 31):
             rho = rho @ big
             np.testing.assert_allclose(exact_joint(pk, nu0, t)["joint"], rho, rtol=0, atol=1e-15)
+
+
+def test_exact_joint_blocks_match_the_per_step_oracle(coupled_a, coupled_b, monkeypatch):
+    for pk in (coupled_a[0], coupled_b[0], moran_coupled(10, 0.5, 0.5)[0]):
+        nu0 = np.arange(1.0, pk.n_tilde + 1)
+        nu0 /= nu0.sum()
+        want = stepwise_joint(pk, nu0, 20)
+        # the default budget holds all 20 steps in one block; then blocks of 3
+        for budget in (coupling._JOINT_CHUNK, 3 * pk.n * pk.n_tilde):
+            monkeypatch.setattr(coupling, "_JOINT_CHUNK", budget)
+            assert_same_joint(exact_joint(pk, nu0, 20), want)
+        assert_same_joint(exact_joint(pk, nu0, 0), stepwise_joint(pk, nu0, 0))
+
+
+def test_exact_joint_blocks_do_not_pass_a_wrong_kernel(monkeypatch):
+    # Moran (10, .5, .5) from state 0 in blocks of 4 steps.  Each wrong
+    # kernel first shows at step 6, inside the block of steps 5-8.  A wrong
+    # Ptilde keeps the product form, so only the observed marginal shows it.
+    pk, _ = moran_coupled(10, 0.5, 0.5)
+    nu0 = np.eye(pk.n_tilde)[0]
+    monkeypatch.setattr(coupling, "_JOINT_CHUNK", 4 * pk.n * pk.n_tilde)
+    p_tilde = pk.p_tilde.copy()
+    p_tilde[5, 5] -= 1e-7
+    p_tilde[5, 6] += 1e-7
+    inv_lp = pk.inv_lp.copy()
+    inv_lp[5, 5] *= 1 + 1e-7
+    for wrong, tripped in ((dataclasses.replace(pk, p_tilde=p_tilde), _DEVS[:1]),
+                           (dataclasses.replace(pk, inv_lp=inv_lp), _DEVS)):
+        assert all(exact_joint(wrong, nu0, 5)[key] <= 1e-10 for key in _DEVS)
+        for steps in (6, 20):
+            got = exact_joint(wrong, nu0, steps)
+            assert_same_joint(got, stepwise_joint(wrong, nu0, steps))
+            assert all(got[key] > 1e-10 for key in tripped)
+
+
+def test_exact_joint_does_not_pass_a_nan_law(monkeypatch):
+    # a NaN in 1/(Lambda P) spreads through the law; the per-step loop's
+    # max(dev, nan) kept dev, and all three deviations read 0.0
+    pk, _ = moran_coupled(10, 0.5, 0.5)
+    inv_lp = pk.inv_lp.copy()
+    inv_lp[5, 5] = np.nan
+    wrong = dataclasses.replace(pk, inv_lp=inv_lp)
+    for budget in (coupling._JOINT_CHUNK, 4 * pk.n * pk.n_tilde):
+        monkeypatch.setattr(coupling, "_JOINT_CHUNK", budget)
+        got = exact_joint(wrong, np.eye(pk.n_tilde)[0], 20)
+        assert np.isnan(got["joint"]).any()
+        assert all(np.isnan(got[key]) for key in _DEVS)
+
+
+def test_exact_joint_refuses_negative_steps(coupled_b):
+    pk, _ = coupled_b
+    with pytest.raises(ValueError, match="n_steps"):
+        exact_joint(pk, np.eye(3)[0], -2)
+
+
+def test_simulate_refuses_negative_steps_and_no_paths(coupled_b):
+    pk, _ = coupled_b
+    with pytest.raises(ValueError, match="n_steps"):
+        simulate(pk, np.eye(3)[0], n_steps=-1, n_paths=10)
+    with pytest.raises(ValueError, match="n_paths"):
+        simulate(pk, np.eye(3)[0], n_steps=5, n_paths=0)
+
+
+def test_empirical_report_refuses_a_batch_without_steps(coupled_b):
+    pk, _ = coupled_b
+    batch = simulate(pk, np.eye(3)[0], n_steps=0, n_paths=10)
+    with pytest.raises(ValueError, match="batch must have at least one step"):
+        empirical_report(batch, pk, np.eye(3)[0])
+
+
+def test_empirical_report_refuses_a_batch_without_paths(coupled_b):
+    pk, _ = coupled_b
+    empty = np.zeros((0, 31), dtype=np.int64)
+    batch = TrajectoryBatch(x=empty, x_tilde=empty, seed=0, fingerprint=pk.fingerprint())
+    with pytest.raises(ValueError, match="batch must have at least one path"):
+        empirical_report(batch, pk, np.eye(3)[0])
 
 
 def test_simulated_steps_follow_pair_matrix(coupled_b):

@@ -14,8 +14,6 @@ CALLERS = [*sorted((ROOT / "scripts").glob("*.py")), *sorted((ROOT / "perfbench"
 UNCHECKED = ("samplers",)
 
 KEPT = (
-    ("duals.bd_siegmund_dual",
-     "the closed-form Siegmund dual of a birth-death chain, the oracle of siegmund_dual"),
     ("intertwining.duality_from_intertwining",
      "the paper's converse relation: an intertwining with a stochastic link gives a duality"),
     ("spectra.bernoulli_laplace_weights",
