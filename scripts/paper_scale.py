@@ -9,7 +9,8 @@ For each N and each a1 = a2 = a in {.1, .25, .5}, each command runs through
 into its own temporary directory.  One row per run: N, a, the command, its
 exit code, its wall seconds (import excluded), its cold wall seconds (the
 same command in a fresh `python -m dualchain.cli` process, interpreter
-start and import included) and, for verify, all_passed.  Timings depend on
+start and import included), that process's peak RSS in MB and, for verify,
+all_passed.  Timings depend on
 the BLAS thread count; OPENBLAS_NUM_THREADS=1 makes them comparable between
 runs.
 """
@@ -26,11 +27,22 @@ A_VALUES = (0.1, 0.25, 0.5)
 COMMANDS = ("dual", "intertwine", "verify", "ssd", "simulate", "plotdata")
 # extra arguments per command: plotdata times the matrix-power absorption law
 EXTRA = {"plotdata": ["--series", "absorption_pmf"]}
+# A small interpreter starts the cold run and prints its wall seconds, exit
+# code and ru_maxrss (KiB) from os.wait4.  Started from this script, the
+# run would also report this script's peak RSS: at exec Linux charges a
+# process with the peak RSS of the memory it leaves, which for a vfork
+# child (subprocess's default) is its parent's.
+COLD = """import os, subprocess, sys, time
+t0 = time.perf_counter()
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(time.perf_counter() - t0, os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
 
 
 def run_once(command, N, a):
-    """(exit code, wall seconds, cold wall seconds, all_passed or "-") of one
-    command."""
+    """(exit code, wall seconds, cold wall seconds, cold peak RSS in MB,
+    all_passed or "-") of one command."""
     cfg = {"kind": "moran_mutation", "N": N, "a1": a, "a2": a,
            "dual": {"family": "siegmund"}}
     with tempfile.TemporaryDirectory() as tmp:
@@ -46,25 +58,24 @@ def run_once(command, N, a):
         wall = time.perf_counter() - t0
         summary = Path(tmp) / "verify_summary.json"
         passed = json.loads(summary.read_text())["all_passed"] if summary.exists() else "-"
-        t0 = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-m", "dualchain.cli", *argv],
-                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        cold = time.perf_counter() - t0
-        if proc.returncode != code:
-            print(f"# {command} N={N} a={a}: the cold run exited {proc.returncode}")
-    return code, wall, cold, passed
+        out = subprocess.run([sys.executable, "-c", COLD, sys.executable, "-m", "dualchain.cli",
+                              *argv], capture_output=True, text=True, check=True).stdout
+        cold, cold_code, rss_kib = out.split()
+        if int(cold_code) != code:
+            print(f"# {command} N={N} a={a}: the cold run exited {cold_code}")
+    return code, wall, float(cold), int(rss_kib) / 1024, passed
 
 
 def main(argv):
     Ns = [int(v) for v in argv[1:]] or [1000]
     print(f"{'N':>6} {'a':>5} {'command':<8} {'exit':>4} {'wall_s':>9} {'cold_s':>9} "
-          f"{'all_passed':>10}")
+          f"{'cold_rss_mb':>11} {'all_passed':>10}")
     for N in Ns:
         for a in A_VALUES:
             for command in COMMANDS:
-                code, wall, cold, passed = run_once(command, N, a)
+                code, wall, cold, rss, passed = run_once(command, N, a)
                 print(f"{N:>6} {a:>5} {command:<8} {code:>4} {wall:>9.3f} {cold:>9.3f} "
-                      f"{passed!s:>10}", flush=True)
+                      f"{rss:>11.1f} {passed!s:>10}", flush=True)
 
 
 if __name__ == "__main__":

@@ -170,6 +170,18 @@ def _row_supports(m: np.ndarray) -> np.ndarray:
     return np.argsort(~nz, axis=1, kind="stable")[:, :k]
 
 
+def _hidden_partials(xs, ys, tvals, link_rows, link, out):
+    """Into ``out`` (kt, m): the partial sums S_i(xt, y) =
+    sum_{l <= i} Ptilde(xt, c_l) Lambda(c_l, y) over the support columns
+    c_l of row xt, for the m pairs (xs, ys)."""
+    for i in range(out.shape[0]):
+        np.multiply(np.take(tvals[i], xs), np.take(link, np.take(link_rows[i], xs) + ys),
+                    out=out[i])
+        if i:
+            out[i] += out[i - 1]
+    return out
+
+
 def simulate(pk: ProductKernel, pi_tilde0, n_steps: int, n_paths: int,
              seed: int = 0) -> TrajectoryBatch:
     """Sample coupled trajectories from the product-form initial law.
@@ -177,10 +189,23 @@ def simulate(pk: ProductKernel, pi_tilde0, n_steps: int, n_paths: int,
     One Philox stream per seed.  ``random(n_paths)`` picks the start pair;
     then each step takes ``random((2, n_paths))``: row 0 draws y ~ P(x, .),
     row 1 draws yt with weights Ptilde(xt, .) Lambda(., y), both by inverse
-    transform over the nonzero entries of the row, so a step costs
-    O(n_paths k) for rows of at most k nonzero entries.  Partial sums skip
-    only exact zeros, so the draws pick the same states as an inverse
-    transform over whole rows.
+    transform over the nonzero entries of the row.  Partial sums skip only
+    exact zeros, so the draws pick the same states as an inverse transform
+    over whole rows.
+
+    The hidden draw compares u1 S_{kt-1} with the partial sums
+    S_i(xt, y) = sum_{l <= i} Ptilde(xt, c_l) Lambda(c_l, y) over the kt
+    support columns c_l of row xt, which depend on the pair (xt, y) alone.
+    When n_tilde n <= n_paths they are formed once for all pairs, a
+    kt x n_tilde n table no larger than the kt x n_paths array of the other
+    route, and a step gathers them at xt n + y.  Otherwise a step forms
+    them for each path, so that memory stays O(n_paths kt) however large
+    n_tilde n grows (N in the thousands).  Both routes do the same
+    floating-point operations in the same order, so they draw the same
+    trajectories.  A step costs O(n_paths (k + kt)) for rows of at most k
+    nonzero entries in P and kt in Ptilde: k - 1 gathers and comparisons
+    for y, then kt gathers (table) or about 6 kt array operations (per
+    path) and kt - 1 comparisons for yt.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
@@ -206,6 +231,12 @@ def simulate(pk: ProductKernel, pi_tilde0, n_steps: int, n_paths: int,
     link_rows = np.ascontiguousarray(tcols.T * n)   # offsets of rows c_j in the flat link
     tcols = tcols.ravel()
     link = pk.link.ravel()
+    if nt * n <= n_paths:
+        pairs = np.arange(nt * n)
+        table = _hidden_partials(pairs // n, pairs % n, tvals, link_rows, link,
+                                 np.empty((kt, nt * n)))
+    else:
+        table, part = None, np.empty((kt, n_paths))
 
     # each step's state is one contiguous row of a block of 8 steps, copied
     # into the (path, step) arrays when the block is full: 8 int64 fill one
@@ -215,29 +246,44 @@ def simulate(pk: ProductKernel, pi_tilde0, n_steps: int, n_paths: int,
     xt = np.empty_like(x)
     bx = np.empty((8, n_paths), dtype=np.int64)
     bxt = np.empty_like(bx)
-    part = np.empty((kt, n_paths))
+    # per-step scratch.  A comparison count stays below a row's width, at
+    # most n.  The gathers index in range by construction; mode="wrap" lets
+    # take write into its out array, which mode="raise" would first buffer.
+    u = np.empty((2, n_paths))
+    row = np.empty(n_paths)
+    idx = np.empty(n_paths, dtype=np.int64)
+    count = np.empty(n_paths, dtype=np.min_scalar_type(max(k, kt)))
+    above = np.empty(n_paths, dtype=bool)
     bx[0], bxt[0] = np.divmod(np.searchsorted(start_cum, g.random(n_paths), side="right"), nt)
     for t in range(n_steps + 1):
         b = t % 8
         if t:
-            u = g.random((2, n_paths))
-            cx, cxt = bx[b - 1], bxt[b - 1]
+            g.random(out=u)
+            cx, cxt, y = bx[b - 1], bxt[b - 1], bx[b]
             # y = col(x, #{j : u0 > cum_p(x, j)})
-            j = np.zeros(n_paths, dtype=np.int64)
+            count.fill(0)
             for c in cum_p[:-1]:
-                j += u[0] > np.take(c, cx)
-            y = np.take(cols, cx * k + j)
-            # partial sums of Ptilde(xt, c_j) Lambda(c_j, y) over the support of xt
-            for i in range(kt):
-                part[i] = np.take(tvals[i], cxt) * np.take(link, np.take(link_rows[i], cxt) + y)
-                if i:
-                    part[i] += part[i - 1]
-            v = u[1] * part[-1]
-            j = np.zeros(n_paths, dtype=np.int64)
-            for s in part[:-1]:
-                j += v > s
-            bx[b] = y
-            bxt[b] = np.take(tcols, cxt * kt + j)
+                count += np.greater(u[0], np.take(c, cx, out=row, mode="wrap"),
+                                    out=above).view(np.uint8)
+            np.multiply(cx, k, out=idx)
+            idx += count
+            np.take(cols, idx, out=y, mode="wrap")
+            # yt = tcol(xt, #{i : u1 S_{kt-1} > S_i}), S_i = S_i(xt, y) taken
+            # last first; a count does not depend on the order of its terms
+            if table is None:
+                sums = iter(_hidden_partials(cxt, y, tvals, link_rows, link, part)[::-1])
+            else:
+                np.multiply(cxt, n, out=idx)
+                idx += y
+                sums = (np.take(s, idx, out=row, mode="wrap") for s in table[::-1])
+            v = u[1]
+            v *= next(sums)
+            count.fill(0)
+            for s in sums:
+                count += np.greater(v, s, out=above).view(np.uint8)
+            np.multiply(cxt, kt, out=idx)
+            idx += count
+            np.take(tcols, idx, out=bxt[b], mode="wrap")
         if b == 7 or t == n_steps:
             x[:, t - b:t + 1] = bx[:b + 1].T
             xt[:, t - b:t + 1] = bxt[:b + 1].T

@@ -391,7 +391,8 @@ def test_simulate_matches_dense_oracle(chains_to_sample, name):
     pk = chains_to_sample[name]
     spread = np.arange(1.0, pk.n_tilde + 1)
     starts = (np.eye(pk.n_tilde)[0], spread / spread.sum())
-    for paths in (1, 7, 2500):
+    # n_tilde n - 1 paths form the hidden sums per path, n_tilde n paths table them
+    for paths in (1, 7, pk.n_tilde * pk.n - 1, pk.n_tilde * pk.n, 2500):
         for steps in (0, 1, 7, 8, 9, 30):
             for seed, nu0 in ((0, starts[0]), (11, starts[1]), (2**40 + 3, starts[0])):
                 got = simulate(pk, nu0, n_steps=steps, n_paths=paths, seed=seed)
@@ -402,19 +403,38 @@ def test_simulate_matches_dense_oracle(chains_to_sample, name):
                 assert got.x.shape == (paths, steps + 1)
 
 
+def test_simulate_counts_rows_wider_than_255_entries():
+    # observed rows of 300 entries and hidden rows of 92: the paths reach
+    # x = 287, past what a count of one byte holds
+    dense = random_monotone_kernel(np.random.default_rng(5), 300)
+    pk = pipeline_coupled({"kind": "dense", "matrix": dense.tolist(),
+                           "dual": {"family": "siegmund"}})
+    assert int(np.count_nonzero(pk.p, axis=1).min()) == 300
+    assert int(np.count_nonzero(pk.p_tilde, axis=1).max()) == 92
+    nu0 = np.eye(pk.n_tilde)[0]
+    got = simulate(pk, nu0, n_steps=5, n_paths=200, seed=3)
+    want = dense_simulate(pk, nu0, n_steps=5, n_paths=200, seed=3)
+    assert got.x.max() > 255
+    assert np.array_equal(got.x, want.x)
+    assert np.array_equal(got.x_tilde, want.x_tilde)
+
+
 def test_simulate_memory_is_per_path():
-    # the parent's whole-row gathers peaked at 50 MB here
-    pk, _ = moran_coupled(100, 0.5, 0.5)
-    nu0 = np.zeros(101)
-    nu0[0] = 1.0
-    tracemalloc.start()
-    try:
-        batch = simulate(pk, nu0, n_steps=10, n_paths=20000, seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 12 * 2**20
-    assert batch.x.flags.c_contiguous and batch.x_tilde.flags.c_contiguous
+    for N, paths, limit_mb in (
+        (100, 20000, 12),   # the whole-row gathers of an earlier sampler peaked at 50 MB
+        (300, 1000, 4),     # n_tilde n > paths: a table of the hidden sums would add 2.2 MB
+    ):
+        pk, _ = moran_coupled(N, 0.5, 0.5)
+        nu0 = np.zeros(N + 1)
+        nu0[0] = 1.0
+        tracemalloc.start()
+        try:
+            batch = simulate(pk, nu0, n_steps=10, n_paths=paths, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 2**20, N
+        assert batch.x.flags.c_contiguous and batch.x_tilde.flags.c_contiguous
 
 
 @pytest.mark.parametrize("name", ["moran_10", "moran_hypergeometric", "dense_20"])

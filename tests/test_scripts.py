@@ -36,3 +36,6 @@ def test_script_prints_its_table(script, args, rows):
              if line.strip() and not line.startswith("#")]
     assert len(table) == rows + 1, out.stdout
     assert "skipped" not in out.stdout
+    if "cold_rss_mb" in table[0]:
+        column = table[0].split().index("cold_rss_mb")
+        assert all(float(line.split()[column]) > 0 for line in table[1:]), out.stdout
