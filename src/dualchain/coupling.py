@@ -12,6 +12,7 @@ current hidden state.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -31,6 +32,10 @@ class ProductKernel:
     ``inv_lp`` is 1 / (Lambda P)(xt, y), set to 0 where (Lambda P)(xt, y) = 0.
     ``consistent`` marks the pairs with Lambda(xt, x) > 0; the coupled walk
     never leaves them.
+
+    A ProductKernel is a snapshot of its factors: ``inv_lp`` and
+    ``consistent`` are computed when it is built and ``fingerprint()`` on
+    its first call, so none of them follows a factor changed in place.
     """
 
     p: np.ndarray
@@ -51,6 +56,11 @@ class ProductKernel:
         return x * self.n_tilde + xt
 
     def fingerprint(self) -> str:
+        """SHA-256 of the bytes and shape of P, Ptilde and Lambda."""
+        return self._fingerprint
+
+    @functools.cached_property
+    def _fingerprint(self) -> str:
         h = hashlib.sha256()
         for m in (self.p, self.p_tilde, self.link):
             h.update(np.ascontiguousarray(m).tobytes())
@@ -135,8 +145,10 @@ def exact_joint(pk: ProductKernel, pi_tilde0, n_steps: int) -> dict:
 
 @dataclass(frozen=True)
 class TrajectoryBatch:
-    x: np.ndarray          # (n_paths, n_steps + 1) observed coordinates
-    x_tilde: np.ndarray    # hidden coordinates, same shape
+    # (n_paths, n_steps + 1) views x = X.T of step-major int32 arrays X of
+    # shape (n_steps + 1, n_paths): a column x[:, t] is contiguous
+    x: np.ndarray          # observed coordinates
+    x_tilde: np.ndarray    # hidden coordinates, same shape and layout
     seed: int
     fingerprint: str
 
@@ -205,7 +217,12 @@ def simulate(pk: ProductKernel, pi_tilde0, n_steps: int, n_paths: int,
     trajectories.  A step costs O(n_paths (k + kt)) for rows of at most k
     nonzero entries in P and kt in Ptilde: k - 1 gathers and comparisons
     for y, then kt gathers (table) or about 6 kt array operations (per
-    path) and kt - 1 comparisons for yt.
+    path), kt - 1 comparisons for yt and one row copy per coordinate.
+
+    Step t goes straight into rows X[t] and XT[t] of step-major int32 arrays
+    (states are below n; an int64 copy of one, as a digest makes, is then no
+    larger than both): the batch holds the (n_paths, n_steps + 1) views
+    x = X.T and x_tilde = XT.T, whose columns are contiguous.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
@@ -238,56 +255,51 @@ def simulate(pk: ProductKernel, pi_tilde0, n_steps: int, n_paths: int,
     else:
         table, part = None, np.empty((kt, n_paths))
 
-    # each step's state is one contiguous row of a block of 8 steps, copied
-    # into the (path, step) arrays when the block is full: 8 int64 fill one
-    # 64-byte line of a path's row, where a column per step would touch a
-    # line per path at every step
-    x = np.empty((n_paths, n_steps + 1), dtype=np.int64)
-    xt = np.empty_like(x)
-    bx = np.empty((8, n_paths), dtype=np.int64)
-    bxt = np.empty_like(bx)
-    # per-step scratch.  A comparison count stays below a row's width, at
-    # most n.  The gathers index in range by construction; mode="wrap" lets
-    # take write into its out array, which mode="raise" would first buffer.
+    X = np.empty((n_steps + 1, n_paths), dtype=np.int32)
+    XT = np.empty_like(X)
+    # scratch: the current and next (x, xt), swapped each step.  A count
+    # stays below a row's width, at most n.  The gathers index in range by
+    # construction; mode="wrap" lets take write into its out array, which
+    # mode="raise" would first buffer.
+    cur = np.empty((2, n_paths), dtype=np.int64)
+    nxt = np.empty_like(cur)
     u = np.empty((2, n_paths))
     row = np.empty(n_paths)
     idx = np.empty(n_paths, dtype=np.int64)
     count = np.empty(n_paths, dtype=np.min_scalar_type(max(k, kt)))
     above = np.empty(n_paths, dtype=bool)
-    bx[0], bxt[0] = np.divmod(np.searchsorted(start_cum, g.random(n_paths), side="right"), nt)
-    for t in range(n_steps + 1):
-        b = t % 8
-        if t:
-            g.random(out=u)
-            cx, cxt, y = bx[b - 1], bxt[b - 1], bx[b]
-            # y = col(x, #{j : u0 > cum_p(x, j)})
-            count.fill(0)
-            for c in cum_p[:-1]:
-                count += np.greater(u[0], np.take(c, cx, out=row, mode="wrap"),
-                                    out=above).view(np.uint8)
-            np.multiply(cx, k, out=idx)
-            idx += count
-            np.take(cols, idx, out=y, mode="wrap")
-            # yt = tcol(xt, #{i : u1 S_{kt-1} > S_i}), S_i = S_i(xt, y) taken
-            # last first; a count does not depend on the order of its terms
-            if table is None:
-                sums = iter(_hidden_partials(cxt, y, tvals, link_rows, link, part)[::-1])
-            else:
-                np.multiply(cxt, n, out=idx)
-                idx += y
-                sums = (np.take(s, idx, out=row, mode="wrap") for s in table[::-1])
-            v = u[1]
-            v *= next(sums)
-            count.fill(0)
-            for s in sums:
-                count += np.greater(v, s, out=above).view(np.uint8)
-            np.multiply(cxt, kt, out=idx)
-            idx += count
-            np.take(tcols, idx, out=bxt[b], mode="wrap")
-        if b == 7 or t == n_steps:
-            x[:, t - b:t + 1] = bx[:b + 1].T
-            xt[:, t - b:t + 1] = bxt[:b + 1].T
-    return TrajectoryBatch(x=x, x_tilde=xt, seed=seed, fingerprint=pk.fingerprint())
+    cur[:] = np.divmod(np.searchsorted(start_cum, g.random(n_paths), side="right"), nt)
+    X[0], XT[0] = cur
+    for t in range(1, n_steps + 1):
+        g.random(out=u)
+        (cx, cxt), (y, yt) = cur, nxt
+        # y = col(x, #{j : u0 > cum_p(x, j)})
+        count.fill(0)
+        for c in cum_p[:-1]:
+            count += np.greater(u[0], np.take(c, cx, out=row, mode="wrap"),
+                                out=above).view(np.uint8)
+        np.multiply(cx, k, out=idx)
+        idx += count
+        np.take(cols, idx, out=y, mode="wrap")
+        # yt = tcol(xt, #{i : u1 S_{kt-1} > S_i}), S_i = S_i(xt, y) taken
+        # last first; a count does not depend on the order of its terms
+        if table is None:
+            sums = iter(_hidden_partials(cxt, y, tvals, link_rows, link, part)[::-1])
+        else:
+            np.multiply(cxt, n, out=idx)
+            idx += y
+            sums = (np.take(s, idx, out=row, mode="wrap") for s in table[::-1])
+        v = u[1]
+        v *= next(sums)
+        count.fill(0)
+        for s in sums:
+            count += np.greater(v, s, out=above).view(np.uint8)
+        np.multiply(cxt, kt, out=idx)
+        idx += count
+        np.take(tcols, idx, out=yt, mode="wrap")
+        X[t], XT[t] = nxt
+        cur, nxt = nxt, cur
+    return TrajectoryBatch(x=X.T, x_tilde=XT.T, seed=seed, fingerprint=pk.fingerprint())
 
 
 def _binomial_stat(counts, trials, probs) -> np.ndarray:
@@ -330,7 +342,7 @@ def empirical_report(batch: TrajectoryBatch, pk: ProductKernel, pi_tilde0) -> di
 
     stats = []
     for t in times:
-        joint = np.bincount(batch.x_tilde[:, t] * n + batch.x[:, t],
+        joint = np.bincount(batch.x_tilde[:, t].astype(np.int64) * n + batch.x[:, t],
                             minlength=nt * n).reshape(nt, n)
         hid = joint.sum(axis=1)
         seen = hid > 0

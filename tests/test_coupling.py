@@ -337,6 +337,18 @@ def test_fingerprint_tracks_inputs(coupled_a, coupled_b):
     assert batch.fingerprint == pk_a.fingerprint()
 
 
+def test_fingerprint_is_hashed_once(pipeline_a, monkeypatch):
+    P, res = pipeline_a
+    pk = product_kernel(P.matrix, res.p_tilde, res.link)
+    calls = []
+    sha256 = coupling.hashlib.sha256
+    monkeypatch.setattr(coupling.hashlib, "sha256", lambda *a: calls.append(a) or sha256(*a))
+    first = simulate(pk, np.array([1.0, 0.0]), n_steps=3, n_paths=8, seed=1)
+    second = simulate(pk, np.array([1.0, 0.0]), n_steps=3, n_paths=8, seed=2)
+    assert len(calls) == 1
+    assert first.fingerprint == second.fingerprint == pk.fingerprint()
+
+
 def pipeline_coupled(cfg):
     pipe = cli.pipeline(cfg, cfg.get("options", {}))
     return product_kernel(pipe.p_bar, pipe.res.p_tilde, pipe.res.link)
@@ -399,8 +411,40 @@ def test_simulate_matches_dense_oracle(chains_to_sample, name):
                 want = dense_simulate(pk, nu0, n_steps=steps, n_paths=paths, seed=seed)
                 assert np.array_equal(got.x, want.x), (paths, steps, seed)
                 assert np.array_equal(got.x_tilde, want.x_tilde), (paths, steps, seed)
-                assert got.x.flags.c_contiguous and got.x_tilde.flags.c_contiguous
+                assert got.x.T.flags.c_contiguous and got.x_tilde.T.flags.c_contiguous
+                assert got.x.dtype == np.int32 and got.x_tilde.dtype == np.int32
                 assert got.x.shape == (paths, steps + 1)
+                # the oracle's arrays are C-order int64: the digest reads values only
+                assert got.digest() == want.digest(), (paths, steps, seed)
+
+
+# simulate(...).digest() of the sampled chains: literals pin the Philox
+# stream, its order of use and the draws without a second checkout
+GOLDEN_DIGESTS = {
+    ("moran_10", 0, 2500, 30): "45c5d64fbd94e72ede4b64aec695b1db5e3a4ed19f4b30c9a070a1843fcd6363",
+    ("moran_10", 0, 7, 9): "61113d7b9ee5de2af687a427c63c1b038f1b168b5c7655e8c0727720a147efcc",
+    ("moran_10", 11, 2500, 30): "1c8cd5c2b5158e2ab7e1296611ca4ca808785197b4af85268184811dd849f7f7",
+    ("moran_10", 11, 7, 9): "f1065929d61ac9f9aab0ec123f13240b960e67fb86acf4a60a5c012346866567",
+    ("moran_20", 0, 2500, 30): "95263eaf652397abf77f1ebab8b1c48d16dedd740335b19071aadc00bbcdd623",
+    ("moran_20", 0, 7, 9): "6150516373bd9d10b86f97052a492294c6d0296618d7c0a5d6e38ee59ac7e038",
+    ("moran_20", 11, 2500, 30): "5c1ad82ba16f28fdde221d43c86556a9947cfcc578d75c4d787bac06e82e42b9",
+    ("moran_20", 11, 7, 9): "7a5b90ae0b378004b00a1592627e5666c05388b504f8cf8857840b8e240eeab8",
+    ("dense_20", 0, 2500, 30): "250bde769fa020eb8d5611a3e918517a8095b3aa82a7ba48a443690534f2afe0",
+    ("dense_20", 0, 7, 9): "4a56d717e6f9c1030df00ca2a37379381b66bf848fdf9a769e87fd67b8fe266d",
+    ("dense_20", 11, 2500, 30): "3fba58682d92de1921246d747e24a23eb556c75ae1c906c17cd91e6c15d6c3fd",
+    ("dense_20", 11, 7, 9): "6f2e8c9c803e157be78725cc606d76adffb4a7621bf6809a3dd9e46fd9025161",
+}
+
+
+def test_simulate_matches_golden_digests(chains_to_sample):
+    got = {}
+    for name, seed, paths, steps in GOLDEN_DIGESTS:
+        pk = chains_to_sample[name]
+        spread = np.arange(1.0, pk.n_tilde + 1)
+        nu0 = np.eye(pk.n_tilde)[0] if seed == 0 else spread / spread.sum()
+        batch = simulate(pk, nu0, n_steps=steps, n_paths=paths, seed=seed)
+        got[name, seed, paths, steps] = batch.digest()
+    assert got == GOLDEN_DIGESTS
 
 
 def test_simulate_counts_rows_wider_than_255_entries():
@@ -420,21 +464,25 @@ def test_simulate_counts_rows_wider_than_255_entries():
 
 
 def test_simulate_memory_is_per_path():
-    for N, paths, limit_mb in (
-        (100, 20000, 12),   # the whole-row gathers of an earlier sampler peaked at 50 MB
-        (300, 1000, 4),     # n_tilde n > paths: a table of the hidden sums would add 2.2 MB
+    for N, paths, steps, limit_mb in (
+        (100, 20000, 10, 12),   # the whole-row gathers of an earlier sampler peaked at 50 MB
+        (300, 1000, 10, 4),     # n_tilde n > paths: a table of the hidden sums would add 2.2 MB
+        # int32 step-major storage takes 24.8 MB of a 33 MB peak; int64
+        # path-major storage in blocks of 8 steps peaked at 65.7 MB
+        (10, 100_000, 30, 40),
     ):
         pk, _ = moran_coupled(N, 0.5, 0.5)
         nu0 = np.zeros(N + 1)
         nu0[0] = 1.0
         tracemalloc.start()
         try:
-            batch = simulate(pk, nu0, n_steps=10, n_paths=paths, seed=0)
+            batch = simulate(pk, nu0, n_steps=steps, n_paths=paths, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < limit_mb * 2**20, N
-        assert batch.x.flags.c_contiguous and batch.x_tilde.flags.c_contiguous
+        assert batch.x.T.flags.c_contiguous and batch.x_tilde.T.flags.c_contiguous
+        assert batch.x.dtype == np.int32 and batch.x_tilde.dtype == np.int32
 
 
 @pytest.mark.parametrize("name", ["moran_10", "moran_hypergeometric", "dense_20"])
