@@ -12,7 +12,6 @@ current hidden state.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -32,10 +31,6 @@ class ProductKernel:
     ``inv_lp`` is 1 / (Lambda P)(xt, y), set to 0 where (Lambda P)(xt, y) = 0.
     ``consistent`` marks the pairs with Lambda(xt, x) > 0; the coupled walk
     never leaves them.
-
-    A ProductKernel is a snapshot of its factors: ``inv_lp`` and
-    ``consistent`` are computed when it is built and ``fingerprint()`` on
-    its first call, so none of them follows a factor changed in place.
     """
 
     p: np.ndarray
@@ -56,11 +51,6 @@ class ProductKernel:
         return x * self.n_tilde + xt
 
     def fingerprint(self) -> str:
-        """SHA-256 of the bytes and shape of P, Ptilde and Lambda."""
-        return self._fingerprint
-
-    @functools.cached_property
-    def _fingerprint(self) -> str:
         h = hashlib.sha256()
         for m in (self.p, self.p_tilde, self.link):
             h.update(np.ascontiguousarray(m).tobytes())
@@ -167,7 +157,7 @@ class TrajectoryBatch:
         for a in (self.x, self.x_tilde):
             a = np.ascontiguousarray(a, dtype="<i8")
             h.update(repr(a.shape).encode())
-            h.update(a.tobytes())
+            h.update(a)
         return h.hexdigest()
 
 
@@ -342,7 +332,7 @@ def empirical_report(batch: TrajectoryBatch, pk: ProductKernel, pi_tilde0) -> di
 
     stats = []
     for t in times:
-        joint = np.bincount(batch.x_tilde[:, t].astype(np.int64) * n + batch.x[:, t],
+        joint = np.bincount(batch.x_tilde[:, t] * n + batch.x[:, t],
                             minlength=nt * n).reshape(nt, n)
         hid = joint.sum(axis=1)
         seen = hid > 0

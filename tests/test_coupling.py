@@ -337,18 +337,6 @@ def test_fingerprint_tracks_inputs(coupled_a, coupled_b):
     assert batch.fingerprint == pk_a.fingerprint()
 
 
-def test_fingerprint_is_hashed_once(pipeline_a, monkeypatch):
-    P, res = pipeline_a
-    pk = product_kernel(P.matrix, res.p_tilde, res.link)
-    calls = []
-    sha256 = coupling.hashlib.sha256
-    monkeypatch.setattr(coupling.hashlib, "sha256", lambda *a: calls.append(a) or sha256(*a))
-    first = simulate(pk, np.array([1.0, 0.0]), n_steps=3, n_paths=8, seed=1)
-    second = simulate(pk, np.array([1.0, 0.0]), n_steps=3, n_paths=8, seed=2)
-    assert len(calls) == 1
-    assert first.fingerprint == second.fingerprint == pk.fingerprint()
-
-
 def pipeline_coupled(cfg):
     pipe = cli.pipeline(cfg, cfg.get("options", {}))
     return product_kernel(pipe.p_bar, pipe.res.p_tilde, pipe.res.link)
