@@ -14,8 +14,6 @@ from .chains import (
     absorption_profile,
     bd_kernel,
     bd_params_from_kernel,
-    bd_stationary,
-    is_irreducible_bd,
     make_bd,
     make_bias,
     moran_kernel,

@@ -9,27 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors, kernels
+from .kernels import BDParams
 from .tolerances import EPS_NEG, EPS_STOCH, RESID_TOL
-
-
-@dataclass(frozen=True)
-class BDParams:
-    """Tridiagonal transition data: up p_x, down q_x, hold r_x on {0..N}."""
-
-    N: int
-    p: np.ndarray
-    q: np.ndarray
-    r: np.ndarray
-
-    def __post_init__(self):
-        for name in ("p", "q", "r"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, v)
-            v.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.N + 1
 
 
 def make_bd(p, q, r=None, *, interior_positive: bool = True) -> BDParams:
@@ -52,56 +33,34 @@ def make_bd(p, q, r=None, *, interior_positive: bool = True) -> BDParams:
         raise errors.DimensionMismatchError("r length mismatch")
     if abs(q[0]) > EPS_NEG or abs(p[N]) > EPS_NEG:
         raise errors.InvalidBoundaryError("need q_0 = 0 and p_N = 0")
-    for v, name in ((p, "p"), (q, "q"), (r, "r")):
-        if np.min(v) < -EPS_NEG:
-            raise errors.NegativeEntryError(f"{name} has a negative entry")
-    if kernels.sup_norm(p + q + r - 1.0) > EPS_STOCH:
+    b = BDParams(N=N, p=p, q=q, r=r)
+    _stochastic_or_raise(b)
+    vanishing = np.flatnonzero((p[1:N] <= EPS_NEG) | (q[1:N] <= EPS_NEG)) + 1
+    if interior_positive and vanishing.size:
+        raise errors.InvalidBoundaryError(
+            f"interior state {vanishing[0]} has a vanishing transition; pass "
+            "interior_positive=False for absorbing variants")
+    return b
+
+
+def _stochastic_or_raise(b: BDParams) -> None:
+    if kernels._band_kind(b) is not kernels.KernelKind.STOCHASTIC:
         raise errors.NotStochasticError("p + q + r must equal 1 on every state")
-    if interior_positive:
-        for x in range(1, N):
-            if p[x] <= EPS_NEG or q[x] <= EPS_NEG:
-                raise errors.InvalidBoundaryError(
-                    f"interior state {x} has a vanishing transition; pass "
-                    "interior_positive=False for absorbing variants"
-                )
-    return BDParams(N=N, p=np.clip(p, 0, None), q=np.clip(q, 0, None), r=np.clip(r, 0, None))
 
 
 def bd_kernel(params: BDParams) -> kernels.Kernel:
-    """Dense tridiagonal kernel from birth-death data."""
-    n = params.n
-    m = np.zeros((n, n))
-    idx = np.arange(n)
-    m[idx, idx] = params.r
-    m[idx[:-1], idx[:-1] + 1] = params.p[:-1]
-    m[idx[1:], idx[1:] - 1] = params.q[1:]
-    return kernels.validate_kernel(m, require="stochastic")
+    """Dense tridiagonal kernel from birth-death data; its bands are ``params``."""
+    return kernels.Kernel.from_bands(params)
 
 
 def bd_params_from_kernel(P) -> BDParams:
     """Read birth-death vectors back from a tridiagonal stochastic matrix:
     one whose entries off the three central diagonals are exactly zero."""
-    bands = kernels._bands(P)
-    if bands is None:
+    b = kernels._bands(P)
+    if b is None:
         raise errors.DimensionMismatchError("kernel is not tridiagonal")
-    sub, main, sup = bands
-    return make_bd(np.append(sup, 0.0), np.append(0.0, sub), main.copy(),
-                   interior_positive=False)
-
-
-def is_irreducible_bd(params: BDParams) -> bool:
-    """``kernels.is_irreducible`` of ``bd_kernel(params)``: p_x, q_(x+1) >
-    EPS_NEG for x < N."""
-    return kernels._joined_both_ways(params.q[1:], params.p[:-1])
-
-
-def bd_stationary(params: BDParams) -> np.ndarray:
-    """Product-form stationary law pi(y) = pi(0) prod_{z<y} p_z / q_{z+1},
-    ``kernels.stationary`` of ``bd_kernel(params)`` without the matrix."""
-    if not is_irreducible_bd(params):
-        raise errors.NotIrreducibleError(
-            "stationary product form needs p_x, q_(x+1) > 0 for x < N")
-    return kernels._product_form(params.q[1:], params.p[:-1])
+    _stochastic_or_raise(b)
+    return b
 
 
 def reflected_walk_params(N: int, p: float, q: float) -> BDParams:
@@ -213,16 +172,10 @@ def absorption_profile(params: BDParams) -> ScaleProfile:
     p_x + q_{x+1} <= 1.
     """
     N = params.N
-    if not (
-        abs(params.p[0]) <= EPS_NEG
-        and abs(params.q[N]) <= EPS_NEG
-        and abs(params.r[0] - 1.0) <= EPS_STOCH
-        and abs(params.r[N] - 1.0) <= EPS_STOCH
-    ):
+    if not {0, N} <= set(kernels.absorbing_states(params)):
         raise errors.NotDoublyAbsorbingError("need r_0 = 1 and r_N = 1 exactly")
-    for x in range(1, N):
-        if params.p[x] <= EPS_NEG or params.q[x] <= EPS_NEG:
-            raise errors.NotDoublyAbsorbingError("interior transitions must be positive")
+    if np.any(params.p[1:N] <= EPS_NEG) or np.any(params.q[1:N] <= EPS_NEG):
+        raise errors.NotDoublyAbsorbingError("interior transitions must be positive")
     if np.max(params.p[:-1] + params.q[1:]) > 1 + EPS_STOCH:
         raise errors.NotMonotoneError("profile needs p_x + q_{x+1} <= 1")
 
@@ -236,7 +189,7 @@ def absorption_profile(params: BDParams) -> ScaleProfile:
 
     report = siegmund_dual(bd_kernel(params))
     sub = report.dual[:N, :N]
-    station = kernels.stationary(kernels.validate_kernel(sub, require="stochastic"))
+    station = kernels.stationary(sub)
     tail = np.concatenate([np.cumsum(station[::-1])[::-1], [0.0]])  # sum_{z>=x}
     resid = kernels.sup_norm(phi - tail)
     if resid > RESID_TOL:

@@ -14,7 +14,7 @@ from math import comb
 import numpy as np
 
 from . import errors, kernels
-from .chains import bd_kernel, is_irreducible_bd
+from .chains import bd_kernel
 from .kernels import Kernel, as_matrix, sup_norm
 from .tolerances import EPS_NEG, EPS_STOCH, RESID_TOL, ROW_MASS_TOL
 
@@ -226,7 +226,7 @@ def siegmund_dual(P) -> DualReport:
     recorded otherwise.  For stochastic P the last state is absorbing for
     the dual and row y loses mass 1 - F(0, y).
     """
-    K = P if isinstance(P, Kernel) else kernels.validate_kernel(P)
+    K = kernels.validate_kernel(P)
     n = K.n
     rep = _report(_two_block_dual(K, n - 1, 0.0, 0.0)[0], lambda y: "monotone")
     rep.diagnostics.update({
@@ -274,7 +274,7 @@ def ultrametric_dual(P, k: int, alpha: float, beta: float) -> DualReport:
     sufficient conditions and the row-mass profile with its conservative
     rows (row sums within EPS_STOCH of 1).
     """
-    K = P if isinstance(P, Kernel) else kernels.validate_kernel(P)
+    K = kernels.validate_kernel(P)
     n = K.n
     _check_ultrametric(n - 1, k, alpha, beta)
     dual, F = _two_block_dual(K, k, alpha, beta)
@@ -328,7 +328,7 @@ def bd_ultrametric_rigidity(params, k: int, alpha: float, beta: float) -> dict:
     conservative.  The whole dual is stochastic there only when N = 1; for
     N >= 2 row 1 keeps mass 1 - alpha p_1 / (1+alpha) < 1.
     """
-    if not is_irreducible_bd(params):
+    if not kernels.is_irreducible(params):
         raise errors.NotIrreducibleError("rigidity analysis needs an irreducible chain")
     P = bd_kernel(params)
     rep = ultrametric_dual(P, k, alpha, beta)

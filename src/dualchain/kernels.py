@@ -8,9 +8,9 @@ substochastic* when no row exceeds 1 but at least one loses mass, and
 
 A kernel whose entries off the three central diagonals are exactly zero (a
 birth-death chain, its Siegmund dual, the hidden chain of the two) records
-those diagonals as its ``bands``.  ``classify``, ``is_irreducible``,
-``absorbing_states``, ``stationary`` and ``reachable`` run their O(n)
-birth-death forms on them; raw arrays go through the same detection.
+those diagonals as its ``bands``, a ``BDParams`` record.  ``classify``,
+``is_irreducible``, ``absorbing_states``, ``stationary`` and ``reachable`` run
+their O(n) birth-death forms on it; records and raw arrays work alike.
 """
 from __future__ import annotations
 
@@ -31,20 +31,58 @@ class KernelKind(enum.Enum):
 
 
 @dataclass(frozen=True)
+class BDParams:
+    """Tridiagonal transition data: up p_x, down q_x, hold r_x on {0..N}.
+    Its own copies, with entries in [-EPS_NEG, 0) stored as 0."""
+
+    N: int
+    p: np.ndarray
+    q: np.ndarray
+    r: np.ndarray
+
+    def __post_init__(self):
+        for name in ("p", "q", "r"):
+            v = np.asarray(getattr(self, name), dtype=float)
+            v = np.where(v < -EPS_NEG, v, np.maximum(v, 0.0))
+            object.__setattr__(self, name, v)
+            v.setflags(write=False)
+
+    @property
+    def n(self) -> int:
+        return self.N + 1
+
+
+@dataclass(frozen=True)
 class Kernel:
     """A validated nonnegative square matrix, immutable after construction.
 
-    ``bands`` holds its (sub, main, super) diagonals, read-only views of
-    ``matrix``, when every other entry is exactly zero, and None otherwise.
+    ``bands`` is its birth-death record when every entry off the three
+    central diagonals is exactly zero, and None otherwise.
     """
 
     matrix: np.ndarray
     kind: KernelKind
-    bands: tuple | None = field(init=False, repr=False, compare=False)
+    bands: BDParams | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
         object.__setattr__(self, "bands", _bands(self.matrix))
+
+    @classmethod
+    def from_bands(cls, b: BDParams) -> Kernel:
+        """The stochastic kernel of the birth-death record ``b``, whose
+        ``bands`` is ``b`` itself.  ``b`` is checked in O(n); its one n x n
+        matrix is built from it and never scanned."""
+        kind = _band_kind(b, "stochastic")
+        n = b.n
+        m = np.zeros((n, n))
+        m.flat[::n + 1] = b.r
+        m.flat[1::n + 1] = b.p[:-1]
+        m.flat[n::n + 1] = b.q[1:]
+        m.setflags(write=False)
+        K = object.__new__(cls)      # not __init__, which would scan m for b
+        vars(K).update(matrix=m, kind=kind, bands=b)
+        return K
 
     @property
     def n(self) -> int:
@@ -77,13 +115,16 @@ def as_matrix(P) -> np.ndarray:
     return P.matrix if isinstance(P, Kernel) else np.asarray(P, dtype=float)
 
 
-def _bands(P) -> tuple | None:
-    """The (sub, main, super) diagonals of the nonempty square matrix ``P``
-    as read-only views, when every entry off them is exactly zero; None
-    otherwise.  A Kernel's are its ``bands``.  Counting the nonzeros of the
-    matrix and of the three views allocates nothing of size n x n."""
+def _bands(P) -> BDParams | None:
+    """The birth-death record of ``P``: a Kernel's ``bands``, a BDParams
+    itself, or the record of the three central diagonals of a nonempty
+    square matrix whose other entries are exactly zero (None when some is
+    not).  Counting the nonzeros of the matrix and of the three diagonals
+    allocates nothing of size n x n."""
     if isinstance(P, Kernel):
         return P.bands
+    if isinstance(P, BDParams):
+        return P
     m = as_matrix(P)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
         return None
@@ -91,7 +132,44 @@ def _bands(P) -> tuple | None:
     if np.count_nonzero(m) != (np.count_nonzero(sub) + np.count_nonzero(main)
                                + np.count_nonzero(sup)):
         return None
-    return sub, main, sup
+    return BDParams(N=main.size - 1, p=np.append(sup, 0.0), q=np.append(0.0, sub), r=main)
+
+
+def _band_kind(b: BDParams, require: str | None = None) -> KernelKind:
+    """The row-sum kind of the birth-death record ``b``, checked in O(n):
+    a non-finite entry or one below -EPS_NEG is refused by the vector that
+    holds it, and ``require`` is applied as in ``validate_kernel``."""
+    for name in ("p", "q", "r"):
+        _refuse_bad_entries(getattr(b, name), name)
+    return _row_sum_kind(b.p + b.q + b.r, require)
+
+
+def _refuse_bad_entries(v: np.ndarray, name: str) -> None:
+    """Refuse ``v`` by ``name`` for a non-finite entry or one below -EPS_NEG."""
+    if not np.all(np.isfinite(v)):
+        raise errors.NonFiniteEntryError(f"{name} has non-finite entries")
+    if np.min(v) < -EPS_NEG:
+        raise errors.NegativeEntryError(f"{name} has entry {np.min(v)} < -{EPS_NEG}")
+
+
+def _row_sum_kind(sums: np.ndarray, require: str | None) -> KernelKind:
+    """The kind of a kernel with these row sums; ``require`` can demand
+    "stochastic" or "substochastic", and a kernel that falls short raises."""
+    kind = (KernelKind.GENERAL if np.any(sums > 1.0 + EPS_STOCH)
+            else KernelKind.STRICTLY_SUBSTOCHASTIC if np.any(sums < 1.0 - EPS_STOCH)
+            else KernelKind.STOCHASTIC)
+    if _meets(kind, require):
+        return kind
+    if kind is KernelKind.GENERAL:
+        raise errors.RowSumExceedsOneError(f"row {int(np.argmax(sums))} sums to {sums.max()} > 1")
+    raise errors.NotStochasticError(f"row {int(np.argmin(sums))} sums to {sums.min()} < 1")
+
+
+def _meets(kind: KernelKind, require: str | None) -> bool:
+    if require not in (None, "stochastic", "substochastic"):
+        raise ValueError(f"unknown requirement {require!r}")
+    return (require is None or kind is KernelKind.STOCHASTIC
+            or (require == "substochastic" and kind is KernelKind.STRICTLY_SUBSTOCHASTIC))
 
 
 def validate_prob_vector(v, name: str, n: int) -> np.ndarray:
@@ -103,10 +181,7 @@ def validate_prob_vector(v, name: str, n: int) -> np.ndarray:
     if v.shape[0] != n:
         raise errors.DimensionMismatchError(
             f"{name} length mismatch: {v.shape[0]} entries for {n} states")
-    if not np.all(np.isfinite(v)):
-        raise errors.NonFiniteEntryError(f"{name} has non-finite entries")
-    if np.min(v) < -EPS_NEG:
-        raise errors.NegativeEntryError(f"{name} has entry {np.min(v)} < -{EPS_NEG}")
+    _refuse_bad_entries(v, name)
     if abs(v.sum() - 1.0) > EPS_STOCH:
         raise errors.NotStochasticError(f"{name} sums to {v.sum()}, not 1")
     return np.clip(v, 0.0, None)
@@ -117,7 +192,10 @@ def validate_kernel(matrix, require: str | None = None) -> Kernel:
 
     Entries in [-EPS_NEG, 0) are clamped to zero.  ``require`` can demand
     "stochastic" or "substochastic"; violations raise instead of classifying.
+    A Kernel whose kind meets ``require`` is returned as it is.
     """
+    if isinstance(matrix, Kernel) and _meets(matrix.kind, require):
+        return matrix
     m = np.array(as_matrix(matrix), dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise errors.NonSquareError(f"kernel must be square, got shape {m.shape}")
@@ -128,27 +206,7 @@ def validate_kernel(matrix, require: str | None = None) -> Kernel:
         i, j = np.unravel_index(int(np.argmin(m)), m.shape)
         raise errors.NegativeEntryError(f"entry ({i},{j}) = {lo} below -{EPS_NEG}")
     m[m < 0] = 0.0
-
-    sums = m.sum(axis=1)
-    over = sums > 1.0 + EPS_STOCH
-    under = sums < 1.0 - EPS_STOCH
-    if over.any():
-        kind = KernelKind.GENERAL
-    elif under.any():
-        kind = KernelKind.STRICTLY_SUBSTOCHASTIC
-    else:
-        kind = KernelKind.STOCHASTIC
-    if require not in (None, "stochastic", "substochastic"):
-        raise ValueError(f"unknown requirement {require!r}")
-    if require is not None and kind is KernelKind.GENERAL:
-        raise errors.RowSumExceedsOneError(
-            f"row {int(np.argmax(sums))} sums to {sums.max()} > 1"
-        )
-    if require == "stochastic" and kind is KernelKind.STRICTLY_SUBSTOCHASTIC:
-        raise errors.NotStochasticError(
-            f"row {int(np.argmin(sums))} sums to {sums.min()} < 1"
-        )
-    return Kernel(matrix=m, kind=kind)
+    return Kernel(matrix=m, kind=_row_sum_kind(m.sum(axis=1), require))
 
 
 @dataclass(frozen=True)
@@ -229,11 +287,13 @@ def classify(P) -> ClassDecomposition:
     broken by the smallest contained state.  A tridiagonal P is split into
     runs of states (``_classify_bands``); any other goes through Tarjan.
     """
+    b = _bands(P)
+    if b is not None:
+        return _classify_bands(b)
     m = as_matrix(P)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise errors.NonSquareError("classify needs a square matrix")
-    bands = _bands(P)
-    return _classify_dense(m) if bands is None else _classify_bands(bands)
+    return _classify_dense(m)
 
 
 def _classify_dense(m: np.ndarray) -> ClassDecomposition:
@@ -269,37 +329,36 @@ def _classify_dense(m: np.ndarray) -> ClassDecomposition:
     )
 
 
-def _classify_bands(bands) -> ClassDecomposition:
-    """``classify`` of a tridiagonal matrix from its ``bands``.
+def _classify_bands(b: BDParams) -> ClassDecomposition:
+    """``classify`` of a tridiagonal matrix from its record ``b``.
 
     States x and x + 1 communicate exactly when the entries between them
     are above EPS_NEG both ways, so the classes are the runs of states so
     joined.  The condensation is a path: two neighbouring runs are joined
     one way, if at all.
     """
-    sub, main, sup = bands
-    n = main.size
-    up, down = sup > EPS_NEG, sub > EPS_NEG
+    n = b.n
+    up, down = b.p[:-1] > EPS_NEG, b.q[1:] > EPS_NEG
     joined = up & down
     cuts = (np.flatnonzero(~joined) + 1).tolist()    # first state of each later run
     bounds = [0, *cuts, n]
-    comps = [tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+    comps = [tuple(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
     out_edges: list[set] = [set() for _ in comps]
-    for i, b in enumerate(cuts):
-        if up[b - 1]:
+    for i, c in enumerate(cuts):
+        if up[c - 1]:
             out_edges[i].add(i + 1)
-        elif down[b - 1]:
+        elif down[c - 1]:
             out_edges[i + 1].add(i)
-    # the mass each row keeps in its own run, summed (sub + main) + sup as
-    # numpy sums a short dense row
-    kept = (np.append(0.0, np.where(joined, sub, 0.0)) + main
-            + np.append(np.where(joined, sup, 0.0), 0.0))
+    # the mass each row keeps in its own run, summed (q + r) + p as numpy
+    # sums a short dense row
+    kept = (np.where(np.append(False, joined), b.q, 0.0) + b.r
+            + np.where(np.append(joined, False), b.p, 0.0))
     full = np.logical_and.reduceat(np.abs(kept - 1.0) <= EPS_STOCH, bounds[:-1])
     order = _flow_order(comps, out_edges)
     return ClassDecomposition(
         classes=[comps[c] for c in order],
         stochastic_classes=[comps[c] for c in order if full[c]],
-        absorbing_states=_absorbing_bands(bands),
+        absorbing_states=_absorbing_bands(b),
     )
 
 
@@ -330,8 +389,8 @@ def _flow_order(comps: list, out_edges: list[set]) -> list[int]:
 def absorbing_states(P) -> list[int]:
     """States a with P(a, a) within EPS_STOCH of 1 and every other entry of
     row a at most EPS_NEG, in increasing order."""
-    bands = _bands(P)
-    return _absorbing_dense(as_matrix(P)) if bands is None else _absorbing_bands(bands)
+    b = _bands(P)
+    return _absorbing_dense(as_matrix(P)) if b is None else _absorbing_bands(b)
 
 
 def _absorbing_dense(m: np.ndarray) -> list[int]:
@@ -342,48 +401,47 @@ def _absorbing_dense(m: np.ndarray) -> list[int]:
     return [int(a) for a in np.flatnonzero(stays & ~leaves)]
 
 
-def _absorbing_bands(bands) -> list[int]:
-    sub, main, sup = bands
-    leaves = np.zeros(main.size, dtype=bool)
-    leaves[:-1] |= sup > EPS_NEG
-    leaves[1:] |= sub > EPS_NEG
-    return np.flatnonzero((np.abs(main - 1.0) <= EPS_STOCH) & ~leaves).tolist()
+def _absorbing_bands(b: BDParams) -> list[int]:
+    leaves = np.zeros(b.n, dtype=bool)
+    leaves[:-1] |= b.p[:-1] > EPS_NEG
+    leaves[1:] |= b.q[1:] > EPS_NEG
+    return np.flatnonzero((np.abs(b.r - 1.0) <= EPS_STOCH) & ~leaves).tolist()
 
 
 def is_irreducible(P) -> bool:
-    bands = _bands(P)
-    if bands is None:
+    """Whether P is one class: on a record, p_x, q_(x+1) > EPS_NEG, x < N."""
+    b = _bands(P)
+    if b is None:
         return classify(P).n_classes == 1
-    return _joined_both_ways(bands[0], bands[2])
-
-
-def _joined_both_ways(sub, sup) -> bool:
-    """Whether a tridiagonal kernel with these off-diagonals is irreducible:
-    every entry of both is above EPS_NEG."""
-    return bool(np.all(sub > EPS_NEG) and np.all(sup > EPS_NEG))
+    return bool(np.all(b.p[:-1] > EPS_NEG) and np.all(b.q[1:] > EPS_NEG))
 
 
 def stationary(P) -> np.ndarray:
     """Unique stationary law of an irreducible stochastic kernel.
 
-    A tridiagonal kernel gets the product form w = [1, cumprod(up/down)]
-    (``_product_form``); any other the GTH elimination (``_gth``).  Both
-    only multiply, divide and add nonnegative numbers, so every entry of pi
-    has small relative error, however tiny it is; on a tridiagonal kernel
-    they compute the same bits.  The residual ||pi' P - pi'|| is then gated
-    at RESID_TOL.
+    A birth-death record or a tridiagonal kernel gets the product form
+    pi(y) = pi(0) prod_{z<y} p_z / q_(z+1); any other the GTH elimination
+    (``_gth``).  Both only multiply, divide and add nonnegative numbers, so
+    every entry of pi has small relative error, however tiny it is; on a
+    tridiagonal kernel they compute the same bits.  The residual
+    ||pi' P - pi'|| is then gated at RESID_TOL, in O(n) on a record.
     """
-    K = P if isinstance(P, Kernel) else validate_kernel(P)
-    if K.kind is not KernelKind.STOCHASTIC:
+    b = _bands(P)
+    K = validate_kernel(P) if b is None else None
+    if (K.kind if b is None else _band_kind(b)) is not KernelKind.STOCHASTIC:
         raise errors.NotStochasticError("stationary law needs a stochastic kernel")
-    if not is_irreducible(K):
+    if not is_irreducible(K or b):
         raise errors.NotIrreducibleError("kernel is not irreducible")
-    m = K.matrix
-    if K.bands is None:
-        pi = normalize_stationary(_gth(m), "GTH back-substitution")
+    if b is None:
+        pi = normalize_stationary(_gth(K.matrix), "GTH back-substitution")
+        moved = pi @ K.matrix
     else:
-        pi = _product_form(K.bands[0], K.bands[2])
-    if sup_norm(pi @ m - pi) > RESID_TOL:
+        with np.errstate(over="ignore"):
+            w = np.concatenate([[1.0], np.cumprod(b.p[:-1] / b.q[1:])])
+        pi = normalize_stationary(w, "birth-death product form")
+        moved = (np.append(0.0, pi[:-1] * b.p[:-1]) + pi * b.r
+                 + np.append(pi[1:] * b.q[1:], 0.0))
+    if sup_norm(moved - pi) > RESID_TOL:
         raise errors.SingularSystemError("stationary solve did not converge")
     return pi
 
@@ -412,15 +470,6 @@ def _gth(m: np.ndarray) -> np.ndarray:
         for k in range(1, n):
             w[k] = w[:k] @ A[:k, k]
     return w
-
-
-def _product_form(sub, sup) -> np.ndarray:
-    """Stationary law pi(y) = pi(0) prod_{z<y} sup(z) / sub(z) of the
-    irreducible tridiagonal stochastic kernel with off-diagonals ``sub``
-    (x+1 -> x) and ``sup`` (x -> x+1)."""
-    with np.errstate(over="ignore"):
-        w = np.concatenate([[1.0], np.cumprod(sup / sub)])
-    return normalize_stationary(w, "birth-death product form")
 
 
 def normalize_stationary(w: np.ndarray, stage: str) -> np.ndarray:
@@ -474,12 +523,11 @@ def reachable(P, seeds: np.ndarray) -> np.ndarray:
     entries of P above EPS_NEG (the transposed matrix for the states that
     reach them).  On a tridiagonal P these are runs of states
     (``_run_reach``); on any other a breadth-first search (``_bfs``)."""
-    bands = _bands(P)
-    if bands is None:
+    b = _bands(P)
+    if b is None:
         return _bfs(as_matrix(P) > EPS_NEG, seeds)
-    sub, _, sup = bands
-    return (_run_reach(seeds, sup > EPS_NEG)
-            | _run_reach(seeds[::-1], (sub > EPS_NEG)[::-1])[::-1])
+    return (_run_reach(seeds, b.p[:-1] > EPS_NEG)
+            | _run_reach(seeds[::-1], (b.q[1:] > EPS_NEG)[::-1])[::-1])
 
 
 def _bfs(edges: np.ndarray, seeds: np.ndarray) -> np.ndarray:

@@ -13,8 +13,8 @@ from math import comb
 
 import numpy as np
 
-from . import errors
-from .chains import BDParams, bd_kernel, bd_stationary, is_irreducible_bd, make_bd
+from . import errors, kernels
+from .chains import BDParams, bd_kernel, make_bd
 from .duals import is_monotone
 from .tolerances import EPS_NEG, EPS_STOCH, ROOT_BRACKET, ROOT_RTOL, ROOT_XTOL, SPECTRUM_TOL
 
@@ -92,7 +92,7 @@ def tridiagonal_eigenvalues(d, e) -> np.ndarray:
 
 
 def bd_spectrum(params: BDParams) -> Spectrum:
-    if not is_irreducible_bd(params):
+    if not kernels.is_irreducible(params):
         raise errors.NotIrreducibleError("spectrum requires an irreducible chain")
     t = np.clip(tridiagonal_eigenvalues(*_symmetrized(params))[::-1], -1.0, 1.0)
     if abs(t[0] - 1.0) <= SPECTRUM_TOL:
@@ -103,8 +103,7 @@ def bd_spectrum(params: BDParams) -> Spectrum:
 def spectral_weights(params: BDParams) -> Spectrum:
     """Spectrum with mu_k = (first component of the k-th orthonormal
     eigenvector of Q)^2; self-checked against mu_0 = pi(0) and sum = 1."""
-    if not is_irreducible_bd(params):
-        raise errors.NotIrreducibleError("weights require an irreducible chain")
+    pi0 = kernels.stationary(params)[0]     # raises NotIrreducibleError first
     from scipy.linalg import eigh_tridiagonal
 
     d, e = _symmetrized(params)
@@ -114,7 +113,6 @@ def spectral_weights(params: BDParams) -> Spectrum:
     if abs(t[0] - 1.0) <= SPECTRUM_TOL:
         t[0] = 1.0
     mu = vecs[0, order] ** 2
-    pi0 = bd_stationary(params)[0]
     if abs(mu[0] - pi0) > EPS_STOCH:
         raise errors.SpectrumError(f"mu_0 = {mu[0]} does not match pi(0) = {pi0}")
     if abs(mu.sum() - 1.0) > EPS_STOCH:

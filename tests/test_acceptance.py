@@ -15,7 +15,6 @@ from dualchain.chains import (
     absorption_profile,
     bd_kernel,
     bd_params_from_kernel,
-    bd_stationary,
     make_bd,
     make_bias,
     moran_kernel,

@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 
 from dualchain import errors
 from dualchain.chains import (
+    BDParams,
     absorption_profile,
     bd_kernel,
     bd_params_from_kernel,
-    bd_stationary,
-    is_irreducible_bd,
     make_bd,
     make_bias,
     moran_kernel,
@@ -17,7 +16,7 @@ from dualchain.chains import (
     wright_fisher_kernel,
 )
 from dualchain.duals import is_monotone
-from dualchain.kernels import stationary
+from dualchain.kernels import is_irreducible, stationary
 
 
 def test_make_bd_boundary_rules():
@@ -27,6 +26,16 @@ def test_make_bd_boundary_rules():
         make_bd(p=[0.3, 0.0], q=[0.1, 0.2])  # q_0 != 0
     with pytest.raises(errors.NotStochasticError):
         make_bd(p=[0.3, 0.0], q=[0.0, 0.2], r=[0.5, 0.5])
+
+
+def test_non_finite_birth_death_data_is_refused_by_name():
+    # NaN once passed make_bd and came out as a NaN mean with a plausible pmf
+    with pytest.raises(errors.NonFiniteEntryError, match="^p "):
+        make_bd([0.3, np.nan, 0.0], [0.0, 0.2, 0.5], interior_positive=False)
+    with pytest.raises(errors.NonFiniteEntryError, match="^q "):
+        make_bd([0.3, 0.2, 0.0], [0.0, np.inf, 0.5], r=[0.7, 0.3, 0.5])
+    with pytest.raises(errors.NonFiniteEntryError, match="^r "):
+        bd_kernel(BDParams(N=1, p=[0.3, 0.0], q=[0.0, 0.2], r=[0.7, np.nan]))
 
 
 def test_make_bd_interior_positivity():
@@ -39,11 +48,11 @@ def test_make_bd_interior_positivity():
 def test_bd_kernel_chain_a(chain_a):
     P = bd_kernel(chain_a)
     np.testing.assert_allclose(P.matrix, [[0.7, 0.3], [0.2, 0.8]], atol=1e-15)
-    assert is_irreducible_bd(chain_a)
+    assert is_irreducible(chain_a)
 
 
 def test_bd_stationary_matches_dense(chain_b):
-    pi = bd_stationary(chain_b)
+    pi = stationary(chain_b)
     np.testing.assert_allclose(pi, [1 / 6, 1 / 3, 1 / 2], atol=1e-12)
     np.testing.assert_allclose(pi, stationary(bd_kernel(chain_b)), atol=1e-12)
 
@@ -83,8 +92,8 @@ def test_moran_kernel_quadratic_rows():
 
 def test_moran_mutation_is_irreducible():
     params = moran_kernel(6, mutation_bias(0.3, 0.2, 6))
-    assert is_irreducible_bd(params)
-    pi = bd_stationary(params)
+    assert is_irreducible(params)
+    pi = stationary(params)
     assert np.min(pi) > 0
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualchain import errors, kernels
-from dualchain.chains import bd_kernel, bd_stationary, moran_kernel, mutation_bias
+from dualchain.chains import bd_kernel, moran_kernel, mutation_bias
 from dualchain.duals import (
     dual_via_solve,
     hypergeometric_function,

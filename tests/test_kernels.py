@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from dualchain import errors, kernels
 from dualchain.chains import (
     bd_kernel,
-    bd_stationary,
     make_bd,
     moran_kernel,
     mutation_bias,
@@ -82,6 +82,7 @@ def test_kernel_accepts_kernel_instance():
     K = kernels.validate_kernel([[0.5, 0.5], [0.5, 0.5]])
     K2 = kernels.validate_kernel(K, require="stochastic")
     assert np.array_equal(K.matrix, K2.matrix)
+    assert K2 is K          # validated once, not copied and scanned again
 
 
 def test_validate_prob_vector():
@@ -110,7 +111,7 @@ def test_stationary_relative_accuracy_tiny_masses():
     # full-strength Moran chain, N = 100: pi runs down to 2^-100 = 7.9e-31
     params = moran_kernel(100, mutation_bias(0.5, 0.5, 100))
     pi = kernels.stationary(bd_kernel(params))
-    ref = bd_stationary(params)
+    ref = kernels.stationary(params)
     np.testing.assert_allclose(pi, ref, rtol=1e-12, atol=0)
 
 
@@ -124,7 +125,7 @@ def test_stationary_law_outside_the_float_range_is_refused_by_name():
     dense[0, 2] = 1e-300
     routes = [(lambda: kernels.stationary(dense), "GTH back-substitution"),
               (lambda: kernels.stationary(bd_kernel(params)), "birth-death product form"),
-              (lambda: bd_stationary(params), "birth-death product form")]
+              (lambda: kernels.stationary(params), "birth-death product form")]
     for route, stage in routes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -240,7 +241,8 @@ def test_check_harmonic():
 
 def test_bands_are_recorded_only_for_tridiagonal_kernels():
     m = bd_kernel(moran_kernel(6, mutation_bias(0.3, 0.2, 6))).matrix
-    sub, main, sup = kernels.validate_kernel(m).bands
+    b = kernels.validate_kernel(m).bands
+    sub, main, sup = b.q[1:], b.r, b.p[:-1]
     assert np.array_equal(sub, np.diag(m, -1)) and np.array_equal(main, np.diag(m))
     assert np.array_equal(sup, np.diag(m, 1))
     wide = m.copy()
@@ -248,6 +250,31 @@ def test_bands_are_recorded_only_for_tridiagonal_kernels():
     assert kernels.validate_kernel(wide).bands is None
     assert kernels._bands(wide) is None and kernels._bands(wide.T) is None
     assert kernels._bands(np.ones((2, 3))) is None and kernels._bands(np.zeros((0, 0))) is None
+
+
+def test_bd_kernel_keeps_its_record_and_stationary_reads_the_bands_in_o_n_memory():
+    params = moran_kernel(2000, mutation_bias(0.1, 0.1, 2000))
+    tracemalloc.start()
+    try:
+        P = bd_kernel(params)
+        _, built = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()
+        pi = kernels.stationary(P.matrix)
+        solved = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    # the one 2001 x 2001 float64 matrix is 30.5 MiB; a validation copy
+    # doubled it, and a dense residual or copy in stationary was one more
+    assert built <= 34 * 2**20
+    assert solved < 2**20
+    assert P.bands is params
+    m = P.matrix
+    assert np.array_equal(params.q[1:], np.diag(m, -1)) and np.array_equal(params.r, np.diag(m))
+    assert np.array_equal(params.p[:-1], np.diag(m, 1))
+    assert np.count_nonzero(m) == np.count_nonzero(np.diag(m, -1)) + np.count_nonzero(
+        np.diag(m)) + np.count_nonzero(np.diag(m, 1))
+    assert np.array_equal(pi, kernels.stationary(params))
 
 
 def _banded_cases():

@@ -11,7 +11,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # script, arguments, data rows expected under the header
 RUNS = [
-    ("sharpness_series.py", ["configs/chain_b.json", "30"], 31),   # n = 0..30
     ("absorption_crosscheck.py", ["3", "1", "10"], 3),             # three chains
     ("cutoff_table.py", [], 6),                                    # N = 25..800
     ("cutoff_table.py", ["0.5", "0.5", "1", "2", "4"], 3),         # N = 1 has no asymptote

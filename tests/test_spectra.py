@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualchain import errors, spectra
+from dualchain import errors, kernels, spectra
 from dualchain.chains import (
     bd_kernel,
-    bd_stationary,
     make_bd,
     moran_kernel,
     mutation_bias,
@@ -162,7 +161,7 @@ def test_spectral_weights_basics(chain_b):
     spec = spectral_weights(chain_b)
     assert spec.weights is not None
     np.testing.assert_allclose(spec.weights.sum(), 1.0, atol=1e-12)
-    assert spec.weights[0] == pytest.approx(bd_stationary(chain_b)[0], abs=1e-12)
+    assert spec.weights[0] == pytest.approx(kernels.stationary(chain_b)[0], abs=1e-12)
 
 
 def test_spectral_weights_bernoulli_laplace():
