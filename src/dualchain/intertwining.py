@@ -83,10 +83,10 @@ def build_intertwining(P, H: DualFunction, dual) -> IntertwiningResult:
     _stochastic_or_raise(p_tilde, "Ptilde")
 
     diagnostics = {"duality": {"static": static}, "phi_harmonic": harmonic_resid}
-    dual_kind = kernels.validate_kernel(d).kind
-    dec = kernels.classify(d)
+    dual_K = kernels.validate_kernel(d)
+    dec = kernels.classify(dual_K)
     # a strict mass loser cannot be irreducible and keep phi harmonic
-    if dual_kind is kernels.KernelKind.STRICTLY_SUBSTOCHASTIC and dec.n_classes == 1:
+    if dual_K.kind is kernels.KernelKind.STRICTLY_SUBSTOCHASTIC and dec.n_classes == 1:
         raise errors.DualChainError(
             "strictly substochastic dual with positive harmonic vector "
             "cannot be irreducible"
@@ -104,7 +104,7 @@ def build_intertwining(P, H: DualFunction, dual) -> IntertwiningResult:
             )
         class_constants.append((cls, c))
 
-    if dual_kind is kernels.KernelKind.STOCHASTIC and dec.n_classes == 1:
+    if dual_K.kind is kernels.KernelKind.STOCHASTIC and dec.n_classes == 1:
         diagnostics["phi_constant"] = float(np.ptp(phi))
         diagnostics["p_tilde_equals_dual"] = sup_norm(p_tilde - d)
 

@@ -41,11 +41,10 @@ class BDParams:
     r: np.ndarray
 
     def __post_init__(self):
-        for name in ("p", "q", "r"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            v = np.where(v < -EPS_NEG, v, np.maximum(v, 0.0))
-            object.__setattr__(self, name, v)
-            v.setflags(write=False)
+        pqr = np.array((self.p, self.q, self.r), dtype=float)
+        np.maximum(pqr, 0.0, out=pqr, where=pqr >= -EPS_NEG)
+        pqr.setflags(write=False)
+        vars(self).update(p=pqr[0], q=pqr[1], r=pqr[2])
 
     @property
     def n(self) -> int:
@@ -116,10 +115,9 @@ def as_matrix(P) -> np.ndarray:
 
 
 def _bands(P) -> BDParams | None:
-    """The birth-death record of ``P``: a Kernel's ``bands``, a BDParams
-    itself, or the record of the three central diagonals of a nonempty
-    square matrix whose other entries are exactly zero (None when some is
-    not).  Counting the nonzeros of the matrix and of the three diagonals
+    """The birth-death record of ``P``: a Kernel's ``bands``, a BDParams, or
+    the three central diagonals of a nonempty square matrix whose other
+    entries are exactly zero (None when some is not).  Counting nonzeros
     allocates nothing of size n x n."""
     if isinstance(P, Kernel):
         return P.bands
@@ -132,16 +130,20 @@ def _bands(P) -> BDParams | None:
     if np.count_nonzero(m) != (np.count_nonzero(sub) + np.count_nonzero(main)
                                + np.count_nonzero(sup)):
         return None
-    return BDParams(N=main.size - 1, p=np.append(sup, 0.0), q=np.append(0.0, sub), r=main)
+    pqr = np.zeros((3, main.size))
+    pqr[0, :-1], pqr[1, 1:], pqr[2] = sup, sub, main
+    return BDParams(N=main.size - 1, p=pqr[0], q=pqr[1], r=pqr[2])
 
 
 def _band_kind(b: BDParams, require: str | None = None) -> KernelKind:
     """The row-sum kind of the birth-death record ``b``, checked in O(n):
     a non-finite entry or one below -EPS_NEG is refused by the vector that
     holds it, and ``require`` is applied as in ``validate_kernel``."""
-    for name in ("p", "q", "r"):
-        _refuse_bad_entries(getattr(b, name), name)
-    return _row_sum_kind(b.p + b.q + b.r, require)
+    pqr = np.array((b.p, b.q, b.r))
+    if not (np.isfinite(pqr).all() and pqr.min() >= -EPS_NEG):
+        for name in ("p", "q", "r"):
+            _refuse_bad_entries(getattr(b, name), name)
+    return _row_sum_kind(pqr.sum(axis=0), require)
 
 
 def _refuse_bad_entries(v: np.ndarray, name: str) -> None:
@@ -155,8 +157,8 @@ def _refuse_bad_entries(v: np.ndarray, name: str) -> None:
 def _row_sum_kind(sums: np.ndarray, require: str | None) -> KernelKind:
     """The kind of a kernel with these row sums; ``require`` can demand
     "stochastic" or "substochastic", and a kernel that falls short raises."""
-    kind = (KernelKind.GENERAL if np.any(sums > 1.0 + EPS_STOCH)
-            else KernelKind.STRICTLY_SUBSTOCHASTIC if np.any(sums < 1.0 - EPS_STOCH)
+    kind = (KernelKind.GENERAL if sums.max(initial=1.0) > 1.0 + EPS_STOCH
+            else KernelKind.STRICTLY_SUBSTOCHASTIC if sums.min(initial=1.0) < 1.0 - EPS_STOCH
             else KernelKind.STOCHASTIC)
     if _meets(kind, require):
         return kind
@@ -427,10 +429,10 @@ def stationary(P) -> np.ndarray:
     ||pi' P - pi'|| is then gated at RESID_TOL, in O(n) on a record.
     """
     b = _bands(P)
-    K = validate_kernel(P) if b is None else None
-    if (K.kind if b is None else _band_kind(b)) is not KernelKind.STOCHASTIC:
+    K = validate_kernel(P) if b is None or isinstance(P, Kernel) else None
+    if (_band_kind(b) if K is None else K.kind) is not KernelKind.STOCHASTIC:
         raise errors.NotStochasticError("stationary law needs a stochastic kernel")
-    if not is_irreducible(K or b):
+    if not is_irreducible(b or K):
         raise errors.NotIrreducibleError("kernel is not irreducible")
     if b is None:
         pi = normalize_stationary(_gth(K.matrix), "GTH back-substitution")
@@ -439,8 +441,9 @@ def stationary(P) -> np.ndarray:
         with np.errstate(over="ignore"):
             w = np.concatenate([[1.0], np.cumprod(b.p[:-1] / b.q[1:])])
         pi = normalize_stationary(w, "birth-death product form")
-        moved = (np.append(0.0, pi[:-1] * b.p[:-1]) + pi * b.r
-                 + np.append(pi[1:] * b.q[1:], 0.0))
+        moved = pi * b.r
+        moved[1:] += pi[:-1] * b.p[:-1]
+        moved[:-1] += pi[1:] * b.q[1:]
     if sup_norm(moved - pi) > RESID_TOL:
         raise errors.SingularSystemError("stationary solve did not converge")
     return pi
