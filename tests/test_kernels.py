@@ -83,6 +83,9 @@ def test_kernel_accepts_kernel_instance():
     K2 = kernels.validate_kernel(K, require="stochastic")
     assert np.array_equal(K.matrix, K2.matrix)
     assert K2 is K          # validated once, not copied and scanned again
+    leaky = kernels.validate_kernel([[0.5, 0.4], [0.5, 0.5]])
+    with pytest.raises(errors.NotStochasticError, match="^row 0 sums to 0.9"):
+        kernels.validate_kernel(leaky, require="stochastic")
 
 
 def test_validate_prob_vector():
