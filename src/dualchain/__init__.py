@@ -34,7 +34,6 @@ from .duals import (
     DualReport,
     bd_siegmund_dual,
     bd_ultrametric_rigidity,
-    dual_function,
     dual_via_solve,
     hypergeometric_function,
     is_monotone,

@@ -14,26 +14,25 @@ from .tolerances import EPS_NEG, EPS_STOCH, RESID_TOL
 
 
 def make_bd(p, q, r=None, *, interior_positive: bool = True) -> BDParams:
-    """Validate birth-death vectors. q_0 = 0 and p_N = 0 are mandatory; the
-    hold vector is filled in as 1 - p - q when omitted.
+    """Validate birth-death vectors. q_0 = 0 and p_N = 0 are mandatory, and
+    are stored exactly 0; the hold vector is filled in as 1 - p - q when
+    omitted.
 
     Interior positivity (p_x, q_x > 0 for 0 < x < N, plus p_0 > 0, q_N > 0
     checked separately by irreducibility) is demanded unless an absorbing
     variant is explicitly requested with ``interior_positive=False``.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p = np.array(p, dtype=float)
+    q = np.array(q, dtype=float)
     if p.shape != q.shape or p.ndim != 1 or p.size < 2:
         raise errors.DimensionMismatchError("p and q must be equal-length vectors")
     N = p.size - 1
-    if r is None:
-        r = 1.0 - p - q
-    r = np.asarray(r, dtype=float)
-    if r.shape != p.shape:
+    if r is not None and np.shape(r) != p.shape:
         raise errors.DimensionMismatchError("r length mismatch")
     if abs(q[0]) > EPS_NEG or abs(p[N]) > EPS_NEG:
         raise errors.InvalidBoundaryError("need q_0 = 0 and p_N = 0")
-    b = BDParams(N=N, p=p, q=q, r=r)
+    q[0] = p[N] = 0.0      # as the matrix of the record holds them
+    b = BDParams(p, q, 1.0 - p - q if r is None else r)
     _stochastic_or_raise(b)
     vanishing = np.flatnonzero((p[1:N] <= EPS_NEG) | (q[1:N] <= EPS_NEG)) + 1
     if interior_positive and vanishing.size:

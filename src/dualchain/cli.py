@@ -142,59 +142,61 @@ def load_config(path: str):
         raise errors.ConfigError(f"cannot read config {path}: {e}")
 
 
-def build_chain(cfg: dict):
-    """Resolve a config to (Kernel, BDParams-or-None)."""
+def build_chain(cfg: dict) -> kernels.Kernel:
+    """Resolve a config to its Kernel.  A chain whose matrix is tridiagonal
+    is a birth-death chain, whatever its kind: its ``bands`` is the record."""
     kind = cfg["kind"]
     if kind == "dense":
         if "matrix" not in cfg:
             raise errors.ConfigError("dense chain needs a matrix")
-        return kernels.validate_kernel(cfg["matrix"], require="stochastic"), None
+        return kernels.validate_kernel(cfg["matrix"], require="stochastic")
+    if kind == "wright_fisher":
+        if "N" not in cfg or "bias" not in cfg:
+            raise errors.ConfigError("wright_fisher needs N and a bias table")
+        return chains.wright_fisher_kernel(cfg["N"], chains.make_bias(cfg["bias"]))
     if kind == "bd":
         if "p" not in cfg or "q" not in cfg:
             raise errors.ConfigError("bd chain needs p and q")
         params = chains.make_bd(cfg["p"], cfg["q"], cfg.get("r"))
-        return chains.bd_kernel(params), params
-    if kind == "moran":
+    elif kind == "moran":
         if "N" not in cfg or "bias" not in cfg:
             raise errors.ConfigError("moran chain needs N and a bias table")
         params = chains.moran_kernel(cfg["N"], chains.make_bias(cfg["bias"]))
-        return chains.bd_kernel(params), params
-    if kind == "moran_mutation":
+    elif kind == "moran_mutation":
         for key in ("N", "a1", "a2"):
             if key not in cfg:
                 raise errors.ConfigError("moran_mutation needs N, a1, a2")
         bias = chains.mutation_bias(cfg["a1"], cfg["a2"], cfg["N"])
         params = chains.moran_kernel(cfg["N"], bias)
-        return chains.bd_kernel(params), params
-    if kind == "bernoulli_laplace":
+    elif kind == "bernoulli_laplace":
         if "N" not in cfg:
             raise errors.ConfigError("bernoulli_laplace needs N")
         params = spectra.bernoulli_laplace_params(cfg["N"])
-        return chains.bd_kernel(params), params
-    if kind == "wright_fisher":
-        if "N" not in cfg or "bias" not in cfg:
-            raise errors.ConfigError("wright_fisher needs N and a bias table")
-        return chains.wright_fisher_kernel(cfg["N"], chains.make_bias(cfg["bias"])), None
-    raise errors.ConfigError(f"unknown kind {kind!r}")
+    else:
+        raise errors.ConfigError(f"unknown kind {kind!r}")
+    return chains.bd_kernel(params)
 
 
-def build_dual(cfg: dict, P):
+def build_dual(cfg: dict, P: kernels.Kernel):
+    """The config's dual function H and the DualReport of P's H-dual."""
     spec = cfg.get("dual", {"family": "siegmund"})
-    family = spec["family"]
-    params = {}
+    family, N = spec["family"], P.n - 1
+    if family == "siegmund":
+        return duals.siegmund_function(N), duals.siegmund_dual(P)
     if family == "ultrametric":
         if any(key not in spec for key in ("k", "alpha", "beta")):
             raise errors.ConfigError("ultrametric dual needs k, alpha, beta")
-        params = {key: spec[key] for key in ("k", "alpha", "beta")}
+        k, alpha, beta = spec["k"], spec["alpha"], spec["beta"]
+        return (duals.ultrametric_function(N, k, alpha, beta),
+                duals.ultrametric_dual(P, k, alpha, beta))
     if family == "potential":
         if "R" not in spec:
             raise errors.ConfigError("potential dual needs the substochastic matrix R")
-        params = {"R": np.array(spec["R"], dtype=float)}
-    H = duals.dual_function(family, P.n - 1, **params)
-    if family == "siegmund":
-        return H, duals.siegmund_dual(P)
-    if family == "ultrametric":
-        return H, duals.ultrametric_dual(P, **params)
+        H = duals.potential_function(np.array(spec["R"], dtype=float))
+    elif family == "hypergeometric":
+        H = duals.hypergeometric_function(N)
+    else:
+        H = duals.vandermonde_function(N)
     return H, duals.dual_via_solve(P, H)
 
 
@@ -248,7 +250,7 @@ def _plain(obj):
 
 
 def cmd_build(cfg, opts):
-    P, params = build_chain(cfg)
+    P = build_chain(cfg)
     summary = {
         "kind": cfg["kind"],
         "n": P.n,
@@ -261,7 +263,7 @@ def cmd_build(cfg, opts):
 
 
 def cmd_dual(cfg, opts):
-    P, _ = build_chain(cfg)
+    P = build_chain(cfg)
     H, report = build_dual(cfg, P)
     summary = {
         "family": cfg.get("dual", {"family": "siegmund"})["family"],
@@ -287,16 +289,16 @@ class Pipeline:
     """A config's chain, dual and intertwining, built once per command.
 
     ``p_bar`` is the kernel the link intertwines with ``res.p_tilde``: the
-    time reversal of P, or P itself when the two agree within RESID_TOL.
+    time reversal of P, or the Kernel P itself when the two agree within
+    RESID_TOL.
     ``pt0`` is the point mass of the hidden chain at ``options.start``.
     """
 
     P: kernels.Kernel
-    params: chains.BDParams | None
     H: duals.DualFunction
     report: duals.DualReport
     res: intertwining.IntertwiningResult
-    p_bar: np.ndarray
+    p_bar: kernels.Kernel | np.ndarray
     start: int
     pt0: np.ndarray
 
@@ -311,13 +313,13 @@ class Pipeline:
         """Mean and variance of the hidden arrival at ``boundary`` from the
         spectrum of P, or None unless P is birth-death and the hidden chain
         runs from 0 to the top state."""
-        if self.params is None or boundary != self.P.n - 1 or self.start != 0:
+        if self.P.bands is None or boundary != self.P.n - 1 or self.start != 0:
             return None
-        return stationary_times.spectral_moments(spectra.bd_spectrum(self.params))
+        return stationary_times.spectral_moments(spectra.bd_spectrum(self.P.bands))
 
 
 def pipeline(cfg: dict, opts: dict) -> Pipeline:
-    P, params = build_chain(cfg)
+    P = build_chain(cfg)
     H, report = build_dual(cfg, P)
     if not report.feasible:
         raise Infeasible(report)
@@ -330,8 +332,7 @@ def pipeline(cfg: dict, opts: dict) -> Pipeline:
     pt0 = np.zeros(P.n)
     pt0[start] = 1.0
     reversible = kernels.sup_norm(res.back - P.matrix) <= RESID_TOL
-    return Pipeline(P, params, H, report, res, P.matrix if reversible else res.back,
-                    start, pt0)
+    return Pipeline(P, H, report, res, P if reversible else res.back, start, pt0)
 
 
 def _check(value, tol) -> dict:
@@ -372,7 +373,7 @@ def cmd_intertwine(cfg, opts):
 
 
 def cmd_spectrum(cfg, opts):
-    P, params = build_chain(cfg)
+    params = build_chain(cfg).bands
     if params is None:
         raise errors.ConfigError("spectrum needs a birth-death chain")
     spec = spectra.spectral_weights(params)
@@ -519,7 +520,7 @@ def cmd_plotdata(cfg, opts):
         raise errors.ConfigError("plotdata needs --series or options.series")
     rows = []
     if series == "spectrum":
-        P, params = build_chain(cfg)
+        params = build_chain(cfg).bands
         if params is None:
             raise errors.ConfigError("spectrum series needs a birth-death chain")
         spec = spectra.bd_spectrum(params)

@@ -135,20 +135,6 @@ def potential_function(R) -> DualFunction:
     return DualFunction(H, "potential", {"R": RK.matrix})
 
 
-def dual_function(family: str, N: int | None = None, **params) -> DualFunction:
-    if family == "siegmund":
-        return siegmund_function(N)
-    if family == "ultrametric":
-        return ultrametric_function(N, params["k"], params["alpha"], params["beta"])
-    if family == "hypergeometric":
-        return hypergeometric_function(N)
-    if family == "vandermonde":
-        return vandermonde_function(N)
-    if family == "potential":
-        return potential_function(params["R"])
-    raise ValueError(f"unknown dual family {family!r}")
-
-
 @dataclass(frozen=True)
 class DualReport:
     """Outcome of a dual-kernel construction.

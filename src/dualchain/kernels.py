@@ -32,23 +32,34 @@ class KernelKind(enum.Enum):
 
 @dataclass(frozen=True)
 class BDParams:
-    """Tridiagonal transition data: up p_x, down q_x, hold r_x on {0..N}.
-    Its own copies, with entries in [-EPS_NEG, 0) stored as 0."""
+    """Tridiagonal transition data: up p_x, down q_x, hold r_x on {0..N},
+    N + 1 being the common length of the three vectors.  Its own copies,
+    with entries in [-EPS_NEG, 0) stored as 0."""
 
-    N: int
     p: np.ndarray
     q: np.ndarray
     r: np.ndarray
 
     def __post_init__(self):
-        pqr = np.array((self.p, self.q, self.r), dtype=float)
+        try:
+            pqr = np.array((self.p, self.q, self.r), dtype=float)
+        except ValueError:
+            if len({np.shape(v) for v in (self.p, self.q, self.r)}) == 1:
+                raise                    # not a fault of the shapes
+            pqr = None
+        if pqr is None or pqr.ndim != 2:
+            raise errors.DimensionMismatchError("p, q and r must be 1-d vectors of one length")
         np.maximum(pqr, 0.0, out=pqr, where=pqr >= -EPS_NEG)
         pqr.setflags(write=False)
         vars(self).update(p=pqr[0], q=pqr[1], r=pqr[2])
 
     @property
     def n(self) -> int:
-        return self.N + 1
+        return self.p.size
+
+    @property
+    def N(self) -> int:
+        return self.p.size - 1
 
 
 @dataclass(frozen=True)
@@ -132,7 +143,7 @@ def _bands(P) -> BDParams | None:
         return None
     pqr = np.zeros((3, main.size))
     pqr[0, :-1], pqr[1, 1:], pqr[2] = sup, sub, main
-    return BDParams(N=main.size - 1, p=pqr[0], q=pqr[1], r=pqr[2])
+    return BDParams(*pqr)
 
 
 def _band_kind(b: BDParams, require: str | None = None) -> KernelKind:

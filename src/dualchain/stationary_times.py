@@ -106,7 +106,7 @@ def verify_sharpness(P, p_tilde, link, pi0, pi_tilde0,
     r = sup_norm(pt @ L - L @ m)
     if r > RESID_TOL:
         raise errors.IntertwiningResidualError(f"link residual {r:.3g}")
-    pi = kernels.stationary(m)
+    pi = kernels.stationary(P)    # a Kernel's bands and kind are reused
 
     candidates = [
         a for a in kernels.absorbing_states(pt) if sup_norm(L[a] - pi) <= SHARP_TOL

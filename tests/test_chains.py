@@ -35,7 +35,28 @@ def test_non_finite_birth_death_data_is_refused_by_name():
     with pytest.raises(errors.NonFiniteEntryError, match="^q "):
         make_bd([0.3, 0.2, 0.0], [0.0, np.inf, 0.5], r=[0.7, 0.3, 0.5])
     with pytest.raises(errors.NonFiniteEntryError, match="^r "):
-        bd_kernel(BDParams(N=1, p=[0.3, 0.0], q=[0.0, 0.2], r=[0.7, np.nan]))
+        bd_kernel(BDParams(p=[0.3, 0.0], q=[0.0, 0.2], r=[0.7, np.nan]))
+
+
+def test_make_bd_stores_the_boundary_zeros_its_matrix_holds():
+    # q_0 and p_N within EPS_NEG of 0 were once kept in the record while the
+    # matrix of bd_kernel dropped them
+    p, q = np.array([0.3, 1e-13]), np.array([1e-13, 0.2])
+    params = make_bd(p, q)
+    assert params.q[0] == params.p[-1] == 0.0
+    assert p[1] == q[0] == 1e-13            # the caller's arrays are left alone
+    read_back = bd_params_from_kernel(bd_kernel(params).matrix)
+    for name in ("p", "q", "r"):
+        np.testing.assert_array_equal(getattr(read_back, name), getattr(params, name))
+
+
+def test_bd_record_derives_its_size_from_its_vectors():
+    params = BDParams(p=[0.1, 0.2, 0.0], q=[0.0, 0.1, 0.2], r=[0.9, 0.7, 0.8])
+    assert (params.N, params.n) == (2, 3)
+    with pytest.raises(errors.DimensionMismatchError):
+        BDParams(p=[0.1, 0.0], q=[0.0, 0.1, 0.2], r=[0.9, 0.9])
+    with pytest.raises(errors.DimensionMismatchError):
+        BDParams(p=[[0.1, 0.0]], q=[[0.0, 0.1]], r=[[0.9, 0.9]])
 
 
 def test_make_bd_interior_positivity():

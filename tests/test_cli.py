@@ -92,7 +92,7 @@ def test_dual_residual_is_the_pipeline_gate(tmp_path, config):
     cfg = config if isinstance(config, dict) else json.loads((CONFIGS / config).read_text())
     assert _run_cfg("dual", cfg, tmp_path) == 0
     residual = json.loads((tmp_path / "dual_summary.json").read_text())["residual"]
-    P, _ = cli.build_chain(cfg)
+    P = cli.build_chain(cfg)
     H, rep = cli.build_dual(cfg, P)
     res = intertwining.build_intertwining(P, H, rep.dual)
     assert residual == res.diagnostics["duality"]["static"]
@@ -149,8 +149,28 @@ def test_spectrum_moran(tmp_path):
 
 
 def test_spectrum_needs_bd_chain(tmp_path):
-    with pytest.raises(errors.ConfigError):
-        _run("spectrum", "non_monotone.json", tmp_path)
+    with pytest.raises(errors.ConfigError, match="spectrum needs a birth-death chain"):
+        _run_cfg("spectrum", NON_REVERSIBLE, tmp_path)
+
+
+def test_a_tridiagonal_dense_chain_is_a_birth_death_chain(tmp_path):
+    dense, bd = tmp_path / "dense", tmp_path / "bd"
+    dense.mkdir()
+    bd.mkdir()
+    assert _run("spectrum", "non_monotone.json", dense) == 0
+    cfg = {"kind": "bd", "p": [0.9, 0.0], "q": [0.0, 0.8], "r": [0.1, 0.2]}
+    assert _run_cfg("spectrum", cfg, bd) == 0
+    assert (dense / "spectrum.csv").read_bytes() == (bd / "spectrum.csv").read_bytes()
+    assert not json.loads((dense / "spectrum_summary.json").read_text())["monotone"]
+
+    chain_a = json.loads((CONFIGS / "chain_a.json").read_text())
+    cfg = {**chain_a, "kind": "dense", "matrix": [[0.7, 0.3], [0.2, 0.8]]}
+    del cfg["p"], cfg["q"]
+    assert _run_cfg("ssd", cfg, dense) == 0
+    assert _run("ssd", "chain_a.json", bd) == 0
+    for name in ("ssd.csv", "ssd_summary.json"):
+        assert (dense / name).read_bytes() == (bd / name).read_bytes()
+    assert "mean_spectral" in json.loads((dense / "ssd_summary.json").read_text())
 
 
 def test_ssd_chain_a(tmp_path):
@@ -221,6 +241,16 @@ def test_cutoff_sweep(tmp_path):
     assert abs(rows[-1, 5] - 1.0) < abs(rows[0, 5] - 1.0)
     summary = json.loads((tmp_path / "cutoff_summary.json").read_text())
     assert summary["cutoff_flag"]
+
+
+def test_cutoff_of_a_sweep_from_n_1(tmp_path):
+    # N = 1 has log N + log a = 0 at a = 1: no asymptote to compare with
+    cfg = {"kind": "moran_mutation", "N": 1, "a1": 0.5, "a2": 0.5,
+           "options": {"sweep": [1, 2, 4]}}
+    assert _run_cfg("cutoff", cfg, tmp_path) == 0
+    rows = np.loadtxt(tmp_path / "cutoff.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert rows[:, 0].tolist() == [1, 2, 4]
+    assert np.isnan(rows[0, 5]) and np.isfinite(rows[1:, 5]).all()
 
 
 def test_cutoff_requires_moran_mutation(tmp_path):
@@ -375,7 +405,7 @@ def test_verify_duality_gates_catch_a_bad_dual(tmp_path, monkeypatch):
 
     assert _run_cfg("verify", cfg, tmp_path, "--nmax", "7") == 1
     checks = json.loads((tmp_path / "verify_summary.json").read_text())["checks"]
-    P, _ = cli.build_chain(cfg)
+    P = cli.build_chain(cfg)
     H, rep = corrupt(cfg, P)
     assert checks["duality_dynamic"]["value"] == duals.verify_duality(
         P, H, rep.dual, n_max=7)["dynamic"]
@@ -704,7 +734,7 @@ def test_infeasible_summary_says_only_infeasible(tmp_path, command):
 
 @pytest.mark.parametrize("series", ["phi_profile", "sep_vs_survival", "absorption_pmf"])
 def test_plotdata_infeasible_writes_no_series(tmp_path, series):
-    # the spectrum series builds no dual; on this dense chain it is a ConfigError
+    # the spectrum series builds no dual
     assert _run("plotdata", "non_monotone.json", tmp_path, "--series", series) == 2
     assert not (tmp_path / "series.csv").exists()
 

@@ -9,7 +9,6 @@ from dualchain.duals import (
     DualFunction,
     bd_siegmund_dual,
     bd_ultrametric_rigidity,
-    dual_function,
     dual_via_solve,
     hypergeometric_function,
     is_monotone,
@@ -91,12 +90,6 @@ def test_potential_function_requires_mass_loss():
         np.eye(2),
         atol=1e-12,
     )
-
-
-def test_dual_function_dispatch():
-    assert dual_function("siegmund", 2).family == "siegmund"
-    with pytest.raises(ValueError):
-        dual_function("nope", 2)
 
 
 def test_is_monotone():

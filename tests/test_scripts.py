@@ -12,19 +12,11 @@ ROOT = Path(__file__).resolve().parent.parent
 # script, arguments, data rows expected under the header
 RUNS = [
     ("absorption_crosscheck.py", ["3", "1", "10"], 3),             # three chains
-    ("cutoff_table.py", [], 6),                                    # N = 25..800
-    ("cutoff_table.py", ["0.5", "0.5", "1", "2", "4"], 3),         # N = 1 has no asymptote
     ("paper_scale.py", ["30"], 18),                                # 3 a x 6 commands
 ]
 
 
-# a run is named by its script, and a second run of a script by its arguments too
-SCRIPTS = [run[0] for run in RUNS]
-IDS = [script if SCRIPTS.index(script) == i else " ".join([script, *args])
-       for i, (script, args, _) in enumerate(RUNS)]
-
-
-@pytest.mark.parametrize("script, args, rows", RUNS, ids=IDS)
+@pytest.mark.parametrize("script, args, rows", RUNS, ids=[run[0] for run in RUNS])
 def test_script_prints_its_table(script, args, rows):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}

@@ -703,7 +703,7 @@ def test_absorption_recurrence_auto_horizon_is_capped():
 
 
 def test_absorption_degenerate_single_state():
-    params = BDParams(N=0, p=np.array([0.0]), q=np.array([0.0]), r=np.array([1.0]))
+    params = BDParams(p=np.array([0.0]), q=np.array([0.0]), r=np.array([1.0]))
     stats = absorption_recurrence(params)
     assert stats.mean == 0.0 and stats.pmf[0] == 1.0
     exact = absorption_exact(np.array([[1.0]]), np.array([1.0]), boundary=0)
