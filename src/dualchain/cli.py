@@ -435,6 +435,7 @@ def cmd_simulate(cfg, opts):
         "checks": rep["checks"],
         "n_paths": batch.n_paths,
         "seed": batch.seed,
+        "rng": coupling.BIT_GENERATOR.__name__,
         "fingerprint": batch.fingerprint,
         "trajectory_digest": batch.digest(),
     }

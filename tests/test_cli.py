@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dualchain
-from dualchain import cli, duals, errors, intertwining, kernels, stationary_times
+from dualchain import cli, coupling, duals, errors, intertwining, kernels, stationary_times
 from dualchain.chains import moran_kernel, mutation_bias
 from dualchain.cli import main, run
 from dualchain.samplers import random_monotone_kernel
@@ -229,6 +229,21 @@ def test_simulate_seed_override_changes_output(tmp_path):
     assert (d1 / "empirical.csv").read_bytes() != (d2 / "empirical.csv").read_bytes()
     s1 = json.loads((d1 / "simulate_summary.json").read_text())
     assert s1["trajectory_digest"] != s2["trajectory_digest"]
+
+
+def test_simulate_takes_the_schemas_largest_seed(tmp_path):
+    # 2**64 - 1 is the largest seed CONFIG_SCHEMA admits
+    top = str(2**64 - 1)
+    summaries = []
+    for name, seed in (("r1", top), ("r2", top), ("r0", "0")):
+        d = tmp_path / name
+        d.mkdir()
+        assert _run("simulate", "chain_a.json", d, "--seed", seed) == 0
+        summaries.append(json.loads((d / "simulate_summary.json").read_text()))
+    assert summaries[0]["seed"] == 2**64 - 1
+    assert summaries[0]["rng"] == coupling.BIT_GENERATOR.__name__ == "SFC64"
+    digests = [s["trajectory_digest"] for s in summaries]
+    assert digests[0] == digests[1] != digests[2]
 
 
 def test_cutoff_sweep(tmp_path):
