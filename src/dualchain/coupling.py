@@ -85,7 +85,8 @@ def product_kernel(P, p_tilde, link) -> ProductKernel:
 
 
 # exact_joint stacks the laws of a block of steps: at most 2^17 entries (1 MB)
-# of joint law per block, the budget of stationary_times._SEP_CHUNK
+# of joint law per block, the budget of stationary_times._SEP_CHUNK.
+# TrajectoryBatch.digest converts blocks of paths within the same budget.
 _JOINT_CHUNK = 1 << 17
 
 
@@ -135,8 +136,9 @@ def exact_joint(pk: ProductKernel, pi_tilde0, n_steps: int) -> dict:
 
 @dataclass(frozen=True)
 class TrajectoryBatch:
-    # (n_paths, n_steps + 1) views x = X.T of step-major int32 arrays X of
-    # shape (n_steps + 1, n_paths): a column x[:, t] is contiguous
+    # (n_paths, n_steps + 1) views x = X.T of step-major arrays X of shape
+    # (n_steps + 1, n_paths), of the type ``_pair_dtype`` gives: a column
+    # x[:, t] is contiguous
     x: np.ndarray          # observed coordinates
     x_tilde: np.ndarray    # hidden coordinates, same shape and layout
     seed: int
@@ -152,13 +154,25 @@ class TrajectoryBatch:
 
     def digest(self) -> str:
         """SHA-256 of the shape and little-endian int64 bytes (C order) of
-        ``x``, then of ``x_tilde``."""
+        ``x``, then of ``x_tilde``.  The bytes are converted one block of
+        paths at a time, at most _JOINT_CHUNK entries (or one path) per
+        block, so the digest adds no int64 copy of a whole coordinate."""
         h = hashlib.sha256()
         for a in (self.x, self.x_tilde):
-            a = np.ascontiguousarray(a, dtype="<i8")
             h.update(repr(a.shape).encode())
-            h.update(a)
+            rows = max(1, _JOINT_CHUNK // a.shape[1])
+            for lo in range(0, a.shape[0], rows):
+                h.update(np.ascontiguousarray(a[lo:lo + rows], dtype="<i8"))
         return h.hexdigest()
+
+
+def _pair_dtype(n: int, n_tilde: int) -> np.dtype:
+    """The narrowest signed integer type whose maximum is at least
+    n n_tilde.  States, the factor n and every pair index xt n + x
+    (below n n_tilde) then fit, so a pair index computed in the storage
+    type of a trajectory cannot overflow."""
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
+                if np.iinfo(t).max >= n * n_tilde)
 
 
 def _row_supports(m: np.ndarray) -> np.ndarray:
@@ -230,10 +244,11 @@ def simulate(pk: ProductKernel, pi_tilde0, n_steps: int, n_paths: int,
     for y, then kt gathers (table) or about 6 kt array operations (per
     path), kt - 1 comparisons for yt and one row copy per coordinate.
 
-    Step t goes straight into rows X[t] and XT[t] of step-major int32 arrays
-    (states are below n; an int64 copy of one, as a digest makes, is then no
-    larger than both): the batch holds the (n_paths, n_steps + 1) views
-    x = X.T and x_tilde = XT.T, whose columns are contiguous.
+    Step t goes straight into rows X[t] and XT[t] of step-major arrays of
+    the type ``_pair_dtype(n, n_tilde)``: int8 up to n n_tilde = 127, so the
+    11 x 11 pairs of Moran (10, a1, a2) take a quarter of int32 storage.
+    The batch holds the (n_paths, n_steps + 1) views x = X.T and
+    x_tilde = XT.T, whose columns are contiguous.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
@@ -265,7 +280,7 @@ def simulate(pk: ProductKernel, pi_tilde0, n_steps: int, n_paths: int,
     else:
         table, part = None, np.empty((kt, n_paths))
 
-    X = np.empty((n_steps + 1, n_paths), dtype=np.int32)
+    X = np.empty((n_steps + 1, n_paths), dtype=_pair_dtype(n, nt))
     XT = np.empty_like(X)
     # scratch: the current and next (x, xt), swapped each step.  A count
     # stays below a row's width, at most n.  The gathers index in range by
@@ -339,6 +354,9 @@ def empirical_report(batch: TrajectoryBatch, pk: ProductKernel, pi_tilde0) -> di
     cells at all times: by a union over both sides of every cell, a correct
     sampler fails the report with probability at most SAMPLE_ALPHA.  A
     batch with no step or no path has nothing to test and is refused.
+
+    Each exact marginal is evolved once, through the checked times in
+    order; ``observed_laws`` maps each checked time t to pi0 P^t.
     """
     if batch.n_steps < 1:
         raise ValueError("batch must have at least one step")
@@ -348,17 +366,21 @@ def empirical_report(batch: TrajectoryBatch, pk: ProductKernel, pi_tilde0) -> di
     times = sorted({batch.n_steps // 2, batch.n_steps} - {0})
     n, nt = pk.n, pk.n_tilde
     paths = batch.n_paths
-    pi0 = nu0 @ pk.link
+    mu, nu, last = nu0 @ pk.link, nu0, 0
+    observed_laws = {}
 
     stats = []
     for t in times:
+        mu = observed_laws[t] = kernels.evolve(mu, pk.p, t - last)
+        nu = kernels.evolve(nu, pk.p_tilde, t - last)
+        last = t
         joint = np.bincount(batch.x_tilde[:, t] * n + batch.x[:, t],
                             minlength=nt * n).reshape(nt, n)
         hid = joint.sum(axis=1)
         seen = hid > 0
         stats.append((t, int(seen.sum()), dict(zip(_CELL_GROUPS, (
-            _binomial_stat(joint.sum(axis=0), paths, kernels.evolve(pi0, pk.p, t)),
-            _binomial_stat(hid, paths, kernels.evolve(nu0, pk.p_tilde, t)),
+            _binomial_stat(joint.sum(axis=0), paths, mu),
+            _binomial_stat(hid, paths, nu),
             _binomial_stat(joint[seen], hid[seen, None], pk.link[seen]),
         )))))
     cells = sum(s.size for _, _, groups in stats for s in groups.values())
@@ -372,4 +394,4 @@ def empirical_report(batch: TrajectoryBatch, pk: ProductKernel, pi_tilde0) -> di
         check["max_stat"] = float(max(s.max(initial=0.0) for s in groups.values()))
         checks.append(check)
     ok = all(c[key] for c in checks for key in _CELL_GROUPS)
-    return {"ok": ok, "checks": checks, "n_paths": paths}
+    return {"ok": ok, "checks": checks, "n_paths": paths, "observed_laws": observed_laws}

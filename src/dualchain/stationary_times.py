@@ -120,18 +120,18 @@ def verify_sharpness(P, p_tilde, link, pi0, pi_tilde0,
 
     table = np.empty((n_max + 1, 3))
     table[:, 0] = np.arange(n_max + 1)
-    mu = pi0.copy()
-    nu = pt0.copy()
-    stack = np.empty((min(n_max + 1, max(1, _SEP_CHUNK // m.shape[0])), m.shape[0]))
-    for lo in range(0, n_max + 1, stack.shape[0]):
-        hi = min(lo + stack.shape[0], n_max + 1)
-        for n in range(lo, hi):
-            if n:
-                mu = mu @ m
-                nu = nu @ pt
-            stack[n - lo] = mu
-            table[n, 2] = 1.0 - nu[boundary]
-        sep, below_tv = _separations(stack[: hi - lo], pi)
+    # the laws of a block of steps, each written by its product into its row
+    B = min(n_max + 1, max(1, _SEP_CHUNK // m.shape[0]))
+    mus, nus = np.empty((B, m.shape[0])), np.empty((B, pt.shape[0]))
+    mus[0], nus[0] = pi0, pt0
+    mu, nu = mus[0], nus[0]
+    for lo in range(0, n_max + 1, B):
+        hi = min(lo + B, n_max + 1)
+        for i in range(int(lo == 0), hi - lo):     # n = 0 is already in row 0
+            mu = np.matmul(mu, m, out=mus[i])
+            nu = np.matmul(nu, pt, out=nus[i])
+        table[lo:hi, 2] = 1.0 - nus[: hi - lo, boundary]
+        sep, below_tv = _separations(mus[: hi - lo], pi)
         table[lo:hi, 1] = sep
         bad = np.flatnonzero(below_tv | (sep > table[lo:hi, 2] + SHARP_TOL))
         if bad.size:

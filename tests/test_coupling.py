@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import tracemalloc
 from pathlib import Path
@@ -394,6 +395,8 @@ def test_simulate_matches_dense_oracle(chains_to_sample, name):
     spread = np.arange(1.0, pk.n_tilde + 1)
     starts = (np.eye(pk.n_tilde)[0], spread / spread.sum())
     # n_tilde n - 1 paths form the hidden sums per path, n_tilde n paths table them
+    assert pk.n_tilde * pk.n <= 32767
+    dtype = np.int8 if pk.n_tilde * pk.n <= 127 else np.int16
     for paths in (1, 7, pk.n_tilde * pk.n - 1, pk.n_tilde * pk.n, 2500):
         for steps in (0, 1, 7, 8, 9, 30):
             for seed, nu0 in ((0, starts[0]), (11, starts[1]), (2**40 + 3, starts[0])):
@@ -402,7 +405,7 @@ def test_simulate_matches_dense_oracle(chains_to_sample, name):
                 assert np.array_equal(got.x, want.x), (paths, steps, seed)
                 assert np.array_equal(got.x_tilde, want.x_tilde), (paths, steps, seed)
                 assert got.x.T.flags.c_contiguous and got.x_tilde.T.flags.c_contiguous
-                assert got.x.dtype == np.int32 and got.x_tilde.dtype == np.int32
+                assert got.x.dtype == dtype and got.x_tilde.dtype == dtype
                 assert got.x.shape == (paths, steps + 1)
                 # the oracle's arrays are C-order int64: the digest reads values only
                 assert got.digest() == want.digest(), (paths, steps, seed)
@@ -477,12 +480,15 @@ def test_simulate_counts_rows_wider_than_255_entries():
 
 
 def test_simulate_memory_is_per_path():
-    for N, paths, steps, limit_mb in (
-        (100, 20000, 10, 12),   # the whole-row gathers of an earlier sampler peaked at 50 MB
-        (300, 1000, 10, 4),     # n_tilde n > paths: a table of the hidden sums would add 2.2 MB
-        # int32 step-major storage takes 24.8 MB of a 33 MB peak; int64
-        # path-major storage in blocks of 8 steps peaked at 65.7 MB
-        (10, 100_000, 30, 40),
+    for N, paths, steps, limit_mb, dtype in (
+        # the whole-row gathers of an earlier sampler peaked at 50 MB
+        (100, 20000, 10, 12, np.int16),
+        # n_tilde n > paths: a table of the hidden sums would add 2.2 MB
+        (300, 1000, 10, 4, np.int32),
+        # int8 step-major storage takes 6.2 MB of a 14.5 MiB peak; int32
+        # storage peaked at 32.3 MiB, int64 path-major storage in blocks of
+        # 8 steps at 65.7 MB
+        (10, 100_000, 30, 20, np.int8),
     ):
         pk, _ = moran_coupled(N, 0.5, 0.5)
         nu0 = np.zeros(N + 1)
@@ -495,7 +501,83 @@ def test_simulate_memory_is_per_path():
             tracemalloc.stop()
         assert peak < limit_mb * 2**20, N
         assert batch.x.T.flags.c_contiguous and batch.x_tilde.T.flags.c_contiguous
-        assert batch.x.dtype == np.int32 and batch.x_tilde.dtype == np.int32
+        assert batch.x.dtype == dtype and batch.x_tilde.dtype == dtype
+    # the digest converts blocks of 2^17 entries to int64, not a whole
+    # coordinate (24.8 MB here)
+    tracemalloc.start()
+    try:
+        batch.digest()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("N, dtype", [(10, np.int8), (11, np.int16),
+                                      (180, np.int16), (181, np.int32)])
+def test_simulate_command_counts_in_the_storage_type(tmp_path, monkeypatch, N, dtype):
+    # 121 and 144 pairs lie either side of int8's maximum 127, 32761 and
+    # 33124 either side of int16's 32767.  Started at hidden state N - 1,
+    # the paths reach pair indices (N - 1)(N + 1) + x, past the maximum of
+    # the next narrower type, so a pair index that wrapped would show.
+    batches = []
+
+    def keep(*args, **kwargs):
+        batches.append(simulate(*args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(coupling, "simulate", keep)
+    cfg = {"kind": "moran_mutation", "N": N, "a1": 0.5, "a2": 0.5,
+           "dual": {"family": "siegmund"},
+           "options": {"n_max": 4, "trials": 2000, "seed": 1, "start": N - 1}}
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    assert cli.run(["simulate", "--config", str(tmp_path / "config.json"),
+                    "--out", str(tmp_path)]) == 0
+    batch, = batches
+    assert batch.x.dtype == dtype and batch.x_tilde.dtype == dtype
+    wide = dataclasses.replace(batch, x=batch.x.astype(np.int64),
+                               x_tilde=batch.x_tilde.astype(np.int64))
+    narrower = {np.int16: np.int8, np.int32: np.int16}.get(dtype)
+    assert narrower is None or (wide.x_tilde * (N + 1) + wide.x).max() > np.iinfo(narrower).max
+    pk = pipeline_coupled(cfg)
+    want = empirical_report(wide, pk, np.eye(N + 1)[N - 1])
+    summary = json.loads((tmp_path / "simulate_summary.json").read_text())
+    assert summary["checks"] == want["checks"]
+    assert summary["trajectory_digest"] == wide.digest()
+    rows = (tmp_path / "empirical.csv").read_text().splitlines()[1:]
+    freq = {(int(t), int(s)): float(f) for t, _, s, f, _ in (r.split(",") for r in rows)}
+    assert sorted({t for t, _ in freq}) == [2, 4]
+    for t in (2, 4):
+        counts = np.bincount(wide.x[:, t], minlength=N + 1)
+        assert [freq[t, s] for s in range(N + 1)] == list(counts / 2000)
+
+
+def test_storage_type_holds_the_factor_n():
+    # a one-state hidden chain linked by pi intertwines with any chain: with
+    # n = 128 the pair indices stay below 128, but the factor n of
+    # empirical_report's xt n + x does not fit int8
+    P = bd_kernel(moran_kernel(127, mutation_bias(0.5, 0.5, 127))).matrix
+    pk = product_kernel(P, np.ones((1, 1)), kernels.stationary(P)[None, :])
+    batch = simulate(pk, [1.0], n_steps=2, n_paths=500, seed=0)
+    assert batch.x.dtype == np.int16
+    assert empirical_report(batch, pk, [1.0])["ok"]
+
+
+def test_digest_reads_blocks_of_paths(monkeypatch):
+    pk, _ = moran_coupled(10, 0.5, 0.5)
+    batch = simulate(pk, np.eye(11)[0], n_steps=30, n_paths=10_000, seed=2)
+    whole = hashlib.sha256()
+    for a in (batch.x, batch.x_tilde):
+        a = np.ascontiguousarray(a, dtype="<i8")
+        whole.update(repr(a.shape).encode())
+        whole.update(a)
+    # 310k entries per coordinate: three blocks of 2^17 entries, then
+    # blocks of 40 paths, then one path per block (a path of 31 entries
+    # is wider than a budget of 16)
+    assert batch.x.size > 2 * coupling._JOINT_CHUNK
+    for chunk in (coupling._JOINT_CHUNK, 40 * 31, 16):
+        monkeypatch.setattr(coupling, "_JOINT_CHUNK", chunk)
+        assert batch.digest() == whole.hexdigest(), chunk
 
 
 @pytest.mark.parametrize("name", ["moran_10", "moran_hypergeometric", "dense_20"])
