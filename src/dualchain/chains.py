@@ -48,8 +48,8 @@ def _stochastic_or_raise(b: BDParams) -> None:
 
 
 def bd_kernel(params: BDParams) -> kernels.Kernel:
-    """Dense tridiagonal kernel from birth-death data; its bands are ``params``."""
-    return kernels.Kernel.from_bands(params)
+    """The stochastic kernel of birth-death data; its bands are ``params``."""
+    return kernels.Kernel(bands=params)
 
 
 def bd_params_from_kernel(P) -> BDParams:

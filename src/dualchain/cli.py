@@ -38,7 +38,7 @@ CONFIG_SCHEMA = {
                 "wright_fisher",
             ]
         },
-        "N": {"type": "integer", "minimum": 0},
+        "N": {"type": "integer", "minimum": 1},
         "matrix": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
         "p": {"type": "array", "items": {"type": "number", "minimum": 0, "maximum": 1}},
         "q": {"type": "array", "items": {"type": "number", "minimum": 0, "maximum": 1}},

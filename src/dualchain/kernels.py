@@ -1,22 +1,22 @@
-"""Dense finite-state kernels: validation, communication structure, stationary
+"""Finite-state kernels: validation, communication structure, stationary
 laws, reversal, evolution, hitting probabilities.
 
-States are always 0..n-1 and kernels are dense float64 matrices.  A kernel is
-*stochastic* when every row sums to 1 within EPS_STOCH, *strictly
-substochastic* when no row exceeds 1 but at least one loses mass, and
-*general nonnegative* otherwise (dual functions, potentials).
+States are 0..n-1.  A kernel is *stochastic* when every row sums to 1 within
+EPS_STOCH, *strictly substochastic* when no row exceeds 1 but at least one
+loses mass, and *general nonnegative* otherwise (dual functions, potentials).
 
-A kernel whose entries off the three central diagonals are exactly zero (a
-birth-death chain, its Siegmund dual, the hidden chain of the two) records
-those diagonals as its ``bands``, a ``BDParams`` record.  ``classify``,
-``is_irreducible``, ``absorbing_states``, ``stationary`` and ``reachable`` run
-their O(n) birth-death forms on it; records and raw arrays work alike.
+A birth-death kernel (so also its Siegmund dual and their hidden chain) is its
+``bands``, a ``BDParams`` record of the three central diagonals; a Kernel made
+from the record alone builds its dense float64 matrix only when it is read.
+``classify``, ``is_irreducible``, ``absorbing_states``, ``stationary`` and
+``reachable`` run in O(n) on records, banded Kernels and tridiagonal arrays.
 """
 from __future__ import annotations
 
 import enum
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,41 +62,42 @@ class BDParams:
         return self.p.size - 1
 
 
-@dataclass(frozen=True)
+dense_builds = 0     # n x n matrices built by record-only Kernels since import
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Kernel:
-    """A validated nonnegative square matrix, immutable after construction.
+    """A validated nonnegative square kernel, immutable, given as its
+    ``matrix`` and ``kind`` or as a stochastic birth-death record ``bands``
+    alone (checked in O(n)).  Else ``bands`` is the record of a tridiagonal
+    ``matrix``, or None.  A record-only Kernel builds ``matrix`` on first read."""
 
-    ``bands`` is its birth-death record when every entry off the three
-    central diagonals is exactly zero, and None otherwise.
-    """
-
-    matrix: np.ndarray
     kind: KernelKind
-    bands: BDParams | None = field(init=False, repr=False, compare=False)
+    bands: BDParams | None
 
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-        object.__setattr__(self, "bands", _bands(self.matrix))
+    def __init__(self, matrix=None, kind=None, *, bands=None):
+        if matrix is None:
+            kind = _band_kind(bands, "stochastic")
+        else:
+            matrix.setflags(write=False)
+            vars(self)["matrix"], bands = matrix, _bands(matrix)  # cached: never built
+        vars(self).update(kind=kind, bands=bands)
 
-    @classmethod
-    def from_bands(cls, b: BDParams) -> Kernel:
-        """The stochastic kernel of the birth-death record ``b``, whose
-        ``bands`` is ``b`` itself.  ``b`` is checked in O(n); its one n x n
-        matrix is built from it and never scanned."""
-        kind = _band_kind(b, "stochastic")
-        n = b.n
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        global dense_builds
+        dense_builds += 1
+        b, n = self.bands, self.n
         m = np.zeros((n, n))
         m.flat[::n + 1] = b.r
         m.flat[1::n + 1] = b.p[:-1]
         m.flat[n::n + 1] = b.q[1:]
         m.setflags(write=False)
-        K = object.__new__(cls)      # not __init__, which would scan m for b
-        vars(K).update(matrix=m, kind=kind, bands=b)
-        return K
+        return m
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[0] if self.bands is None else self.bands.n
 
 
 def sup_norm(a) -> float:

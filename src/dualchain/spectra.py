@@ -14,7 +14,7 @@ from math import comb
 import numpy as np
 
 from . import errors, kernels
-from .chains import BDParams, bd_kernel, make_bd
+from .chains import BDParams, make_bd
 from .duals import is_monotone
 from .tolerances import EPS_NEG, EPS_STOCH, ROOT_BRACKET, ROOT_RTOL, ROOT_XTOL, SPECTRUM_TOL
 
@@ -188,8 +188,7 @@ def spectrum_monotonicity_checks(params: BDParams) -> dict:
     """
     spec = bd_spectrum(params)
     t_min = float(spec.eigenvalues[-1])
-    P = bd_kernel(params)
-    monotone = is_monotone(P)
+    monotone = is_monotone(params)
     r_min = float(params.r.min())
     out = {
         "spectrum": spec,

@@ -557,6 +557,29 @@ def test_integral_floats_are_not_integers(tmp_path, command, entry, path):
     assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 
+@pytest.mark.parametrize("cfg", [
+    {"kind": "moran", "N": 0, "bias": [0.1, 0.9]},
+    {"kind": "moran_mutation", "N": 0, "a1": 0.5, "a2": 0.5},
+    {"kind": "bernoulli_laplace", "N": 0},
+    {"kind": "wright_fisher", "N": 0, "bias": [0.1, 0.9]},
+], ids=lambda cfg: cfg["kind"])
+def test_a_chain_of_no_steps_is_refused_by_the_schema(tmp_path, monkeypatch, capsys, cfg):
+    # N = 0 once passed the schema, warned of 0/0 in np.arange(N + 1) / N
+    # and failed with an error about a bias table or unequal vectors
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setattr("sys.argv", ["dualchain", "build", "--config", str(path),
+                                     "--out", str(tmp_path / "out")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            main()
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == (
+        "error: ConfigError: config schema violation at $.N: 0 is less than the minimum of 1\n")
+    assert not (tmp_path / "out").exists()
+
+
 def _schema_keywords(schema):
     for key, arg in schema.items():
         yield key
@@ -793,3 +816,29 @@ def test_chain_kinds_and_dual_families_exit_codes(tmp_path, cfg, failing):
             assert list(out.iterdir()) == [], name
         want[name] = failing.get(name, 0)
     assert got == want
+
+
+# the dense n x n matrices each run builds from its chain's birth-death
+# record: one where a stage reads P's matrix (the dual, the pipeline, and the
+# kernel.csv of build), none where the bands are all it reads
+DENSE_BUILDS = {**dict.fromkeys(["build", *PIPELINE_RUNS], 1),
+                "spectrum": 0, "plotdata-spectrum": 0, "cutoff": 0}
+
+
+def test_each_run_builds_the_dense_kernel_once_and_only_where_it_is_read(tmp_path):
+    cfg = {**MORAN_10, "N": 30, "a1": 0.1, "a2": 0.1,
+           "options": {"trials": 2000, "sweep": [100, 300, 1000]}}
+    got = {}
+    for name, args in {**RUNS, "cutoff": ["cutoff"]}.items():
+        (tmp_path / name).mkdir()
+        builds = kernels.dense_builds
+        assert _run_cfg(args[0], cfg, tmp_path / name, *args[1:]) == 0, name
+        got[name] = kernels.dense_builds - builds
+    assert got == DENSE_BUILDS
+    # a dense config gives its matrix, so no run builds one
+    builds = kernels.dense_builds
+    for name in ["build", *PIPELINE_RUNS]:
+        args, out = RUNS[name], tmp_path / f"dense-{name}"
+        out.mkdir()
+        assert _run_cfg(args[0], NON_REVERSIBLE, out, *args[1:]) == 0, name
+    assert kernels.dense_builds == builds

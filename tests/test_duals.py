@@ -20,7 +20,7 @@ from dualchain.duals import (
     vandermonde_function,
     verify_duality,
 )
-from dualchain.kernels import KernelKind, absorbing_states, validate_kernel
+from dualchain.kernels import BDParams, Kernel, KernelKind, absorbing_states, validate_kernel
 from dualchain.samplers import random_kernel, random_monotone_kernel
 from dualchain.tolerances import EPS_NEG
 
@@ -104,6 +104,40 @@ def test_is_monotone_bd_iff_boundary_sums(counts):
     kp, kq = counts
     P = bd_kernel(make_bd(kp / 20, kq / 20, interior_positive=False))
     assert is_monotone(P) == bool(np.all(kp[:-1] + kq[1:] <= 20))
+
+
+def _edge_records(rng, count):
+    """Birth-death records at the edge of monotonicity: about half the sums
+    p_x + q_{x+1} are 1 + delta, delta at and around EPS_NEG, the others at
+    most 1, and in half the records each row sum is off 1 by -9e-10, 0 or
+    9e-10 (inside EPS_STOCH)."""
+    deltas = [-1e-12, 0.0, 1e-16, 5e-13, 1e-12, 2e-12]
+    for _ in range(count):
+        N = int(rng.integers(1, 10))
+        p, q = np.zeros(N + 1), np.zeros(N + 1)
+        for x in range(N):
+            p[x] = rng.random() * (1.0 - q[x])
+            q[x + 1] = (1.0 - p[x] + rng.choice(deltas) if rng.random() < 0.5
+                        else rng.random() * (1.0 - p[x]))
+        slack = rng.choice([-9e-10, 0.0, 9e-10], N + 1) * (rng.random() < 0.5)
+        yield BDParams(p, q, np.maximum(1.0 - p - q + slack, 0.0))
+
+
+def test_is_monotone_of_a_record_is_the_dense_test_of_its_matrix():
+    rng = np.random.default_rng(20261020)
+    outcomes, edges = [], 0
+    for b in _edge_records(rng, 4000):
+        P = Kernel(bands=b)
+        F = np.cumsum(P.matrix, axis=1)
+        dF = F[1:] - F[:-1]
+        dense = bool(np.all(dF <= EPS_NEG))
+        assert is_monotone(b) == is_monotone(P) == dense, (b.p, b.q, b.r)
+        outcomes.append(dense)
+        edges += dF.size > 0 and abs(dF.max() - EPS_NEG) <= 1e-12
+    # both answers occur, and half the largest differences lie within 1e-12
+    # of EPS_NEG, where the last bit of a sum decides
+    assert 0.2 < np.mean(outcomes) < 0.8
+    assert edges >= 1000
 
 
 def test_siegmund_dual_chain_a(chain_a):

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -86,6 +87,34 @@ def test_kernel_accepts_kernel_instance():
     leaky = kernels.validate_kernel([[0.5, 0.4], [0.5, 0.5]])
     with pytest.raises(errors.NotStochasticError, match="^row 0 sums to 0.9"):
         kernels.validate_kernel(leaky, require="stochastic")
+
+
+def test_a_record_only_kernel_builds_its_matrix_once_and_stays_frozen():
+    params = make_bd([0.3, 0.2, 0.0], [0.0, 0.1, 0.4])
+    builds = kernels.dense_builds
+    P = kernels.Kernel(bands=params)
+    assert (P.n, P.kind, P.bands) == (3, kernels.KernelKind.STOCHASTIC, params)
+    for name in ("matrix", "kind", "bands"):     # before the matrix is built
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(P, name, None)
+    assert kernels.dense_builds == builds
+    m = P.matrix
+    assert P.matrix is m and kernels.dense_builds == builds + 1
+    np.testing.assert_array_equal(
+        m, np.diag(params.r) + np.diag(params.p[:-1], 1) + np.diag(params.q[1:], -1))
+    with pytest.raises(ValueError, match="read-only"):
+        m[0, 0] = 1.0
+    for name in ("matrix", "kind", "bands"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(P, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(P, name)
+    assert P.matrix is m and kernels.dense_builds == builds + 1
+    # a given matrix is the Kernel's own: nothing is built
+    K = kernels.validate_kernel(m)
+    assert K.matrix is not m and np.array_equal(K.matrix, m) and kernels.dense_builds == builds + 1
+    with pytest.raises(errors.RowSumExceedsOneError):
+        kernels.Kernel(bands=kernels.BDParams([0.5, 0.0], [0.0, 0.5], [0.6, 0.6]))
 
 
 def test_validate_prob_vector():
@@ -260,24 +289,28 @@ def test_bd_kernel_keeps_its_record_and_stationary_reads_the_bands_in_o_n_memory
     tracemalloc.start()
     try:
         P = bd_kernel(params)
-        _, built = tracemalloc.get_traced_memory()
+        built = tracemalloc.get_traced_memory()[1]
+        builds = kernels.dense_builds
+        pi_kernel = kernels.stationary(P)
+        unbuilt = kernels.dense_builds == builds
+        m = P.matrix            # built before the window that measures stationary
         tracemalloc.reset_peak()
         held, _ = tracemalloc.get_traced_memory()
-        pi = kernels.stationary(P.matrix)
+        pi = kernels.stationary(m)
         solved = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    # the one 2001 x 2001 float64 matrix is 30.5 MiB; a validation copy
-    # doubled it, and a dense residual or copy in stationary was one more
-    assert built <= 34 * 2**20
+    # the record is O(n); the 2001 x 2001 float64 matrix, 30.5 MiB, is built
+    # only when read, and a dense residual or copy in stationary would be one more
+    assert built < 2**20
+    assert unbuilt, "stationary of a record-only Kernel built its matrix"
     assert solved < 2**20
     assert P.bands is params
-    m = P.matrix
     assert np.array_equal(params.q[1:], np.diag(m, -1)) and np.array_equal(params.r, np.diag(m))
     assert np.array_equal(params.p[:-1], np.diag(m, 1))
     assert np.count_nonzero(m) == np.count_nonzero(np.diag(m, -1)) + np.count_nonzero(
         np.diag(m)) + np.count_nonzero(np.diag(m, 1))
-    assert np.array_equal(pi, kernels.stationary(params))
+    assert np.array_equal(pi, pi_kernel) and np.array_equal(pi, kernels.stationary(params))
 
 
 def _banded_cases():

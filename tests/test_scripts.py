@@ -30,3 +30,7 @@ def test_script_prints_its_table(script, args, rows):
     if "cold_rss_mb" in table[0]:
         column = table[0].split().index("cold_rss_mb")
         assert all(float(line.split()[column]) > 0 for line in table[1:]), out.stdout
+    if "dense_builds" in table[0]:
+        # every command computes the dual from P's matrix, so each builds it once
+        column = table[0].split().index("dense_builds")
+        assert all(line.split()[column] == "1" for line in table[1:]), out.stdout
