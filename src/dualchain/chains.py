@@ -112,6 +112,8 @@ def make_bias(values) -> BiasFunction:
 
 def mutation_bias(a1: float, a2: float, N: int) -> BiasFunction:
     """Two-parameter mutation mechanism p(u) = (1 - a2) u + a1 (1 - u)."""
+    if N < 1:
+        raise errors.InvalidBiasError(f"the bias grid x/N needs N >= 1, got N = {N}")
     if not (0 <= a1 <= 1 and 0 <= a2 <= 1):
         raise errors.InvalidBiasError("mutation rates must lie in [0, 1]")
     u = np.arange(N + 1) / N

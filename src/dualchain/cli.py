@@ -298,7 +298,7 @@ class Pipeline:
     H: duals.DualFunction
     report: duals.DualReport
     res: intertwining.IntertwiningResult
-    p_bar: kernels.Kernel | np.ndarray
+    p_bar: kernels.Kernel
     start: int
     pt0: np.ndarray
 
@@ -331,7 +331,7 @@ def pipeline(cfg: dict, opts: dict) -> Pipeline:
         )
     pt0 = np.zeros(P.n)
     pt0[start] = 1.0
-    reversible = kernels.sup_norm(res.back - P.matrix) <= RESID_TOL
+    reversible = kernels.sup_norm(np.asarray(res.back) - P.matrix) <= RESID_TOL
     return Pipeline(P, H, report, res, P if reversible else res.back, start, pt0)
 
 

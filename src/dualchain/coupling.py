@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors, kernels
-from .kernels import as_matrix, sup_norm
+from .kernels import sup_norm
 from .tolerances import EPS_NEG, EPS_STOCH, RESID_TOL, SAMPLE_ALPHA
 
 
@@ -59,9 +59,7 @@ class ProductKernel:
 
 
 def product_kernel(P, p_tilde, link) -> ProductKernel:
-    m = as_matrix(P)
-    pt = as_matrix(p_tilde)
-    L = as_matrix(link)
+    m, pt, L = (np.asarray(v, dtype=float) for v in (P, p_tilde, link))
     nt = pt.shape[0]
     if L.shape != (nt, m.shape[0]):
         raise errors.DimensionMismatchError("link must map hidden rows to observed columns")

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import errors, kernels
 from .chains import bd_kernel
-from .kernels import Kernel, as_matrix, sup_norm
+from .kernels import Kernel, sup_norm
 from .tolerances import EPS_NEG, EPS_STOCH, RESID_TOL, ROW_MASS_TOL
 
 COND_LIMIT = 1e12
@@ -159,7 +159,7 @@ def is_monotone(P) -> bool:
     F(x, x - 2 + j) for j = 0..4, so row x + 1 is compared one column on."""
     b = P if isinstance(P, kernels.BDParams) else getattr(P, "bands", None)
     if b is None:
-        F = np.cumsum(as_matrix(P), axis=1)
+        F = np.cumsum(np.asarray(P, dtype=float), axis=1)
         return bool(np.all(F[1:] - F[:-1] <= EPS_NEG))
     q, p = np.r_[0.0, b.q[1:]], np.r_[b.p[:-1], 0.0]     # as the matrix holds them
     F = np.cumsum(np.c_[0 * q, q, b.r, p, 0 * q], axis=1)
@@ -394,7 +394,7 @@ def dual_via_solve(P, H: DualFunction) -> DualReport:
     noise.  Entries in [-EPS_NEG, 0) are clamped to 0; anything lower marks
     the construction infeasible with the entry as witness.
     """
-    m = as_matrix(P)
+    m = np.asarray(P, dtype=float)
     Hm = H.matrix
     if m.shape != Hm.shape:
         raise errors.DimensionMismatchError("kernel and dual function size mismatch")
@@ -427,9 +427,8 @@ def verify_duality(P, H, dual, n_max: int = 20) -> dict:
     The n-step identity follows from the one-step one by induction, so the
     pipeline checks ``static`` alone (n_max = 1) and ``verify`` gates both.
     """
-    m = as_matrix(P)
+    m, d = np.asarray(P, dtype=float), np.asarray(dual, dtype=float)
     Hm = H.matrix if isinstance(H, DualFunction) else np.asarray(H, dtype=float)
-    d = as_matrix(dual)
     left = right = Hm
     steps = []
     for _ in range(max(1, n_max)):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import errors, kernels
 from .duals import DualFunction, verify_duality
-from .kernels import as_matrix, sup_norm
+from .kernels import Kernel, sup_norm
 from .tolerances import EPS_NEG, EPS_STOCH, RESID_TOL, TRACE_TOL
 
 
@@ -31,9 +31,9 @@ class IntertwiningResult:
     pi: np.ndarray
     phi: np.ndarray
     link: np.ndarray         # Lambda, stochastic
-    p_tilde: np.ndarray      # stochastic
+    p_tilde: Kernel          # stochastic; bands scanned once, when made
     K: np.ndarray
-    back: np.ndarray         # time reversal of P
+    back: Kernel             # time reversal of P, made as p_tilde is
     class_constants: list    # [(states of each mass-conserving class, c_l)]
     diagnostics: dict = field(default_factory=dict)
 
@@ -59,14 +59,13 @@ def build_intertwining(P, H: DualFunction, dual) -> IntertwiningResult:
     """
     PK = kernels.validate_kernel(P, require="stochastic")
     pi = kernels.stationary(PK)     # raises NotIrreducibleError first
-    m = PK.matrix
     Hm = H.matrix
-    d = as_matrix(dual)
-    static = verify_duality(m, H, d, n_max=1)["static"]
+    d = np.asarray(dual, dtype=float)
+    static = verify_duality(PK, H, d, n_max=1)["static"]
     if static > EPS_STOCH:
         raise errors.DualityResidualError(f"duality residual {static:.3g} too large")
 
-    back = kernels.reversal(PK, pi).matrix
+    back = kernels.reversal(PK, pi)
     phi = Hm.T @ pi
     if np.min(phi) <= 0:
         raise errors.HarmonicNotPositiveError("phi = H' pi has a nonpositive entry")
@@ -77,10 +76,11 @@ def build_intertwining(P, H: DualFunction, dual) -> IntertwiningResult:
         )
 
     link = Hm.T * pi[None, :] / phi[:, None]    # Lambda = D_phi^{-1} H' D_pi
-    p_tilde = d * (phi[None, :] / phi[:, None])
+    pt = d * (phi[None, :] / phi[:, None])
     K = Hm / phi[None, :]
     _stochastic_or_raise(link, "Lambda")
-    _stochastic_or_raise(p_tilde, "Ptilde")
+    _stochastic_or_raise(pt, "Ptilde")
+    p_tilde = Kernel(pt, kernels.KernelKind.STOCHASTIC)
 
     diagnostics = {"duality": {"static": static}, "phi_harmonic": harmonic_resid}
     dual_K = kernels.validate_kernel(d)
@@ -106,7 +106,7 @@ def build_intertwining(P, H: DualFunction, dual) -> IntertwiningResult:
 
     if dual_K.kind is kernels.KernelKind.STOCHASTIC and dec.n_classes == 1:
         diagnostics["phi_constant"] = float(np.ptp(phi))
-        diagnostics["p_tilde_equals_dual"] = sup_norm(p_tilde - d)
+        diagnostics["p_tilde_equals_dual"] = sup_norm(pt - d)
 
     abs_tilde = kernels.absorbing_states(p_tilde)
     if set(dec.absorbing_states) != set(abs_tilde):
@@ -143,10 +143,9 @@ def identity_residuals(P, H: DualFunction, dual, res: IntertwiningResult) -> dic
     None of them is gated here; ``verify`` gates intertwining,
     k_duality_scaled and the trace comparison.
     """
-    m = as_matrix(P)
-    d = as_matrix(dual)
+    m, d, p_tilde, back = (np.asarray(v, dtype=float) for v in (P, dual, res.p_tilde, res.back))
     weighted = H.matrix.T * res.pi[None, :]          # H' D_pi
-    K, p_tilde, link, back = res.K, res.p_tilde, res.link, res.back
+    K, link = res.K, res.link
     recomposed = np.zeros_like(res.phi)
     for cls, c in res.class_constants:
         recomposed += c * kernels.hitting_probabilities(d, list(cls))
@@ -166,10 +165,7 @@ def duality_from_intertwining(p_tilde, link, pi, p_back):
     """Reverse direction: an intertwining Ptilde Lambda = Lambda Pback with
     stochastic link yields the dual pair H = D_pi^{-1} Lambda', Phat =
     Ptilde, for which phi = H' pi is the all-ones vector."""
-    pt = as_matrix(p_tilde)
-    L = as_matrix(link)
-    pb = as_matrix(p_back)
-    piv = np.asarray(pi, dtype=float)
+    pt, L, pb, piv = (np.asarray(v, dtype=float) for v in (p_tilde, link, p_back, pi))
     r = sup_norm(pt @ L - L @ pb)
     if r > RESID_TOL:
         raise errors.IntertwiningResidualError(
@@ -202,8 +198,7 @@ def spectrum_equivalence(P, p_tilde) -> dict:
     eps^(1/k) for a Jordan block of size k, which is why they are not
     compared one by one.
     """
-    a = as_matrix(P)
-    b = as_matrix(p_tilde)
+    a, b = np.asarray(P, dtype=float), np.asarray(p_tilde, dtype=float)
     if a.shape != b.shape:
         raise errors.DimensionMismatchError("size mismatch in trace comparison")
     n = a.shape[0]

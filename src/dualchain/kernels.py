@@ -9,7 +9,9 @@ A birth-death kernel (so also its Siegmund dual and their hidden chain) is its
 ``bands``, a ``BDParams`` record of the three central diagonals; a Kernel made
 from the record alone builds its dense float64 matrix only when it is read.
 ``classify``, ``is_irreducible``, ``absorbing_states``, ``stationary`` and
-``reachable`` run in O(n) on records, banded Kernels and tridiagonal arrays.
+``reachable`` run in O(n) on records, banded Kernels and tridiagonal arrays;
+a raw array is scanned for its bands on every call (``band_scans``).  The
+one dense read of a Kernel or an array-like is ``np.asarray(P, dtype=float)``.
 """
 from __future__ import annotations
 
@@ -63,6 +65,7 @@ class BDParams:
 
 
 dense_builds = 0     # n x n matrices built by record-only Kernels since import
+band_scans = 0       # raw arrays _bands has scanned for a record since import
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -70,7 +73,8 @@ class Kernel:
     """A validated nonnegative square kernel, immutable, given as its
     ``matrix`` and ``kind`` or as a stochastic birth-death record ``bands``
     alone (checked in O(n)).  Else ``bands`` is the record of a tridiagonal
-    ``matrix``, or None.  A record-only Kernel builds ``matrix`` on first read."""
+    ``matrix``, or None.  A record-only Kernel builds ``matrix`` on first read;
+    ``np.asarray(K)`` is that ``matrix``, copied only for a copy or a dtype."""
 
     kind: KernelKind
     bands: BDParams | None
@@ -99,6 +103,15 @@ class Kernel:
     def n(self) -> int:
         return self.matrix.shape[0] if self.bands is None else self.bands.n
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.n, self.n
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy or np.dtype(dtype) != self.matrix.dtype:    # None reads float64
+            return np.array(self.matrix, dtype=dtype)
+        return self.matrix
+
 
 def sup_norm(a) -> float:
     """Entrywise sup norm; the residual metric used everywhere."""
@@ -122,20 +135,18 @@ def scaled_residual(A, B, C, D) -> float:
     return sup_norm(ratio)
 
 
-def as_matrix(P) -> np.ndarray:
-    return P.matrix if isinstance(P, Kernel) else np.asarray(P, dtype=float)
-
-
 def _bands(P) -> BDParams | None:
     """The birth-death record of ``P``: a Kernel's ``bands``, a BDParams, or
     the three central diagonals of a nonempty square matrix whose other
-    entries are exactly zero (None when some is not).  Counting nonzeros
-    allocates nothing of size n x n."""
+    entries are exactly zero (None when some is not), counted in
+    ``band_scans``.  Counting nonzeros allocates nothing of size n x n."""
     if isinstance(P, Kernel):
         return P.bands
     if isinstance(P, BDParams):
         return P
-    m = as_matrix(P)
+    global band_scans
+    band_scans += 1
+    m = np.asarray(P, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
         return None
     sub, main, sup = m.diagonal(-1), m.diagonal(), m.diagonal(1)
@@ -210,7 +221,7 @@ def validate_kernel(matrix, require: str | None = None) -> Kernel:
     """
     if isinstance(matrix, Kernel) and _meets(matrix.kind, require):
         return matrix
-    m = np.array(as_matrix(matrix), dtype=float)
+    m = np.array(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise errors.NonSquareError(f"kernel must be square, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -304,7 +315,7 @@ def classify(P) -> ClassDecomposition:
     b = _bands(P)
     if b is not None:
         return _classify_bands(b)
-    m = as_matrix(P)
+    m = np.asarray(P, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise errors.NonSquareError("classify needs a square matrix")
     return _classify_dense(m)
@@ -404,7 +415,7 @@ def absorbing_states(P) -> list[int]:
     """States a with P(a, a) within EPS_STOCH of 1 and every other entry of
     row a at most EPS_NEG, in increasing order."""
     b = _bands(P)
-    return _absorbing_dense(as_matrix(P)) if b is None else _absorbing_bands(b)
+    return _absorbing_dense(P) if b is None else _absorbing_bands(b)
 
 
 def _absorbing_dense(m: np.ndarray) -> list[int]:
@@ -445,7 +456,11 @@ def stationary(P) -> np.ndarray:
     if (_band_kind(b) if K is None else K.kind) is not KernelKind.STOCHASTIC:
         raise errors.NotStochasticError("stationary law needs a stochastic kernel")
     if not is_irreducible(b or K):
-        raise errors.NotIrreducibleError("kernel is not irreducible")
+        x = None if b is None else np.argmin((b.p[:-1] > EPS_NEG) & (b.q[1:] > EPS_NEG))
+        where = (f"{classify(K).n_classes} communicating classes" if b is None
+                 else f"no link both ways between x = {x} and x + 1")
+        raise errors.NotIrreducibleError(
+            f"kernel is not irreducible: n = {(b or K).n} states, {where}")
     if b is None:
         pi = normalize_stationary(_gth(K.matrix), "GTH back-substitution")
         moved = pi @ K.matrix
@@ -510,8 +525,7 @@ def normalize_stationary(w: np.ndarray, stage: str) -> np.ndarray:
 
 def reversal(P, pi) -> Kernel:
     """Time reversal with respect to pi: out(x, y) = pi(y) P(y, x) / pi(x)."""
-    m = as_matrix(P)
-    pi = np.asarray(pi, dtype=float)
+    m, pi = (np.asarray(v, dtype=float) for v in (P, pi))
     if pi.shape[0] != m.shape[0]:
         raise errors.DimensionMismatchError("pi length does not match kernel")
     if np.min(pi) <= 0:
@@ -522,7 +536,7 @@ def reversal(P, pi) -> Kernel:
 
 def evolve(pi0, P, n: int) -> np.ndarray:
     """n-step push-forward pi0' P^n by repeated vector-matrix products."""
-    m = as_matrix(P)
+    m = np.asarray(P, dtype=float)
     v = np.asarray(pi0, dtype=float).copy()
     if v.shape[0] != m.shape[0]:
         raise errors.DimensionMismatchError("initial law length mismatch")
@@ -533,16 +547,19 @@ def evolve(pi0, P, n: int) -> np.ndarray:
     return v
 
 
-def reachable(P, seeds: np.ndarray) -> np.ndarray:
+def reachable(P, seeds: np.ndarray, backward: bool = False) -> np.ndarray:
     """Mask of the states reachable from the mask ``seeds`` along the
-    entries of P above EPS_NEG (the transposed matrix for the states that
-    reach them).  On a tridiagonal P these are runs of states
-    (``_run_reach``); on any other a breadth-first search (``_bfs``)."""
+    entries of P above EPS_NEG, or with ``backward`` of the states that reach
+    them.  On a tridiagonal P these are runs of states (``_run_reach``),
+    ``backward`` swapping up and down steps; on any other a breadth-first
+    search (``_bfs``), on the transpose for ``backward``."""
     b = _bands(P)
     if b is None:
-        return _bfs(as_matrix(P) > EPS_NEG, seeds)
-    return (_run_reach(seeds, b.p[:-1] > EPS_NEG)
-            | _run_reach(seeds[::-1], (b.q[1:] > EPS_NEG)[::-1])[::-1])
+        edges = np.asarray(P, dtype=float) > EPS_NEG
+        return _bfs(edges.T if backward else edges, seeds)
+    steps = b.p[:-1] > EPS_NEG, b.q[1:] > EPS_NEG
+    up, down = steps[::-1] if backward else steps
+    return _run_reach(seeds, up) | _run_reach(seeds[::-1], down[::-1])[::-1]
 
 
 def _bfs(edges: np.ndarray, seeds: np.ndarray) -> np.ndarray:
@@ -573,19 +590,15 @@ def hitting_probabilities(P, target) -> np.ndarray:
     restricted to states with a positive path to the target so closed
     classes away from the target do not make the system singular.
     """
-    m = as_matrix(P)
+    m = np.asarray(P, dtype=float)
     n = m.shape[0]
     target = sorted(set(int(t) for t in target))
     if not target or any(t < 0 or t >= n for t in target):
         raise errors.DimensionMismatchError("target must be a nonempty state set")
     h = np.zeros(n)
-    for t in target:
-        h[t] = 1.0
-
-    can_reach = reachable(m.T, h > 0)
-    solve_states = [x for x in range(n) if can_reach[x] and x not in target]
-    if solve_states:
-        idx = np.array(solve_states)
+    h[target] = 1.0
+    idx = np.flatnonzero(reachable(P, h > 0, backward=True) & (h == 0))
+    if idx.size:
         A = np.eye(len(idx)) - m[np.ix_(idx, idx)]
         rhs = m[np.ix_(idx, np.array(target))].sum(axis=1)
         try:
@@ -602,8 +615,7 @@ def hitting_probabilities(P, target) -> np.ndarray:
 
 def check_harmonic(P, h) -> float:
     """Residual ||P h - h|| measuring how far h is from being harmonic."""
-    m = as_matrix(P)
-    h = np.asarray(h, dtype=float)
+    m, h = (np.asarray(v, dtype=float) for v in (P, h))
     if h.shape[0] != m.shape[0]:
         raise errors.DimensionMismatchError("harmonic vector length mismatch")
     return sup_norm(m @ h - h)

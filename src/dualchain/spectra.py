@@ -227,6 +227,8 @@ def moran_mutation_spectrum(N: int, a1: float, a2: float) -> Spectrum:
 def bernoulli_laplace_params(N: int) -> BDParams:
     """Two-urn swap chain on {0..N}: p_x = ((N-x)/N)^2, q_x = (x/N)^2.
     Coincides with the Moran chain at full mutation strength."""
+    if N < 1:
+        raise errors.DimensionMismatchError(f"the chain on 0..N needs N >= 1, got N = {N}")
     x = np.arange(N + 1, dtype=float)
     p = ((N - x) / N) ** 2
     q = (x / N) ** 2

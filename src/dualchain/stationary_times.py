@@ -28,7 +28,7 @@ import numpy as np
 
 from . import errors, kernels
 from .chains import BDParams
-from .kernels import as_matrix, sup_norm
+from .kernels import sup_norm
 from .spectra import Spectrum, tridiagonal_eigenvalues
 from .tolerances import (
     EIG_GAP_MIN, EPS_NEG, EPS_STOCH, GROWTH_TOL, RESID_TOL, SHARP_TOL, SPECTRAL_TOL,
@@ -95,9 +95,7 @@ def verify_sharpness(P, p_tilde, link, pi0, pi_tilde0,
     pi within SHARP_TOL.  The inequality sep <= survival is asserted at
     every n; equality is asserted when a witness state exists.
     """
-    m = as_matrix(P)
-    pt = as_matrix(p_tilde)
-    L = as_matrix(link)
+    m, pt, L = (np.asarray(v, dtype=float) for v in (P, p_tilde, link))
     pi0 = kernels.validate_prob_vector(pi0, "pi0", m.shape[0])
     pt0 = kernels.validate_prob_vector(pi_tilde0, "pi_tilde0", pt.shape[0])
     adm = sup_norm(pt0 @ L - pi0)
@@ -109,7 +107,7 @@ def verify_sharpness(P, p_tilde, link, pi0, pi_tilde0,
     pi = kernels.stationary(P)    # a Kernel's bands and kind are reused
 
     candidates = [
-        a for a in kernels.absorbing_states(pt) if sup_norm(L[a] - pi) <= SHARP_TOL
+        a for a in kernels.absorbing_states(p_tilde) if sup_norm(L[a] - pi) <= SHARP_TOL
     ]
     if not candidates:
         raise errors.NotAbsorbingError("no absorbing state carries pi in the link")
@@ -204,15 +202,15 @@ def hitting_moments(p_tilde, start, boundary: int) -> tuple[float, float]:
     The diagonal of I - Q is each row's summed off-diagonal mass (GTH), not
     1 - Q(x, x).  A reached state that cannot reach the boundary is refused.
     """
-    pt = as_matrix(p_tilde)
+    pt = np.asarray(p_tilde, dtype=float)
     start = kernels.validate_prob_vector(start, "start", pt.shape[0])
     if boundary < 0 or boundary >= pt.shape[0]:
         raise errors.DimensionMismatchError("boundary out of range")
-    if boundary not in kernels.absorbing_states(pt):
+    if boundary not in kernels.absorbing_states(p_tilde):
         raise errors.NotAbsorbingError(f"state {boundary} is not absorbing")
     at_boundary = np.arange(pt.shape[0]) == boundary
-    reached = kernels.reachable(pt, start > 0) & ~at_boundary
-    stuck = np.flatnonzero(reached & ~kernels.reachable(pt.T, at_boundary))
+    reached = kernels.reachable(p_tilde, start > 0) & ~at_boundary
+    stuck = np.flatnonzero(reached & ~kernels.reachable(p_tilde, at_boundary, backward=True))
     if stuck.size:
         raise errors.TruncationTooCoarseError(
             f"state {stuck[0]} is reached from the start but never reaches {boundary}")
@@ -315,7 +313,7 @@ def absorption_exact(p_tilde, start, boundary: int, n_max: int | None = None) ->
     P~ (``_absorb``), with the mean and variance of ``hitting_moments``.
     """
     mean, variance = hitting_moments(p_tilde, start, boundary)
-    pt = as_matrix(p_tilde)
+    pt = np.asarray(p_tilde, dtype=float)
     start = kernels.validate_prob_vector(start, "start", pt.shape[0])
     pmf, survival = _absorb(pt, start, boundary, n_max, mean)
     return AbsorptionStats(pmf=pmf, survival=survival, mean=mean, variance=variance,

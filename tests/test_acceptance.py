@@ -94,7 +94,7 @@ def test_criterion_02_pipeline_invariants():
         ok = ok and np.min(res.phi) > 0
         ok = ok and d["phi_harmonic"] <= 1e-10
         ok = ok and np.max(np.abs(res.link.sum(axis=1) - 1)) <= 1e-9
-        ok = ok and np.max(np.abs(res.p_tilde.sum(axis=1) - 1)) <= 1e-9
+        ok = ok and np.max(np.abs(np.asarray(res.p_tilde).sum(axis=1) - 1)) <= 1e-9
         ok = ok and d["intertwining"] <= 1e-10
         ok = ok and d["k_duality"] <= 1e-10
         ok = ok and np.max(np.abs(res.link[n - 1] - res.pi)) <= 1e-10

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from dualchain.chains import (
 )
 from dualchain.duals import is_monotone
 from dualchain.kernels import is_irreducible, stationary
+from dualchain.spectra import bernoulli_laplace_params
 
 
 def test_make_bd_boundary_rules():
@@ -100,6 +103,18 @@ def test_mutation_bias_endpoints():
     assert b.values[0] == pytest.approx(0.3)
     assert b.values[-1] == pytest.approx(0.8)
     assert b.nondecreasing
+
+
+@pytest.mark.parametrize("N", [0, -3])
+def test_a_chain_builder_refuses_n_below_1_by_name(N):
+    # N = 0 once divided 0/0 in np.arange(N + 1) / N and both N failed with
+    # an error about a bias table or unequal vectors, naming no N
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.InvalidBiasError, match=f"needs N >= 1, got N = {N}$"):
+            mutation_bias(0.1, 0.1, N)
+        with pytest.raises(errors.DimensionMismatchError, match=f"needs N >= 1, got N = {N}$"):
+            bernoulli_laplace_params(N)
 
 
 def test_moran_kernel_quadratic_rows():

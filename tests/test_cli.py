@@ -365,7 +365,7 @@ def test_verify_trace_match_catches_moved_diagonal_mass(tmp_path, monkeypatch):
 
     def corrupt(P, H, dual):
         res = build(P, H, dual)
-        pt = res.p_tilde.copy()
+        pt = np.array(res.p_tilde)
         x = pt.shape[0] // 2
         pt[x, x] -= 1e-6
         pt[x, x + 1] += 1e-6
@@ -685,6 +685,21 @@ def test_main_exit_codes(tmp_path, monkeypatch, capsys):
     assert "error: ConfigError" in capsys.readouterr().err
 
 
+def test_verify_names_where_a_mutation_free_moran_chain_breaks(tmp_path, monkeypatch, capsys):
+    # both ends absorb, so the pipeline has no stationary law to link
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**MORAN_10, "a1": 0.0, "a2": 0.0}))
+    monkeypatch.setattr("sys.argv", ["dualchain", "verify", "--config", str(path),
+                                     "--out", str(tmp_path / "out")])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == (
+        "error: NotIrreducibleError: kernel is not irreducible: n = 11 states, "
+        "no link both ways between x = 0 and x + 1\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["build", "ssd"])
 def test_stationary_law_outside_the_float_range_exits_1(tmp_path, monkeypatch, capsys,
                                                         command):
@@ -842,3 +857,24 @@ def test_each_run_builds_the_dense_kernel_once_and_only_where_it_is_read(tmp_pat
         out.mkdir()
         assert _run_cfg(args[0], NON_REVERSIBLE, out, *args[1:]) == 0, name
     assert kernels.dense_builds == builds
+
+
+# the raw arrays each run scans in kernels._bands for a birth-death record:
+# the dual once in siegmund_dual; then the reversal, the dual and P~ once
+# each as build_intertwining makes them; intertwine and verify scan the
+# dual once more for its hitting probabilities.  A later stage reads the
+# Kernels' bands (8, 8, 9, 5, 4 and 1 before P~ and the reversal were
+# handed on as Kernels).
+BAND_SCANS = {"ssd": 4, "plotdata-absorption_pmf": 4, "verify": 5, "intertwine": 5,
+              "simulate": 4, "dual": 1}
+
+
+def test_each_run_scans_a_raw_array_for_bands_only_where_it_makes_one(tmp_path):
+    cfg = {**MORAN_10, "N": 20, "a1": 0.3, "a2": 0.2}
+    got = {}
+    for name in BAND_SCANS:
+        (tmp_path / name).mkdir()
+        scans = kernels.band_scans
+        assert _run_cfg(RUNS[name][0], cfg, tmp_path / name, *RUNS[name][1:]) == 0, name
+        got[name] = kernels.band_scans - scans
+    assert got == BAND_SCANS

@@ -382,7 +382,7 @@ def test_siegmund_hidden_chain_is_tridiagonal(N, a1, a2):
     _, res = moran_coupled(N, a1, a2)
     assert np.count_nonzero(np.triu(res.p_tilde, 2)) == 0
     assert np.count_nonzero(np.tril(res.p_tilde, -2)) == 0
-    assert _row_supports(res.p_tilde).shape[1] == 3
+    assert _row_supports(np.asarray(res.p_tilde)).shape[1] == 3
     params = moran_kernel(N, mutation_bias(a1, a2, N))
     dual = siegmund_dual(bd_kernel(params)).dual
     assert np.abs(dual - bd_siegmund_dual(params)).max() <= np.finfo(float).eps

@@ -68,7 +68,7 @@ def test_pipeline_records_only_the_one_step_duality_residual():
     chains = [bd_kernel(moran_kernel(N, mutation_bias(0.5, 0.5, N))) for N in (10, 100)]
     chains += [random_monotone_kernel(rng, int(rng.integers(2, 40))) for _ in range(20)]
     for P in chains:
-        m = kernels.as_matrix(P)
+        m = np.asarray(P, dtype=float)
         H = siegmund_function(m.shape[0] - 1)
         dual = siegmund_dual(P).dual
         out = verify_duality(P, H, dual)
@@ -140,7 +140,7 @@ def test_spectrum_equivalence_catches_moved_diagonal_mass(pipeline_b):
     # 1e-6 of mass from Ptilde(1, 1) to Ptilde(1, 2): rows stay stochastic,
     # tr(Ptilde) moves by 1e-6, above the gate 3e-8 of n = 3
     P, res = pipeline_b
-    pt = res.p_tilde.copy()
+    pt = np.array(res.p_tilde)
     pt[1, 1] -= 1e-6
     pt[1, 2] += 1e-6
     out = spectrum_equivalence(P.matrix, pt)
@@ -172,12 +172,12 @@ def test_k_duality_scaled_at_paper_scale():
     d = identity_residuals(P, H, dual, res)
     assert d["k_duality"] > 1.0
     assert d["k_duality_scaled"] <= 1e-14
-    assert d["k_duality_scaled"] == kernels.scaled_residual(
-        res.K, res.p_tilde.T, P.matrix, res.K)
+    pt = np.asarray(res.p_tilde)
+    assert d["k_duality_scaled"] == kernels.scaled_residual(res.K, pt.T, P.matrix, res.K)
     K = res.K.copy()
     K[K == K[K > 0].min()] *= 1.0 + 1e-8
-    assert kernels.scaled_residual(K, res.p_tilde.T, P.matrix, K) > 1e-10
-    R = K @ res.p_tilde.T - P.matrix @ K
+    assert kernels.scaled_residual(K, pt.T, P.matrix, K) > 1e-10
+    R = K @ pt.T - P.matrix @ K
     assert np.abs(R).max() / np.abs(K).max() < 1e-10
 
 
@@ -196,4 +196,4 @@ def test_pipeline_invariants_random_monotone(n, seed):
     assert d["trace_comparison"]["max_deviation"] <= 1e-8 * n
     # row sums of link and p_tilde
     np.testing.assert_allclose(res.link.sum(axis=1), 1.0, atol=1e-9)
-    np.testing.assert_allclose(res.p_tilde.sum(axis=1), 1.0, atol=1e-9)
+    np.testing.assert_allclose(np.asarray(res.p_tilde).sum(axis=1), 1.0, atol=1e-9)

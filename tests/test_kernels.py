@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 import warnings
 
@@ -117,6 +118,37 @@ def test_a_record_only_kernel_builds_its_matrix_once_and_stays_frozen():
         kernels.Kernel(bands=kernels.BDParams([0.5, 0.0], [0.0, 0.5], [0.6, 0.6]))
 
 
+def test_a_kernel_reads_as_its_matrix_through_the_array_protocol():
+    params = make_bd([0.3, 0.2, 0.0], [0.0, 0.1, 0.4])
+    K = kernels.Kernel(bands=params)
+    assert K.shape == (3, 3)
+    builds = kernels.dense_builds
+    m = np.asarray(K)                   # the first read builds the matrix once
+    assert kernels.dense_builds == builds + 1
+    assert m is K.matrix and not m.flags.writeable
+    assert np.asarray(K) is m and np.asarray(K, dtype=float) is m
+    assert kernels.dense_builds == builds + 1
+    for copy in (np.asarray(K, dtype=np.float32), np.array(K, copy=True)):
+        assert copy is not m and copy.flags.writeable
+        np.testing.assert_array_equal(copy, m.astype(copy.dtype))
+        copy[0, 0] = 0.5
+    assert K.matrix is m and m[0, 0] == 0.7 and kernels.dense_builds == builds + 1
+
+
+def test_a_reducible_kernel_is_refused_by_its_size_and_where_it_breaks():
+    absorbing_ends = make_bd([0.0, 0.3, 0.0], [0.0, 0.2, 0.0], interior_positive=False)
+    cut_inside = make_bd([0.5, 1e-13, 0.0], [0.0, 0.5, 0.5], interior_positive=False)
+    for P, message in [
+        (absorbing_ends, "n = 3 states, no link both ways between x = 0 and x + 1"),
+        (bd_kernel(cut_inside), "n = 3 states, no link both ways between x = 1 and x + 1"),
+        (np.array([[0.5, 0.25, 0.25], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]]),
+         "n = 3 states, 2 communicating classes"),
+    ]:
+        with pytest.raises(errors.NotIrreducibleError,
+                           match=f"^{re.escape(f'kernel is not irreducible: {message}')}$"):
+            kernels.stationary(P)
+
+
 def test_validate_prob_vector():
     v = kernels.validate_prob_vector([0.25, 0.75], "v", 2)
     assert v.sum() == pytest.approx(1.0)
@@ -199,7 +231,7 @@ ORACLE_KERNELS = _oracle_kernels()
 def test_stationary_equals_the_full_update_oracle(name):
     # the rows and columns the elimination skips would only gain exact zeros
     P = ORACLE_KERNELS[name]
-    assert np.array_equal(kernels.stationary(P), _gth_full_update(kernels.as_matrix(P)))
+    assert np.array_equal(kernels.stationary(P), _gth_full_update(np.asarray(P, dtype=float)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -336,7 +368,7 @@ def _banded_cases():
         cases.append((f"dual{k}", siegmund_dual(P).dual))
         if variant in (0, 4):
             res = build_intertwining(P, siegmund_function(N), siegmund_dual(P).dual)
-            cases.append((f"p_tilde{k}", res.p_tilde))
+            cases.append((f"p_tilde{k}", np.asarray(res.p_tilde)))
     return cases
 
 

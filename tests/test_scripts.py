@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts that call the pipeline: each exits 0
 and prints its table, a header row and one row per chain, step or size."""
+import json
 import os
 import subprocess
 import sys
@@ -12,15 +13,16 @@ ROOT = Path(__file__).resolve().parent.parent
 # script, arguments, data rows expected under the header
 RUNS = [
     ("absorption_crosscheck.py", ["3", "1", "10"], 3),             # three chains
-    ("paper_scale.py", ["30"], 18),                                # 3 a x 6 commands
+    ("paper_scale.py", ["30", "--json", "{tmp}/rows.json"], 18),   # 3 a x 6 commands
 ]
 
 
 @pytest.mark.parametrize("script, args, rows", RUNS, ids=[run[0] for run in RUNS])
-def test_script_prints_its_table(script, args, rows):
+def test_script_prints_its_table(script, args, rows, tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+    argv = [arg.format(tmp=tmp_path) for arg in args]
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *argv],
                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     table = [line for line in out.stdout.splitlines()
@@ -34,3 +36,10 @@ def test_script_prints_its_table(script, args, rows):
         # every command computes the dual from P's matrix, so each builds it once
         column = table[0].split().index("dense_builds")
         assert all(line.split()[column] == "1" for line in table[1:]), out.stdout
+    if "--json" in args:
+        # one JSON row per printed row, keyed by the header, with the printed values
+        written = json.loads((tmp_path / "rows.json").read_text())
+        assert [list(row) for row in written] == [table[0].split()] * rows
+        for line, row in zip(table[1:], written):
+            assert all(cell == str(v) if isinstance(v, (int, str)) else float(cell) == v
+                       for cell, v in zip(line.split(), row.values())), (line, row)

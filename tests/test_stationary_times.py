@@ -451,7 +451,7 @@ def test_absorption_exact_truncation_guard(pipeline_b):
 
 def _stepwise_absorption(pt, start, boundary, n_max):
     """Oracle: pmf and survival one step of the surviving law at a time."""
-    Q = pt.copy()
+    Q = np.array(pt)
     Q[boundary] = 0.0
     r = Q[:, boundary].copy()
     Q[:, boundary] = 0.0
@@ -474,7 +474,7 @@ def _blocked_cases():
     P = random_monotone_kernel(np.random.default_rng(3), 6)
     dense = build_intertwining(P, ultrametric_function(5, 1, 0.5, 0.0),
                                ultrametric_dual(P, 1, 0.5, 0.0).dual).p_tilde
-    assert np.count_nonzero(dense[1] > 0) == 4
+    assert np.count_nonzero(np.asarray(dense)[1] > 0) == 4
     return [(moran, np.eye(5)[0], 4), (moran, np.array([0.5, 0, 0, 0, 0.5]), 4),
             (dense, np.eye(6)[0], 5), (dense, np.array([1e-10, 0, 0, 0, 0, 1 - 1e-10]), 5)]
 
@@ -506,7 +506,7 @@ def test_absorption_exact_survival_relative_to_extended_precision():
     # horizon the latter was 2.3e-3 off, and cut one step late
     params, res, start = _moran_pipeline(100, 0.25, 0.25)
     exact = absorption_exact(res.p_tilde, start, boundary=100)
-    Q = res.p_tilde.astype(np.longdouble)
+    Q = np.array(res.p_tilde, dtype=np.longdouble)
     Q[:, 100] = 0.0
     nu = start.astype(np.longdouble)
     for _ in range(exact.n_max - 1):
@@ -524,7 +524,7 @@ def test_verify_sharpness_names_the_first_n_separation_exceeds_survival(monkeypa
     N = 20
     P = bd_kernel(moran_kernel(N, mutation_bias(0.5, 0.5, N)))
     res = build_intertwining(P, siegmund_function(N), siegmund_dual(P).dual)
-    pt = res.p_tilde.copy()
+    pt = np.array(res.p_tilde)
     pt[np.arange(N), np.arange(N)] -= 5e-11
     pt[:N, N] += 5e-11
     start = np.eye(N + 1)[0]
@@ -557,6 +557,7 @@ def test_hitting_moments_chain_b_exact(pipeline_b):
 def _fraction_moments(pt, start, boundary):
     """Oracle: m1 and E T^2 by Gauss-Jordan elimination over the rationals,
     on the float entries of P~ with I - Q formed exactly."""
+    pt = np.asarray(pt)
     S = [x for x in range(pt.shape[0]) if x != boundary]
     A = [[Fraction(int(x == y)) - Fraction(pt[x, y]) for y in S] for x in S]
 
@@ -595,6 +596,7 @@ def _lu_moments(pt, start, boundary):
     # with the GTH diagonal; np.linalg.solve runs the same LAPACK gesv steps
     from scipy.linalg import lu_factor, lu_solve
 
+    pt = np.asarray(pt)
     S = np.flatnonzero(np.arange(pt.shape[0]) != boundary)
     rows = pt[S]
     rows[np.arange(S.size), S] = 0.0
