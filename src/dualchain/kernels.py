@@ -74,7 +74,7 @@ class Kernel:
     ``matrix`` and ``kind`` or as a stochastic birth-death record ``bands``
     alone (checked in O(n)).  Else ``bands`` is the record of a tridiagonal
     ``matrix``, or None.  A record-only Kernel builds ``matrix`` on first read;
-    ``np.asarray(K)`` is that ``matrix``, copied only for a copy or a dtype."""
+    ``np.asarray(K)`` is that ``matrix``, copied only for a copy or another dtype."""
 
     kind: KernelKind
     bands: BDParams | None
