@@ -8,9 +8,10 @@ For each N and each a1 = a2 = a in {.1, .25, .5}, each command runs through
 `dualchain.cli.run` on a moran_mutation config with the Siegmund dual, each
 into its own temporary directory.  One row per run: N, a, the command, its
 exit code, its wall seconds (import excluded), the dense n x n kernels the
-in-process run built from the chain's birth-death record
-(`dualchain.kernels.dense_builds`), the raw arrays it scanned for a
-birth-death record (`dualchain.kernels.band_scans`), its cold wall seconds
+in-process run built from the birth-death records of the chain, its dual,
+the hidden chain and the reversal (`dualchain.kernels.dense_builds`), the
+raw arrays it scanned for a birth-death record (`dualchain.kernels.band_scans`;
+0, as every stage hands its kernel on as a record), its cold wall seconds
 (the same command in a fresh `python -m dualchain.cli` process, interpreter
 start and import included), that process's peak RSS in MB and, for verify,
 all_passed.  With --json, the printed rows are also written to PATH as a

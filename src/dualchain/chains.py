@@ -49,6 +49,7 @@ def _stochastic_or_raise(b: BDParams) -> None:
 
 def bd_kernel(params: BDParams) -> kernels.Kernel:
     """The stochastic kernel of birth-death data; its bands are ``params``."""
+    kernels._band_kind(params, "stochastic")
     return kernels.Kernel(bands=params)
 
 
@@ -152,8 +153,8 @@ def wright_fisher_kernel(N: int, bias: BiasFunction) -> kernels.Kernel:
 class ScaleProfile:
     """Absorption profile of a doubly absorbing birth-death chain.
 
-    ``eta`` is the scale function eta(x) = sum_{y<x} prod_{z<=y} q_z/p_z and
-    ``phi``(x) = 1 - eta(x)/eta(N) the probability of absorbing at 0.
+    ``eta`` is the scale function eta(x) = sum_{y<x} rho_y, rho_y = prod_{0<z<=y} q_z/p_z,
+    and ``phi``(x) = sum_{y>=x} rho_y / sum_y rho_y the probability of absorbing at 0.
     ``dual_station`` is the stationary law of the one-step dual restricted to
     {0..N-1}; phi(x) = sum_{z>=x} dual_station(z) is asserted at build time.
     """
@@ -183,7 +184,8 @@ def absorption_profile(params: BDParams) -> ScaleProfile:
     ratios = params.q[1:N] / params.p[1:N]
     terms = np.concatenate([[1.0], np.cumprod(ratios)])  # index y = 0..N-1
     eta = np.concatenate([[0.0], np.cumsum(terms)])  # eta(0)..eta(N)
-    phi = 1.0 - eta / eta[N]
+    above = np.append(np.cumsum(terms[::-1])[::-1], 0.0)  # sum_{y>=x} rho_y
+    phi = above / above[0]
 
     # one-step dual restricted to {0..N-1}: births q_{x+1}, deaths p_x
     from .duals import siegmund_dual  # local import to avoid a cycle

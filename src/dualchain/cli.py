@@ -331,7 +331,10 @@ def pipeline(cfg: dict, opts: dict) -> Pipeline:
         )
     pt0 = np.zeros(P.n)
     pt0[start] = 1.0
-    reversible = kernels.sup_norm(np.asarray(res.back) - P.matrix) <= RESID_TOL
+    b, back = P.bands, res.back.bands       # the reversal is a record where P is one
+    gap = (np.asarray(res.back) - P.matrix if b is None
+           else np.concatenate([back.q[1:] - b.q[1:], back.r - b.r, back.p[:-1] - b.p[:-1]]))
+    reversible = kernels.sup_norm(gap) <= RESID_TOL
     return Pipeline(P, H, report, res, P if reversible else res.back, start, pt0)
 
 

@@ -139,13 +139,13 @@ def potential_function(R) -> DualFunction:
 class DualReport:
     """Outcome of a dual-kernel construction.
 
-    ``feasible`` is False when the candidate has entries below -EPS_NEG; the
-    offending entries are listed in ``violations`` as (condition, (row, col),
-    value).  ``mass_leaks`` holds 1 - row sums of the dual.  The residual
-    of the duality identity is ``verify_duality``'s to measure.
+    ``dual`` is an array or a record-only Kernel; ``feasible`` is False when
+    it has entries below -EPS_NEG, listed in ``violations`` as (condition,
+    (row, col), value).  ``mass_leaks`` holds 1 - row sums of the dual.  The
+    residual of the duality identity is ``verify_duality``'s to measure.
     """
 
-    dual: np.ndarray
+    dual: np.ndarray | Kernel
     feasible: bool
     mass_leaks: np.ndarray
     violations: list = field(default_factory=list)
@@ -209,6 +209,17 @@ def _two_block_dual(K: Kernel, k: int, alpha: float, beta: float):
     return dual, F
 
 
+def _siegmund_bands(b: kernels.BDParams) -> np.ndarray:
+    """The up, down and hold diagonals of the Siegmund dual of the stochastic
+    birth-death record ``b``: the differences F(x, y) - F(x+1, y) that
+    ``_two_block_dual`` takes, bit for bit.  Row x of F is 0 left of x - 1,
+    then q_x, q_x + r_x, and 1.0 from the row's last nonzero entry on."""
+    q, p = np.r_[0.0, b.q[1:]], np.r_[b.p[:-1], 0.0]         # as the matrix holds them
+    below = np.append(np.where((b.r == 0) & (p == 0), 1.0, q)[1:], 0.0)  # F(y + 1, y)
+    at = np.where(p == 0, 1.0, q + b.r)                      # F(y, y)
+    return np.array((below, np.append(0.0, 1.0 - at[1:]), at - below))
+
+
 def siegmund_dual(P) -> DualReport:
     """Cumulative-indicator dual: Phat(y, x) = F(x, y) - F(x+1, y) with
     F(x, y) = sum_{z<=y} P(x, z) and F(N+1, .) = 0; the one-block case
@@ -216,15 +227,22 @@ def siegmund_dual(P) -> DualReport:
 
     Feasible exactly when P is monotone; the violating difference is
     recorded otherwise.  For stochastic P the last state is absorbing for
-    the dual and row y loses mass 1 - F(0, y).
+    the dual and row y loses mass 1 - F(0, y).  For stochastic birth-death P
+    it is formed from the record in O(n): a feasible one is a record-only
+    Kernel whose rows lose 1 - ((q + r) + p), an infeasible one is dense.
     """
     K = kernels.validate_kernel(P)
     n = K.n
-    rep = _report(_two_block_dual(K, n - 1, 0.0, 0.0)[0], lambda y: "monotone")
+    stochastic = K.kind is kernels.KernelKind.STOCHASTIC
+    bands = _siegmund_bands(K.bands) if stochastic and K.bands is not None else None
+    if bands is not None and bands.min() >= -EPS_NEG:
+        b = kernels.BDParams(*bands)
+        rep = DualReport(dual=Kernel(bands=b), feasible=True,
+                         mass_leaks=1.0 - ((b.q + b.r) + b.p))
+    else:
+        rep = _report(_two_block_dual(K, n - 1, 0.0, 0.0)[0], lambda y: "monotone")
     rep.diagnostics.update({
-        "absorbing_last": n - 1 in kernels.absorbing_states(rep.dual)
-        if K.kind is kernels.KernelKind.STOCHASTIC
-        else None,
+        "absorbing_last": n - 1 in kernels.absorbing_states(rep.dual) if stochastic else None,
         "leak_at_zero": float(rep.mass_leaks[0]),
         "stochastic_dual": bool(np.all(np.abs(rep.mass_leaks) <= EPS_STOCH)),
     })
@@ -233,17 +251,11 @@ def siegmund_dual(P) -> DualReport:
 
 def bd_siegmund_dual(params) -> np.ndarray:
     """Closed tridiagonal form of the cumulative dual of a birth-death
-    kernel: down p_x, hold 1 - (p_x + q_{x+1}), up q_{x+1} (q_{N+1} = 0)."""
-    n = params.n
-    m = np.zeros((n, n))
-    qpad = np.concatenate([params.q[1:], [0.0]])  # q_{x+1}
-    for x in range(n):
-        if x > 0:
-            m[x, x - 1] = params.p[x]
-        m[x, x] = 1.0 - (params.p[x] + qpad[x])
-        if x + 1 < n:
-            m[x, x + 1] = qpad[x]
-    return m
+    kernel: down p_x, hold 1 - (p_x + q_{x+1}), up q_{x+1} (q_{N+1} = 0).
+    The test oracle of ``siegmund_dual``'s banded route, to rounding."""
+    qpad = np.append(params.q[1:], 0.0)  # q_{x+1}
+    return (np.diag(params.p[1:], -1) + np.diag(1.0 - (params.p + qpad))
+            + np.diag(qpad[:-1], 1))
 
 
 def ultrametric_dual(P, k: int, alpha: float, beta: float) -> DualReport:

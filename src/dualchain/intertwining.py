@@ -31,9 +31,9 @@ class IntertwiningResult:
     pi: np.ndarray
     phi: np.ndarray
     link: np.ndarray         # Lambda, stochastic
-    p_tilde: Kernel          # stochastic; bands scanned once, when made
+    p_tilde: Kernel          # stochastic; a record when the dual is birth-death
     K: np.ndarray
-    back: Kernel             # time reversal of P, made as p_tilde is
+    back: Kernel             # time reversal of P; a record when P is birth-death
     class_constants: list    # [(states of each mass-conserving class, c_l)]
     diagnostics: dict = field(default_factory=dict)
 
@@ -44,7 +44,8 @@ def _stochastic_or_raise(m: np.ndarray, what: str) -> None:
 
 
 def build_intertwining(P, H: DualFunction, dual) -> IntertwiningResult:
-    """Run the full pipeline and gate each of its claims.
+    """Run the full pipeline and gate each of its claims; the reversal of a
+    birth-death P and the P~ of a birth-death dual are made as records.
 
     Raises when P is not stochastic irreducible, when the one-step duality
     residual ||P H - H dual'|| exceeds EPS_STOCH, when phi fails to be
@@ -60,8 +61,8 @@ def build_intertwining(P, H: DualFunction, dual) -> IntertwiningResult:
     PK = kernels.validate_kernel(P, require="stochastic")
     pi = kernels.stationary(PK)     # raises NotIrreducibleError first
     Hm = H.matrix
-    d = np.asarray(dual, dtype=float)
-    static = verify_duality(PK, H, d, n_max=1)["static"]
+    dual_K = kernels.validate_kernel(dual)
+    static = verify_duality(PK, H, dual_K, n_max=1)["static"]
     if static > EPS_STOCH:
         raise errors.DualityResidualError(f"duality residual {static:.3g} too large")
 
@@ -69,21 +70,23 @@ def build_intertwining(P, H: DualFunction, dual) -> IntertwiningResult:
     phi = Hm.T @ pi
     if np.min(phi) <= 0:
         raise errors.HarmonicNotPositiveError("phi = H' pi has a nonpositive entry")
-    harmonic_resid = kernels.check_harmonic(d, phi)
+    harmonic_resid = kernels.check_harmonic(dual_K, phi)
     if harmonic_resid > RESID_TOL:
         raise errors.DualityResidualError(
             f"phi fails harmonicity for the dual: {harmonic_resid:.3g}"
         )
 
     link = Hm.T * pi[None, :] / phi[:, None]    # Lambda = D_phi^{-1} H' D_pi
-    pt = d * (phi[None, :] / phi[:, None])
     K = Hm / phi[None, :]
     _stochastic_or_raise(link, "Lambda")
-    _stochastic_or_raise(pt, "Ptilde")
-    p_tilde = Kernel(pt, kernels.KernelKind.STOCHASTIC)
+    b = dual_K.bands                 # Ptilde(x, y) = dual(x, y) (phi(y) / phi(x))
+    pt = (dual_K.matrix * (phi[None, :] / phi[:, None]) if b is None else kernels.BDParams(
+        np.append(b.p[:-1] * (phi[1:] / phi[:-1]), 0.0),
+        np.append(0.0, b.q[1:] * (phi[:-1] / phi[1:])), b.r))    # phi(x) / phi(x) = 1.0
+    _stochastic_or_raise(pt if b is None else np.c_[pt.q, pt.r, pt.p], "Ptilde")  # its rows
+    p_tilde = Kernel(pt, kernels.KernelKind.STOCHASTIC) if b is None else Kernel(bands=pt)
 
     diagnostics = {"duality": {"static": static}, "phi_harmonic": harmonic_resid}
-    dual_K = kernels.validate_kernel(d)
     dec = kernels.classify(dual_K)
     # a strict mass loser cannot be irreducible and keep phi harmonic
     if dual_K.kind is kernels.KernelKind.STRICTLY_SUBSTOCHASTIC and dec.n_classes == 1:
@@ -106,7 +109,7 @@ def build_intertwining(P, H: DualFunction, dual) -> IntertwiningResult:
 
     if dual_K.kind is kernels.KernelKind.STOCHASTIC and dec.n_classes == 1:
         diagnostics["phi_constant"] = float(np.ptp(phi))
-        diagnostics["p_tilde_equals_dual"] = sup_norm(pt - d)
+        diagnostics["p_tilde_equals_dual"] = sup_norm(np.asarray(p_tilde) - dual_K.matrix)
 
     abs_tilde = kernels.absorbing_states(p_tilde)
     if set(dec.absorbing_states) != set(abs_tilde):
@@ -148,7 +151,7 @@ def identity_residuals(P, H: DualFunction, dual, res: IntertwiningResult) -> dic
     K, link = res.K, res.link
     recomposed = np.zeros_like(res.phi)
     for cls, c in res.class_constants:
-        recomposed += c * kernels.hitting_probabilities(d, list(cls))
+        recomposed += c * kernels.hitting_probabilities(dual, list(cls))
     return {
         "weighted_duality": sup_norm(d @ weighted - weighted @ back),
         "intertwining": sup_norm(p_tilde @ link - link @ back),

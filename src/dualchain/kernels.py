@@ -5,13 +5,13 @@ States are 0..n-1.  A kernel is *stochastic* when every row sums to 1 within
 EPS_STOCH, *strictly substochastic* when no row exceeds 1 but at least one
 loses mass, and *general nonnegative* otherwise (dual functions, potentials).
 
-A birth-death kernel (so also its Siegmund dual and their hidden chain) is its
-``bands``, a ``BDParams`` record of the three central diagonals; a Kernel made
-from the record alone builds its dense float64 matrix only when it is read.
-``classify``, ``is_irreducible``, ``absorbing_states``, ``stationary`` and
-``reachable`` run in O(n) on records, banded Kernels and tridiagonal arrays;
-a raw array is scanned for its bands on every call (``band_scans``).  The
-one dense read of a Kernel or an array-like is ``np.asarray(P, dtype=float)``.
+A birth-death kernel (and its Siegmund dual, their hidden chain and its
+reversal, each made so) is its ``bands``, a ``BDParams`` record of the three
+central diagonals; a Kernel made from the record alone builds its dense
+float64 matrix only when it is read.  ``classify``, ``is_irreducible``,
+``absorbing_states``, ``stationary`` and ``reachable`` run in O(n) on records,
+banded Kernels and tridiagonal arrays; a raw array is scanned for its bands on
+every call (``band_scans``).  ``np.asarray(P, dtype=float)`` reads any densely.
 """
 from __future__ import annotations
 
@@ -71,17 +71,17 @@ band_scans = 0       # raw arrays _bands has scanned for a record since import
 @dataclass(frozen=True, init=False, eq=False)
 class Kernel:
     """A validated nonnegative square kernel, immutable, given as its
-    ``matrix`` and ``kind`` or as a stochastic birth-death record ``bands``
+    ``matrix`` and ``kind`` or as a substochastic birth-death record ``bands``
     alone (checked in O(n)).  Else ``bands`` is the record of a tridiagonal
     ``matrix``, or None.  A record-only Kernel builds ``matrix`` on first read;
-    ``np.asarray(K)`` is that ``matrix``, copied only for a copy or another dtype."""
+    ``np.asarray(K)`` is it (copied for a copy or another dtype), as is ``K[i]``."""
 
     kind: KernelKind
     bands: BDParams | None
 
     def __init__(self, matrix=None, kind=None, *, bands=None):
         if matrix is None:
-            kind = _band_kind(bands, "stochastic")
+            kind = _band_kind(bands, "substochastic")
         else:
             matrix.setflags(write=False)
             vars(self)["matrix"], bands = matrix, _bands(matrix)  # cached: never built
@@ -111,6 +111,9 @@ class Kernel:
         if copy or np.dtype(dtype) != self.matrix.dtype:    # None reads float64
             return np.array(self.matrix, dtype=dtype)
         return self.matrix
+
+    def __getitem__(self, index):
+        return self.matrix[index]
 
 
 def sup_norm(a) -> float:
@@ -524,14 +527,21 @@ def normalize_stationary(w: np.ndarray, stage: str) -> np.ndarray:
 
 
 def reversal(P, pi) -> Kernel:
-    """Time reversal with respect to pi: out(x, y) = pi(y) P(y, x) / pi(x)."""
-    m, pi = (np.asarray(v, dtype=float) for v in (P, pi))
-    if pi.shape[0] != m.shape[0]:
+    """Time reversal with respect to pi: out(x, y) = (P(y, x) pi(y)) / pi(x).
+    A birth-death P gives a birth-death record, each entry computed by the
+    operations of the dense formula in their order, so with its bits."""
+    b, pi = _bands(P), np.asarray(pi, dtype=float)
+    if pi.shape[0] != (np.shape(P)[0] if b is None else b.n):
         raise errors.DimensionMismatchError("pi length does not match kernel")
     if np.min(pi) <= 0:
         raise errors.ZeroStationaryEntryError("reversal needs pi > 0 entrywise")
-    back = (m * pi[:, None]).T / pi[:, None]
-    return validate_kernel(back, require="stochastic")
+    if b is None:
+        m = np.asarray(P, dtype=float)
+        return validate_kernel((m * pi[:, None]).T / pi[:, None], require="stochastic")
+    back = BDParams(np.append((b.q[1:] * pi[1:]) / pi[:-1], 0.0),   # from P(x + 1, x)
+                    np.append(0.0, (b.p[:-1] * pi[:-1]) / pi[1:]),   # from P(x - 1, x)
+                    (b.r * pi) / pi)
+    return validate_kernel(Kernel(bands=back), require="stochastic")
 
 
 def evolve(pi0, P, n: int) -> np.ndarray:

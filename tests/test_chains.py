@@ -160,6 +160,20 @@ def test_absorption_profile_gambler_ruin():
     assert prof.identity_residual <= 1e-12
 
 
+def test_absorption_profile_is_relatively_accurate_in_its_tail():
+    # the mutation-free Moran chain with selection s has p_x / q_x = 1 + s, so
+    # h0(x) = ((1+s)^-x - (1+s)^-N) / (1 - (1+s)^-N) (Ewens 2004); at N = 100,
+    # s = .5, 1 - eta(x)/eta(N) is off by more than 1e-6 relative from x = 54
+    # on and reads 0 where h0(90) = 1.39e-16
+    N, s = 100, 0.5
+    u = np.arange(N + 1) / N
+    prof = absorption_profile(moran_kernel(N, make_bias((1 + s) * u / (1 + s * u))))
+    x = np.arange(N + 1)
+    h0 = ((1 + s) ** -x - (1 + s) ** -N) / (1 - (1 + s) ** -N)
+    assert h0[90] == pytest.approx(1.39e-16, rel=1e-2)
+    np.testing.assert_allclose(prof.phi, h0, rtol=1e-13, atol=0)
+
+
 def test_absorption_profile_requires_double_absorption(chain_b):
     with pytest.raises(errors.NotDoublyAbsorbingError):
         absorption_profile(chain_b)

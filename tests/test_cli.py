@@ -405,7 +405,7 @@ def test_verify_duality_gates_catch_a_bad_dual(tmp_path, monkeypatch):
 
     def corrupt(cfg, P):
         H, rep = build(cfg, P)
-        d = rep.dual.copy()
+        d = np.array(rep.dual)
         d[1, 1] -= 5e-10
         d[1, 0] += 5e-10
         return H, dataclasses.replace(rep, dual=d)
@@ -833,10 +833,17 @@ def test_chain_kinds_and_dual_families_exit_codes(tmp_path, cfg, failing):
     assert got == want
 
 
-# the dense n x n matrices each run builds from its chain's birth-death
-# record: one where a stage reads P's matrix (the dual, the pipeline, and the
-# kernel.csv of build), none where the bands are all it reads
-DENSE_BUILDS = {**dict.fromkeys(["build", *PIPELINE_RUNS], 1),
+# the dense n x n matrices each run builds from the birth-death records of
+# its chain, its dual, P~ and the reversal, each once and only where a stage
+# reads it densely: P (the kernel.csv of build, the duality residual of the
+# dual and the pipeline), the dual (the same residual, dual.csv), P~ (the
+# sharpness table, the absorption law, the coupling, p_tilde.csv) and the
+# reversal (the identity residuals of intertwine and verify); none where the
+# bands are all a run reads
+DENSE_BUILDS = {"build": 1, "dual": 2, "plotdata-phi_profile": 2,           # P, dual
+                "ssd": 3, "simulate": 3, "plotdata-sep_vs_survival": 3,     # P, dual, P~
+                "plotdata-absorption_pmf": 3,
+                "intertwine": 4, "verify": 4,                   # P, dual, P~, reversal
                 "spectrum": 0, "plotdata-spectrum": 0, "cutoff": 0}
 
 
@@ -860,13 +867,9 @@ def test_each_run_builds_the_dense_kernel_once_and_only_where_it_is_read(tmp_pat
 
 
 # the raw arrays each run scans in kernels._bands for a birth-death record:
-# the dual once in siegmund_dual; then the reversal, the dual and P~ once
-# each as build_intertwining makes them; intertwine and verify scan the
-# dual once more for its hitting probabilities.  A later stage reads the
-# Kernels' bands (8, 8, 9, 5, 4 and 1 before P~ and the reversal were
-# handed on as Kernels).
-BAND_SCANS = {"ssd": 4, "plotdata-absorption_pmf": 4, "verify": 5, "intertwine": 5,
-              "simulate": 4, "dual": 1}
+# none, as the dual, P~ and the reversal leave their stage as records
+BAND_SCANS = dict.fromkeys(["ssd", "plotdata-absorption_pmf", "verify", "intertwine",
+                            "simulate", "dual"], 0)
 
 
 def test_each_run_scans_a_raw_array_for_bands_only_where_it_makes_one(tmp_path):

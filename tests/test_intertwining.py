@@ -73,7 +73,7 @@ def test_pipeline_records_only_the_one_step_duality_residual():
         dual = siegmund_dual(P).dual
         out = verify_duality(P, H, dual)
         assert set(out) == {"static", "dynamic"}
-        assert out["static"] == kernels.sup_norm(H.matrix @ dual.T - m @ H.matrix)
+        assert out["static"] == kernels.sup_norm(H.matrix @ np.asarray(dual).T - m @ H.matrix)
         res = build_intertwining(P, H, dual)
         assert res.diagnostics["duality"] == {"static": out["static"]}
 

@@ -345,16 +345,40 @@ def test_bd_kernel_keeps_its_record_and_stationary_reads_the_bands_in_o_n_memory
     assert np.array_equal(pi, pi_kernel) and np.array_equal(pi, kernels.stationary(params))
 
 
-def _banded_cases():
-    """Seeded birth-death kernels, irreducible and not, with their Siegmund
-    duals and hidden chains: every one tridiagonal."""
+def test_the_dual_and_the_reversal_of_a_record_are_records_made_in_o_n_memory():
+    params = moran_kernel(2000, mutation_bias(0.1, 0.1, 2000))
+    P = bd_kernel(params)
+    pi = kernels.stationary(P)
+    builds, scans = kernels.dense_builds, kernels.band_scans
+    tracemalloc.start()
+    try:
+        dual, back = siegmund_dual(P).dual, kernels.reversal(P, pi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a dense 2001 x 2001 float64 matrix would take 30.5 MiB
+    assert peak < 2**20 and (kernels.dense_builds, kernels.band_scans) == (builds, scans)
+    assert dual.bands is not None and back.bands is not None
+    # a birth-death chain is reversible: its reversal is P up to rounding
+    for got, want in zip((back.bands.p, back.bands.q, back.bands.r), (params.p, params.q, params.r)):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def _banded_records():
+    """Seeded birth-death records, irreducible and not, N = 1 among them:
+    random monotone ones, some with an interior up or down step cut,
+    absorbing ends, steps at the EPS_NEG threshold, rows that sum to 1 only
+    within a few ulps, or no holding inside (p_x + q_x = 1, so r_x = 0); a
+    chain on {0, 1} that leaves 0 at once and stays at 1, one whose top row
+    steps down with probability 1 - 2^-53, and the chain of
+    configs/cutoff_sweep.json."""
     rng = np.random.default_rng(20261019)
-    cases = []
-    for k in range(60):
-        N = int(rng.integers(1, 16))
+    records = []
+    for k in range(72):
+        N = 1 + k % 3 if k < 6 else int(rng.integers(1, 16))
         base = random_monotone_bd(rng, N)
         p, q = base.p.copy(), base.q.copy()
-        variant = k % 5
+        variant = k % 6
         if variant == 1 and N > 1:          # an interior up or down step cut
             (p if rng.random() < 0.5 else q)[int(rng.integers(1, N))] = 0.0
         elif variant == 2:                  # absorbing ends
@@ -363,13 +387,35 @@ def _banded_cases():
         elif variant == 3:                  # steps at the EPS_NEG threshold
             p[int(rng.integers(0, N))] = 5e-13
             q[int(rng.integers(1, N + 1))] = 2e-12
-        P = bd_kernel(make_bd(p, q, interior_positive=False)).matrix
-        cases.append((f"P{k}", P))
-        cases.append((f"dual{k}", siegmund_dual(P).dual))
-        if variant in (0, 4):
-            res = build_intertwining(P, siegmund_function(N), siegmund_dual(P).dual)
-            cases.append((f"p_tilde{k}", np.asarray(res.p_tilde)))
-    return cases
+        elif variant == 5:                  # no holding inside: monotone at equality
+            p[:N], q[1:] = base.p[0], 1.0 - base.p[0]
+        r = 1.0 - p - q
+        if variant == 4:                    # F(x, x) = q_x + r_x is not 1 where p_x = 0
+            r += rng.integers(-3, 4, size=N + 1) * np.spacing(r)
+        records.append(make_bd(p, q, r, interior_positive=False))
+    records.append(make_bd([1.0, 0.0], [0.0, 0.0], interior_positive=False))
+    records.append(make_bd([0.5, 0.0, 0.0], [0.0, 0.25, 1.0 - 2**-53], [0.5, 0.75, 0.0],
+                           interior_positive=False))
+    records.append(moran_kernel(100, mutation_bias(0.5, 0.5, 100)))
+    return records
+
+
+def _pipeline_kernels(P, irreducible):
+    """P, its Siegmund dual and, for an irreducible P, the hidden chain and
+    the reversal that build_intertwining makes, by name."""
+    n = np.shape(P)[0]
+    out = {"P": P, "dual": siegmund_dual(P).dual}
+    if irreducible:
+        res = build_intertwining(P, siegmund_function(n - 1), out["dual"])
+        out.update(p_tilde=res.p_tilde, back=res.back)
+    return out
+
+
+def _banded_cases():
+    """The kernels of ``_pipeline_kernels`` on each of ``_banded_records``,
+    made from the records: every one a record-only Kernel."""
+    return [(f"{name}{k}", K) for k, b in enumerate(_banded_records())
+            for name, K in _pipeline_kernels(bd_kernel(b), kernels.is_irreducible(b)).items()]
 
 
 def _dense_stationary(m):
@@ -390,10 +436,14 @@ def _outcome(f, *args):
 
 
 def test_banded_paths_give_what_the_dense_algorithms_give(monkeypatch):
+    records = _banded_records()
+    irreducible = [kernels.is_irreducible(b) for b in records]
     cases = _banded_cases()
-    assert sum(name.startswith("p_tilde") for name, _ in cases) >= 20
+    assert sum(name.startswith("p_tilde") for name, _ in cases) >= 25
+    assert all(isinstance(K, kernels.Kernel) and K.bands is not None for _, K in cases)
     raised = 0
-    for name, m in cases:
+    for name, K in cases:
+        m = np.asarray(K)               # as a raw array, scanned for its bands
         assert kernels._bands(m) is not None, name
         assert kernels.classify(m) == kernels._classify_dense(m), name
         assert kernels.is_irreducible(m) == (kernels._classify_dense(m).n_classes == 1), name
@@ -410,9 +460,38 @@ def test_banded_paths_give_what_the_dense_algorithms_give(monkeypatch):
             assert np.array_equal(kernels.reachable(m.T, seeds), kernels._bfs(edges.T, seeds))
     assert raised >= 10
 
-    runs = [(m, start, b) for _, m in cases for b in kernels._absorbing_dense(m)
-            for start in (np.eye(m.shape[0])[0], np.full(m.shape[0], 1 / m.shape[0]))]
+    runs = [(np.asarray(K), start, b) for _, K in cases
+            for b in kernels._absorbing_dense(np.asarray(K))
+            for start in (np.eye(K.n)[0], np.full(K.n, 1 / K.n))]
     banded = [_outcome(hitting_moments, *run) for run in runs]
     assert sum(isinstance(out, tuple) for out in banded) >= 40
     monkeypatch.setattr(kernels, "_bands", lambda P: None)     # every kernel dense
     assert [_outcome(hitting_moments, *run) for run in runs] == banded
+    # the dual, P~ and the reversal made as records have the bits the dense
+    # routes give from P's matrix
+    dense = [(f"{name}{k}", K) for k, (b, i) in enumerate(zip(records, irreducible))
+             for name, K in _pipeline_kernels(np.asarray(bd_kernel(b)), i).items()]
+    assert [name for name, _ in dense] == [name for name, _ in cases]
+    for (name, K), (_, D) in zip(cases, dense):
+        assert getattr(D, "bands", None) is None, name
+        assert np.array_equal(np.asarray(K), np.asarray(D)), name
+    for b in records:
+        banded, dense = siegmund_dual(bd_kernel(b)), siegmund_dual(np.asarray(bd_kernel(b)))
+        assert (banded.feasible, banded.violations) == (dense.feasible, dense.violations)
+        assert banded.diagnostics == dense.diagnostics
+        # each row summed as (q + r) + p: on these records the bits of
+        # numpy's sum of the dense row
+        assert np.array_equal(banded.mass_leaks, dense.mass_leaks)
+
+
+def test_a_non_monotone_birth_death_dual_falls_back_to_the_dense_report():
+    # p_0 + q_1 = 1.1 > 1: Phat(0, 0) = F(0, 0) - F(1, 0) = 0.4 - 0.5
+    P = bd_kernel(make_bd([0.6, 0.5, 0.0], [0.0, 0.5, 0.3]))
+    rep = siegmund_dual(P)
+    assert not rep.feasible and isinstance(rep.dual, np.ndarray)
+    assert rep.violations == [("monotone", (0, 0), -0.09999999999999998)]
+    np.testing.assert_array_equal(rep.dual, [[0.4 - 0.5, 0.5, 0.0], [0.5, 0.2, 0.3],
+                                             [0.0, 0.0, 1.0]])
+    np.testing.assert_array_equal(rep.mass_leaks, [0.6, 0.0, 0.0])
+    assert rep.diagnostics == {"absorbing_last": True, "leak_at_zero": 0.6,
+                               "stochastic_dual": False}

@@ -17,6 +17,12 @@ RUNS = [
 ]
 
 
+# the dense matrices each paper_scale.py command builds: P and the dual;
+# then P~; then the reversal
+PAPER_SCALE_BUILDS = {"dual": 2, "ssd": 3, "simulate": 3, "plotdata": 3,
+                      "intertwine": 4, "verify": 4}
+
+
 @pytest.mark.parametrize("script, args, rows", RUNS, ids=[run[0] for run in RUNS])
 def test_script_prints_its_table(script, args, rows, tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -33,9 +39,16 @@ def test_script_prints_its_table(script, args, rows, tmp_path):
         column = table[0].split().index("cold_rss_mb")
         assert all(float(line.split()[column]) > 0 for line in table[1:]), out.stdout
     if "dense_builds" in table[0]:
-        # every command computes the dual from P's matrix, so each builds it once
-        column = table[0].split().index("dense_builds")
-        assert all(line.split()[column] == "1" for line in table[1:]), out.stdout
+        # each command builds P, the dual, P~ and the reversal from their
+        # records where it reads them densely (DENSE_BUILDS in test_cli.py),
+        # and scans no raw array for a record
+        header = table[0].split()
+        command, builds, scans = (header.index(c) for c in ("command", "dense_builds",
+                                                          "band_scans"))
+        for line in table[1:]:
+            row = line.split()
+            assert int(row[builds]) == PAPER_SCALE_BUILDS[row[command]], line
+            assert row[scans] == "0", line
     if "--json" in args:
         # one JSON row per printed row, keyed by the header, with the printed values
         written = json.loads((tmp_path / "rows.json").read_text())
