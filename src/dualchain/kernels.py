@@ -11,7 +11,7 @@ central diagonals; a Kernel made from the record alone builds its dense
 float64 matrix only when it is read.  ``classify``, ``is_irreducible``,
 ``absorbing_states``, ``stationary`` and ``reachable`` run in O(n) on records,
 banded Kernels and tridiagonal arrays; a raw array is scanned for its bands on
-every call (``band_scans``).  ``np.asarray(P, dtype=float)`` reads any densely.
+every call (``band_scans``).  The one dense read of any is ``np.asarray(P, dtype=float)``.
 """
 from __future__ import annotations
 
@@ -74,7 +74,7 @@ class Kernel:
     ``matrix`` and ``kind`` or as a substochastic birth-death record ``bands``
     alone (checked in O(n)).  Else ``bands`` is the record of a tridiagonal
     ``matrix``, or None.  A record-only Kernel builds ``matrix`` on first read;
-    ``np.asarray(K)`` is it (copied for a copy or another dtype), as is ``K[i]``."""
+    ``np.asarray(K)`` is it, copied for a copy or another dtype; ``K[i, j]`` indexes it."""
 
     kind: KernelKind
     bands: BDParams | None
