@@ -29,10 +29,9 @@ def make_bd(p, q, r=None, *, interior_positive: bool = True) -> BDParams:
     N = p.size - 1
     if r is not None and np.shape(r) != p.shape:
         raise errors.DimensionMismatchError("r length mismatch")
-    if abs(q[0]) > EPS_NEG or abs(p[N]) > EPS_NEG:
-        raise errors.InvalidBoundaryError("need q_0 = 0 and p_N = 0")
-    q[0] = p[N] = 0.0      # as the matrix of the record holds them
-    b = BDParams(p, q, 1.0 - p - q if r is None else r)
+    b = BDParams(p, q, np.zeros_like(p) if r is None else r)
+    if r is None:          # 1 - p - q from the exact boundary zeros the record stores
+        b = BDParams(b.p, b.q, 1.0 - b.p - b.q)
     _stochastic_or_raise(b)
     vanishing = np.flatnonzero((p[1:N] <= EPS_NEG) | (q[1:N] <= EPS_NEG)) + 1
     if interior_positive and vanishing.size:

@@ -28,16 +28,8 @@ from .tolerances import (
 CONFIG_SCHEMA = {
     "type": "object",
     "properties": {
-        "kind": {
-            "enum": [
-                "dense",
-                "bd",
-                "moran",
-                "moran_mutation",
-                "bernoulli_laplace",
-                "wright_fisher",
-            ]
-        },
+        "kind": {"enum": ["dense", "bd", "moran", "moran_mutation", "bernoulli_laplace",
+                          "wright_fisher"]},
         "N": {"type": "integer", "minimum": 1},
         "matrix": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
         "p": {"type": "array", "items": {"type": "number", "minimum": 0, "maximum": 1}},
@@ -49,15 +41,8 @@ CONFIG_SCHEMA = {
         "dual": {
             "type": "object",
             "properties": {
-                "family": {
-                    "enum": [
-                        "siegmund",
-                        "ultrametric",
-                        "hypergeometric",
-                        "vandermonde",
-                        "potential",
-                    ]
-                },
+                "family": {"enum": ["siegmund", "ultrametric", "hypergeometric",
+                                    "vandermonde", "potential"]},
                 "k": {"type": "integer", "minimum": 0},
                 "alpha": {"type": "number", "minimum": 0},
                 "beta": {"type": "number", "minimum": 0},
@@ -251,12 +236,8 @@ def _plain(obj):
 
 def cmd_build(cfg, opts):
     P = build_chain(cfg)
-    summary = {
-        "kind": cfg["kind"],
-        "n": P.n,
-        "irreducible": kernels.is_irreducible(P),
-        "monotone": duals.is_monotone(P),
-    }
+    summary = {"kind": cfg["kind"], "n": P.n, "irreducible": kernels.is_irreducible(P),
+               "monotone": duals.is_monotone(P)}
     if summary["irreducible"]:
         summary["stationary"] = kernels.stationary(P)
     return 0, {"kernel.csv": P.matrix, "build_summary.json": summary}
@@ -311,10 +292,13 @@ class Pipeline:
 
     def spectral_moments(self, boundary):
         """Mean and variance of the hidden arrival at ``boundary`` from the
-        spectrum of P, or None unless P is birth-death and the hidden chain
-        runs from 0 to the top state."""
-        if self.P.bands is None or boundary != self.P.n - 1 or self.start != 0:
-            return None
+        spectrum of P, or the reason (a str) it gives none: P must be
+        birth-death and the hidden chain run from 0 to the top state N."""
+        if self.P.bands is None:
+            return "the chain is not birth-death"
+        if self.start != 0 or boundary != self.P.n - 1:
+            return (f"the hidden chain runs from {self.start} to {boundary}, "
+                    f"not from 0 to N = {self.P.n - 1}")
         return stationary_times.spectral_moments(spectra.bd_spectrum(self.P.bands))
 
 
@@ -338,8 +322,39 @@ def pipeline(cfg: dict, opts: dict) -> Pipeline:
     return Pipeline(P, H, report, res, P if reversible else res.back, start, pt0)
 
 
-def _check(value, tol) -> dict:
-    return {"value": float(value), "passed": bool(value <= tol)}
+# verify's checks in report order, each with its gate on n states: a check
+# passes when its value is at most its gate
+VERIFY_CHECKS = {
+    "dual_nonnegative": lambda n: 0.0,
+    "duality_static": lambda n: RESID_TOL,
+    "duality_dynamic": lambda n: DYNAMIC_TOL,
+    "harmonic_fixed_point": lambda n: RESID_TOL,
+    "link_intertwining": lambda n: RESID_TOL,
+    "k_duality": lambda n: RESID_TOL,
+    "boundary_rows_carry_pi": lambda n: RESID_TOL,
+    "trace_match": lambda n: TRACE_TOL * n,
+    "separation_dominated_by_survival": lambda n: 0.0,
+    "sharp_equality": lambda n: SHARP_TOL,
+    "absorption_agreement": lambda n: ABSORPTION_TOL,
+}
+
+
+def _verify_summary(found: dict, n: int) -> dict:
+    """The checks of verify on n states.  ``found`` maps each check of
+    VERIFY_CHECKS to its value, gated under ``checks``; to the error its
+    stage raised, a failed check there with that ``detail``; or to the
+    reason (a str) it does not apply, under ``skipped``."""
+    checks, skipped = {}, {}
+    for name, gate in VERIFY_CHECKS.items():
+        v = found[name]
+        if isinstance(v, str):
+            skipped[name] = v
+        elif isinstance(v, Exception):
+            checks[name] = {"value": float("nan"), "passed": False, "detail": str(v)}
+        else:
+            checks[name] = {"value": float(v), "passed": bool(v <= gate(n))}
+    passed = all(c["passed"] for c in checks.values())
+    return {"checks": checks, "skipped": skipped, "all_passed": passed}
 
 
 # The summary each pipeline command writes when the dual is infeasible
@@ -348,11 +363,9 @@ INFEASIBLE = {
     "intertwine": lambda rep: {"feasible": False, "violations": rep.violations[:10]},
     "ssd": lambda rep: {"feasible": False},
     "simulate": lambda rep: {"feasible": False},
-    "verify": lambda rep: {
-        "feasible": False,
-        "checks": {"dual_nonnegative": _check(max(abs(v[2]) for v in rep.violations), 0.0)},
-        "skipped": ["pipeline", "spectrum", "sharpness", "absorption"],
-    },
+    "verify": lambda rep: {"feasible": False, **_verify_summary(
+        {**dict.fromkeys(VERIFY_CHECKS, "the dual is infeasible"),
+         "dual_nonnegative": max(abs(v[2]) for v in rep.violations)}, np.shape(rep.dual)[0])},
     "plotdata": None,
 }
 
@@ -384,13 +397,8 @@ def cmd_spectrum(cfg, opts):
     checks = spectra.spectrum_monotonicity_checks(params)
     return 0, {
         "spectrum.csv": (["k", "t_k", "mu_k"], rows),
-        "spectrum_summary.json": {
-            "gap": spec.gap,
-            "monotone": checks["monotone"],
-            "min_eigenvalue": checks["min_eigenvalue"],
-            "min_holding": checks["min_holding"],
-            "spectrally_nonnegative": checks["spectrally_nonnegative"],
-        },
+        "spectrum_summary.json": {"gap": spec.gap, **{key: checks[key] for key in (
+            "monotone", "min_eigenvalue", "min_holding", "spectrally_nonnegative")}},
     }
 
 
@@ -408,7 +416,7 @@ def cmd_ssd(cfg, opts):
         "variance": variance,
     }
     sp = pipe.spectral_moments(sharp.boundary)
-    if sp is not None:
+    if not isinstance(sp, str):
         summary["mean_spectral"], summary["variance_spectral"] = sp
     return 0, {"ssd.csv": (["n", "separation", "survival"], sharp.table),
                "ssd_summary.json": summary}
@@ -417,13 +425,8 @@ def cmd_ssd(cfg, opts):
 def cmd_simulate(cfg, opts):
     pipe = pipeline(cfg, opts)
     pk = coupling.product_kernel(pipe.p_bar, pipe.res.p_tilde, pipe.res.link)
-    batch = coupling.simulate(
-        pk,
-        pipe.pt0,
-        n_steps=opts.get("n_max", 50),
-        n_paths=opts.get("trials", 10000),
-        seed=opts.get("seed", 0),
-    )
+    batch = coupling.simulate(pk, pipe.pt0, n_steps=opts.get("n_max", 50),
+                              n_paths=opts.get("trials", 10000), seed=opts.get("seed", 0))
     rep = coupling.empirical_report(batch, pk, pipe.pt0)
     rows = []
     for t, mu in rep["observed_laws"].items():
@@ -470,49 +473,41 @@ def cmd_cutoff(cfg, opts):
 
 
 def cmd_verify(cfg, opts):
-    """Gated end-to-end verification with one pass/fail entry per identity."""
+    """Gated end-to-end verification: each check of VERIFY_CHECKS once, under
+    ``checks`` with its value or under ``skipped`` with the reason."""
     pipe = pipeline(cfg, opts)
-    checks = {"dual_nonnegative": _check(0.0, 0.0)}
-
-    def record(name, value, tol):
-        checks[name] = _check(value, tol)
-
     vd = duals.verify_duality(pipe.P, pipe.H, pipe.report.dual, n_max=opts.get("n_max", 20))
-    record("duality_static", vd["static"], RESID_TOL)
-    record("duality_dynamic", vd["dynamic"], DYNAMIC_TOL)
     d = pipe.res.diagnostics
     r = intertwining.identity_residuals(pipe.P, pipe.H, pipe.report.dual, pipe.res)
-    record("harmonic_fixed_point", d["phi_harmonic"], RESID_TOL)
-    record("link_intertwining", r["intertwining"], RESID_TOL)
-    record("k_duality", r["k_duality_scaled"], RESID_TOL)
-    record("boundary_rows_carry_pi",
-           max(d["absorbing_rows"].values(), default=0.0), RESID_TOL)
-    record("trace_match", r["trace_comparison"]["max_deviation"],
-           TRACE_TOL * pipe.P.n)
-
+    found = {
+        "dual_nonnegative": 0.0,
+        "duality_static": vd["static"],
+        "duality_dynamic": vd["dynamic"],
+        "harmonic_fixed_point": d["phi_harmonic"],
+        "link_intertwining": r["intertwining"],
+        "k_duality": r["k_duality_scaled"],
+        "boundary_rows_carry_pi": max(d["absorbing_rows"].values(), default=0.0),
+        "trace_match": r["trace_comparison"]["max_deviation"],
+    }
     try:
         sharp = pipe.sharpness(opts.get("n_max", 100))
-        record("separation_dominated_by_survival", 0.0, 0.0)
-        if sharp.sharp:
-            record("sharp_equality", sharp.max_gap, SHARP_TOL)
-        boundary = sharp.boundary
     except errors.DualChainError as e:
-        checks["separation_dominated_by_survival"] = {
-            "value": float("nan"), "passed": False, "detail": str(e),
-        }
-        boundary = None
-
-    sp = pipe.spectral_moments(boundary)
-    if sp is not None:
-        exact = stationary_times.hitting_moments(pipe.res.p_tilde, pipe.pt0, boundary)
-        # relative to the spectral value, absolute where that value is 0
-        dev = max(abs(v - ref) / (ref or 1.0) for v, ref in zip(exact, sp))
-        record("absorption_agreement", dev, ABSORPTION_TOL)
-
-    passed = all(c.get("passed") for c in checks.values())
-    return 0 if passed else 1, {
-        "verify_summary.json": {"feasible": True, "checks": checks, "all_passed": passed},
-    }
+        found.update(separation_dominated_by_survival=e, sharp_equality=e,
+                     absorption_agreement="the sharpness stage raised, so no boundary is known")
+    else:
+        found["separation_dominated_by_survival"] = 0.0
+        found["sharp_equality"] = (sharp.max_gap if sharp.sharp else
+                                   "no witness state, so separation need not equal survival")
+        sp = pipe.spectral_moments(sharp.boundary)
+        if isinstance(sp, str):
+            found["absorption_agreement"] = sp
+        else:
+            exact = stationary_times.hitting_moments(pipe.res.p_tilde, pipe.pt0, sharp.boundary)
+            # relative to the spectral value, absolute where that value is 0
+            found["absorption_agreement"] = max(
+                abs(v - ref) / (ref or 1.0) for v, ref in zip(exact, sp))
+    summary = {"feasible": True, **_verify_summary(found, pipe.P.n)}
+    return 0 if summary["all_passed"] else 1, {"verify_summary.json": summary}
 
 
 def cmd_plotdata(cfg, opts):

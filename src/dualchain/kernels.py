@@ -36,7 +36,8 @@ class KernelKind(enum.Enum):
 class BDParams:
     """Tridiagonal transition data: up p_x, down q_x, hold r_x on {0..N},
     N + 1 being the common length of the three vectors.  Its own copies,
-    with entries in [-EPS_NEG, 0) stored as 0."""
+    with entries in [-EPS_NEG, 0) stored as 0.  q_0 and p_N, which no
+    matrix holds, must be 0 within EPS_NEG, and are stored exactly 0."""
 
     p: np.ndarray
     q: np.ndarray
@@ -49,8 +50,13 @@ class BDParams:
             if len({np.shape(v) for v in (self.p, self.q, self.r)}) == 1:
                 raise                    # not a fault of the shapes
             pqr = None
-        if pqr is None or pqr.ndim != 2:
-            raise errors.DimensionMismatchError("p, q and r must be 1-d vectors of one length")
+        if pqr is None or pqr.ndim != 2 or not pqr.size:
+            raise errors.DimensionMismatchError(
+                "p, q and r must be nonempty 1-d vectors of one length")
+        q0, pN = float(pqr[1, 0]), float(pqr[0, -1])
+        if not (abs(q0) <= EPS_NEG and abs(pN) <= EPS_NEG):    # NaN fails too
+            raise errors.InvalidBoundaryError(f"need q_0 = 0 and p_N = 0, not {q0} and {pN}")
+        pqr[1, 0] = pqr[0, -1] = 0.0
         np.maximum(pqr, 0.0, out=pqr, where=pqr >= -EPS_NEG)
         pqr.setflags(write=False)
         vars(self).update(p=pqr[0], q=pqr[1], r=pqr[2])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualchain import errors
+from dualchain import errors, kernels
 from dualchain.chains import (
     BDParams,
     absorption_profile,
@@ -29,6 +29,32 @@ def test_make_bd_boundary_rules():
         make_bd(p=[0.3, 0.0], q=[0.1, 0.2])  # q_0 != 0
     with pytest.raises(errors.NotStochasticError):
         make_bd(p=[0.3, 0.0], q=[0.0, 0.2], r=[0.5, 0.5])
+
+
+@pytest.mark.parametrize("p, q, r", [
+    ([0.5, 0.5], [0.0, 0.5], [0.5, 0.0]),           # p_N = .5
+    ([0.5, 0.0], [0.5, 0.5], [0.0, 0.5]),           # q_0 = .5
+    ([0.5, 0.0], [2e-12, 0.5], [0.5, 0.5]),         # q_0 just past EPS_NEG
+    ([0.5, np.nan], [0.0, 0.5], [0.5, 0.5]),        # p_N = NaN
+], ids=["p_N", "q_0", "q_0_past_eps", "p_N_nan"])
+def test_a_record_with_a_boundary_step_is_refused_wherever_it_is_made(p, q, r):
+    # the matrix of a record holds neither q_0 nor p_N: the first record
+    # once made a Kernel that read STOCHASTIC while its rows summed to 1.0
+    # and 0.5, and whose stationary law raised SingularSystemError
+    with pytest.raises(errors.InvalidBoundaryError, match="need q_0 = 0 and p_N = 0"):
+        BDParams(p, q, r)
+    with pytest.raises(errors.InvalidBoundaryError):
+        kernels.Kernel(bands=BDParams(p, q, r))
+    with pytest.raises(errors.InvalidBoundaryError):
+        make_bd(p, q, r)
+
+
+def test_a_record_stores_boundary_steps_within_eps_neg_as_zero():
+    b = BDParams([0.3, -1e-12], [1e-12, 0.2], [0.7, 0.8])
+    assert b.q[0] == b.p[-1] == 0.0
+    assert kernels.Kernel(bands=b).kind is kernels.KernelKind.STOCHASTIC
+    with pytest.raises(errors.DimensionMismatchError):
+        BDParams([], [], [])
 
 
 def test_non_finite_birth_death_data_is_refused_by_name():

@@ -321,13 +321,65 @@ def test_verify_cutoff_sweep_all_green(tmp_path):
     assert summary["checks"]["k_duality"]["value"] <= 1e-14
 
 
+MORAN_30 = {"kind": "moran_mutation", "N": 30, "a1": 0.5, "a2": 0.5,
+            "dual": {"family": "siegmund"}}
+
+
+def _handing_on(monkeypatch, module, name, change):
+    """Patch ``module.name`` to return ``change`` of what it returns."""
+    f = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: change(f(*a, **k)))
+
+
+def _dual_moved_down(rows, mass):
+    """A build_dual that moves ``mass`` from Phat(y, y) to Phat(y, y - 1) in
+    each of ``rows``: rows keep their sums."""
+    def change(out):
+        H, rep = out
+        d = np.array(rep.dual)
+        for y in rows:
+            d[y, y] -= mass
+            d[y, y - 1] += mass
+        return H, dataclasses.replace(rep, dual=d)
+    return lambda mp: _handing_on(mp, cli, "build_dual", change)
+
+
+def _hidden_moved(x, y, mass):
+    """A build_intertwining that moves ``mass`` from Ptilde(x, x) to Ptilde(x, y)."""
+    def change(res):
+        pt = np.array(res.p_tilde)
+        pt[x, x] -= mass
+        pt[x, y] += mass
+        return dataclasses.replace(res, p_tilde=pt)
+    return lambda mp: _handing_on(mp, intertwining, "build_intertwining", change)
+
+
+def _diagnostics(**entries):
+    """A build_intertwining whose diagnostics read ``entries``."""
+    return lambda mp: _handing_on(mp, intertwining, "build_intertwining", lambda res: (
+        dataclasses.replace(res, diagnostics={**res.diagnostics, **entries})))
+
+
+def _k_corrupted(mp):
+    """A build_intertwining whose smallest positive entry of K is off by a
+    relative 1e-8."""
+    def change(res):
+        K = res.K.copy()
+        K[K == K[K > 0].min()] *= 1.0 + 1e-8
+        return dataclasses.replace(res, K=K)
+    _handing_on(mp, intertwining, "build_intertwining", change)
+
+
+def _sharpness_raises(mp):
+    def boom(*a, **k):
+        raise errors.DualChainError("sharpness failed")
+    mp.setattr(stationary_times, "verify_sharpness", boom)
+
+
 def test_verify_writes_a_non_finite_value_as_null(tmp_path, monkeypatch):
     # a sharpness check that raises records the value nan, which json.dumps
     # once wrote as the bare token NaN
-    def boom(*a, **k):
-        raise errors.DualChainError("sharpness failed")
-
-    monkeypatch.setattr(stationary_times, "verify_sharpness", boom)
+    _sharpness_raises(monkeypatch)
     assert _run("verify", "chain_b.json", tmp_path) == 1
 
     def reject(token):
@@ -342,18 +394,8 @@ def test_verify_k_duality_catches_corrupt_k(tmp_path, monkeypatch):
     # the smallest positive entry of K off by a relative 1e-8: the scaled
     # residual, computed by verify from the corrupted K, reads 5.0e-9, while
     # max|R| / max|K| would read 5e-18
-    build = intertwining.build_intertwining
-
-    def corrupt(P, H, dual):
-        res = build(P, H, dual)
-        K = res.K.copy()
-        K[K == K[K > 0].min()] *= 1.0 + 1e-8
-        return dataclasses.replace(res, K=K)
-
-    monkeypatch.setattr(intertwining, "build_intertwining", corrupt)
-    cfg = {"kind": "moran_mutation", "N": 30, "a1": 0.5, "a2": 0.5,
-           "dual": {"family": "siegmund"}}
-    assert _run_cfg("verify", cfg, tmp_path) == 1
+    _k_corrupted(monkeypatch)
+    assert _run_cfg("verify", MORAN_30, tmp_path) == 1
     checks = json.loads((tmp_path / "verify_summary.json").read_text())["checks"]
     assert [k for k, c in checks.items() if not c["passed"]] == ["k_duality"]
 
@@ -361,27 +403,17 @@ def test_verify_k_duality_catches_corrupt_k(tmp_path, monkeypatch):
 def test_verify_trace_match_catches_moved_diagonal_mass(tmp_path, monkeypatch):
     # 1e-6 of mass from Ptilde(x, x) to Ptilde(x, x+1) at x = N/2: rows stay
     # stochastic, tr(Ptilde) moves by 1e-6, above the gate 3.1e-7 of n = 31
-    build = intertwining.build_intertwining
-
-    def corrupt(P, H, dual):
-        res = build(P, H, dual)
-        pt = np.array(res.p_tilde)
-        x = pt.shape[0] // 2
-        pt[x, x] -= 1e-6
-        pt[x, x + 1] += 1e-6
-        return dataclasses.replace(res, p_tilde=pt)
-
-    monkeypatch.setattr(intertwining, "build_intertwining", corrupt)
-    cfg = {"kind": "moran_mutation", "N": 30, "a1": 0.5, "a2": 0.5,
-           "dual": {"family": "siegmund"}}
-    assert _run_cfg("verify", cfg, tmp_path) == 1
+    _hidden_moved(15, 16, 1e-6)(monkeypatch)
+    assert _run_cfg("verify", MORAN_30, tmp_path) == 1
     checks = json.loads((tmp_path / "verify_summary.json").read_text())["checks"]
     # verify computes the link (1.9e-7) and K-duality (1.5e-6) residuals
     # from the corrupted Ptilde, and the sharpness step recomputes the link
-    # residual, so these fail as well
+    # residual, so these fail as well; sharp_equality, whose stage raised
+    # with it, fails with the same detail
     failed = [k for k, c in checks.items() if not c["passed"]]
     assert failed == ["k_duality", "link_intertwining",
-                      "separation_dominated_by_survival", "trace_match"]
+                      "separation_dominated_by_survival", "sharp_equality", "trace_match"]
+    assert checks["sharp_equality"] == checks["separation_dominated_by_survival"]
     assert checks["trace_match"]["value"] == pytest.approx(1e-6, rel=1e-6)
 
 
@@ -401,33 +433,98 @@ def test_absorption_agreement_measures_a_zero_reference_absolutely(tmp_path, mon
 def test_verify_duality_gates_catch_a_bad_dual(tmp_path, monkeypatch):
     # 5e-10 of mass from Phat(1, 1) to Phat(1, 0): the pipeline gates the
     # duality residual at EPS_STOCH and accepts it, verify at RESID_TOL
-    build = cli.build_dual
-
-    def corrupt(cfg, P):
-        H, rep = build(cfg, P)
-        d = np.array(rep.dual)
-        d[1, 1] -= 5e-10
-        d[1, 0] += 5e-10
-        return H, dataclasses.replace(rep, dual=d)
-
-    monkeypatch.setattr(cli, "build_dual", corrupt)
-    cfg = {"kind": "moran_mutation", "N": 30, "a1": 0.5, "a2": 0.5,
-           "dual": {"family": "siegmund"}}
-    assert _run_cfg("verify", cfg, tmp_path) == 1
+    _dual_moved_down([1], 5e-10)(monkeypatch)
+    assert _run_cfg("verify", MORAN_30, tmp_path) == 1
     checks = json.loads((tmp_path / "verify_summary.json").read_text())["checks"]
     assert not checks["duality_static"]["passed"]
     assert checks["duality_static"]["value"] == pytest.approx(5e-10, rel=1e-3)
 
-    assert _run_cfg("verify", cfg, tmp_path, "--nmax", "7") == 1
+    assert _run_cfg("verify", MORAN_30, tmp_path, "--nmax", "7") == 1
     checks = json.loads((tmp_path / "verify_summary.json").read_text())["checks"]
-    P = cli.build_chain(cfg)
-    H, rep = corrupt(cfg, P)
+    P = cli.build_chain(MORAN_30)
+    H, rep = cli.build_dual(MORAN_30, P)           # the corrupted dual
     assert checks["duality_dynamic"]["value"] == duals.verify_duality(
         P, H, rep.dual, n_max=7)["dynamic"]
 
 
-MORAN_30 = {"kind": "moran_mutation", "N": 30, "a1": 0.5, "a2": 0.5,
-            "dual": {"family": "siegmund"}}
+# for each check of verify, a config and a corruption of one stage that fails
+# it: the corrupted value is what verify reads, each just past its gate where
+# the pipeline's own gates let it through.  A check added to VERIFY_CHECKS
+# without an entry here fails the test below.
+FAILING_INPUTS = {
+    "dual_nonnegative": ("non_monotone.json", lambda mp: None),
+    "duality_static": (MORAN_30, _dual_moved_down([1], 5e-10)),
+    # the one-step residual 5e-10 is inside the pipeline's gate EPS_STOCH;
+    # over 20 steps the moves of every transient row add up to 1.4e-9
+    "duality_dynamic": (MORAN_30, _dual_moved_down(range(1, 30), 5e-10)),
+    "harmonic_fixed_point": (MORAN_30, _diagnostics(phi_harmonic=2e-10)),
+    # 1e-7 of P~ mass moved: the trace gate 3.1e-7 lets it through
+    "link_intertwining": (MORAN_30, _hidden_moved(15, 16, 1e-7)),
+    "k_duality": (MORAN_30, _k_corrupted),
+    "boundary_rows_carry_pi": (MORAN_30, _diagnostics(absorbing_rows={30: 2e-10})),
+    "trace_match": (MORAN_30, _hidden_moved(15, 16, 1e-6)),
+    "separation_dominated_by_survival": (MORAN_30, _sharpness_raises),
+    "sharp_equality": (MORAN_30, lambda mp: _handing_on(
+        mp, stationary_times, "verify_sharpness",
+        lambda rep: dataclasses.replace(rep, max_gap=2e-9))),
+    "absorption_agreement": (MORAN_30, lambda mp: _handing_on(
+        mp, stationary_times, "hitting_moments", lambda mv: (mv[0] * (1 + 2e-8), mv[1]))),
+}
+
+
+def _verify(config, out):
+    """The exit code and summary of verify on a shipped config or a dict."""
+    cfg = json.loads((CONFIGS / config).read_text()) if isinstance(config, str) else config
+    code = _run_cfg("verify", cfg, out)
+    return code, json.loads((out / "verify_summary.json").read_text())
+
+
+@pytest.mark.parametrize("name", cli.VERIFY_CHECKS)
+def test_each_verify_check_fails_on_an_input_built_to_fail_it(tmp_path, monkeypatch, name):
+    config, corrupt = FAILING_INPUTS[name]
+    corrupt(monkeypatch)
+    code, summary = _verify(config, tmp_path)
+    assert code == (2 if name == "dual_nonnegative" else 1)
+    assert summary["checks"][name]["passed"] is False
+    assert not summary["all_passed"]
+
+
+# runs of verify and the checks each skips: the shipped configs, Moran
+# (30, .1, .1), a dense chain, a start other than 0, a sharpness stage that
+# raises and a run without a witness state
+MORAN_30_1 = {**MORAN_30, "a1": 0.1, "a2": 0.1}
+SKIPPED = {
+    "chain_a.json": {}, "chain_b.json": {}, "cutoff_sweep.json": {},
+    "moran_hypergeometric.json": {
+        "absorption_agreement": "the hidden chain runs from 6 to 0, not from 0 to N = 6"},
+    "non_monotone.json": {name: "the dual is infeasible"
+                          for name in cli.VERIFY_CHECKS if name != "dual_nonnegative"},
+    "moran_30": {},
+    "non_reversible": {"absorption_agreement": "the chain is not birth-death"},
+    "start_1": {"absorption_agreement":
+                "the hidden chain runs from 1 to 30, not from 0 to N = 30"},
+    "sharpness_raises": {"absorption_agreement":
+                         "the sharpness stage raised, so no boundary is known"},
+    "no_witness": {"sharp_equality": "no witness state, so separation need not equal survival"},
+}
+RUN_CONFIGS = {"moran_30": MORAN_30_1, "non_reversible": NON_REVERSIBLE,
+               "start_1": {**MORAN_30_1, "options": {"start": 1}},
+               "sharpness_raises": MORAN_30_1, "no_witness": MORAN_30_1}
+
+
+@pytest.mark.parametrize("run_name", SKIPPED)
+def test_verify_names_each_check_once(tmp_path, monkeypatch, run_name):
+    if run_name == "sharpness_raises":
+        _sharpness_raises(monkeypatch)
+    if run_name == "no_witness":
+        _handing_on(monkeypatch, stationary_times, "verify_sharpness",
+                    lambda rep: dataclasses.replace(rep, witness=None, sharp=False))
+    code, summary = _verify(RUN_CONFIGS.get(run_name, run_name), tmp_path)
+    checks, skipped = summary["checks"], summary["skipped"]
+    assert sorted([*checks, *skipped]) == sorted(cli.VERIFY_CHECKS)
+    assert skipped == SKIPPED[run_name]
+    assert summary["all_passed"] == all(c["passed"] for c in checks.values())
+    assert code == {"non_monotone.json": 2, "sharpness_raises": 1}.get(run_name, 0)
 
 
 @pytest.mark.parametrize("config", ["chain_b.json", MORAN_30], ids=["chain_b", "moran30"])
@@ -488,8 +585,12 @@ def test_cli_import_leaves_out_unused_scipy(tmp_path, config, args):
 def test_verify_infeasible_exit_2(tmp_path):
     assert _run("verify", "non_monotone.json", tmp_path) == 2
     summary = json.loads((tmp_path / "verify_summary.json").read_text())
-    assert not summary["feasible"]
-    assert "pipeline" in summary["skipped"]
+    assert not summary["feasible"] and not summary["all_passed"]
+    # the dual's worst entry is F(0, 0) - F(1, 0) = 0.1 - 0.8
+    assert summary["checks"] == {"dual_nonnegative": {"value": pytest.approx(0.7),
+                                                      "passed": False}}
+    assert summary["skipped"] == {name: "the dual is infeasible"
+                                  for name in cli.VERIFY_CHECKS if name != "dual_nonnegative"}
 
 
 def test_plotdata_series(tmp_path):

@@ -7,8 +7,9 @@ through ``cli.run`` in one child interpreter with BLAS held to one thread:
 the absorption law of ``cutoff_sweep`` changes in its last bits between one
 and two BLAS threads.
 
-Run as a script, this module rewrites ``tests/cli_golden.json`` from the
-current code: python3 tests/test_cli_golden.py
+Run as a script, this module prints each "config run" entry whose outcome
+changed, then rewrites ``tests/cli_golden.json`` from the current code:
+python3 tests/test_cli_golden.py
 """
 import hashlib
 import json
@@ -60,17 +61,24 @@ def recorded() -> dict:
     return json.loads(out.stdout)
 
 
-def test_cli_outputs_match_the_golden_record():
-    golden, now = json.loads(GOLDEN.read_text()), recorded()
-    changed = sorted(
+def changed_entries(golden: dict, now: dict) -> list:
+    """The "config run" names whose outcome differs between two records."""
+    return sorted(
         f"{config} {name}"
         for config in golden.keys() | now.keys()
         for name in golden.get(config, {}).keys() | now.get(config, {}).keys()
         if golden.get(config, {}).get(name) != now.get(config, {}).get(name)
     )
-    assert not changed
+
+
+def test_cli_outputs_match_the_golden_record():
+    changed = changed_entries(json.loads(GOLDEN.read_text()), recorded())
+    assert not changed, f"runs that differ from {GOLDEN.name}: {', '.join(changed)}"
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(recorded(), indent=1, sort_keys=True) + "\n")
+    now = recorded()
+    for entry in changed_entries(json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}, now):
+        print(f"changed: {entry}")
+    GOLDEN.write_text(json.dumps(now, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")

@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts that call the pipeline: each exits 0
-and prints its table, a header row and one row per chain, step or size."""
+and prints its table, a header row and one row per chain, step or size.  The
+README's library snippet runs too, so the API it documents cannot rot."""
 import json
 import os
 import subprocess
@@ -56,3 +57,13 @@ def test_script_prints_its_table(script, args, rows, tmp_path):
         for line, row in zip(table[1:], written):
             assert all(cell == str(v) if isinstance(v, (int, str)) else float(cell) == v
                        for cell, v in zip(line.split(), row.values())), (line, row)
+
+
+def test_the_readme_library_snippet_runs(capsys):
+    section = (ROOT / "README.md").read_text().split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    sharp, witness, max_gap = capsys.readouterr().out.split()
+    # the Siegmund link's last column is zero off its top row: a witness at
+    # N = 2, so separation equals survival
+    assert (sharp, witness) == ("True", "2") and float(max_gap) <= 1e-9
