@@ -11,7 +11,9 @@ exit code, its wall seconds (import excluded), the dense n x n kernels the
 in-process run built from the birth-death records of the chain, its dual,
 the hidden chain and the reversal (`dualchain.kernels.dense_builds`), the
 raw arrays it scanned for a birth-death record (`dualchain.kernels.band_scans`;
-0, as every stage hands its kernel on as a record), its cold wall seconds
+0, as every stage hands its kernel on as a record), the times it measured
+the link residual ||P~ Lambda - Lambda Pbar|| (`dualchain.kernels.link_measurements`;
+at most 1), its cold wall seconds
 (the same command in a fresh `python -m dualchain.cli` process, interpreter
 start and import included), that process's peak RSS in MB and, for verify,
 all_passed.  With --json, the printed rows are also written to PATH as a
@@ -48,15 +50,16 @@ print(time.perf_counter() - t0, os.waitstatus_to_exitcode(status), usage.ru_maxr
 
 
 def run_once(command, N, a):
-    """(exit code, wall seconds, dense builds, band scans, cold wall seconds,
-    cold peak RSS in MB, all_passed or "-") of one command."""
+    """(exit code, wall seconds, dense builds, band scans, link measurements,
+    cold wall seconds, cold peak RSS in MB, all_passed or "-") of one command."""
     cfg = {"kind": "moran_mutation", "N": N, "a1": a, "a2": a,
            "dual": {"family": "siegmund"}}
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(cfg))
         argv = [command, "--config", str(config), "--out", tmp, *EXTRA.get(command, [])]
-        builds, scans = kernels.dense_builds, kernels.band_scans
+        builds, scans, links = (kernels.dense_builds, kernels.band_scans,
+                                kernels.link_measurements)
         t0 = time.perf_counter()
         try:
             code = run(argv)
@@ -64,7 +67,8 @@ def run_once(command, N, a):
             print(f"# {command} N={N} a={a}: {type(e).__name__}: {e}")
             code = 1
         wall = time.perf_counter() - t0
-        builds, scans = kernels.dense_builds - builds, kernels.band_scans - scans
+        builds, scans, links = (kernels.dense_builds - builds, kernels.band_scans - scans,
+                                kernels.link_measurements - links)
         summary = Path(tmp) / "verify_summary.json"
         passed = json.loads(summary.read_text())["all_passed"] if summary.exists() else "-"
         out = subprocess.run([sys.executable, "-c", COLD, sys.executable, "-m", "dualchain.cli",
@@ -72,7 +76,7 @@ def run_once(command, N, a):
         cold, cold_code, rss_kib = out.split()
         if int(cold_code) != code:
             print(f"# {command} N={N} a={a}: the cold run exited {cold_code}")
-    return code, wall, builds, scans, float(cold), int(rss_kib) / 1024, passed
+    return code, wall, builds, scans, links, float(cold), int(rss_kib) / 1024, passed
 
 
 def main(argv):
@@ -81,17 +85,20 @@ def main(argv):
     ap.add_argument("--json", metavar="PATH", help="also write the rows to PATH as JSON")
     args = ap.parse_args(argv[1:])
     print(f"{'N':>6} {'a':>5} {'command':<8} {'exit':>4} {'wall_s':>9} {'dense_builds':>12} "
-          f"{'band_scans':>10} {'cold_s':>9} {'cold_rss_mb':>11} {'all_passed':>10}")
+          f"{'band_scans':>10} {'link_measurements':>17} {'cold_s':>9} {'cold_rss_mb':>11} "
+          f"{'all_passed':>10}")
     rows = []
     for N in args.N:
         for a in A_VALUES:
             for command in COMMANDS:
-                code, wall, builds, scans, cold, rss, passed = run_once(command, N, a)
+                code, wall, builds, scans, links, cold, rss, passed = run_once(command, N, a)
                 print(f"{N:>6} {a:>5} {command:<8} {code:>4} {wall:>9.3f} {builds:>12} "
-                      f"{scans:>10} {cold:>9.3f} {rss:>11.1f} {passed!s:>10}", flush=True)
+                      f"{scans:>10} {links:>17} {cold:>9.3f} {rss:>11.1f} {passed!s:>10}",
+                      flush=True)
                 rows.append({"N": N, "a": a, "command": command, "exit": code,
                              "wall_s": round(wall, 3), "dense_builds": builds,
-                             "band_scans": scans, "cold_s": round(cold, 3),
+                             "band_scans": scans, "link_measurements": links,
+                             "cold_s": round(cold, 3),
                              "cold_rss_mb": round(rss, 1), "all_passed": passed})
     if args.json:
         Path(args.json).write_text(json.dumps(rows, indent=1) + "\n")

@@ -48,7 +48,6 @@ from .duals import (
 from .intertwining import (
     IntertwiningResult,
     build_intertwining,
-    duality_from_intertwining,
     identity_residuals,
     spectrum_equivalence,
 )

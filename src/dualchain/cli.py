@@ -283,12 +283,28 @@ class Pipeline:
     start: int
     pt0: np.ndarray
 
+    def readings(self) -> dict:
+        """build_intertwining's readings, by the check of VERIFY_CHECKS for each."""
+        d = self.res.diagnostics
+        return {"duality_static": d["duality"]["static"],
+                "harmonic_fixed_point": d["phi_harmonic"],
+                "phi_constant_on_classes": d["phi_class_spread"]}
+
     def sharpness(self, n_max: int) -> stationary_times.SharpnessReport:
         """Separation against hidden survival from the start state."""
         return stationary_times.verify_sharpness(
             self.p_bar, self.res.p_tilde, self.res.link, self.res.link[self.start],
             self.pt0, n_max=n_max,
         )
+
+    def gated_sharpness(self, n_max: int) -> stationary_times.SharpnessReport:
+        """``sharpness`` with the link residual it rests on gated first and
+        its own readings after, for a command that relies on it."""
+        gate({"link_intertwining": kernels.link_residual(
+            self.res.p_tilde, self.res.link, self.p_bar)[0]}, self.P.n)
+        sharp = self.sharpness(n_max)
+        gate(_sharpness_readings(sharp), self.P.n)
+        return sharp
 
     def spectral_moments(self, boundary):
         """Mean and variance of the hidden arrival at ``boundary`` from the
@@ -322,37 +338,63 @@ def pipeline(cfg: dict, opts: dict) -> Pipeline:
     return Pipeline(P, H, report, res, P if reversible else res.back, start, pt0)
 
 
-# verify's checks in report order, each with its gate on n states: a check
-# passes when its value is at most its gate
+def gated_pipeline(cfg: dict, opts: dict) -> Pipeline:
+    """``pipeline`` with build_intertwining's readings gated, for every
+    command but verify."""
+    pipe = pipeline(cfg, opts)
+    gate(pipe.readings(), pipe.P.n)
+    return pipe
+
+
+# Every identity the pipeline checks, in report order: the stage that hands
+# on its reading and its gate on n states.  A check passes when its value is
+# at most its gate (``_verify_summary``); no stage gates a reading itself.
 VERIFY_CHECKS = {
-    "dual_nonnegative": lambda n: 0.0,
-    "duality_static": lambda n: RESID_TOL,
-    "duality_dynamic": lambda n: DYNAMIC_TOL,
-    "harmonic_fixed_point": lambda n: RESID_TOL,
-    "link_intertwining": lambda n: RESID_TOL,
-    "k_duality": lambda n: RESID_TOL,
-    "boundary_rows_carry_pi": lambda n: RESID_TOL,
-    "trace_match": lambda n: TRACE_TOL * n,
-    "separation_dominated_by_survival": lambda n: 0.0,
-    "sharp_equality": lambda n: SHARP_TOL,
-    "absorption_agreement": lambda n: ABSORPTION_TOL,
+    "dual_nonnegative": ("build_dual", lambda n: 0.0),
+    "duality_static": ("build_intertwining", lambda n: RESID_TOL),
+    "duality_dynamic": ("verify_duality", lambda n: DYNAMIC_TOL),
+    "harmonic_fixed_point": ("build_intertwining", lambda n: RESID_TOL),
+    "phi_constant_on_classes": ("build_intertwining", lambda n: RESID_TOL),
+    "link_intertwining": ("link_residual", lambda n: RESID_TOL),
+    "k_duality": ("identity_residuals", lambda n: RESID_TOL),
+    "boundary_rows_carry_pi": ("build_intertwining", lambda n: RESID_TOL),
+    "trace_match": ("identity_residuals", lambda n: TRACE_TOL * n),
+    "separation_dominated_by_survival": ("verify_sharpness", lambda n: SHARP_TOL),
+    "sharp_equality": ("verify_sharpness", lambda n: SHARP_TOL),
+    "absorption_agreement": ("hitting_moments", lambda n: ABSORPTION_TOL),
 }
 
 
+def gate(readings: dict, n: int) -> None:
+    """Raise CheckFailedError at the first of ``readings`` that
+    ``_verify_summary`` files as failed, naming its stage, value and gate."""
+    for name, check in _verify_summary(readings, n)["checks"].items():
+        if not check["passed"]:
+            stage, limit = VERIFY_CHECKS[name]
+            raise errors.CheckFailedError(
+                f"{name} (stage {stage}) reads {readings[name]:.3g}, "
+                f"above its gate {limit(n):.3g}")
+
+
+def _sharpness_readings(sharp: stationary_times.SharpnessReport) -> dict:
+    return {"separation_dominated_by_survival": sharp.excess,
+            "sharp_equality": sharp.max_gap if sharp.sharp else
+            "no witness state, so separation need not equal survival"}
+
+
 def _verify_summary(found: dict, n: int) -> dict:
-    """The checks of verify on n states.  ``found`` maps each check of
-    VERIFY_CHECKS to its value, gated under ``checks``; to the error its
-    stage raised, a failed check there with that ``detail``; or to the
-    reason (a str) it does not apply, under ``skipped``."""
+    """The checks of ``found`` on n states.  It maps checks of VERIFY_CHECKS
+    to their values, gated under ``checks`` (NaN fails); to the error by
+    which their stage refused its input, failed there with that
+    ``detail``; or to the reason (a str) they do not apply, under ``skipped``."""
     checks, skipped = {}, {}
-    for name, gate in VERIFY_CHECKS.items():
-        v = found[name]
+    for name, v in found.items():
         if isinstance(v, str):
             skipped[name] = v
         elif isinstance(v, Exception):
             checks[name] = {"value": float("nan"), "passed": False, "detail": str(v)}
         else:
-            checks[name] = {"value": float(v), "passed": bool(v <= gate(n))}
+            checks[name] = {"value": float(v), "passed": bool(v <= VERIFY_CHECKS[name][1](n))}
     passed = all(c["passed"] for c in checks.values())
     return {"checks": checks, "skipped": skipped, "all_passed": passed}
 
@@ -371,7 +413,7 @@ INFEASIBLE = {
 
 
 def cmd_intertwine(cfg, opts):
-    pipe = pipeline(cfg, opts)
+    pipe = gated_pipeline(cfg, opts)
     res = pipe.res
     residuals = intertwining.identity_residuals(pipe.P, pipe.H, pipe.report.dual, res)
     return 0, {
@@ -403,8 +445,8 @@ def cmd_spectrum(cfg, opts):
 
 
 def cmd_ssd(cfg, opts):
-    pipe = pipeline(cfg, opts)
-    sharp = pipe.sharpness(opts.get("n_max", 100))
+    pipe = gated_pipeline(cfg, opts)
+    sharp = pipe.gated_sharpness(opts.get("n_max", 100))
     mean, variance = stationary_times.hitting_moments(pipe.res.p_tilde, pipe.pt0,
                                                       sharp.boundary)
     summary = {
@@ -423,7 +465,8 @@ def cmd_ssd(cfg, opts):
 
 
 def cmd_simulate(cfg, opts):
-    pipe = pipeline(cfg, opts)
+    pipe = gated_pipeline(cfg, opts)
+    # product_kernel measures and gates the link residual itself
     pk = coupling.product_kernel(pipe.p_bar, pipe.res.p_tilde, pipe.res.link)
     batch = coupling.simulate(pk, pipe.pt0, n_steps=opts.get("n_max", 50),
                               n_paths=opts.get("trials", 10000), seed=opts.get("seed", 0))
@@ -473,20 +516,20 @@ def cmd_cutoff(cfg, opts):
 
 
 def cmd_verify(cfg, opts):
-    """Gated end-to-end verification: each check of VERIFY_CHECKS once, under
-    ``checks`` with its value or under ``skipped`` with the reason."""
+    """End-to-end verification: each check of VERIFY_CHECKS once, under
+    ``checks`` with its value or under ``skipped`` with the reason.  Only a
+    stage that refuses its input files its checks without a value."""
     pipe = pipeline(cfg, opts)
     vd = duals.verify_duality(pipe.P, pipe.H, pipe.report.dual, n_max=opts.get("n_max", 20))
-    d = pipe.res.diagnostics
     r = intertwining.identity_residuals(pipe.P, pipe.H, pipe.report.dual, pipe.res)
     found = {
         "dual_nonnegative": 0.0,
-        "duality_static": vd["static"],
+        **pipe.readings(),
         "duality_dynamic": vd["dynamic"],
-        "harmonic_fixed_point": d["phi_harmonic"],
         "link_intertwining": r["intertwining"],
         "k_duality": r["k_duality_scaled"],
-        "boundary_rows_carry_pi": max(d["absorbing_rows"].values(), default=0.0),
+        "boundary_rows_carry_pi": max(pipe.res.diagnostics["absorbing_rows"].values(),
+                                      default=0.0),
         "trace_match": r["trace_comparison"]["max_deviation"],
     }
     try:
@@ -495,17 +538,20 @@ def cmd_verify(cfg, opts):
         found.update(separation_dominated_by_survival=e, sharp_equality=e,
                      absorption_agreement="the sharpness stage raised, so no boundary is known")
     else:
-        found["separation_dominated_by_survival"] = 0.0
-        found["sharp_equality"] = (sharp.max_gap if sharp.sharp else
-                                   "no witness state, so separation need not equal survival")
+        found.update(_sharpness_readings(sharp))
         sp = pipe.spectral_moments(sharp.boundary)
         if isinstance(sp, str):
             found["absorption_agreement"] = sp
         else:
-            exact = stationary_times.hitting_moments(pipe.res.p_tilde, pipe.pt0, sharp.boundary)
-            # relative to the spectral value, absolute where that value is 0
-            found["absorption_agreement"] = max(
-                abs(v - ref) / (ref or 1.0) for v, ref in zip(exact, sp))
+            try:
+                exact = stationary_times.hitting_moments(pipe.res.p_tilde, pipe.pt0,
+                                                         sharp.boundary)
+            except errors.DualChainError as e:
+                found["absorption_agreement"] = e
+            else:
+                # relative to the spectral value, absolute where that value is 0
+                found["absorption_agreement"] = max(
+                    abs(v - ref) / (ref or 1.0) for v, ref in zip(exact, sp))
     summary = {"feasible": True, **_verify_summary(found, pipe.P.n)}
     return 0 if summary["all_passed"] else 1, {"verify_summary.json": summary}
 
@@ -522,11 +568,11 @@ def cmd_plotdata(cfg, opts):
         spec = spectra.bd_spectrum(params)
         rows = [(str(k), series, spec.eigenvalues[k]) for k in range(spec.n)]
     elif series == "phi_profile":
-        pipe = pipeline(cfg, opts)
+        pipe = gated_pipeline(cfg, opts)
         rows = [(str(x), series, pipe.res.phi[x]) for x in range(pipe.P.n)]
     elif series in ("sep_vs_survival", "absorption_pmf"):
-        pipe = pipeline(cfg, opts)
-        sharp = pipe.sharpness(opts.get("n_max", 50))
+        pipe = gated_pipeline(cfg, opts)
+        sharp = pipe.gated_sharpness(opts.get("n_max", 50))
         if series == "sep_vs_survival":
             for n, sep, surv in sharp.table:
                 rows.append((str(int(n)), "separation", sep))

@@ -63,9 +63,8 @@ def product_kernel(P, p_tilde, link) -> ProductKernel:
     nt = pt.shape[0]
     if L.shape != (nt, m.shape[0]):
         raise errors.DimensionMismatchError("link must map hidden rows to observed columns")
-    W = L @ m                                    # (Lambda P)(xt, y)
-    V = pt @ L                                   # (Ptilde Lambda)(xt, y)
-    r = sup_norm(V - W)
+    # V(xt, y) = (Ptilde Lambda)(xt, y), W(xt, y) = (Lambda P)(xt, y)
+    r, V, W = kernels.link_residual(pt, L, m)
     if r > RESID_TOL:
         raise errors.IntertwiningResidualError(f"link residual {r:.3g}")
 

@@ -79,10 +79,6 @@ class TrivialDualFunctionError(DualChainError):
     """A dual function with a vanishing row or column carries no information."""
 
 
-class DualityResidualError(DualChainError):
-    """The pair (P, H, dual) fails the defining matrix identity."""
-
-
 class HarmonicNotPositiveError(DualChainError):
     pass
 
@@ -93,6 +89,10 @@ class LinkNotStochasticError(DualChainError):
 
 class IntertwiningResidualError(DualChainError):
     pass
+
+
+class CheckFailedError(DualChainError):
+    """A reading a command relies on is above its gate in ``cli.VERIFY_CHECKS``."""
 
 
 class NotAbsorbingError(DualChainError):

@@ -72,6 +72,7 @@ class BDParams:
 
 dense_builds = 0     # n x n matrices built by record-only Kernels since import
 band_scans = 0       # raw arrays _bands has scanned for a record since import
+link_measurements = 0    # calls of link_residual since import
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -142,6 +143,19 @@ def scaled_residual(A, B, C, D) -> float:
     scale = np.abs(A) @ np.abs(B) + np.abs(C) @ np.abs(D)
     ratio = np.divide(resid, scale, out=np.zeros_like(resid), where=scale > 0)
     return sup_norm(ratio)
+
+
+def link_residual(p_tilde, link, p_bar) -> tuple[float, np.ndarray, np.ndarray]:
+    """||Ptilde Lambda - Lambda Pbar|| of an intertwining, with the two
+    products Ptilde Lambda and Lambda Pbar it is read from.  The one place
+    the residual is computed; each call counts in ``link_measurements``."""
+    global link_measurements
+    link_measurements += 1
+    pt, L, m = (np.asarray(v, dtype=float) for v in (p_tilde, link, p_bar))
+    V, W = pt @ L, L @ m
+    gap = V - W
+    np.abs(gap, out=gap)    # sup_norm(V - W) in place: no fourth n x n array beside V, W
+    return (float(gap.max()) if gap.size else 0.0), V, W
 
 
 def _bands(P) -> BDParams | None:

@@ -331,33 +331,57 @@ def _handing_on(monkeypatch, module, name, change):
     monkeypatch.setattr(module, name, lambda *a, **k: change(f(*a, **k)))
 
 
+def _dual_changed(change):
+    """A build_dual whose dual is a copy that ``change`` edits in place."""
+    def changed(out):
+        H, rep = out
+        d = np.array(rep.dual)
+        change(d)
+        return H, dataclasses.replace(rep, dual=d)
+    return lambda mp: _handing_on(mp, cli, "build_dual", changed)
+
+
 def _dual_moved_down(rows, mass):
     """A build_dual that moves ``mass`` from Phat(y, y) to Phat(y, y - 1) in
     each of ``rows``: rows keep their sums."""
-    def change(out):
-        H, rep = out
-        d = np.array(rep.dual)
+    def change(d):
         for y in rows:
             d[y, y] -= mass
             d[y, y - 1] += mass
-        return H, dataclasses.replace(rep, dual=d)
-    return lambda mp: _handing_on(mp, cli, "build_dual", change)
+    return _dual_changed(change)
 
 
-def _hidden_moved(x, y, mass):
-    """A build_intertwining that moves ``mass`` from Ptilde(x, x) to Ptilde(x, y)."""
+def _dual_rows(rows):
+    """A build_dual whose rows y of ``rows`` read {column: entry} instead."""
+    def change(d):
+        for y, entries in rows.items():
+            d[y] = 0.0
+            for column, entry in entries.items():
+                d[y, column] = entry
+    return _dual_changed(change)
+
+
+def _hidden_moved(xs, y, mass):
+    """A build_intertwining that moves ``mass`` from Ptilde(x, x) to
+    Ptilde(x, y) in each row x of ``xs``."""
     def change(res):
         pt = np.array(res.p_tilde)
-        pt[x, x] -= mass
-        pt[x, y] += mass
+        pt[xs, xs] -= mass
+        pt[xs, y] += mass
         return dataclasses.replace(res, p_tilde=pt)
     return lambda mp: _handing_on(mp, intertwining, "build_intertwining", change)
 
 
-def _diagnostics(**entries):
-    """A build_intertwining whose diagnostics read ``entries``."""
-    return lambda mp: _handing_on(mp, intertwining, "build_intertwining", lambda res: (
-        dataclasses.replace(res, diagnostics={**res.diagnostics, **entries})))
+def _link_moved(x, mass):
+    """A build_intertwining that moves ``mass`` from Lambda(x, x) to
+    Lambda(x, 0): its rows stay laws, and a moved boundary row no longer
+    carries pi within SHARP_TOL, so the sharpness stage refuses it."""
+    def change(res):
+        link = res.link.copy()
+        link[x, x] -= mass
+        link[x, 0] += mass
+        return dataclasses.replace(res, link=link)
+    return lambda mp: _handing_on(mp, intertwining, "build_intertwining", change)
 
 
 def _k_corrupted(mp):
@@ -370,16 +394,10 @@ def _k_corrupted(mp):
     _handing_on(mp, intertwining, "build_intertwining", change)
 
 
-def _sharpness_raises(mp):
-    def boom(*a, **k):
-        raise errors.DualChainError("sharpness failed")
-    mp.setattr(stationary_times, "verify_sharpness", boom)
-
-
 def test_verify_writes_a_non_finite_value_as_null(tmp_path, monkeypatch):
-    # a sharpness check that raises records the value nan, which json.dumps
-    # once wrote as the bare token NaN
-    _sharpness_raises(monkeypatch)
+    # a sharpness stage that refuses its input records the value nan, which
+    # json.dumps once wrote as the bare token NaN
+    _link_moved(2, 2e-9)(monkeypatch)
     assert _run("verify", "chain_b.json", tmp_path) == 1
 
     def reject(token):
@@ -387,7 +405,8 @@ def test_verify_writes_a_non_finite_value_as_null(tmp_path, monkeypatch):
 
     text = (tmp_path / "verify_summary.json").read_text()
     check = json.loads(text, parse_constant=reject)["checks"]["separation_dominated_by_survival"]
-    assert check == {"value": None, "passed": False, "detail": "sharpness failed"}
+    assert check == {"value": None, "passed": False,
+                     "detail": "no absorbing state carries pi in the link"}
 
 
 def test_verify_k_duality_catches_corrupt_k(tmp_path, monkeypatch):
@@ -403,15 +422,15 @@ def test_verify_k_duality_catches_corrupt_k(tmp_path, monkeypatch):
 def test_verify_trace_match_catches_moved_diagonal_mass(tmp_path, monkeypatch):
     # 1e-6 of mass from Ptilde(x, x) to Ptilde(x, x+1) at x = N/2: rows stay
     # stochastic, tr(Ptilde) moves by 1e-6, above the gate 3.1e-7 of n = 31
-    _hidden_moved(15, 16, 1e-6)(monkeypatch)
+    _hidden_moved([15], 16, 1e-6)(monkeypatch)
     assert _run_cfg("verify", MORAN_30, tmp_path) == 1
     checks = json.loads((tmp_path / "verify_summary.json").read_text())["checks"]
-    # verify computes the link (1.9e-7) and K-duality (1.5e-6) residuals
-    # from the corrupted Ptilde, and the sharpness step recomputes the link
-    # residual, so these fail as well; sharp_equality, whose stage raised
-    # with it, fails with the same detail
+    # verify computes the link (1.9e-7) and K-duality (1.5e-6) residuals,
+    # the sharpness table and the exact moments from the corrupted Ptilde,
+    # so these fail as well; separation exceeds survival under a witness,
+    # so the excess is the largest gap
     failed = [k for k, c in checks.items() if not c["passed"]]
-    assert failed == ["k_duality", "link_intertwining",
+    assert failed == ["absorption_agreement", "k_duality", "link_intertwining",
                       "separation_dominated_by_survival", "sharp_equality", "trace_match"]
     assert checks["sharp_equality"] == checks["separation_dominated_by_survival"]
     assert checks["trace_match"]["value"] == pytest.approx(1e-6, rel=1e-6)
@@ -431,8 +450,8 @@ def test_absorption_agreement_measures_a_zero_reference_absolutely(tmp_path, mon
 
 
 def test_verify_duality_gates_catch_a_bad_dual(tmp_path, monkeypatch):
-    # 5e-10 of mass from Phat(1, 1) to Phat(1, 0): the pipeline gates the
-    # duality residual at EPS_STOCH and accepts it, verify at RESID_TOL
+    # 5e-10 of mass from Phat(1, 1) to Phat(1, 0): build_intertwining hands
+    # the residual on, and verify files it against RESID_TOL
     _dual_moved_down([1], 5e-10)(monkeypatch)
     assert _run_cfg("verify", MORAN_30, tmp_path) == 1
     checks = json.loads((tmp_path / "verify_summary.json").read_text())["checks"]
@@ -447,26 +466,37 @@ def test_verify_duality_gates_catch_a_bad_dual(tmp_path, monkeypatch):
         P, H, rep.dual, n_max=7)["dynamic"]
 
 
-# for each check of verify, a config and a corruption of one stage that fails
-# it: the corrupted value is what verify reads, each just past its gate where
-# the pipeline's own gates let it through.  A check added to VERIFY_CHECKS
+MORAN_20 = {**MORAN_30, "N": 20}
+# 5e-11 of every transient row of P~ moved onto the boundary N = 20: the
+# link residual stays below its gate, but the hidden chain arrives early
+EARLY_ARRIVAL = _hidden_moved(range(20), 20, 5e-11)
+
+# for each check of verify, a config and a corruption of a chain, a dual or
+# a result a stage hands on that fails it.  A check added to VERIFY_CHECKS
 # without an entry here fails the test below.
 FAILING_INPUTS = {
     "dual_nonnegative": ("non_monotone.json", lambda mp: None),
-    "duality_static": (MORAN_30, _dual_moved_down([1], 5e-10)),
-    # the one-step residual 5e-10 is inside the pipeline's gate EPS_STOCH;
-    # over 20 steps the moves of every transient row add up to 1.4e-9
+    # 1e-7 of P^ mass moved in row 29: the stage hands the residual on
+    "duality_static": (MORAN_30, _dual_moved_down([29], 1e-7)),
+    # 5e-10 moved in every transient row: over 20 steps the moves add up to
+    # 1.4e-9
     "duality_dynamic": (MORAN_30, _dual_moved_down(range(1, 30), 5e-10)),
-    "harmonic_fixed_point": (MORAN_30, _diagnostics(phi_harmonic=2e-10)),
+    # 1e-8 moved in row 20: phi reads 2.8e-10 off harmonic, and P~ stays
+    # stochastic
+    "harmonic_fixed_point": (MORAN_30, _dual_moved_down([20], 1e-8)),
+    # the states 29 and 30 of the dual a closed class that exchanges 1e-7
+    # each way: phi is harmonic within 1e-16 there but reads pi(30) / 2 =
+    # 4.7e-10 off its mean
+    "phi_constant_on_classes": (MORAN_30, _dual_rows(
+        {29: {29: 1 - 1e-7, 30: 1e-7}, 30: {29: 1e-7, 30: 1 - 1e-7}})),
     # 1e-7 of P~ mass moved: the trace gate 3.1e-7 lets it through
-    "link_intertwining": (MORAN_30, _hidden_moved(15, 16, 1e-7)),
+    "link_intertwining": (MORAN_30, _hidden_moved([15], 16, 1e-7)),
     "k_duality": (MORAN_30, _k_corrupted),
-    "boundary_rows_carry_pi": (MORAN_30, _diagnostics(absorbing_rows={30: 2e-10})),
-    "trace_match": (MORAN_30, _hidden_moved(15, 16, 1e-6)),
-    "separation_dominated_by_survival": (MORAN_30, _sharpness_raises),
-    "sharp_equality": (MORAN_30, lambda mp: _handing_on(
-        mp, stationary_times, "verify_sharpness",
-        lambda rep: dataclasses.replace(rep, max_gap=2e-9))),
+    # a dual absorbing at 15, whose link row is pi on 0..15 renormalised
+    "boundary_rows_carry_pi": (MORAN_30, _dual_rows({15: {15: 1.0}})),
+    "trace_match": (MORAN_30, _hidden_moved([15], 16, 1e-6)),
+    "separation_dominated_by_survival": (MORAN_20, EARLY_ARRIVAL),
+    "sharp_equality": (MORAN_20, EARLY_ARRIVAL),
     "absorption_agreement": (MORAN_30, lambda mp: _handing_on(
         mp, stationary_times, "hitting_moments", lambda mv: (mv[0] * (1 + 2e-8), mv[1]))),
 }
@@ -489,9 +519,45 @@ def test_each_verify_check_fails_on_an_input_built_to_fail_it(tmp_path, monkeypa
     assert not summary["all_passed"]
 
 
+@pytest.mark.parametrize("cfg, corrupt, message", [
+    (MORAN_30, FAILING_INPUTS["duality_static"][1],
+     "duality_static (stage build_intertwining) reads 1e-07, above its gate 1e-10"),
+    (MORAN_20, EARLY_ARRIVAL, "separation_dominated_by_survival (stage verify_sharpness) "
+                              "reads 2.13e-09, above its gate 1e-09"),
+], ids=["duality_static", "separation_dominated_by_survival"])
+def test_ssd_refuses_by_the_check_it_relies_on(tmp_path, monkeypatch, capsys, cfg, corrupt,
+                                               message):
+    # the inputs that fail these checks of verify: ssd gates the same
+    # reading through the same table, names it and writes nothing
+    corrupt(monkeypatch)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setattr("sys.argv", ["dualchain", "ssd", "--config", str(path),
+                                     "--out", str(tmp_path / "out")])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == f"error: CheckFailedError: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_files_phi_off_constant_on_a_class_rather_than_raising(tmp_path):
+    # at Moran (100, 1e-9, 1e-9) the dual's states 0..99 pass as one
+    # mass-conserving class, as each of its rows leaks at most 1e-9, within
+    # EPS_STOCH; phi = Pi reads 2.6e-7 off its mean there.  The stage once
+    # raised with the 100 states and verify wrote nothing; ROADMAP item 13
+    # is to mend the reading itself
+    cfg = {**MORAN_30, "N": 100, "a1": 1e-9, "a2": 1e-9}
+    code, summary = _verify(cfg, tmp_path)
+    assert code == 1
+    check = summary["checks"]["phi_constant_on_classes"]
+    assert not check["passed"] and check["value"] == pytest.approx(2.6e-7, rel=0.01)
+
+
 # runs of verify and the checks each skips: the shipped configs, Moran
 # (30, .1, .1), a dense chain, a start other than 0, a sharpness stage that
-# raises and a run without a witness state
+# refuses a boundary row that does not carry pi, and a run without a witness
+# state
 MORAN_30_1 = {**MORAN_30, "a1": 0.1, "a2": 0.1}
 SKIPPED = {
     "chain_a.json": {}, "chain_b.json": {}, "cutoff_sweep.json": {},
@@ -515,7 +581,7 @@ RUN_CONFIGS = {"moran_30": MORAN_30_1, "non_reversible": NON_REVERSIBLE,
 @pytest.mark.parametrize("run_name", SKIPPED)
 def test_verify_names_each_check_once(tmp_path, monkeypatch, run_name):
     if run_name == "sharpness_raises":
-        _sharpness_raises(monkeypatch)
+        _link_moved(30, 2e-9)(monkeypatch)
     if run_name == "no_witness":
         _handing_on(monkeypatch, stationary_times, "verify_sharpness",
                     lambda rep: dataclasses.replace(rep, witness=None, sharp=False))
@@ -965,6 +1031,26 @@ def test_each_run_builds_the_dense_kernel_once_and_only_where_it_is_read(tmp_pat
         out.mkdir()
         assert _run_cfg(args[0], NON_REVERSIBLE, out, *args[1:]) == 0, name
     assert kernels.dense_builds == builds
+
+
+# the measurements of ||P~ Lambda - Lambda Pbar|| (kernels.link_residual)
+# each run makes: one where a run reads or relies on the link (verify and
+# intertwine through identity_residuals, the sharpness runs before their
+# table, simulate in product_kernel), none where it does not
+LINK_MEASUREMENTS = {"dual": 0, "plotdata-phi_profile": 0, "intertwine": 1, "verify": 1,
+                     "ssd": 1, "simulate": 1, "plotdata-sep_vs_survival": 1,
+                     "plotdata-absorption_pmf": 1}
+
+
+def test_each_run_measures_the_link_residual_at_most_once(tmp_path):
+    cfg = {**MORAN_10, "N": 20, "a1": 0.3, "a2": 0.2, "options": {"trials": 2000}}
+    got = {}
+    for name in LINK_MEASUREMENTS:
+        (tmp_path / name).mkdir()
+        measured = kernels.link_measurements
+        assert _run_cfg(RUNS[name][0], cfg, tmp_path / name, *RUNS[name][1:]) == 0, name
+        got[name] = kernels.link_measurements - measured
+    assert got == LINK_MEASUREMENTS
 
 
 # the raw arrays each run scans in kernels._bands for a birth-death record:

@@ -22,6 +22,9 @@ RUNS = [
 # then P~; then the reversal
 PAPER_SCALE_BUILDS = {"dual": 2, "ssd": 3, "simulate": 3, "plotdata": 3,
                       "intertwine": 4, "verify": 4}
+# the link residual each measures (LINK_MEASUREMENTS in test_cli.py)
+PAPER_SCALE_LINKS = {"dual": 0, "ssd": 1, "simulate": 1, "plotdata": 1, "intertwine": 1,
+                     "verify": 1}
 
 
 @pytest.mark.parametrize("script, args, rows", RUNS, ids=[run[0] for run in RUNS])
@@ -42,14 +45,16 @@ def test_script_prints_its_table(script, args, rows, tmp_path):
     if "dense_builds" in table[0]:
         # each command builds P, the dual, P~ and the reversal from their
         # records where it reads them densely (DENSE_BUILDS in test_cli.py),
-        # and scans no raw array for a record
+        # scans no raw array for a record, and measures the link residual
+        # at most once
         header = table[0].split()
-        command, builds, scans = (header.index(c) for c in ("command", "dense_builds",
-                                                          "band_scans"))
+        command, builds, scans, links = (header.index(c) for c in (
+            "command", "dense_builds", "band_scans", "link_measurements"))
         for line in table[1:]:
             row = line.split()
             assert int(row[builds]) == PAPER_SCALE_BUILDS[row[command]], line
             assert row[scans] == "0", line
+            assert int(row[links]) == PAPER_SCALE_LINKS[row[command]], line
     if "--json" in args:
         # one JSON row per printed row, keyed by the header, with the printed values
         written = json.loads((tmp_path / "rows.json").read_text())
@@ -63,7 +68,8 @@ def test_the_readme_library_snippet_runs(capsys):
     section = (ROOT / "README.md").read_text().split("\n## Library use\n", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
-    sharp, witness, max_gap = capsys.readouterr().out.split()
+    sharp, witness, max_gap, excess = capsys.readouterr().out.split()
     # the Siegmund link's last column is zero off its top row: a witness at
     # N = 2, so separation equals survival
     assert (sharp, witness) == ("True", "2") and float(max_gap) <= 1e-9
+    assert float(excess) <= float(max_gap)

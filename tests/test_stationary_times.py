@@ -1,5 +1,4 @@
 import json
-import re
 import time
 import tracemalloc
 import warnings
@@ -517,9 +516,10 @@ def test_absorption_exact_survival_relative_to_extended_precision():
 
 
 @pytest.mark.parametrize("chunk", [stationary_times._SEP_CHUNK, 5 * 21])
-def test_verify_sharpness_names_the_first_n_separation_exceeds_survival(monkeypatch, chunk):
-    # 5e-11 of every transient row of P~ moved onto the boundary passes the
-    # link gate, but the hidden chain then arrives early
+def test_verify_sharpness_reads_the_excess_of_separation_over_survival(monkeypatch, chunk):
+    # 5e-11 of every transient row of P~ moved onto the boundary leaves the
+    # link residual below 1e-10, but the hidden chain then arrives early:
+    # separation exceeds survival, which the report reads and does not gate
     monkeypatch.setattr(stationary_times, "_SEP_CHUNK", chunk)
     N = 20
     P = bd_kernel(moran_kernel(N, mutation_bias(0.5, 0.5, N)))
@@ -528,16 +528,14 @@ def test_verify_sharpness_names_the_first_n_separation_exceeds_survival(monkeypa
     pt[np.arange(N), np.arange(N)] -= 5e-11
     pt[:N, N] += 5e-11
     start = np.eye(N + 1)[0]
-    mu, nu = res.link[0], start
-    for n in range(400):
-        sep, survival = separation(mu, res.pi), 1.0 - nu[N]
-        if sep > survival + 1e-9:
-            break
+    mu, nu, gaps = res.link[0], start, []
+    for _ in range(401):
+        gaps.append(separation(mu, res.pi) - (1.0 - nu[N]))
         mu, nu = mu @ P.matrix, nu @ pt
-    assert 0 < n < 400
-    message = f"separation exceeded survival at n={n}: {sep} > {survival}"
-    with pytest.raises(errors.DualChainError, match=f"^{re.escape(message)}$"):
-        verify_sharpness(P.matrix, pt, res.link, res.link[0], start, n_max=400)
+    rep = verify_sharpness(P.matrix, pt, res.link, res.link[0], start, n_max=400)
+    assert rep.excess == max(gaps) > 2e-9
+    assert rep.max_gap == max(map(abs, gaps)) and rep.sharp
+    assert np.array_equal(rep.table[:, 1] - rep.table[:, 2], gaps)
 
 
 # hidden chain whose start never reaches the second absorbing state 3

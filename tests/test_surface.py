@@ -14,8 +14,6 @@ CALLERS = [*sorted((ROOT / "scripts").glob("*.py")), *sorted((ROOT / "perfbench"
 UNCHECKED = ("samplers",)
 
 KEPT = (
-    ("intertwining.duality_from_intertwining",
-     "the paper's converse relation: an intertwining with a stochastic link gives a duality"),
     ("spectra.bernoulli_laplace_weights",
      "the oracle of the Bernoulli-Laplace spectral weights (ROADMAP item 5)"),
     ("stationary_times.separation",
