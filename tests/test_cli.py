@@ -561,6 +561,7 @@ def test_verify_files_phi_off_constant_on_a_class_rather_than_raising(tmp_path):
 MORAN_30_1 = {**MORAN_30, "a1": 0.1, "a2": 0.1}
 SKIPPED = {
     "chain_a.json": {}, "chain_b.json": {}, "cutoff_sweep.json": {},
+    "dense_monotone.json": {"absorption_agreement": "the chain is not birth-death"},
     "moran_hypergeometric.json": {
         "absorption_agreement": "the hidden chain runs from 6 to 0, not from 0 to N = 6"},
     "non_monotone.json": {name: "the dual is infeasible"
