@@ -76,13 +76,9 @@ def reflected_walk_params(N: int, p: float, q: float) -> BDParams:
 
 @dataclass(frozen=True)
 class BiasFunction:
-    """Sampling bias u -> p(u) tabulated on the grid x/N, with shape flags
-    read off the table itself."""
+    """Sampling bias u -> p(u) tabulated on the grid x/N."""
 
     values: np.ndarray
-    nondecreasing: bool
-    positive_at_zero: bool
-    below_one_at_one: bool
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -100,14 +96,7 @@ def make_bias(values) -> BiasFunction:
         raise errors.InvalidBiasError("bias table needs at least two grid points")
     if np.min(v) < -EPS_NEG or np.max(v) > 1 + EPS_NEG:
         raise errors.InvalidBiasError("bias values must lie in [0, 1]")
-    v = np.clip(v, 0.0, 1.0)
-    nondec = bool(np.all(np.diff(v) >= -EPS_NEG))
-    return BiasFunction(
-        values=v,
-        nondecreasing=nondec,
-        positive_at_zero=bool(v[0] > EPS_NEG),
-        below_one_at_one=bool(v[-1] < 1 - EPS_NEG),
-    )
+    return BiasFunction(np.clip(v, 0.0, 1.0))
 
 
 def mutation_bias(a1: float, a2: float, N: int) -> BiasFunction:

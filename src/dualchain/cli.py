@@ -416,6 +416,9 @@ def cmd_intertwine(cfg, opts):
     pipe = gated_pipeline(cfg, opts)
     res = pipe.res
     residuals = intertwining.identity_residuals(pipe.P, pipe.H, pipe.report.dual, res)
+    trace = residuals["trace_comparison"]
+    trace["equal"] = _verify_summary({"trace_match": trace["max_deviation"]},
+                                     pipe.P.n)["checks"]["trace_match"]["passed"]
     return 0, {
         "link.csv": res.link,
         "p_tilde.csv": res.p_tilde,

@@ -47,9 +47,6 @@ class ProductKernel:
     def n_tilde(self) -> int:
         return self.p_tilde.shape[0]
 
-    def pair_index(self, x: int, xt: int) -> int:
-        return x * self.n_tilde + xt
-
     def fingerprint(self) -> str:
         h = hashlib.sha256()
         for m in (self.p, self.p_tilde, self.link):

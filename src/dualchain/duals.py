@@ -26,13 +26,11 @@ class DualFunction:
     """A nonnegative matrix H used on the right of the duality identity.
 
     ``family`` tags the construction ("siegmund", "ultrametric",
-    "hypergeometric", "vandermonde", "potential", "custom"); ``params`` keeps
-    the construction data.
+    "hypergeometric", "vandermonde", "potential", "custom").
     """
 
     matrix: np.ndarray
     family: str
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -70,13 +68,13 @@ def _two_block(N: int, k: int, alpha: float, beta: float):
     return gamma, e
 
 
-def _two_block_function(N, k, alpha, beta, family, params) -> DualFunction:
+def _two_block_function(N, k, alpha, beta, family) -> DualFunction:
     """The H that ``_two_block`` describes."""
     gamma, _ = _two_block(N, k, alpha, beta)
     low = np.arange(N + 1) <= k
     same_block = low[:, None] == low[None, :]
     H = np.triu(np.ones((N + 1, N + 1))) * (1.0 + gamma[:, None] * same_block)
-    return DualFunction(H, family, params)
+    return DualFunction(H, family)
 
 
 def _check_ultrametric(N: int, k: int, alpha: float, beta: float) -> None:
@@ -88,16 +86,14 @@ def _check_ultrametric(N: int, k: int, alpha: float, beta: float) -> None:
 
 def siegmund_function(N: int) -> DualFunction:
     """H(x, y) = 1(x <= y); its inverse is the first-difference matrix."""
-    return _two_block_function(N, N, 0.0, 0.0, "siegmund", {"N": N})
+    return _two_block_function(N, N, 0.0, 0.0, "siegmund")
 
 
 def ultrametric_function(N: int, k: int, alpha: float, beta: float) -> DualFunction:
     """Two-block weighting of the cumulative indicator (see ``_two_block``):
     H(x, y) = 1(x <= y) times (1 + gamma(x)) inside a block and 1 across."""
     _check_ultrametric(N, k, alpha, beta)
-    return _two_block_function(
-        N, k, alpha, beta, "ultrametric", {"N": N, "k": k, "alpha": alpha, "beta": beta}
-    )
+    return _two_block_function(N, k, alpha, beta, "ultrametric")
 
 
 def hypergeometric_function(N: int) -> DualFunction:
@@ -106,7 +102,7 @@ def hypergeometric_function(N: int) -> DualFunction:
     for x in range(N + 1):
         for y in range(N + 1 - x):
             H[x, y] = comb(N - x, y) / comb(N, y)
-    return DualFunction(H, "hypergeometric", {"N": N})
+    return DualFunction(H, "hypergeometric")
 
 
 def vandermonde_function(N: int) -> DualFunction:
@@ -116,7 +112,7 @@ def vandermonde_function(N: int) -> DualFunction:
     y = np.arange(N + 1)
     H = x[:, None] ** y[None, :]
     H[0, 0] = 1.0
-    return DualFunction(H, "vandermonde", {"N": N})
+    return DualFunction(H, "vandermonde")
 
 
 def potential_function(R) -> DualFunction:
@@ -132,7 +128,7 @@ def potential_function(R) -> DualFunction:
         )
     n = RK.n
     H = np.linalg.solve(np.eye(n) - RK.matrix, np.eye(n))
-    return DualFunction(H, "potential", {"R": RK.matrix})
+    return DualFunction(H, "potential")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ every call (``band_scans``).  The one dense read of any is ``np.asarray(P, dtype
 from __future__ import annotations
 
 import enum
-import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -129,9 +128,10 @@ def sup_norm(a) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def scaled_residual(A, B, C, D) -> float:
+def scaled_residual(A, B, C, D) -> tuple[float, float]:
     """Residual of the identity AB = CD, entry by entry relative to the
-    rounding that entry can carry: max_ij |AB - CD|_ij / (|A||B| + |C||D|)_ij.
+    rounding that entry can carry: max_ij |AB - CD|_ij / (|A||B| + |C||D|)_ij,
+    with the absolute residual max_ij |AB - CD|_ij it is read from.
 
     Computed in floating point, entry ij of AB is off by at most about
     n eps (|A||B|)_ij, so the ratio stays near eps however large or small
@@ -142,7 +142,7 @@ def scaled_residual(A, B, C, D) -> float:
     resid = np.abs(A @ B - C @ D)
     scale = np.abs(A) @ np.abs(B) + np.abs(C) @ np.abs(D)
     ratio = np.divide(resid, scale, out=np.zeros_like(resid), where=scale > 0)
-    return sup_norm(ratio)
+    return sup_norm(ratio), sup_norm(resid)
 
 
 def link_residual(p_tilde, link, p_bar) -> tuple[float, np.ndarray, np.ndarray]:
@@ -259,14 +259,13 @@ def validate_kernel(matrix, require: str | None = None) -> Kernel:
 
 @dataclass(frozen=True)
 class ClassDecomposition:
-    """Communicating classes in an order compatible with the flow of mass.
+    """The communicating classes of a kernel, a partition of its states.
 
-    ``classes`` is a list of sorted state tuples such that any positive
-    transition goes from a class to itself or to a *later* class; among
-    unordered classes the one containing the smallest state comes first.
-    ``stochastic_classes`` are the classes whose restricted block keeps full
-    mass; ``absorbing_states`` are the states ``absorbing_states(P)``
-    returns, each a class of its own.
+    ``classes`` holds each class as the tuple of its states in increasing
+    order, the classes ascending by smallest state.  ``stochastic_classes``
+    are the classes whose restricted block keeps full mass, in that order;
+    ``absorbing_states`` are the states ``absorbing_states(P)`` returns,
+    each a class of its own.
     """
 
     classes: list = field(default_factory=list)
@@ -330,10 +329,8 @@ def _strongly_connected_components(adj: list[list[int]]) -> list[list[int]]:
 def classify(P) -> ClassDecomposition:
     """Decompose the positivity pattern of P into communicating classes.
 
-    Edges are entries above EPS_NEG.  The class list is a deterministic
-    topological order of the condensation (mass flows forward); ties are
-    broken by the smallest contained state.  A tridiagonal P is split into
-    runs of states (``_classify_bands``); any other goes through Tarjan.
+    Edges are entries above EPS_NEG.  A tridiagonal P is split into runs
+    of states (``_classify_bands``); any other goes through Tarjan.
     """
     b = _bands(P)
     if b is not None:
@@ -347,32 +344,12 @@ def classify(P) -> ClassDecomposition:
 def _classify_dense(m: np.ndarray) -> ClassDecomposition:
     """``classify`` of any square matrix, by Tarjan on its positivity
     pattern."""
-    n = m.shape[0]
-    pos = m > EPS_NEG
-    adj = [list(np.nonzero(pos[x])[0]) for x in range(n)]
-    comps = _strongly_connected_components(adj)
-
-    comp_id = [0] * n
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_id[v] = ci
-    out_edges: list[set] = [set() for _ in comps]
-    for x in range(n):
-        for y in adj[x]:
-            a, b = comp_id[x], comp_id[y]
-            if a != b:
-                out_edges[a].add(b)
-
-    classes = [tuple(sorted(comps[c])) for c in _flow_order(comps, out_edges)]
-    stochastic_classes = []
-    for cls in classes:
-        idx = list(cls)
-        block_sums = m[np.ix_(idx, idx)].sum(axis=1)
-        if np.all(np.abs(block_sums - 1.0) <= EPS_STOCH):
-            stochastic_classes.append(cls)
+    adj = [np.flatnonzero(row).tolist() for row in m > EPS_NEG]
+    classes = sorted(tuple(sorted(c)) for c in _strongly_connected_components(adj))
     return ClassDecomposition(
         classes=classes,
-        stochastic_classes=stochastic_classes,
+        stochastic_classes=[c for c in classes if np.all(
+            np.abs(m[np.ix_(c, c)].sum(axis=1) - 1.0) <= EPS_STOCH)],
         absorbing_states=_absorbing_dense(m),
     )
 
@@ -382,56 +359,21 @@ def _classify_bands(b: BDParams) -> ClassDecomposition:
 
     States x and x + 1 communicate exactly when the entries between them
     are above EPS_NEG both ways, so the classes are the runs of states so
-    joined.  The condensation is a path: two neighbouring runs are joined
-    one way, if at all.
+    joined.
     """
-    n = b.n
-    up, down = b.p[:-1] > EPS_NEG, b.q[1:] > EPS_NEG
-    joined = up & down
-    cuts = (np.flatnonzero(~joined) + 1).tolist()    # first state of each later run
-    bounds = [0, *cuts, n]
-    comps = [tuple(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
-    out_edges: list[set] = [set() for _ in comps]
-    for i, c in enumerate(cuts):
-        if up[c - 1]:
-            out_edges[i].add(i + 1)
-        elif down[c - 1]:
-            out_edges[i + 1].add(i)
+    joined = (b.p[:-1] > EPS_NEG) & (b.q[1:] > EPS_NEG)
+    bounds = [0, *(np.flatnonzero(~joined) + 1).tolist(), b.n]    # where each run starts, and n
+    classes = [tuple(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
     # the mass each row keeps in its own run, summed (q + r) + p as numpy
     # sums a short dense row
     kept = (np.where(np.append(False, joined), b.q, 0.0) + b.r
             + np.where(np.append(joined, False), b.p, 0.0))
     full = np.logical_and.reduceat(np.abs(kept - 1.0) <= EPS_STOCH, bounds[:-1])
-    order = _flow_order(comps, out_edges)
     return ClassDecomposition(
-        classes=[comps[c] for c in order],
-        stochastic_classes=[comps[c] for c in order if full[c]],
+        classes=classes,
+        stochastic_classes=[c for c, f in zip(classes, full) if f],
         absorbing_states=_absorbing_bands(b),
     )
-
-
-def _flow_order(comps: list, out_edges: list[set]) -> list[int]:
-    """Indices of ``comps`` in topological order of the condensation whose
-    edges are ``out_edges``: Kahn's algorithm with a min-heap keyed by the
-    smallest member state."""
-    k = len(comps)
-    indeg = [0] * k
-    for targets in out_edges:
-        for b in targets:
-            indeg[b] += 1
-    heap = [(min(comps[c]), c) for c in range(k) if indeg[c] == 0]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        _, c = heapq.heappop(heap)
-        order.append(c)
-        for b in out_edges[c]:
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                heapq.heappush(heap, (min(comps[b]), b))
-    if len(order) != k:
-        raise errors.DualChainError("condensation is not acyclic (internal bug)")
-    return order
 
 
 def absorbing_states(P) -> list[int]:

@@ -128,7 +128,8 @@ def test_product_kernel_rows_and_consistency(coupled_a):
     np.testing.assert_allclose(pk.inv_lp * lp, (lp > 0).astype(float), atol=1e-15)
     # consistent pairs are exactly the positive link entries
     np.testing.assert_array_equal(pk.consistent, res.link.T > 1e-12)
-    assert pk.pair_index(1, 0) == 2
+    # pair states s = x * n_tilde + xt
+    assert big.shape == (pk.n * pk.n_tilde,) * 2
 
 
 def test_product_kernel_reuses_its_products():
@@ -159,7 +160,7 @@ def test_absorbed_hidden_rows_follow_observed_kernel(coupled_b):
     big = pair_matrix(pk)
     a = 2  # absorbing hidden state carrying pi
     for x in range(pk.n):
-        row = big[pk.pair_index(x, a)].reshape(pk.n, pk.n_tilde)
+        row = big[x * pk.n_tilde + a].reshape(pk.n, pk.n_tilde)
         # the hidden coordinate stays put and the observed one moves by P
         np.testing.assert_allclose(row.sum(axis=1), pk.p[x], atol=1e-12)
         np.testing.assert_allclose(row[:, :a], 0.0, atol=1e-15)

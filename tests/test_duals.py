@@ -52,7 +52,10 @@ def test_siegmund_function_shape():
 
 def test_ultrametric_function_params():
     H = ultrametric_function(3, 1, 0.7, 0.4)
-    assert H.params == {"N": 3, "k": 1, "alpha": 0.7, "beta": 0.4}
+    # 1 + alpha inside the block {0, 1}, 1 + beta inside {2, 3}, 1 across
+    assert H.family == "ultrametric"
+    np.testing.assert_allclose(H.matrix, [[1.7, 1.7, 1, 1], [0, 1.7, 1, 1],
+                                          [0, 0, 1.4, 1.4], [0, 0, 0, 1.4]], rtol=1e-15)
     # alpha = beta = 0 degenerates to the cumulative indicator
     H0 = ultrametric_function(3, 1, 0.0, 0.0)
     np.testing.assert_allclose(H0.matrix, siegmund_function(3).matrix, atol=1e-15)

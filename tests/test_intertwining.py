@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualchain import errors, kernels
+from dualchain import cli, errors, kernels
 from dualchain.chains import bd_kernel, moran_kernel, mutation_bias
 from dualchain.duals import (
     dual_via_solve,
@@ -19,6 +19,12 @@ from dualchain.intertwining import (
 )
 from dualchain.samplers import random_monotone_kernel
 from dualchain.spectra import moran_mutation_spectrum
+
+
+def _trace_match(out: dict, n: int) -> bool:
+    """Whether the trace deviation of ``out`` passes the trace_match gate
+    of ``cli.VERIFY_CHECKS`` on n states."""
+    return out["max_deviation"] <= cli.VERIFY_CHECKS["trace_match"][1](n)
 
 
 def test_pipeline_chain_a_frozen_values(pipeline_a):
@@ -58,7 +64,7 @@ def test_pipeline_diagnostics_tiny(pipeline_b):
     assert d["phi_class_spread"] <= 1e-12
     assert r["phi_decomposition"] <= 1e-12
     assert d["absorbing_rows"] == {2: pytest.approx(0.0, abs=1e-12)}
-    assert r["trace_comparison"]["equal"]
+    assert _trace_match(r["trace_comparison"], 3)
 
 
 def test_pipeline_records_only_the_one_step_duality_residual():
@@ -111,7 +117,7 @@ def test_spectrum_equivalence_shape(pipeline_a):
     P, res = pipeline_a
     out = spectrum_equivalence(P.matrix, res.p_tilde)
     np.testing.assert_allclose(out["traces"], out["traces_tilde"], atol=1e-12)
-    assert out["equal"]
+    assert _trace_match(out, 2)
     with pytest.raises(errors.DimensionMismatchError):
         spectrum_equivalence(P.matrix, np.eye(3))
 
@@ -127,7 +133,7 @@ def test_spectrum_equivalence_paper_scale_closed_form():
     power_sums = np.sum(t[None, :] ** np.arange(1, N + 2)[:, None], axis=1)
     out = identity_residuals(P, H, dual, res)["trace_comparison"]
     np.testing.assert_allclose(out["traces_tilde"], power_sums, rtol=0, atol=1e-10)
-    assert out["equal"]
+    assert _trace_match(out, N + 1)
 
 
 def test_spectrum_equivalence_catches_moved_diagonal_mass(pipeline_b):
@@ -139,7 +145,7 @@ def test_spectrum_equivalence_catches_moved_diagonal_mass(pipeline_b):
     pt[1, 2] += 1e-6
     out = spectrum_equivalence(P.matrix, pt)
     assert out["traces"][0] - out["traces_tilde"][0] == pytest.approx(1e-6, rel=1e-6)
-    assert not out["equal"]
+    assert not _trace_match(out, 3)
 
 
 def test_moran_hypergeometric_pipeline():
@@ -152,7 +158,7 @@ def test_moran_hypergeometric_pipeline():
     assert res.diagnostics["absorbing_rows"].keys() == {0}
     np.testing.assert_allclose(res.link[0], res.pi, atol=1e-12)
     np.testing.assert_allclose(res.phi[0], 1.0, atol=1e-12)
-    assert identity_residuals(P, H, rep.dual, res)["trace_comparison"]["equal"]
+    assert _trace_match(identity_residuals(P, H, rep.dual, res)["trace_comparison"], 6)
 
 
 def test_k_duality_scaled_at_paper_scale():
@@ -167,10 +173,12 @@ def test_k_duality_scaled_at_paper_scale():
     assert d["k_duality"] > 1.0
     assert d["k_duality_scaled"] <= 1e-14
     pt = np.asarray(res.p_tilde)
-    assert d["k_duality_scaled"] == kernels.scaled_residual(res.K, pt.T, P.matrix, res.K)
+    assert (d["k_duality_scaled"], d["k_duality"]) == kernels.scaled_residual(
+        res.K, pt.T, P.matrix, res.K)
+    assert d["k_duality"] == kernels.sup_norm(res.K @ pt.T - P.matrix @ res.K)
     K = res.K.copy()
     K[K == K[K > 0].min()] *= 1.0 + 1e-8
-    assert kernels.scaled_residual(K, pt.T, P.matrix, K) > 1e-10
+    assert kernels.scaled_residual(K, pt.T, P.matrix, K)[0] > 1e-10
     R = K @ pt.T - P.matrix @ K
     assert np.abs(R).max() / np.abs(K).max() < 1e-10
 

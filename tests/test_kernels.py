@@ -246,7 +246,7 @@ def test_reversal_involution(n, seed):
     np.testing.assert_allclose(pi @ back, pi, atol=1e-12)
 
 
-def test_classify_orders_transient_first():
+def test_classify_orders_classes_by_smallest_state():
     # states 0,1 drain into the absorbing pair {2}, {3}
     m = np.array([
         [0.5, 0.2, 0.3, 0.0],
@@ -256,9 +256,22 @@ def test_classify_orders_transient_first():
     ])
     dec = kernels.classify(m)
     assert dec.absorbing_states == [2, 3]
-    assert set(dec.classes[0]) <= {0, 1}
-    assert all(set(c) & {2, 3} for c in dec.classes[-2:])
+    assert dec.classes == [(0, 1), (2,), (3,)]
+    assert dec.stochastic_classes == [(2,), (3,)]
     assert not kernels.is_irreducible(m)
+    # 0 drains into 3 and 4 into 2: an order along the flow of mass that
+    # takes the free class of smallest state first reads 0, 1, 3, 4, 2
+    m = np.array([
+        [0.5, 0.0, 0.0, 0.5, 0.0],
+        [0.0, 1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 0.5, 0.0, 0.5],
+    ])
+    dec = kernels.classify(m)
+    assert dec.classes == [(0,), (1,), (2,), (3,), (4,)]
+    assert dec.stochastic_classes == [(1,), (2,), (3,)]
+    assert all(type(x) is int for c in dec.classes for x in c)
 
 
 def test_absorbing_states_window():

@@ -1,8 +1,10 @@
-"""Every public function and class of the package has a caller: code of the
+"""Every public function and class of the package, and every public method,
+property and annotated field of its classes, has a caller: code of the
 package outside its own definition, a script, the benchmark or an acceptance
 criterion.  A caller refers to the name in code (a Name or an Attribute), not
-in a docstring, and the re-exports of __init__.py do not count.  A name with
-no caller is deleted, or listed in KEPT with the reason it stays."""
+in a docstring or as a constructor keyword, and the re-exports of __init__.py
+do not count.  A name with no caller is deleted, or listed in KEPT with the
+reason it stays."""
 import ast
 from pathlib import Path
 
@@ -14,6 +16,8 @@ CALLERS = [*sorted((ROOT / "scripts").glob("*.py")), *sorted((ROOT / "perfbench"
 UNCHECKED = ("samplers",)
 
 KEPT = (
+    ("chains.ScaleProfile.dual_station",
+     "the dual side of the absorbing-reflecting route (ROADMAP item 18)"),
     ("spectra.bernoulli_laplace_weights",
      "the oracle of the Bernoulli-Laplace spectral weights (ROADMAP item 5)"),
     ("stationary_times.separation",
@@ -36,6 +40,24 @@ def referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return names
 
 
+def public_definitions(tree: ast.Module):
+    """(dotted name, node) of each public function and class of ``tree``,
+    and of each public method, property and annotated field of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef):
+                    name = member.name
+                elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                    name = member.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    yield f"{node.name}.{name}", member
+
+
 def test_every_public_name_has_a_caller():
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))
              if p.name != "__init__.py"}
@@ -46,10 +68,8 @@ def test_every_public_name_has_a_caller():
         if stem in UNCHECKED:
             continue
         elsewhere = outside.union(*(v for other, v in names.items() if other != stem))
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")
-                    and node.name not in elsewhere | referenced_names(tree, skip=node)):
-                uncalled.append(f"{stem}.{node.name}")
+        for name, node in public_definitions(tree):
+            if name.rpartition(".")[2] not in elsewhere | referenced_names(tree, skip=node):
+                uncalled.append(f"{stem}.{name}")
     # a KEPT name that gains a caller leaves KEPT
     assert sorted(uncalled) == sorted(name for name, _ in KEPT)
