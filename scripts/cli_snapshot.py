@@ -15,13 +15,12 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SERIES = ("spectrum", "phi_profile", "sep_vs_survival", "absorption_pmf")
 
 
-def runs(commands):
-    for command in commands:
+def runs(cli):
+    for command in cli.HANDLERS:
         if command == "plotdata":
-            for series in SERIES:
+            for series in cli.SERIES:
                 yield f"{command}-{series}", [command, "--series", series]
         else:
             yield command, [command]
@@ -31,12 +30,12 @@ def main(argv):
     if len(argv) != 2:
         sys.exit(__doc__.strip().splitlines()[2])
     sys.path.insert(0, str(ROOT / "src"))
-    from dualchain.cli import HANDLERS
+    from dualchain import cli
 
     out = Path(argv[1]).resolve()
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for config in sorted((ROOT / "configs").glob("*.json")):
-        for name, args in runs(HANDLERS):
+        for name, args in runs(cli):
             rundir = out / config.stem / name
             rundir.mkdir(parents=True, exist_ok=True)
             proc = subprocess.run(

@@ -13,31 +13,22 @@ from .kernels import BDParams
 from .tolerances import EPS_NEG, EPS_STOCH, RESID_TOL
 
 
-def make_bd(p, q, r=None, *, interior_positive: bool = True) -> BDParams:
+def make_bd(p, q, r=None) -> BDParams:
     """Validate birth-death vectors. q_0 = 0 and p_N = 0 are mandatory, and
     are stored exactly 0; the hold vector is filled in as 1 - p - q when
-    omitted.
-
-    Interior positivity (p_x, q_x > 0 for 0 < x < N, plus p_0 > 0, q_N > 0
-    checked separately by irreducibility) is demanded unless an absorbing
-    variant is explicitly requested with ``interior_positive=False``.
+    omitted.  A vanishing step is allowed anywhere: a reducible chain is
+    refused where its stationary law is needed.
     """
     p = np.array(p, dtype=float)
     q = np.array(q, dtype=float)
     if p.shape != q.shape or p.ndim != 1 or p.size < 2:
         raise errors.DimensionMismatchError("p and q must be equal-length vectors")
-    N = p.size - 1
     if r is not None and np.shape(r) != p.shape:
         raise errors.DimensionMismatchError("r length mismatch")
     b = BDParams(p, q, np.zeros_like(p) if r is None else r)
     if r is None:          # 1 - p - q from the exact boundary zeros the record stores
         b = BDParams(b.p, b.q, 1.0 - b.p - b.q)
     _stochastic_or_raise(b)
-    vanishing = np.flatnonzero((p[1:N] <= EPS_NEG) | (q[1:N] <= EPS_NEG)) + 1
-    if interior_positive and vanishing.size:
-        raise errors.InvalidBoundaryError(
-            f"interior state {vanishing[0]} has a vanishing transition; pass "
-            "interior_positive=False for absorbing variants")
     return b
 
 
@@ -123,7 +114,7 @@ def moran_kernel(N: int, bias: BiasFunction) -> BDParams:
     p = (1.0 - u) * pv
     q = u * qv
     r = u * pv + (1.0 - u) * qv
-    return make_bd(p, q, r, interior_positive=False)
+    return make_bd(p, q, r)
 
 
 def wright_fisher_kernel(N: int, bias: BiasFunction) -> kernels.Kernel:
@@ -141,13 +132,12 @@ def wright_fisher_kernel(N: int, bias: BiasFunction) -> kernels.Kernel:
 class ScaleProfile:
     """Absorption profile of a doubly absorbing birth-death chain.
 
-    ``eta`` is the scale function eta(x) = sum_{y<x} rho_y, rho_y = prod_{0<z<=y} q_z/p_z,
-    and ``phi``(x) = sum_{y>=x} rho_y / sum_y rho_y the probability of absorbing at 0.
+    ``phi``(x) = sum_{y>=x} rho_y / sum_y rho_y, rho_y = prod_{0<z<=y} q_z/p_z,
+    is the probability of absorbing at 0.
     ``dual_station`` is the stationary law of the one-step dual restricted to
     {0..N-1}; phi(x) = sum_{z>=x} dual_station(z) is asserted at build time.
     """
 
-    eta: np.ndarray
     phi: np.ndarray
     dual_station: np.ndarray
     identity_residual: float
@@ -171,7 +161,6 @@ def absorption_profile(params: BDParams) -> ScaleProfile:
 
     ratios = params.q[1:N] / params.p[1:N]
     terms = np.concatenate([[1.0], np.cumprod(ratios)])  # index y = 0..N-1
-    eta = np.concatenate([[0.0], np.cumsum(terms)])  # eta(0)..eta(N)
     above = np.append(np.cumsum(terms[::-1])[::-1], 0.0)  # sum_{y>=x} rho_y
     phi = above / above[0]
 
@@ -187,4 +176,4 @@ def absorption_profile(params: BDParams) -> ScaleProfile:
         raise errors.DualChainError(
             f"scale-function and dual-stationary profiles disagree ({resid})"
         )
-    return ScaleProfile(eta=eta, phi=phi, dual_station=station, identity_residual=resid)
+    return ScaleProfile(phi=phi, dual_station=station, identity_residual=resid)

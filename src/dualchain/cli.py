@@ -270,8 +270,9 @@ class Pipeline:
     """A config's chain, dual and intertwining, built once per command.
 
     ``p_bar`` is the kernel the link intertwines with ``res.p_tilde``: the
-    time reversal of P, or the Kernel P itself when the two agree within
-    RESID_TOL.
+    time reversal of P, or the Kernel P itself where P is birth-death
+    (detailed balance makes it its own reversal) or agrees with its
+    reversal within RESID_TOL.
     ``pt0`` is the point mass of the hidden chain at ``options.start``.
     """
 
@@ -331,10 +332,8 @@ def pipeline(cfg: dict, opts: dict) -> Pipeline:
         )
     pt0 = np.zeros(P.n)
     pt0[start] = 1.0
-    b, back = P.bands, res.back.bands       # the reversal is a record where P is one
-    gap = (np.asarray(res.back) - P.matrix if b is None
-           else np.concatenate([back.q[1:] - b.q[1:], back.r - b.r, back.p[:-1] - b.p[:-1]]))
-    reversible = kernels.sup_norm(gap) <= RESID_TOL
+    reversible = (P.bands is not None
+                  or kernels.sup_norm(np.asarray(res.back) - P.matrix) <= RESID_TOL)
     return Pipeline(P, H, report, res, P if reversible else res.back, start, pt0)
 
 
@@ -485,7 +484,7 @@ def cmd_simulate(cfg, opts):
         "n_paths": batch.n_paths,
         "seed": batch.seed,
         "rng": coupling.BIT_GENERATOR.__name__,
-        "fingerprint": batch.fingerprint,
+        "fingerprint": pk.fingerprint(),
         "trajectory_digest": batch.digest(),
     }
     return 0, {"empirical.csv": (["time", "coordinate", "state", "frequency", "exact"], rows),
@@ -559,6 +558,10 @@ def cmd_verify(cfg, opts):
     return 0 if summary["all_passed"] else 1, {"verify_summary.json": summary}
 
 
+# the series plotdata writes
+SERIES = ("spectrum", "phi_profile", "sep_vs_survival", "absorption_pmf")
+
+
 def cmd_plotdata(cfg, opts):
     series = opts.get("series")
     if not series:
@@ -584,7 +587,8 @@ def cmd_plotdata(cfg, opts):
             ex = stationary_times.absorption_exact(pipe.res.p_tilde, pipe.pt0, sharp.boundary)
             rows = [(str(n), series, ex.pmf[n]) for n in range(ex.n_max + 1)]
     else:
-        raise errors.ConfigError(f"unknown series {series!r}")
+        raise errors.ConfigError(
+            f"unknown series {series!r}; the series are {', '.join(SERIES)}")
     return 0, {"series.csv": (["n", "series", "value"], rows)}
 
 

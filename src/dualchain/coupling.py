@@ -29,15 +29,12 @@ class ProductKernel:
     its factors P, Ptilde and Lambda.
 
     ``inv_lp`` is 1 / (Lambda P)(xt, y), set to 0 where (Lambda P)(xt, y) = 0.
-    ``consistent`` marks the pairs with Lambda(xt, x) > 0; the coupled walk
-    never leaves them.
     """
 
     p: np.ndarray
     p_tilde: np.ndarray
     link: np.ndarray
     inv_lp: np.ndarray
-    consistent: np.ndarray
 
     @property
     def n(self) -> int:
@@ -66,7 +63,8 @@ def product_kernel(P, p_tilde, link) -> ProductKernel:
         raise errors.IntertwiningResidualError(f"link residual {r:.3g}")
 
     inv_lp = np.divide(1.0, W, out=np.zeros_like(W), where=W > 0)
-    consistent = (L.T > EPS_NEG)                 # (x, xt)
+    # the pairs (x, xt) with Lambda(xt, x) > 0, which the coupled walk never leaves
+    consistent = (L.T > EPS_NEG)
     # row sum at pair (x, xt): sum_y P(x, y) (Ptilde Lambda)(xt, y) / (Lambda P)(xt, y)
     sums = (m @ (V * inv_lp).T).reshape(-1)
     bad = consistent.reshape(-1) & (np.abs(sums - 1.0) > EPS_STOCH)
@@ -75,7 +73,7 @@ def product_kernel(P, p_tilde, link) -> ProductKernel:
         raise errors.NotStochasticError(
             f"coupled row at pair {divmod(s, nt)} sums to {sums[s]}"
         )
-    return ProductKernel(p=m, p_tilde=pt, link=L, inv_lp=inv_lp, consistent=consistent)
+    return ProductKernel(p=m, p_tilde=pt, link=L, inv_lp=inv_lp)
 
 
 # exact_joint stacks the laws of a block of steps: at most 2^17 entries (1 MB)
@@ -136,7 +134,6 @@ class TrajectoryBatch:
     x: np.ndarray          # observed coordinates
     x_tilde: np.ndarray    # hidden coordinates, same shape and layout
     seed: int
-    fingerprint: str
 
     @property
     def n_paths(self) -> int:
@@ -318,7 +315,7 @@ def simulate(pk: ProductKernel, pi_tilde0, n_steps: int, n_paths: int,
         np.take(tcols, idx, out=yt, mode="wrap")
         X[t], XT[t] = nxt
         cur, nxt = nxt, cur
-    return TrajectoryBatch(x=X.T, x_tilde=XT.T, seed=seed, fingerprint=pk.fingerprint())
+    return TrajectoryBatch(x=X.T, x_tilde=XT.T, seed=seed)
 
 
 def _binomial_stat(counts, trials, probs) -> np.ndarray:

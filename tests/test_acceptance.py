@@ -231,10 +231,10 @@ def test_criterion_07_scale_function_agreement():
         q = np.zeros(N + 1)
         p[1:N] = rng.uniform(0.05, 0.45, size=N - 1)
         q[1:N] = rng.uniform(0.05, 0.45, size=N - 1)
-        prof = absorption_profile(make_bd(p, q, interior_positive=False))
+        prof = absorption_profile(make_bd(p, q))
         ok = ok and prof.identity_residual <= 1e-10
     gambler = absorption_profile(
-        make_bd(p=[0.0, 0.5, 0.0], q=[0.0, 0.5, 0.0], interior_positive=False)
+        make_bd(p=[0.0, 0.5, 0.0], q=[0.0, 0.5, 0.0])
     )
     ok = ok and abs(gambler.phi[1] - 0.5) <= 1e-15
     _report(7, ok, "ruin probability from the scale recursion matches the "
@@ -427,7 +427,7 @@ def test_criterion_14_absorbed_bottom_duality():
         q = np.zeros(N + 1)
         p[1:N] = rng.uniform(0.08, 0.45, size=N - 1)
         q[1:] = rng.uniform(0.08, 0.45, size=N)
-        params = make_bd(p, q, interior_positive=False)
+        params = make_bd(p, q)
         P = bd_kernel(params).matrix
         dual = siegmund_dual(P).dual
         left = np.eye(N + 1)

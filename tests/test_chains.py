@@ -60,7 +60,7 @@ def test_a_record_stores_boundary_steps_within_eps_neg_as_zero():
 def test_non_finite_birth_death_data_is_refused_by_name():
     # NaN once passed make_bd and came out as a NaN mean with a plausible pmf
     with pytest.raises(errors.NonFiniteEntryError, match="^p "):
-        make_bd([0.3, np.nan, 0.0], [0.0, 0.2, 0.5], interior_positive=False)
+        make_bd([0.3, np.nan, 0.0], [0.0, 0.2, 0.5])
     with pytest.raises(errors.NonFiniteEntryError, match="^q "):
         make_bd([0.3, 0.2, 0.0], [0.0, np.inf, 0.5], r=[0.7, 0.3, 0.5])
     with pytest.raises(errors.NonFiniteEntryError, match="^r "):
@@ -89,10 +89,13 @@ def test_bd_record_derives_its_size_from_its_vectors():
 
 
 def test_make_bd_interior_positivity():
-    with pytest.raises(errors.InvalidBoundaryError):
-        make_bd(p=[0.3, 0.0, 0.0], q=[0.0, 0.1, 0.2])
-    params = make_bd(p=[0.3, 0.0, 0.0], q=[0.0, 0.1, 0.2], interior_positive=False)
-    assert params.N == 2
+    # a vanishing interior step makes a record like any other; the reducible
+    # chain is refused where its stationary law is needed, naming where it breaks
+    params = make_bd(p=[0.3, 0.0, 0.0], q=[0.0, 0.1, 0.2])
+    assert params.N == 2 and params.p[1] == 0.0
+    assert not is_irreducible(params)
+    with pytest.raises(errors.NotIrreducibleError, match="between x = 1 and x \\+ 1$"):
+        stationary(params)
 
 
 def test_bd_kernel_chain_a(chain_a):
@@ -179,10 +182,10 @@ def test_nondecreasing_bias_gives_monotone_moran(N, seed):
 
 
 def test_absorption_profile_gambler_ruin():
-    params = make_bd(p=[0.0, 0.5, 0.0], q=[0.0, 0.5, 0.0], interior_positive=False)
+    params = make_bd(p=[0.0, 0.5, 0.0], q=[0.0, 0.5, 0.0])
     prof = absorption_profile(params)
     assert prof.phi[1] == pytest.approx(0.5, abs=1e-15)
-    np.testing.assert_allclose(prof.eta, [0.0, 1.0, 2.0], atol=1e-15)
+    np.testing.assert_allclose(prof.phi, [1.0, 0.5, 0.0], atol=1e-15)
     assert prof.identity_residual <= 1e-12
 
 
@@ -213,6 +216,6 @@ def test_absorption_profile_identity_random(N, seed):
     q = np.zeros(N + 1)
     p[1:N] = rng.uniform(0.05, 0.45, size=N - 1)
     q[1:N] = rng.uniform(0.05, 0.45, size=N - 1)
-    prof = absorption_profile(make_bd(p, q, interior_positive=False))
+    prof = absorption_profile(make_bd(p, q))
     assert prof.identity_residual <= 1e-10
     assert np.all(np.diff(prof.phi) <= 1e-15)

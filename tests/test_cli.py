@@ -148,6 +148,24 @@ def test_spectrum_moran(tmp_path):
     assert summary["gap"] == pytest.approx(0.5 / 6, abs=1e-12)
 
 
+def test_a_bd_chain_with_a_vanishing_interior_step_is_refused_where_pi_is_needed(
+        tmp_path, monkeypatch, capsys):
+    # the record builds, as the same chain given as a moran config does
+    cfg = {"kind": "bd", "p": [0.3, 0.0, 0.0], "q": [0.0, 0.1, 0.2]}
+    assert _run_cfg("build", cfg, tmp_path) == 0
+    summary = json.loads((tmp_path / "build_summary.json").read_text())
+    assert not summary["irreducible"] and "stationary" not in summary
+    monkeypatch.setattr("sys.argv", ["dualchain", "ssd", "--config", str(tmp_path / "config.json"),
+                                     "--out", str(tmp_path / "ssd")])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == (
+        "error: NotIrreducibleError: kernel is not irreducible: n = 3 states, "
+        "no link both ways between x = 1 and x + 1\n")
+    assert not (tmp_path / "ssd").exists()
+
+
 def test_spectrum_needs_bd_chain(tmp_path):
     with pytest.raises(errors.ConfigError, match="spectrum needs a birth-death chain"):
         _run_cfg("spectrum", NON_REVERSIBLE, tmp_path)
@@ -681,7 +699,8 @@ def test_plotdata_series(tmp_path):
 
 
 def test_plotdata_unknown_series(tmp_path):
-    with pytest.raises(errors.ConfigError):
+    with pytest.raises(errors.ConfigError, match="'wat'; the series are spectrum, phi_profile, "
+                                                 "sep_vs_survival, absorption_pmf$"):
         _run("plotdata", "chain_a.json", tmp_path, "--series", "wat")
 
 
@@ -964,8 +983,7 @@ BIAS = [0.1, 0.3, 0.5, 0.7, 0.9]
 RUNS = {"build": ["build"], "dual": ["dual"], "intertwine": ["intertwine"],
         "spectrum": ["spectrum"], "ssd": ["ssd"], "simulate": ["simulate"],
         "verify": ["verify"],
-        **{f"plotdata-{series}": ["plotdata", "--series", series]
-           for series in ("spectrum", "phi_profile", "sep_vs_survival", "absorption_pmf")}}
+        **{f"plotdata-{series}": ["plotdata", "--series", series] for series in cli.SERIES}}
 # the runs that build the dual
 PIPELINE_RUNS = ["dual", "intertwine", "ssd", "simulate", "verify", "plotdata-phi_profile",
                  "plotdata-sep_vs_survival", "plotdata-absorption_pmf"]

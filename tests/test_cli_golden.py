@@ -21,7 +21,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
-SERIES = ("spectrum", "phi_profile", "sep_vs_survival", "absorption_pmf")
 ONE_THREAD = dict.fromkeys(
     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 
@@ -31,7 +30,7 @@ def outcomes() -> dict:
     from dualchain import cli
 
     runs = [(name, [name]) for name in cli.HANDLERS if name != "plotdata"]
-    runs += [(f"plotdata-{s}", ["plotdata", "--series", s]) for s in SERIES]
+    runs += [(f"plotdata-{s}", ["plotdata", "--series", s]) for s in cli.SERIES]
     table = {}
     for config in sorted((ROOT / "configs").glob("*.json")):
         table[config.stem] = {}

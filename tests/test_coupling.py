@@ -34,7 +34,7 @@ def pair_matrix(pk):
     M = pt[:, None, :] * L.T[None, :, :]         # (xt, y, yt)
     D = np.divide(M, W[:, :, None], out=np.zeros_like(M), where=W[:, :, None] > 0)
     big = (m[:, None, :, None] * D[None, :, :, :]).reshape(n * nt, n * nt)
-    idx = np.flatnonzero(~pk.consistent.reshape(-1))
+    idx = np.flatnonzero(~(L.T > 1e-12).reshape(-1))   # pairs with Lambda(xt, x) = 0
     big[idx] = 0.0
     big[idx, idx] = 1.0
     return big
@@ -98,7 +98,7 @@ def dense_simulate(pk, pi_tilde0, n_steps, n_paths, seed=0):
         cum_w = np.cumsum(pk.p_tilde[xt[:, t - 1]] * pk.link[:, y].T, axis=1)
         x[:, t] = y
         xt[:, t] = ((u[1] * cum_w[:, -1])[:, None] > cum_w).sum(axis=1)
-    return TrajectoryBatch(x=x, x_tilde=xt, seed=seed, fingerprint=pk.fingerprint())
+    return TrajectoryBatch(x=x, x_tilde=xt, seed=seed)
 
 
 def moran_coupled(N, a1, a2):
@@ -120,14 +120,12 @@ def coupled_b(pipeline_b):
 
 
 def test_product_kernel_rows_and_consistency(coupled_a):
-    pk, res = coupled_a
+    pk, _ = coupled_a
     big = pair_matrix(pk)
     np.testing.assert_allclose(big.sum(axis=1), 1.0, atol=1e-12)
     assert np.min(big) >= 0
     lp = pk.link @ pk.p
     np.testing.assert_allclose(pk.inv_lp * lp, (lp > 0).astype(float), atol=1e-15)
-    # consistent pairs are exactly the positive link entries
-    np.testing.assert_array_equal(pk.consistent, res.link.T > 1e-12)
     # pair states s = x * n_tilde + xt
     assert big.shape == (pk.n * pk.n_tilde,) * 2
 
@@ -141,7 +139,7 @@ def test_product_kernel_reuses_its_products():
     W = L @ m
     inv_lp = np.divide(1.0, W, out=np.zeros_like(W), where=W > 0)
     sums = (m @ ((pt @ L) * inv_lp).T).reshape(-1)
-    assert np.abs(sums[pk.consistent.reshape(-1)] - 1.0).max() <= 1e-9
+    assert np.abs(sums[(L.T > 1e-12).reshape(-1)] - 1.0).max() <= 1e-9
     assert np.array_equal(pk.inv_lp, inv_lp)
     oracle = dataclasses.replace(pk, inv_lp=inv_lp)
     nu0 = np.eye(pk.n_tilde)[0]
@@ -259,7 +257,7 @@ def test_empirical_report_refuses_a_batch_without_steps(coupled_b):
 def test_empirical_report_refuses_a_batch_without_paths(coupled_b):
     pk, _ = coupled_b
     empty = np.zeros((0, 31), dtype=np.int64)
-    batch = TrajectoryBatch(x=empty, x_tilde=empty, seed=0, fingerprint=pk.fingerprint())
+    batch = TrajectoryBatch(x=empty, x_tilde=empty, seed=0)
     with pytest.raises(ValueError, match="batch must have at least one path"):
         empirical_report(batch, pk, np.eye(3)[0])
 
@@ -337,8 +335,9 @@ def test_fingerprint_tracks_inputs(coupled_a, coupled_b):
     pk_b, _ = coupled_b
     assert pk_a.fingerprint() == pk_a.fingerprint()
     assert pk_a.fingerprint() != pk_b.fingerprint()
-    batch = simulate(pk_a, np.array([1.0, 0.0]), n_steps=3, n_paths=8, seed=1)
-    assert batch.fingerprint == pk_a.fingerprint()
+    p = pk_a.p.copy()
+    p[0, 0] = np.nextafter(p[0, 0], 0.0)
+    assert dataclasses.replace(pk_a, p=p).fingerprint() != pk_a.fingerprint()
 
 
 def pipeline_coupled(cfg):

@@ -105,7 +105,7 @@ def test_is_monotone():
 def test_is_monotone_bd_iff_boundary_sums(counts):
     # a birth-death kernel is monotone exactly when p_x + q_{x+1} <= 1
     kp, kq = counts
-    P = bd_kernel(make_bd(kp / 20, kq / 20, interior_positive=False))
+    P = bd_kernel(make_bd(kp / 20, kq / 20))
     assert is_monotone(P) == bool(np.all(kp[:-1] + kq[1:] <= 20))
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from dualchain import cli, errors, kernels
 from dualchain.chains import bd_kernel, moran_kernel, mutation_bias
 from dualchain.duals import (
+    DualFunction,
     dual_via_solve,
     hypergeometric_function,
     siegmund_dual,
@@ -100,6 +101,17 @@ def test_pipeline_hands_on_the_residual_of_a_wrong_dual(chain_a):
     H = siegmund_function(1).matrix
     assert res.diagnostics["duality"]["static"] == kernels.sup_norm(P.matrix @ H - H) > 0.1
     assert res.diagnostics["phi_harmonic"] == 0.0
+
+
+def test_a_stochastic_dual_with_one_class_is_its_own_transform():
+    # a doubly stochastic P is dual to its transpose through H = I; that dual
+    # is stochastic with one class, so phi = pi is constant and P~ is the dual
+    P = np.array([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]])
+    res = build_intertwining(P, DualFunction(np.eye(3), "custom"), P.T)
+    np.testing.assert_allclose(res.phi, 1 / 3, rtol=1e-15)
+    assert [cls for cls, _ in res.class_constants] == [(0, 1, 2)]
+    assert res.diagnostics["phi_constant"] == 0.0
+    assert res.diagnostics["p_tilde_equals_dual"] == 0.0
 
 
 def test_constant_column_detection():

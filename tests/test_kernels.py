@@ -136,8 +136,8 @@ def test_a_kernel_reads_as_its_matrix_through_the_array_protocol():
 
 
 def test_a_reducible_kernel_is_refused_by_its_size_and_where_it_breaks():
-    absorbing_ends = make_bd([0.0, 0.3, 0.0], [0.0, 0.2, 0.0], interior_positive=False)
-    cut_inside = make_bd([0.5, 1e-13, 0.0], [0.0, 0.5, 0.5], interior_positive=False)
+    absorbing_ends = make_bd([0.0, 0.3, 0.0], [0.0, 0.2, 0.0])
+    cut_inside = make_bd([0.5, 1e-13, 0.0], [0.0, 0.5, 0.5])
     for P, message in [
         (absorbing_ends, "n = 3 states, no link both ways between x = 0 and x + 1"),
         (bd_kernel(cut_inside), "n = 3 states, no link both ways between x = 1 and x + 1"),
@@ -405,10 +405,9 @@ def _banded_records():
         r = 1.0 - p - q
         if variant == 4:                    # F(x, x) = q_x + r_x is not 1 where p_x = 0
             r += rng.integers(-3, 4, size=N + 1) * np.spacing(r)
-        records.append(make_bd(p, q, r, interior_positive=False))
-    records.append(make_bd([1.0, 0.0], [0.0, 0.0], interior_positive=False))
-    records.append(make_bd([0.5, 0.0, 0.0], [0.0, 0.25, 1.0 - 2**-53], [0.5, 0.75, 0.0],
-                           interior_positive=False))
+        records.append(make_bd(p, q, r))
+    records.append(make_bd([1.0, 0.0], [0.0, 0.0]))
+    records.append(make_bd([0.5, 0.0, 0.0], [0.0, 0.25, 1.0 - 2**-53], [0.5, 0.75, 0.0]))
     records.append(moran_kernel(100, mutation_bias(0.5, 0.5, 100)))
     return records
 

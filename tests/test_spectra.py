@@ -69,7 +69,7 @@ def test_tridiagonal_eigenvalues_match_scipy_bitwise(n):
 
 
 def test_bd_spectrum_requires_irreducible():
-    params = make_bd(p=[0.0, 0.5, 0.0], q=[0.0, 0.5, 0.0], interior_positive=False)
+    params = make_bd(p=[0.0, 0.5, 0.0], q=[0.0, 0.5, 0.0])
     with pytest.raises(errors.NotIrreducibleError):
         bd_spectrum(params)
 
@@ -96,7 +96,7 @@ def test_orthopoly_roots_match_eigensolver(rng):
 
 
 def test_orthopoly_oracle_needs_positive_up_rates():
-    params = make_bd(p=[0.0, 0.5, 0.0], q=[0.0, 0.5, 0.0], interior_positive=False)
+    params = make_bd(p=[0.0, 0.5, 0.0], q=[0.0, 0.5, 0.0])
     with pytest.raises(errors.ZeroUpProbabilityError):
         orthopoly_oracle(params, 0.5)
 

@@ -55,7 +55,8 @@ def test_separation_basics():
 
 def test_separation_allows_mass_defect():
     # mu > pi everywhere with total mass 1 + delta: sep = -delta and
-    # TV = delta / 2, so TV - sep = 1.5 delta lies above a fixed 1e-12 slack
+    # TV = delta / 2, so TV - sep = 1.5 delta lies above 1e-12; separation
+    # reads the value and gates no sep >= TV, which only laws of equal mass obey
     pi = np.array([0.1, 0.2, 0.3, 0.4])
     delta = 1e-11
     mu = pi * (1.0 + delta)
@@ -65,7 +66,7 @@ def test_separation_allows_mass_defect():
 
 def test_separation_gate_on_mixed_dense_chain():
     # the chain mixes within 100 steps and mu_n drifts to mass 1 + 1.7e-12,
-    # which tripped the fixed-slack separation gate
+    # which once tripped a sep >= TV gate with a fixed slack
     m = random_monotone_kernel(np.random.default_rng(108), 200)
     res = build_intertwining(m, siegmund_function(199), siegmund_dual(m).dual)
     start = np.zeros(200)
@@ -361,8 +362,7 @@ def test_routes_refuse_a_short_explicit_horizon_alike():
         lambda: absorption_exact(np.array([[0.9, 0.1], [0.0, 1.0]]), np.array([1.0, 0.0]),
                                  boundary=1, n_max=5),
         lambda: absorption_spectral(Spectrum(np.array([1.0, 0.9])), n_max=5),
-        lambda: absorption_recurrence(make_bd([0.1, 0.0], [0.0, 0.0],
-                                              interior_positive=False), n_max=5),
+        lambda: absorption_recurrence(make_bd([0.1, 0.0], [0.0, 0.0]), n_max=5),
     )
     for route in routes:
         with pytest.raises(errors.TruncationTooCoarseError) as info:
@@ -685,12 +685,11 @@ def test_absorption_spectral_overflowing_coefficients_stay_silent():
 
 
 def test_absorption_recurrence_guards():
-    params = make_bd(p=[0.0, 0.5, 0.0], q=[0.0, 0.5, 0.0], interior_positive=False)
+    params = make_bd(p=[0.0, 0.5, 0.0], q=[0.0, 0.5, 0.0])
     with pytest.raises(errors.ZeroUpProbabilityError):
         absorption_recurrence(params)
     with pytest.raises(errors.TruncationTooCoarseError):
-        absorption_recurrence(make_bd(p=[0.3, 0.4, 0.0], q=[0.0, 0.1, 0.0],
-                                      interior_positive=False), n_max=2)
+        absorption_recurrence(make_bd(p=[0.3, 0.4, 0.0], q=[0.0, 0.1, 0.0]), n_max=2)
 
 
 def test_absorption_recurrence_auto_horizon_is_capped():
@@ -747,7 +746,7 @@ def test_cutoff_report_moran_full_strength():
 
 
 def test_cutoff_report_flat_family_no_flag(chain_b):
-    out = cutoff_report(lambda N: chain_b, [2, 4, 8])
+    out = cutoff_report(lambda N: bd_spectrum(chain_b), [2, 4, 8])
     assert not out["cutoff_flag"]
     assert all(r["relative_variance"] > 0 for r in out["rows"])
 
