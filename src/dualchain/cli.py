@@ -438,7 +438,7 @@ def cmd_spectrum(cfg, opts):
         raise errors.ConfigError("spectrum needs a birth-death chain")
     spec = spectra.spectral_weights(params)
     rows = [(str(k), spec.eigenvalues[k], spec.weights[k]) for k in range(spec.n)]
-    checks = spectra.spectrum_monotonicity_checks(params)
+    checks = spectra.spectrum_monotonicity_checks(params, spec)
     return 0, {
         "spectrum.csv": (["k", "t_k", "mu_k"], rows),
         "spectrum_summary.json": {"gap": spec.gap, **{key: checks[key] for key in (

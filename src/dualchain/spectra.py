@@ -101,23 +101,20 @@ def bd_spectrum(params: BDParams) -> Spectrum:
 
 
 def spectral_weights(params: BDParams) -> Spectrum:
-    """Spectrum with mu_k = (first component of the k-th orthonormal
-    eigenvector of Q)^2; self-checked against mu_0 = pi(0) and sum = 1."""
+    """``bd_spectrum`` with mu_k = (first component of the k-th orthonormal
+    eigenvector of Q)^2; self-checked against mu_0 = pi(0) and sum = 1.
+    The eigenvalues are those of ``tridiagonal_eigenvalues``, like every
+    other the package writes; eigh_tridiagonal supplies only the vectors."""
     pi0 = kernels.stationary(params)[0]     # raises NotIrreducibleError first
+    spec = bd_spectrum(params)
     from scipy.linalg import eigh_tridiagonal
 
-    d, e = _symmetrized(params)
-    vals, vecs = eigh_tridiagonal(d, e)
-    order = np.argsort(vals)[::-1]
-    t = np.clip(vals[order], -1.0, 1.0)
-    if abs(t[0] - 1.0) <= SPECTRUM_TOL:
-        t[0] = 1.0
-    mu = vecs[0, order] ** 2
+    mu = eigh_tridiagonal(*_symmetrized(params))[1][0, ::-1] ** 2   # descending, as t
     if abs(mu[0] - pi0) > EPS_STOCH:
         raise errors.SpectrumError(f"mu_0 = {mu[0]} does not match pi(0) = {pi0}")
     if abs(mu.sum() - 1.0) > EPS_STOCH:
         raise errors.SpectrumError("spectral weights do not sum to 1")
-    return Spectrum(eigenvalues=t, weights=mu)
+    return Spectrum(eigenvalues=spec.eigenvalues, weights=mu)
 
 
 def orthopoly_oracle(params: BDParams, t):
@@ -177,8 +174,9 @@ def orthopoly_roots(params: BDParams) -> np.ndarray:
     )
 
 
-def spectrum_monotonicity_checks(params: BDParams) -> dict:
-    """Spectral-sign versus monotonicity implications for one chain.
+def spectrum_monotonicity_checks(params: BDParams, spec: Spectrum) -> dict:
+    """Spectral-sign versus monotonicity implications for one chain and its
+    spectrum ``spec``.
 
     Asserted: a nonnegative spectrum forces monotonicity, and holding
     probabilities strictly above 1/2 force a strictly positive spectrum
@@ -186,12 +184,10 @@ def spectrum_monotonicity_checks(params: BDParams) -> dict:
     failures (monotone with a negative eigenvalue) are reported, not
     raised.
     """
-    spec = bd_spectrum(params)
     t_min = float(spec.eigenvalues[-1])
     monotone = is_monotone(params)
     r_min = float(params.r.min())
     out = {
-        "spectrum": spec,
         "monotone": monotone,
         "min_eigenvalue": t_min,
         "min_holding": r_min,

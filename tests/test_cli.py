@@ -166,6 +166,23 @@ def test_a_bd_chain_with_a_vanishing_interior_step_is_refused_where_pi_is_needed
     assert not (tmp_path / "ssd").exists()
 
 
+def test_spectrum_and_its_plotdata_series_write_the_same_eigenvalues(tmp_path):
+    # bit for bit (%.17g re-reads exactly), on every birth-death config; the
+    # gap and the least eigenvalue of spectrum_summary.json read the same t_k
+    configs = [c for c in sorted(CONFIGS.glob("*.json"))
+               if cli.build_chain(json.loads(c.read_text())).bands is not None]
+    assert len(configs) == 5
+    for config in configs:
+        spectrum, series = tmp_path / config.stem / "spectrum", tmp_path / config.stem / "series"
+        assert _run("spectrum", config.name, spectrum) == 0
+        assert _run("plotdata", config.name, series, "--series", "spectrum") == 0
+        t = [row.split(",")[1] for row in (spectrum / "spectrum.csv").read_text().splitlines()[1:]]
+        assert t == [row.split(",")[2]
+                     for row in (series / "series.csv").read_text().splitlines()[1:]], config.stem
+        summary = json.loads((spectrum / "spectrum_summary.json").read_text())
+        assert summary["gap"] == 1.0 - float(t[1]) and summary["min_eigenvalue"] == float(t[-1])
+
+
 def test_spectrum_needs_bd_chain(tmp_path):
     with pytest.raises(errors.ConfigError, match="spectrum needs a birth-death chain"):
         _run_cfg("spectrum", NON_REVERSIBLE, tmp_path)

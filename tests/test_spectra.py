@@ -179,20 +179,20 @@ def test_moran_half_mutation_spectrum_nonnegative():
 
 
 def test_monotonicity_checks_pass_paths(chain_b):
-    out = spectrum_monotonicity_checks(chain_b)
+    out = spectrum_monotonicity_checks(chain_b, bd_spectrum(chain_b))
     assert out["monotone"]
     # lazy version: holding above 1/2 forces a positive spectrum
     lazy = make_bd(
         p=0.5 * chain_b.p, q=0.5 * chain_b.q, r=0.5 * chain_b.r + 0.5
     )
-    out2 = spectrum_monotonicity_checks(lazy)
+    out2 = spectrum_monotonicity_checks(lazy, bd_spectrum(lazy))
     assert out2["half_holding"] and out2["min_eigenvalue"] > 0
 
 
 def test_monotonicity_checks_report_negative_monotone():
     # monotone chain whose spectrum dips below zero
     params = reflected_walk_params(2, 0.5, 0.5)
-    out = spectrum_monotonicity_checks(params)
+    out = spectrum_monotonicity_checks(params, bd_spectrum(params))
     assert out["monotone_but_negative_spectrum"]
 
 
@@ -202,6 +202,6 @@ def test_spectral_nonnegativity_forces_monotone(N, seed):
     # raises inside when a nonnegative spectrum meets a non-monotone chain
     rng = np.random.default_rng(seed)
     params = random_monotone_bd(rng, N)
-    out = spectrum_monotonicity_checks(params)
+    out = spectrum_monotonicity_checks(params, bd_spectrum(params))
     if out["spectrally_nonnegative"]:
         assert out["monotone"]
