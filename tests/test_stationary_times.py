@@ -54,9 +54,9 @@ def test_separation_basics():
 
 
 def test_separation_allows_mass_defect():
-    # mu > pi everywhere with total mass 1 + delta: sep = -delta and
-    # TV = delta / 2, so TV - sep = 1.5 delta lies above 1e-12; separation
-    # reads the value and gates no sep >= TV, which only laws of equal mass obey
+    # mu > pi everywhere with total mass 1 + delta: sep = -delta lies below
+    # TV = delta / 2 by 1.5 delta, as a law of another mass may; separation
+    # returns the value
     pi = np.array([0.1, 0.2, 0.3, 0.4])
     delta = 1e-11
     mu = pi * (1.0 + delta)
@@ -65,8 +65,8 @@ def test_separation_allows_mass_defect():
 
 
 def test_separation_gate_on_mixed_dense_chain():
-    # the chain mixes within 100 steps and mu_n drifts to mass 1 + 1.7e-12,
-    # which once tripped a sep >= TV gate with a fixed slack
+    # the chain mixes within 100 steps and mu_n drifts to mass 1 + 1.7e-12;
+    # the table still reads sep = survival within 1e-9
     m = random_monotone_kernel(np.random.default_rng(108), 200)
     res = build_intertwining(m, siegmund_function(199), siegmund_dual(m).dual)
     start = np.zeros(200)
