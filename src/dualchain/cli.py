@@ -269,10 +269,6 @@ class Infeasible(Exception):
 class Pipeline:
     """A config's chain, dual and intertwining, built once per command.
 
-    ``p_bar`` is the kernel the link intertwines with ``res.p_tilde``: the
-    time reversal of P, or the Kernel P itself where P is birth-death
-    (detailed balance makes it its own reversal) or agrees with its
-    reversal within RESID_TOL.
     ``pt0`` is the point mass of the hidden chain at ``options.start``.
     """
 
@@ -280,7 +276,6 @@ class Pipeline:
     H: duals.DualFunction
     report: duals.DualReport
     res: intertwining.IntertwiningResult
-    p_bar: kernels.Kernel
     start: int
     pt0: np.ndarray
 
@@ -294,7 +289,7 @@ class Pipeline:
     def sharpness(self, n_max: int) -> stationary_times.SharpnessReport:
         """Separation against hidden survival from the start state."""
         return stationary_times.verify_sharpness(
-            self.p_bar, self.res.p_tilde, self.res.link, self.res.link[self.start],
+            self.res.back, self.res.p_tilde, self.res.link, self.res.link[self.start],
             self.pt0, n_max=n_max,
         )
 
@@ -302,7 +297,7 @@ class Pipeline:
         """``sharpness`` with the link residual it rests on gated first and
         its own readings after, for a command that relies on it."""
         gate({"link_intertwining": kernels.link_residual(
-            self.res.p_tilde, self.res.link, self.p_bar)[0]}, self.P.n)
+            self.res.p_tilde, self.res.link, self.res.back)[0]}, self.P.n)
         sharp = self.sharpness(n_max)
         gate(_sharpness_readings(sharp), self.P.n)
         return sharp
@@ -332,9 +327,7 @@ def pipeline(cfg: dict, opts: dict) -> Pipeline:
         )
     pt0 = np.zeros(P.n)
     pt0[start] = 1.0
-    reversible = (P.bands is not None
-                  or kernels.sup_norm(np.asarray(res.back) - P.matrix) <= RESID_TOL)
-    return Pipeline(P, H, report, res, P if reversible else res.back, start, pt0)
+    return Pipeline(P, H, report, res, start, pt0)
 
 
 def gated_pipeline(cfg: dict, opts: dict) -> Pipeline:
@@ -469,7 +462,7 @@ def cmd_ssd(cfg, opts):
 def cmd_simulate(cfg, opts):
     pipe = gated_pipeline(cfg, opts)
     # product_kernel measures and gates the link residual itself
-    pk = coupling.product_kernel(pipe.p_bar, pipe.res.p_tilde, pipe.res.link)
+    pk = coupling.product_kernel(pipe.res.back, pipe.res.p_tilde, pipe.res.link)
     batch = coupling.simulate(pk, pipe.pt0, n_steps=opts.get("n_max", 50),
                               n_paths=opts.get("trials", 10000), seed=opts.get("seed", 0))
     rep = coupling.empirical_report(batch, pk, pipe.pt0)

@@ -65,9 +65,12 @@ def product_kernel(P, p_tilde, link) -> ProductKernel:
     inv_lp = np.divide(1.0, W, out=np.zeros_like(W), where=W > 0)
     # the pairs (x, xt) with Lambda(xt, x) > 0, which the coupled walk never leaves
     consistent = (L.T > EPS_NEG)
-    # row sum at pair (x, xt): sum_y P(x, y) (Ptilde Lambda)(xt, y) / (Lambda P)(xt, y)
-    sums = (m @ (V * inv_lp).T).reshape(-1)
-    bad = consistent.reshape(-1) & (np.abs(sums - 1.0) > EPS_STOCH)
+    # row sum at pair (x, xt): sum_y P(x, y) (Ptilde Lambda)(xt, y) / (Lambda P)(xt, y),
+    # from the ratio, which stays finite where a subnormal (Lambda P) makes
+    # inv_lp overflow; a NaN sum fails the comparison
+    ratio = np.divide(V, W, out=np.zeros_like(W), where=W > 0)
+    sums = (m @ ratio.T).reshape(-1)
+    bad = consistent.reshape(-1) & ~(np.abs(sums - 1.0) <= EPS_STOCH)
     if np.any(bad):
         s = int(np.argmax(bad))
         raise errors.NotStochasticError(

@@ -9,7 +9,9 @@ and an H-dual Phat, the pipeline produces
     K = H D_phi^{-1}
 
 with Ptilde Lambda = Lambda Pback and K Ptilde' = P K, where Pback is the
-time reversal of P.  ``build_intertwining`` builds these, refusing only
+time reversal of P, taken as P itself when P is birth-death (detailed
+balance) or within RESID_TOL of its reversal.  ``build_intertwining``
+builds these, deciding Pback once for every command, and refuses only
 what would leave a later stage undefined; ``identity_residuals`` measures
 each identity on the result, including the decomposition of the harmonic
 phi over the mass-conserving classes of Phat.  Both hand on readings, and
@@ -24,7 +26,7 @@ import numpy as np
 from . import errors, kernels
 from .duals import DualFunction, verify_duality
 from .kernels import Kernel, sup_norm
-from .tolerances import EPS_NEG, EPS_STOCH
+from .tolerances import EPS_NEG, EPS_STOCH, RESID_TOL
 
 
 @dataclass(frozen=True)
@@ -34,7 +36,7 @@ class IntertwiningResult:
     link: np.ndarray         # Lambda, stochastic
     p_tilde: Kernel          # stochastic; a record when the dual is birth-death
     K: np.ndarray
-    back: Kernel             # time reversal of P; a record when P is birth-death
+    back: Kernel             # Pback: P itself when P is birth-death or reversible
     class_constants: list    # [(states of each mass-conserving class, c_l)]
     diagnostics: dict = field(default_factory=dict)
 
@@ -45,8 +47,10 @@ def _stochastic_or_raise(m: np.ndarray, what: str) -> None:
 
 
 def build_intertwining(P, H: DualFunction, dual) -> IntertwiningResult:
-    """Run the full pipeline; the reversal of a birth-death P and the P~ of
-    a birth-death dual are made as records.
+    """Run the full pipeline; the P~ of a birth-death dual is made as a
+    record.  ``back`` is the Kernel P itself when P is birth-death, whose
+    reversal is P by detailed balance, or when P is within RESID_TOL of its
+    reversal; otherwise it is the reversal.
 
     Raises only where a later stage would be undefined: when P is not
     stochastic irreducible, when phi has a nonpositive entry, when the link
@@ -68,7 +72,10 @@ def build_intertwining(P, H: DualFunction, dual) -> IntertwiningResult:
     dual_K = kernels.validate_kernel(dual)
     static = verify_duality(PK, H, dual_K, n_max=1)["static"]
 
-    back = kernels.reversal(PK, pi)
+    back = PK
+    if PK.bands is None:
+        rev = kernels.reversal(PK, pi)
+        back = PK if sup_norm(rev.matrix - PK.matrix) <= RESID_TOL else rev
     phi = Hm.T @ pi
     if np.min(phi) <= 0:
         raise errors.HarmonicNotPositiveError("phi = H' pi has a nonpositive entry")

@@ -5,10 +5,10 @@ States are 0..n-1.  A kernel is *stochastic* when every row sums to 1 within
 EPS_STOCH, *strictly substochastic* when no row exceeds 1 but at least one
 loses mass, and *general nonnegative* otherwise (dual functions, potentials).
 
-A birth-death kernel (and its Siegmund dual, their hidden chain and its
-reversal, each made so) is its ``bands``, a ``BDParams`` record of the three
-central diagonals; a Kernel made from the record alone builds its dense
-float64 matrix only when it is read.  ``classify``, ``is_irreducible``,
+A birth-death kernel (and its Siegmund dual and their hidden chain, each
+made so) is its ``bands``, a ``BDParams`` record of the three central
+diagonals; a Kernel made from the record alone builds its dense float64
+matrix only when it is read.  ``classify``, ``is_irreducible``,
 ``absorbing_states``, ``stationary`` and ``reachable`` run in O(n) on records,
 banded Kernels and tridiagonal arrays; a raw array is scanned for its bands on
 every call (``band_scans``).  The one dense read of any is ``np.asarray(P, dtype=float)``.
@@ -489,21 +489,13 @@ def normalize_stationary(w: np.ndarray, stage: str) -> np.ndarray:
 
 
 def reversal(P, pi) -> Kernel:
-    """Time reversal with respect to pi: out(x, y) = (P(y, x) pi(y)) / pi(x).
-    A birth-death P gives a birth-death record, each entry computed by the
-    operations of the dense formula in their order, so with its bits."""
-    b, pi = _bands(P), np.asarray(pi, dtype=float)
-    if pi.shape[0] != (np.shape(P)[0] if b is None else b.n):
+    """Time reversal with respect to pi: out(x, y) = (P(y, x) pi(y)) / pi(x)."""
+    m, pi = np.asarray(P, dtype=float), np.asarray(pi, dtype=float)
+    if pi.shape[0] != m.shape[0]:
         raise errors.DimensionMismatchError("pi length does not match kernel")
     if np.min(pi) <= 0:
         raise errors.ZeroStationaryEntryError("reversal needs pi > 0 entrywise")
-    if b is None:
-        m = np.asarray(P, dtype=float)
-        return validate_kernel((m * pi[:, None]).T / pi[:, None], require="stochastic")
-    back = BDParams(np.append((b.q[1:] * pi[1:]) / pi[:-1], 0.0),   # from P(x + 1, x)
-                    np.append(0.0, (b.p[:-1] * pi[:-1]) / pi[1:]),   # from P(x - 1, x)
-                    (b.r * pi) / pi)
-    return validate_kernel(Kernel(bands=back), require="stochastic")
+    return validate_kernel((m * pi[:, None]).T / pi[:, None], require="stochastic")
 
 
 def evolve(pi0, P, n: int) -> np.ndarray:

@@ -24,9 +24,6 @@ DYNAMIC_TOL = 1e-9
 # a hitting-probability solve may leave [0, 1] by this much before clipping
 HITTING_TOL = 1e-9
 
-# the two-block dual's row masses agree with their closed-form profile
-ROW_MASS_TOL = 1e-9
-
 # power traces tr(P^m) and tr(Ptilde^m), m = 1..n, agree within TRACE_TOL * n
 TRACE_TOL = 1e-8
 
@@ -44,8 +41,8 @@ TAIL_LIMIT = 1e-9
 # route (fundamental matrix of Ptilde) from the spectral route (closed sums)
 ABSORPTION_TOL = 1e-8
 
-# spectral route: slack of the bound Var <= E / (1 - t_1), and the gate of
-# the partial-fraction survival cross-check
+# spectral route: the gate of the partial-fraction survival cross-check,
+# which checks only the steps whose rounding bound lies below it
 SPECTRAL_TOL = 1e-9
 
 # eigenvalues closer than this are not expanded in partial fractions

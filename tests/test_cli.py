@@ -974,6 +974,49 @@ def test_non_reversible_chain_runs_on_time_reversal(tmp_path):
         assert (out / "series.csv").exists()
 
 
+def test_verify_measures_the_link_against_the_kernel_the_sharpness_runs_on(
+        tmp_path, monkeypatch):
+    # one Pbar per run: verify's link_intertwining is the reading ssd gates
+    # before its table, ||P~ Lambda - Lambda Pbar|| with Pbar = res.back
+    measure, gated = kernels.link_residual, []
+
+    def recorded(*args):
+        out = measure(*args)
+        gated.append(out[0])
+        return out
+
+    monkeypatch.setattr(kernels, "link_residual", recorded)
+    feasible = 0
+    for path in sorted(CONFIGS.glob("*.json")):
+        cfg = json.loads(path.read_text())
+        try:
+            res = cli.pipeline(cfg, cfg.get("options", {})).res
+        except cli.Infeasible:
+            continue
+        feasible += 1
+        out = tmp_path / path.stem
+        out.mkdir()
+        gated.clear()
+        assert _run("ssd", path.name, out) == 0 and len(gated) == 1, path.stem
+        assert _run("verify", path.name, out) == 0, path.stem
+        checks = json.loads((out / "verify_summary.json").read_text())["checks"]
+        assert (checks["link_intertwining"]["value"] == gated[0]
+                == measure(res.p_tilde, res.link, res.back)[0]), path.stem
+    assert feasible == len(list(CONFIGS.glob("*.json"))) - 1    # all but non_monotone
+
+
+def test_ultrametric_dual_with_a_heavy_upper_block_is_accepted(tmp_path):
+    # k = beta = 0: row 0 of the dual has mass 1 - p_0 + alpha q_1, about
+    # 1e9 here, and the dual is right
+    cfg = {"kind": "moran_mutation", "N": 20, "a1": 0.3, "a2": 0.3,
+           "dual": {"family": "ultrametric", "k": 0, "alpha": 1e10, "beta": 0.0}}
+    assert _run_cfg("dual", cfg, tmp_path) == 0
+    summary = json.loads((tmp_path / "dual_summary.json").read_text())
+    b = cli.build_chain(cfg).bands
+    want = b.p[0] - 1e10 * b.q[1]
+    assert summary["feasible"] and abs(summary["leak0"] - want) <= 1e-12 * abs(want)
+
+
 @pytest.mark.parametrize("command", ["ssd", "verify", "simulate"])
 def test_start_out_of_range_is_config_error(tmp_path, command):
     cfg = json.loads((CONFIGS / "chain_a.json").read_text())
@@ -1037,16 +1080,14 @@ def test_chain_kinds_and_dual_families_exit_codes(tmp_path, cfg, failing):
 
 
 # the dense n x n matrices each run builds from the birth-death records of
-# its chain, its dual, P~ and the reversal, each once and only where a stage
-# reads it densely: P (the kernel.csv of build, the duality residual of the
-# dual and the pipeline), the dual (the same residual, dual.csv), P~ (the
-# sharpness table, the absorption law, the coupling, p_tilde.csv) and the
-# reversal (the identity residuals of intertwine and verify); none where the
-# bands are all a run reads
+# its chain, its dual and P~, each once and only where a stage reads it
+# densely: P (the kernel.csv of build, the duality residual of the dual and
+# the pipeline, the reversal P~ is intertwined with), the dual (the same
+# residual, dual.csv) and P~ (the sharpness table, the absorption law, the
+# coupling, p_tilde.csv); none where the bands are all a run reads
 DENSE_BUILDS = {"build": 1, "dual": 2, "plotdata-phi_profile": 2,           # P, dual
                 "ssd": 3, "simulate": 3, "plotdata-sep_vs_survival": 3,     # P, dual, P~
-                "plotdata-absorption_pmf": 3,
-                "intertwine": 4, "verify": 4,                   # P, dual, P~, reversal
+                "plotdata-absorption_pmf": 3, "intertwine": 3, "verify": 3,
                 "spectrum": 0, "plotdata-spectrum": 0, "cutoff": 0}
 
 
@@ -1090,7 +1131,7 @@ def test_each_run_measures_the_link_residual_at_most_once(tmp_path):
 
 
 # the raw arrays each run scans in kernels._bands for a birth-death record:
-# none, as the dual, P~ and the reversal leave their stage as records
+# none, as the dual and P~ leave their stage as records and the reversal is P
 BAND_SCANS = dict.fromkeys(["ssd", "plotdata-absorption_pmf", "verify", "intertwine",
                             "simulate", "dual"], 0)
 

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +152,49 @@ def test_product_kernel_rejects_wrong_link(pipeline_a):
     P, res = pipeline_a
     with pytest.raises(errors.IntertwiningResidualError):
         product_kernel(P.matrix, res.p_tilde, np.eye(2))
+
+
+# pi falls to 4.7e-320 at the top state, so (Lambda P)(xt, y) reaches
+# subnormal values whose reciprocal overflows
+SUBNORMAL = {"kind": "bd", "p": [2.5e-11] * 31 + [0.0], "q": [0.0] + [0.5] * 31}
+
+
+def test_row_sum_gate_reads_finite_sums_where_lambda_p_is_subnormal(tmp_path):
+    res = cli.pipeline(SUBNORMAL, {}).res
+    with np.errstate(over="ignore"):
+        pk = product_kernel(res.back, res.p_tilde, res.link)
+    assert np.isinf(pk.inv_lp).any()
+    consistent = (pk.link.T > 1e-12).reshape(-1)
+    V, W = pk.p_tilde @ pk.link, pk.link @ pk.p
+    with np.errstate(invalid="ignore"):
+        through_inv = (pk.p @ (V * pk.inv_lp).T).reshape(-1)
+    ratio = np.divide(V, W, out=np.zeros_like(W), where=W > 0)
+    sums = (pk.p @ ratio.T).reshape(-1)
+    # the sums read through 1 / (Lambda P) are NaN at some consistent pairs;
+    # those read from the ratio are 1
+    assert np.isnan(through_inv[consistent]).any()
+    assert np.abs(sums[consistent] - 1.0).max() <= 1e-15
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)    # the overflow of inv_lp
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(SUBNORMAL))
+        assert cli.run(["simulate", "--config", str(path), "--out", str(tmp_path),
+                        "--trials", "2000"]) == 0
+    assert json.loads((tmp_path / "simulate_summary.json").read_text())["ok"]
+
+
+def test_row_sum_gate_refuses_a_nan_row(coupled_a, monkeypatch):
+    pk, res = coupled_a
+    measure = kernels.link_residual
+
+    def planted(pt, L, m):
+        r, V, W = measure(pt, L, m)
+        V[0, 0] = np.nan
+        return r, V, W
+
+    monkeypatch.setattr(kernels, "link_residual", planted)
+    with pytest.raises(errors.NotStochasticError, match="sums to nan"):
+        product_kernel(pk.p, res.p_tilde, res.link)
 
 
 def test_absorbed_hidden_rows_follow_observed_kernel(coupled_b):
@@ -342,7 +386,7 @@ def test_fingerprint_tracks_inputs(coupled_a, coupled_b):
 
 def pipeline_coupled(cfg):
     pipe = cli.pipeline(cfg, cfg.get("options", {}))
-    return product_kernel(pipe.p_bar, pipe.res.p_tilde, pipe.res.link)
+    return product_kernel(pipe.res.back, pipe.res.p_tilde, pipe.res.link)
 
 
 def sampled_chains():

@@ -160,6 +160,22 @@ def test_spectrum_equivalence_catches_moved_diagonal_mass(pipeline_b):
     assert not _trace_match(out, 3)
 
 
+def test_the_pipeline_runs_on_p_unless_its_reversal_differs():
+    # a dense P runs on P when its reversal is within RESID_TOL of it (the
+    # symmetric one, whose pi is uniform), otherwise on the reversal
+    sym = np.array([[0.6, 0.3, 0.1], [0.3, 0.4, 0.3], [0.1, 0.3, 0.6]])
+    dense = np.array([[0.5, 0.3, 0.2, 0.0], [0.2, 0.4, 0.3, 0.1],     # dense_monotone.json
+                      [0.1, 0.2, 0.4, 0.3], [0.0, 0.1, 0.3, 0.6]])
+    for m, reversible in ((sym, True), (dense, False)):
+        P = kernels.validate_kernel(m, require="stochastic")
+        res = build_intertwining(P, siegmund_function(len(m) - 1), siegmund_dual(P).dual)
+        if reversible:
+            assert res.back is P
+        else:
+            assert np.array_equal(res.back, kernels.reversal(P, res.pi))
+            assert kernels.sup_norm(np.asarray(res.back) - m) > 1e-2
+
+
 def test_moran_hypergeometric_pipeline():
     params = moran_kernel(5, mutation_bias(0.3, 0.2, 5))
     P = bd_kernel(params)

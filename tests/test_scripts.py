@@ -19,9 +19,9 @@ RUNS = [
 
 
 # the dense matrices each paper_scale.py command builds: P and the dual;
-# then P~; then the reversal
+# then P~ (a birth-death chain is its own reversal)
 PAPER_SCALE_BUILDS = {"dual": 2, "ssd": 3, "simulate": 3, "plotdata": 3,
-                      "intertwine": 4, "verify": 4}
+                      "intertwine": 3, "verify": 3}
 # the link residual each measures (LINK_MEASUREMENTS in test_cli.py)
 PAPER_SCALE_LINKS = {"dual": 0, "ssd": 1, "simulate": 1, "plotdata": 1, "intertwine": 1,
                      "verify": 1}
@@ -43,10 +43,9 @@ def test_script_prints_its_table(script, args, rows, tmp_path):
         column = table[0].split().index("cold_rss_mb")
         assert all(float(line.split()[column]) > 0 for line in table[1:]), out.stdout
     if "dense_builds" in table[0]:
-        # each command builds P, the dual, P~ and the reversal from their
-        # records where it reads them densely (DENSE_BUILDS in test_cli.py),
-        # scans no raw array for a record, and measures the link residual
-        # at most once
+        # each command builds P, the dual and P~ from their records where
+        # it reads them densely (DENSE_BUILDS in test_cli.py), scans no raw
+        # array for a record, and measures the link residual at most once
         header = table[0].split()
         command, builds, scans, links = (header.index(c) for c in (
             "command", "dense_builds", "band_scans", "link_measurements"))

@@ -26,3 +26,14 @@ def test_literal_scan_sees_code_not_docstrings(tmp_path):
     f = tmp_path / "m.py"
     f.write_text('"""gate 1e-9"""\nx = -1e-12\ny = 0.0\nz = 1e-6\n')
     assert small_float_literals(f) == [(2, 1e-12)]
+
+
+def test_every_tolerance_is_imported_by_another_module():
+    # a gate whose check is deleted must go with it
+    tree = ast.parse((SRC / "tolerances.py").read_text())
+    defined = {t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets}
+    imported = {alias.name for path in SRC.glob("*.py") if path.name != "tolerances.py"
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) and node.module == "tolerances"
+                for alias in node.names}
+    assert defined and defined <= imported, sorted(defined - imported)
