@@ -174,10 +174,10 @@ def test_row_sum_gate_reads_finite_sums_where_lambda_p_is_subnormal(tmp_path):
     # those read from the ratio are 1
     assert np.isnan(through_inv[consistent]).any()
     assert np.abs(sums[consistent] - 1.0).max() <= 1e-15
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(SUBNORMAL))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)    # the overflow of inv_lp
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(SUBNORMAL))
         assert cli.run(["simulate", "--config", str(path), "--out", str(tmp_path),
                         "--trials", "2000"]) == 0
     assert json.loads((tmp_path / "simulate_summary.json").read_text())["ok"]
