@@ -12,8 +12,10 @@ in-process run built from the birth-death records of the chain, its dual
 and the hidden chain (`dualchain.kernels.dense_builds`), the
 raw arrays it scanned for a birth-death record (`dualchain.kernels.band_scans`;
 0, as every stage hands its kernel on as a record), the times it measured
-the link residual ||P~ Lambda - Lambda Pbar|| (`dualchain.kernels.link_measurements`;
-at most 1), its cold wall seconds
+the link residual ||P~ Lambda - Lambda Pbar|| from products
+(`dualchain.kernels.link_measurements`; 1 for simulate, whose coupled kernel
+is built from those products, 0 for the others, which read it off the
+duality residual), its cold wall seconds
 (the same command in a fresh `python -m dualchain.cli` process, interpreter
 start and import included), that process's peak RSS in MB and, for verify,
 all_passed.  With --json, the printed rows are also written to PATH as a

@@ -296,8 +296,7 @@ class Pipeline:
     def gated_sharpness(self, n_max: int) -> stationary_times.SharpnessReport:
         """``sharpness`` with the link residual it rests on gated first and
         its own readings after, for a command that relies on it."""
-        gate({"link_intertwining": kernels.link_residual(
-            self.res.p_tilde, self.res.link, self.res.back)[0]}, self.P.n)
+        gate({"link_intertwining": self.res.diagnostics["intertwining"]}, self.P.n)
         sharp = self.sharpness(n_max)
         gate(_sharpness_readings(sharp), self.P.n)
         return sharp
@@ -347,10 +346,10 @@ VERIFY_CHECKS = {
     "duality_dynamic": ("verify_duality", lambda n: DYNAMIC_TOL),
     "harmonic_fixed_point": ("build_intertwining", lambda n: RESID_TOL),
     "phi_constant_on_classes": ("build_intertwining", lambda n: RESID_TOL),
-    "link_intertwining": ("link_residual", lambda n: RESID_TOL),
-    "k_duality": ("identity_residuals", lambda n: RESID_TOL),
+    "link_intertwining": ("build_intertwining", lambda n: RESID_TOL),
+    "k_duality": ("build_intertwining", lambda n: RESID_TOL),
     "boundary_rows_carry_pi": ("build_intertwining", lambda n: RESID_TOL),
-    "trace_match": ("identity_residuals", lambda n: TRACE_TOL * n),
+    "trace_match": ("spectrum_equivalence", lambda n: TRACE_TOL * n),
     "separation_dominated_by_survival": ("verify_sharpness", lambda n: SHARP_TOL),
     "sharp_equality": ("verify_sharpness", lambda n: SHARP_TOL),
     "absorption_agreement": ("hitting_moments", lambda n: ABSORPTION_TOL),
@@ -407,7 +406,7 @@ INFEASIBLE = {
 def cmd_intertwine(cfg, opts):
     pipe = gated_pipeline(cfg, opts)
     res = pipe.res
-    residuals = intertwining.identity_residuals(pipe.P, pipe.H, pipe.report.dual, res)
+    residuals = intertwining.identity_residuals(pipe.P, pipe.report.dual, res)
     trace = residuals["trace_comparison"]
     trace["equal"] = _verify_summary({"trace_match": trace["max_deviation"]},
                                      pipe.P.n)["checks"]["trace_match"]["passed"]
@@ -516,16 +515,15 @@ def cmd_verify(cfg, opts):
     stage that refuses its input files its checks without a value."""
     pipe = pipeline(cfg, opts)
     vd = duals.verify_duality(pipe.P, pipe.H, pipe.report.dual, n_max=opts.get("n_max", 20))
-    r = intertwining.identity_residuals(pipe.P, pipe.H, pipe.report.dual, pipe.res)
+    trace = intertwining.spectrum_equivalence(pipe.P, pipe.res.p_tilde)["max_deviation"]
+    d = pipe.res.diagnostics
     found = {
         "dual_nonnegative": 0.0,
         **pipe.readings(),
         "duality_dynamic": vd["dynamic"],
-        "link_intertwining": r["intertwining"],
-        "k_duality": r["k_duality_scaled"],
-        "boundary_rows_carry_pi": max(pipe.res.diagnostics["absorbing_rows"].values(),
-                                      default=0.0),
-        "trace_match": r["trace_comparison"]["max_deviation"],
+        "link_intertwining": d["intertwining"], "k_duality": d["k_duality_scaled"],
+        "boundary_rows_carry_pi": max(d["absorbing_rows"].values(), default=0.0),
+        "trace_match": trace,
     }
     try:
         sharp = pipe.sharpness(opts.get("n_max", 100))

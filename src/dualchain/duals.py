@@ -421,6 +421,8 @@ def verify_duality(P, H, dual, n_max: int = 20) -> dict:
     for _ in range(max(1, n_max)):
         left = m @ left
         right = right @ d.T
-        steps.append(sup_norm(left - right))
+        diff = left - right         # |diff| in place, freed before the next products
+        steps.append(float(np.abs(diff, out=diff).max()))
+        del diff
     return {"static": steps[0], "dynamic": max(steps)}
 

@@ -8,14 +8,14 @@ and an H-dual Phat, the pipeline produces
     Lambda = D_phi^{-1} H' D_pi           (stochastic link)
     K = H D_phi^{-1}
 
-with Ptilde Lambda = Lambda Pback and K Ptilde' = P K, where Pback is the
-time reversal of P, taken as P itself when P is birth-death (detailed
-balance) or within RESID_TOL of its reversal.  ``build_intertwining``
-builds these, deciding Pback once for every command, and refuses only
-what would leave a later stage undefined; ``identity_residuals`` measures
-each identity on the result, including the decomposition of the harmonic
-phi over the mass-conserving classes of Phat.  Both hand on readings, and
-``cli.VERIFY_CHECKS`` holds every gate.
+with Ptilde Lambda = Lambda Pbar and K Ptilde' = P K, where Pbar =
+D_pi^{-1} P' D_pi is the time reversal of P.  With E = P H - H Phat',
+Ptilde Lambda - Lambda Pbar = -D_phi^{-1} E' D_pi and K Ptilde' - P K =
+-E D_phi^{-1}, so ``build_intertwining`` reads every identity of the result
+off the one matrix E, and ``identity_residuals`` measures the rest: the
+decomposition of the harmonic phi over the mass-conserving classes of Phat
+and the spectra.  Both hand on readings, and ``cli.VERIFY_CHECKS`` holds
+every gate.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import errors, kernels
-from .duals import DualFunction, verify_duality
+from .duals import DualFunction
 from .kernels import Kernel, sup_norm
 from .tolerances import EPS_NEG, EPS_STOCH, RESID_TOL
 
@@ -46,39 +46,67 @@ def _stochastic_or_raise(m: np.ndarray, what: str) -> None:
         raise errors.LinkNotStochasticError(f"{what} is not a stochastic kernel")
 
 
+def _duality_readings(m, Hm, d, pi, phi, drift: float) -> dict:
+    """The identities of the module docstring, read off |E| = |P H - H d'|:
+
+    duality["static"]   max |E(x, y)|
+    weighted_duality    max_x pi(x) max_y |E(x, y)|, of Phat H' D_pi = H' D_pi Pbar
+    intertwining        max_x pi(x) max_y |E(x, y)| / phi(y)
+    k_duality           max |E(x, y)| / phi(y)
+    k_duality_scaled    max |E| / (P H + H d'), 0 where that scale is 0: the
+                        K-duality relative to |P||K| + |K||Ptilde'|, near
+                        eps however large K is (every factor is nonnegative)
+
+    A dense P taken as its own reversal adds its ``drift`` max |Pbar - P|
+    to the link and max phi * drift to the weighted duality (Lambda is
+    stochastic; H' D_pi has row sums phi).
+    """
+    E, right = m @ Hm, Hm @ d.T
+    scale = E + right
+    E -= right                   # in place: no n x n array beyond the products
+    del right
+    rows = np.abs(E, out=E).max(axis=1)
+    k_scaled = float(np.divide(E, scale, out=scale, where=scale > 0).max())
+    rows_phi = np.divide(E, phi, out=E).max(axis=1)
+    return {"duality": {"static": float(rows.max())},
+            "weighted_duality": float((pi * rows).max()) + float(phi.max()) * drift,
+            "intertwining": float((pi * rows_phi).max()) + drift,
+            "k_duality": float(rows_phi.max()), "k_duality_scaled": k_scaled}
+
+
 def build_intertwining(P, H: DualFunction, dual) -> IntertwiningResult:
     """Run the full pipeline; the P~ of a birth-death dual is made as a
-    record.  ``back`` is the Kernel P itself when P is birth-death, whose
-    reversal is P by detailed balance, or when P is within RESID_TOL of its
-    reversal; otherwise it is the reversal.
+    record.  ``back``, the Pbar of every command, is the Kernel P itself
+    when P is birth-death, whose reversal is P by detailed balance, or when
+    P is within RESID_TOL of its reversal; otherwise it is the reversal.
 
     Raises only where a later stage would be undefined: when P is not
     stochastic irreducible, when phi has a nonpositive entry, when the link
     or the transformed kernel misses stochasticity, when the dual has no
     mass-conserving class, or when the dual and Ptilde absorb at different
-    states.  The identities the construction relies on are handed on as
-    readings in ``diagnostics``, none of them gated here: the one-step
-    duality residual ||P H - H dual'|| under ``duality["static"]`` (the
-    n-step identity follows by induction), the harmonic residual
-    ||dual phi - phi|| as ``phi_harmonic``, the largest deviation of phi
-    from its mean on a mass-conserving class as ``phi_class_spread``, and
-    the distance of each absorbing link row from pi as ``absorbing_rows``.
-    The identities the result satisfies are measured by
-    ``identity_residuals``.
+    states.  The identities are handed on as readings in ``diagnostics``,
+    none gated here: those of ``_duality_readings`` (the n-step duality
+    follows by induction), the harmonic residual ||dual phi - phi|| as
+    ``phi_harmonic``, the largest deviation of phi from its mean on a
+    mass-conserving class as ``phi_class_spread``, and the distance of each
+    absorbing link row from pi as ``absorbing_rows``.
     """
     PK = kernels.validate_kernel(P, require="stochastic")
     pi = kernels.stationary(PK)     # raises NotIrreducibleError first
     Hm = H.matrix
     dual_K = kernels.validate_kernel(dual)
-    static = verify_duality(PK, H, dual_K, n_max=1)["static"]
 
-    back = PK
+    back, drift = PK, 0.0
     if PK.bands is None:
         rev = kernels.reversal(PK, pi)
-        back = PK if sup_norm(rev.matrix - PK.matrix) <= RESID_TOL else rev
+        drift = sup_norm(rev.matrix - PK.matrix)
+        if drift > RESID_TOL:
+            back, drift = rev, 0.0
     phi = Hm.T @ pi
     if np.min(phi) <= 0:
         raise errors.HarmonicNotPositiveError("phi = H' pi has a nonpositive entry")
+    # before Lambda and K exist, so that E's arrays are the only n x n ones added
+    diagnostics = _duality_readings(np.asarray(PK), Hm, np.asarray(dual_K), pi, phi, drift)
 
     link = Hm.T * pi[None, :] / phi[:, None]    # Lambda = D_phi^{-1} H' D_pi
     K = Hm / phi[None, :]
@@ -94,12 +122,9 @@ def build_intertwining(P, H: DualFunction, dual) -> IntertwiningResult:
     if not dec.stochastic_classes:
         raise errors.DualChainError("dual has no mass-conserving class")
     class_constants = [(cls, float(phi[list(cls)].mean())) for cls in dec.stochastic_classes]
-    diagnostics = {
-        "duality": {"static": static},
-        "phi_harmonic": kernels.check_harmonic(dual_K, phi),
-        "phi_class_spread": max(float(np.max(np.abs(phi[list(cls)] - c)))
-                                for cls, c in class_constants),
-    }
+    diagnostics.update(phi_harmonic=kernels.check_harmonic(dual_K, phi),
+                       phi_class_spread=max(float(np.max(np.abs(phi[list(cls)] - c)))
+                                            for cls, c in class_constants))
 
     if dual_K.kind is kernels.KernelKind.STOCHASTIC and dec.n_classes == 1:
         diagnostics["phi_constant"] = float(np.ptp(phi))
@@ -115,40 +140,19 @@ def build_intertwining(P, H: DualFunction, dual) -> IntertwiningResult:
                               class_constants=class_constants, diagnostics=diagnostics)
 
 
-def identity_residuals(P, H: DualFunction, dual, res: IntertwiningResult) -> dict:
-    """Residuals of the identities that ``res = build_intertwining(P, H,
-    dual)`` satisfies, computed from ``res`` itself.
-
-    weighted_duality    ||Phat (H' D_pi) - (H' D_pi) Pback||
-    intertwining        ||Ptilde Lambda - Lambda Pback|| (kernels.link_residual)
-    k_duality           ||K Ptilde' - P K||, and k_duality_scaled, the same
-                        residual entry by entry relative to the rounding
-                        that entry can carry (see kernels.scaled_residual)
-    phi_decomposition   ||sum_l c_l h_l - phi||, h_l the probability that
-                        the dual reaches class l of ``res.class_constants``
-    trace_comparison    spectrum_equivalence(P, Ptilde)
-
-    None of them is gated here: ``cli.VERIFY_CHECKS`` gates intertwining and
-    k_duality_scaled for ``verify``, and the trace deviation both for
-    ``verify`` and for the ``equal`` that ``intertwine`` writes.
+def identity_residuals(P, dual, res: IntertwiningResult) -> dict:
+    """The identities of ``res = build_intertwining(P, H, dual)`` that E
+    does not give, computed from ``res`` itself and gated elsewhere:
+    ``phi_decomposition``, ||sum_l c_l h_l - phi|| with h_l the probability
+    that the dual reaches class l of ``res.class_constants``, and
+    ``trace_comparison``, spectrum_equivalence(P, Ptilde), whose deviation
+    ``cli.VERIFY_CHECKS`` gates for ``verify`` and for ``intertwine``'s ``equal``.
     """
-    m, d, p_tilde, back = (np.asarray(v, dtype=float) for v in (P, dual, res.p_tilde, res.back))
-    weighted = H.matrix.T * res.pi[None, :]          # H' D_pi
-    K, link = res.K, res.link
     recomposed = np.zeros_like(res.phi)
     for cls, c in res.class_constants:
         recomposed += c * kernels.hitting_probabilities(dual, list(cls))
-    # K reaches 1e30 on paper-scale chains, where the absolute residual is
-    # rounding of entries that size
-    k_scaled, k_absolute = kernels.scaled_residual(K, p_tilde.T, m, K)
-    return {
-        "weighted_duality": sup_norm(d @ weighted - weighted @ back),
-        "intertwining": kernels.link_residual(p_tilde, link, back)[0],
-        "k_duality": k_absolute,
-        "k_duality_scaled": k_scaled,
-        "phi_decomposition": sup_norm(recomposed - res.phi),
-        "trace_comparison": spectrum_equivalence(m, p_tilde),
-    }
+    return {"phi_decomposition": sup_norm(recomposed - res.phi),
+            "trace_comparison": spectrum_equivalence(P, res.p_tilde)}
 
 
 def spectrum_equivalence(P, p_tilde) -> dict:

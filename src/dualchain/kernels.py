@@ -128,27 +128,12 @@ def sup_norm(a) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def scaled_residual(A, B, C, D) -> tuple[float, float]:
-    """Residual of the identity AB = CD, entry by entry relative to the
-    rounding that entry can carry: max_ij |AB - CD|_ij / (|A||B| + |C||D|)_ij,
-    with the absolute residual max_ij |AB - CD|_ij it is read from.
-
-    Computed in floating point, entry ij of AB is off by at most about
-    n eps (|A||B|)_ij, so the ratio stays near eps however large or small
-    the entries are.  An entry whose scale is zero has an exactly zero
-    residual and counts as 0.
-    """
-    A, B, C, D = (np.asarray(m, dtype=float) for m in (A, B, C, D))
-    resid = np.abs(A @ B - C @ D)
-    scale = np.abs(A) @ np.abs(B) + np.abs(C) @ np.abs(D)
-    ratio = np.divide(resid, scale, out=np.zeros_like(resid), where=scale > 0)
-    return sup_norm(ratio), sup_norm(resid)
-
-
 def link_residual(p_tilde, link, p_bar) -> tuple[float, np.ndarray, np.ndarray]:
     """||Ptilde Lambda - Lambda Pbar|| of an intertwining, with the two
-    products Ptilde Lambda and Lambda Pbar it is read from.  The one place
-    the residual is computed; each call counts in ``link_measurements``."""
+    products Ptilde Lambda and Lambda Pbar it is read from: the measure of
+    ``coupling.product_kernel``, which builds the coupled kernel from those
+    products.  The pipeline reads the residual off the duality residual
+    instead (``intertwining``).  Each call counts in ``link_measurements``."""
     global link_measurements
     link_measurements += 1
     pt, L, m = (np.asarray(v, dtype=float) for v in (p_tilde, link, p_bar))

@@ -83,7 +83,7 @@ def verify_sharpness(P, p_tilde, link, pi0, pi_tilde0,
     The inequality sep <= survival and, under a witness state, the equality
     are read, not gated: ``excess`` is the largest excess of separation over
     survival, ``max_gap`` the largest gap either way.  The intertwining the
-    table rests on is not measured here (``kernels.link_residual``).
+    table rests on is read by ``build_intertwining``, not here.
     """
     m, pt, L = (np.asarray(v, dtype=float) for v in (P, p_tilde, link))
     pi0 = kernels.validate_prob_vector(pi0, "pi0", m.shape[0])

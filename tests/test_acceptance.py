@@ -84,26 +84,29 @@ def _power_traces(m):
     return np.array(out)
 
 
-def test_criterion_02_pipeline_invariants():
+def test_criterion_02_pipeline_invariants(agrees):
     ok = True
     for P in _monotone_corpus():
         n = P.shape[0]
         H, dual = siegmund_function(n - 1), siegmund_dual(P).dual
         res = build_intertwining(P, H, dual)
-        d = {**res.diagnostics, **identity_residuals(P, H, dual, res)}
+        d = {**res.diagnostics, **identity_residuals(P, dual, res)}
         ok = ok and np.min(res.phi) > 0
         ok = ok and d["phi_harmonic"] <= 1e-10
         ok = ok and np.max(np.abs(res.link.sum(axis=1) - 1)) <= 1e-9
         ok = ok and np.max(np.abs(np.asarray(res.p_tilde).sum(axis=1) - 1)) <= 1e-9
         ok = ok and d["intertwining"] <= 1e-10
         ok = ok and d["k_duality"] <= 1e-10
+        # the readings off the duality residual against the direct products
+        ok = ok and agrees(P, H, dual, res)
         ok = ok and np.max(np.abs(res.link[n - 1] - res.pi)) <= 1e-10
         tc = d["trace_comparison"]
         ok = ok and tc["max_deviation"] <= 1e-8 * n
         ok = ok and np.max(np.abs(tc["traces"] - _power_traces(P))) <= 1e-12
         ok = ok and np.max(np.abs(tc["traces_tilde"] - _power_traces(res.p_tilde))) <= 1e-12
     _report(2, ok, "harmonic positivity, stochastic link/transform, both "
-                   "intertwinings, boundary row and power traces (eigenvalue "
+                   "intertwinings (read off the duality residual, equal to "
+                   "their direct products), boundary row and power traces (eigenvalue "
                    "power sums, equal to the matrix-power traces) on the "
                    "same 200-kernel corpus")
 

@@ -348,8 +348,9 @@ def test_verify_chain_b_all_green(tmp_path):
 
 
 def test_verify_cutoff_sweep_all_green(tmp_path):
-    # K = H / phi reaches 1.3e30 at N = 100; the absolute K-duality residual
-    # is 1.1e12 there, rounding of entries that size
+    # K = H / phi reaches 1.3e30 at N = 100; K Ptilde' - P K formed from
+    # products read 1.1e12 there, rounding of entries that size, where
+    # |E| / phi reads 4.6e-4 and its scaled form eps
     assert _run("verify", "cutoff_sweep.json", tmp_path) == 0
     summary = json.loads((tmp_path / "verify_summary.json").read_text())
     assert summary["all_passed"]
@@ -376,13 +377,13 @@ def _dual_changed(change):
     return lambda mp: _handing_on(mp, cli, "build_dual", changed)
 
 
-def _dual_moved_down(rows, mass):
-    """A build_dual that moves ``mass`` from Phat(y, y) to Phat(y, y - 1) in
-    each of ``rows``: rows keep their sums."""
+def _dual_moved(rows, mass, to=lambda y: y - 1):
+    """A build_dual that moves ``mass`` from Phat(y, y) to Phat(y, to(y)) in
+    each of ``rows``, by default one state down: rows keep their sums."""
     def change(d):
         for y in rows:
             d[y, y] -= mass
-            d[y, y - 1] += mass
+            d[y, to(y)] += mass
     return _dual_changed(change)
 
 
@@ -419,16 +420,6 @@ def _link_moved(x, mass):
     return lambda mp: _handing_on(mp, intertwining, "build_intertwining", change)
 
 
-def _k_corrupted(mp):
-    """A build_intertwining whose smallest positive entry of K is off by a
-    relative 1e-8."""
-    def change(res):
-        K = res.K.copy()
-        K[K == K[K > 0].min()] *= 1.0 + 1e-8
-        return dataclasses.replace(res, K=K)
-    _handing_on(mp, intertwining, "build_intertwining", change)
-
-
 def test_verify_writes_a_non_finite_value_as_null(tmp_path, monkeypatch):
     # a sharpness stage that refuses its input records the value nan, which
     # json.dumps once wrote as the bare token NaN
@@ -445,13 +436,32 @@ def test_verify_writes_a_non_finite_value_as_null(tmp_path, monkeypatch):
 
 
 def test_verify_k_duality_catches_corrupt_k(tmp_path, monkeypatch):
-    # the smallest positive entry of K off by a relative 1e-8: the scaled
-    # residual, computed by verify from the corrupted K, reads 5.0e-9, while
-    # max|R| / max|K| would read 5e-18
-    _k_corrupted(monkeypatch)
-    assert _run_cfg("verify", MORAN_30, tmp_path) == 1
-    checks = json.loads((tmp_path / "verify_summary.json").read_text())["checks"]
-    assert [k for k, c in checks.items() if not c["passed"]] == ["k_duality"]
+    # 2e-11 of the hypergeometric dual's mass moved from Phat(1, 1) to
+    # Phat(1, 0): |E| / (P H + H dual') reads 3e-10 on K Ptilde' = P K,
+    # while the duality residual itself (2e-11), the harmonic one and the
+    # link reading (8.4e-12) stay below their gates
+    config, corrupt = FAILING_INPUTS["k_duality"]
+    corrupt(monkeypatch)
+    code, summary = _verify(config, tmp_path)
+    checks = summary["checks"]
+    assert code == 1 and [k for k, c in checks.items() if not c["passed"]] == ["k_duality"]
+    assert checks["k_duality"]["value"] == pytest.approx(3e-10, rel=0.05)
+    assert checks["duality_static"]["value"] == pytest.approx(2e-11, rel=0.01)
+
+
+def test_verify_link_catches_a_dual_the_duality_gate_passes(tmp_path, monkeypatch):
+    # 2e-11 moved from Phat(6, 6) to Phat(6, 0): the link weighs E(x, 0)
+    # by pi(x) / phi(6), and reads 1.6e-10.  K Ptilde' = P K fails with it:
+    # the move reaches entries (x, 6) where P H and H dual' were 0, so |E|
+    # equals its scale there
+    config, corrupt = FAILING_INPUTS["link_intertwining"]
+    corrupt(monkeypatch)
+    code, summary = _verify(config, tmp_path)
+    checks = summary["checks"]
+    failed = [k for k, c in checks.items() if not c["passed"]]
+    assert code == 1 and failed == ["k_duality", "link_intertwining"]
+    assert checks["link_intertwining"]["value"] == pytest.approx(1.6e-10, rel=0.05)
+    assert checks["duality_static"]["value"] == pytest.approx(2e-11, rel=0.01)
 
 
 def test_verify_trace_match_catches_moved_diagonal_mass(tmp_path, monkeypatch):
@@ -460,13 +470,13 @@ def test_verify_trace_match_catches_moved_diagonal_mass(tmp_path, monkeypatch):
     _hidden_moved([15], 16, 1e-6)(monkeypatch)
     assert _run_cfg("verify", MORAN_30, tmp_path) == 1
     checks = json.loads((tmp_path / "verify_summary.json").read_text())["checks"]
-    # verify computes the link (1.9e-7) and K-duality (1.5e-6) residuals,
-    # the sharpness table and the exact moments from the corrupted Ptilde,
-    # so these fail as well; separation exceeds survival under a witness,
-    # so the excess is the largest gap
+    # verify computes the sharpness table and the exact moments from the
+    # corrupted Ptilde, so these fail as well; the link and K readings were
+    # taken off the duality residual before the move.  Separation exceeds
+    # survival under a witness, so the excess is the largest gap
     failed = [k for k, c in checks.items() if not c["passed"]]
-    assert failed == ["absorption_agreement", "k_duality", "link_intertwining",
-                      "separation_dominated_by_survival", "sharp_equality", "trace_match"]
+    assert failed == ["absorption_agreement", "separation_dominated_by_survival",
+                      "sharp_equality", "trace_match"]
     assert checks["sharp_equality"] == checks["separation_dominated_by_survival"]
     assert checks["trace_match"]["value"] == pytest.approx(1e-6, rel=1e-6)
 
@@ -487,7 +497,7 @@ def test_absorption_agreement_measures_a_zero_reference_absolutely(tmp_path, mon
 def test_verify_duality_gates_catch_a_bad_dual(tmp_path, monkeypatch):
     # 5e-10 of mass from Phat(1, 1) to Phat(1, 0): build_intertwining hands
     # the residual on, and verify files it against RESID_TOL
-    _dual_moved_down([1], 5e-10)(monkeypatch)
+    _dual_moved([1], 5e-10)(monkeypatch)
     assert _run_cfg("verify", MORAN_30, tmp_path) == 1
     checks = json.loads((tmp_path / "verify_summary.json").read_text())["checks"]
     assert not checks["duality_static"]["passed"]
@@ -512,21 +522,23 @@ EARLY_ARRIVAL = _hidden_moved(range(20), 20, 5e-11)
 FAILING_INPUTS = {
     "dual_nonnegative": ("non_monotone.json", lambda mp: None),
     # 1e-7 of P^ mass moved in row 29: the stage hands the residual on
-    "duality_static": (MORAN_30, _dual_moved_down([29], 1e-7)),
+    "duality_static": (MORAN_30, _dual_moved([29], 1e-7)),
     # 5e-10 moved in every transient row: over 20 steps the moves add up to
     # 1.4e-9
-    "duality_dynamic": (MORAN_30, _dual_moved_down(range(1, 30), 5e-10)),
+    "duality_dynamic": (MORAN_30, _dual_moved(range(1, 30), 5e-10)),
     # 1e-8 moved in row 20: phi reads 2.8e-10 off harmonic, and P~ stays
     # stochastic
-    "harmonic_fixed_point": (MORAN_30, _dual_moved_down([20], 1e-8)),
+    "harmonic_fixed_point": (MORAN_30, _dual_moved([20], 1e-8)),
     # the states 29 and 30 of the dual a closed class that exchanges 1e-7
     # each way: phi is harmonic within 1e-16 there but reads pi(30) / 2 =
     # 4.7e-10 off its mean
     "phi_constant_on_classes": (MORAN_30, _dual_rows(
         {29: {29: 1 - 1e-7, 30: 1e-7}, 30: {29: 1e-7, 30: 1 - 1e-7}})),
-    # 1e-7 of P~ mass moved: the trace gate 3.1e-7 lets it through
-    "link_intertwining": (MORAN_30, _hidden_moved([15], 16, 1e-7)),
-    "k_duality": (MORAN_30, _k_corrupted),
+    # 2e-11 of the hypergeometric dual's mass moved from Phat(6, 6) to
+    # Phat(6, 0): the link reads 1.6e-10, the duality residual 2e-11
+    "link_intertwining": ("moran_hypergeometric.json", _dual_moved([6], 2e-11, lambda y: 0)),
+    # 2e-11 moved from Phat(1, 1) to Phat(1, 0): only k_duality fails
+    "k_duality": ("moran_hypergeometric.json", _dual_moved([1], 2e-11, lambda y: 0)),
     # a dual absorbing at 15, whose link row is pi on 0..15 renormalised
     "boundary_rows_carry_pi": (MORAN_30, _dual_rows({15: {15: 1.0}})),
     "trace_match": (MORAN_30, _hidden_moved([15], 16, 1e-6)),
@@ -636,19 +648,32 @@ def test_verify_names_each_check_once(tmp_path, monkeypatch, run_name):
 ], ids=lambda args: args[-1])
 def test_commands_that_write_no_identity_residual_compute_none(
         tmp_path, monkeypatch, config, args):
-    # the trace comparison, the scaled K-duality residual and the hitting
-    # solves of the phi decomposition are computed only for intertwine and
-    # verify, which write or gate them
+    # the trace comparison and the hitting solves of the phi decomposition
+    # are computed only for intertwine and verify, which write or gate them;
+    # no command but simulate, whose coupled kernel is built from the two
+    # products, measures the link from products
     def boom(*a, **k):
         raise AssertionError("identity residual computed")
 
     monkeypatch.setattr(intertwining, "spectrum_equivalence", boom)
-    monkeypatch.setattr(kernels, "scaled_residual", boom)
     monkeypatch.setattr(kernels, "hitting_probabilities", boom)
+    if args[0] != "simulate":
+        monkeypatch.setattr(kernels, "link_residual", boom)
     if isinstance(config, dict):
         assert _run_cfg(*args[:1], config, tmp_path, *args[1:]) == 0
     else:
         assert _run(args[0], config, tmp_path, *args[1:]) == 0
+
+
+@pytest.mark.parametrize("config", ["chain_b.json", "moran_hypergeometric.json"])
+def test_verify_solves_no_hitting_system(tmp_path, monkeypatch, config):
+    # the phi decomposition is written by intertwine alone: verify gates no
+    # reading of its hitting solves, so it makes none
+    def boom(*a, **k):
+        raise AssertionError("hitting solve computed")
+
+    monkeypatch.setattr(kernels, "hitting_probabilities", boom)
+    assert _run("verify", config, tmp_path) == 0
 
 
 MORAN_10 = {"kind": "moran_mutation", "N": 10, "a1": 0.5, "a2": 0.5,
@@ -977,15 +1002,16 @@ def test_non_reversible_chain_runs_on_time_reversal(tmp_path):
 def test_verify_measures_the_link_against_the_kernel_the_sharpness_runs_on(
         tmp_path, monkeypatch):
     # one Pbar per run: verify's link_intertwining is the reading ssd gates
-    # before its table, ||P~ Lambda - Lambda Pbar|| with Pbar = res.back
-    measure, gated = kernels.link_residual, []
+    # before its table, read off the duality residual, and within rounding
+    # of ||P~ Lambda - Lambda Pbar|| from products with Pbar = res.back
+    gate, gated = cli.gate, []
 
-    def recorded(*args):
-        out = measure(*args)
-        gated.append(out[0])
-        return out
+    def recorded(readings, n):
+        if "link_intertwining" in readings:
+            gated.append(readings["link_intertwining"])
+        return gate(readings, n)
 
-    monkeypatch.setattr(kernels, "link_residual", recorded)
+    monkeypatch.setattr(cli, "gate", recorded)
     feasible = 0
     for path in sorted(CONFIGS.glob("*.json")):
         cfg = json.loads(path.read_text())
@@ -999,9 +1025,11 @@ def test_verify_measures_the_link_against_the_kernel_the_sharpness_runs_on(
         gated.clear()
         assert _run("ssd", path.name, out) == 0 and len(gated) == 1, path.stem
         assert _run("verify", path.name, out) == 0, path.stem
-        checks = json.loads((out / "verify_summary.json").read_text())["checks"]
-        assert (checks["link_intertwining"]["value"] == gated[0]
-                == measure(res.p_tilde, res.link, res.back)[0]), path.stem
+        value = json.loads((out / "verify_summary.json").read_text())["checks"][
+            "link_intertwining"]["value"]
+        assert value == gated[0] == res.diagnostics["intertwining"], path.stem
+        direct = kernels.link_residual(res.p_tilde, res.link, res.back)[0]
+        assert abs(value - direct) <= 1e-15, path.stem
     assert feasible == len(list(CONFIGS.glob("*.json"))) - 1    # all but non_monotone
 
 
@@ -1110,13 +1138,13 @@ def test_each_run_builds_the_dense_kernel_once_and_only_where_it_is_read(tmp_pat
     assert kernels.dense_builds == builds
 
 
-# the measurements of ||P~ Lambda - Lambda Pbar|| (kernels.link_residual)
-# each run makes: one where a run reads or relies on the link (verify and
-# intertwine through identity_residuals, the sharpness runs before their
-# table, simulate in product_kernel), none where it does not
-LINK_MEASUREMENTS = {"dual": 0, "plotdata-phi_profile": 0, "intertwine": 1, "verify": 1,
-                     "ssd": 1, "simulate": 1, "plotdata-sep_vs_survival": 1,
-                     "plotdata-absorption_pmf": 1}
+# the measurements of ||P~ Lambda - Lambda Pbar|| from products
+# (kernels.link_residual) each run makes: one in simulate, whose coupled
+# kernel is built from those products, none elsewhere, as every other run
+# reads the link off the duality residual
+LINK_MEASUREMENTS = {"dual": 0, "plotdata-phi_profile": 0, "intertwine": 0, "verify": 0,
+                     "ssd": 0, "simulate": 1, "plotdata-sep_vs_survival": 0,
+                     "plotdata-absorption_pmf": 0}
 
 
 def test_each_run_measures_the_link_residual_at_most_once(tmp_path):
