@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from dualchain.chains import bd_kernel, make_bd
-from dualchain.kernels import sup_norm
 from dualchain.duals import siegmund_dual, siegmund_function
 from dualchain.intertwining import build_intertwining
+from dualchain.kernels import sup_norm
 
 
 @pytest.fixture
