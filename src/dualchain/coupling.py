@@ -28,13 +28,13 @@ class ProductKernel:
     """Coupled kernel on pair states s = x * n_tilde + xt (C order), kept as
     its factors P, Ptilde and Lambda.
 
-    ``inv_lp`` is 1 / (Lambda P)(xt, y), set to 0 where (Lambda P)(xt, y) = 0.
+    ``lp`` is (Lambda P)(xt, y), the normaliser of the coupled step.
     """
 
     p: np.ndarray
     p_tilde: np.ndarray
     link: np.ndarray
-    inv_lp: np.ndarray
+    lp: np.ndarray
 
     @property
     def n(self) -> int:
@@ -62,12 +62,11 @@ def product_kernel(P, p_tilde, link) -> ProductKernel:
     if r > RESID_TOL:
         raise errors.IntertwiningResidualError(f"link residual {r:.3g}")
 
-    inv_lp = np.divide(1.0, W, out=np.zeros_like(W), where=W > 0)
     # the pairs (x, xt) with Lambda(xt, x) > 0, which the coupled walk never leaves
     consistent = (L.T > EPS_NEG)
     # row sum at pair (x, xt): sum_y P(x, y) (Ptilde Lambda)(xt, y) / (Lambda P)(xt, y),
     # from the ratio, which stays finite where a subnormal (Lambda P) makes
-    # inv_lp overflow; a NaN sum fails the comparison
+    # 1 / (Lambda P) overflow; a NaN sum fails the comparison
     ratio = np.divide(V, W, out=np.zeros_like(W), where=W > 0)
     sums = (m @ ratio.T).reshape(-1)
     bad = consistent.reshape(-1) & ~(np.abs(sums - 1.0) <= EPS_STOCH)
@@ -76,7 +75,7 @@ def product_kernel(P, p_tilde, link) -> ProductKernel:
         raise errors.NotStochasticError(
             f"coupled row at pair {divmod(s, nt)} sums to {sums[s]}"
         )
-    return ProductKernel(p=m, p_tilde=pt, link=L, inv_lp=inv_lp)
+    return ProductKernel(p=m, p_tilde=pt, link=L, lp=W)
 
 
 # exact_joint stacks the laws of a block of steps: at most 2^17 entries (1 MB)
@@ -92,7 +91,9 @@ def exact_joint(pk: ProductKernel, pi_tilde0, n_steps: int) -> dict:
     law = product form nu_n(xt) Lambda(xt, x).
 
     The law rho(x, xt) moves through the factors:
-    rho <- (((rho' P) o 1/(Lambda P))' Ptilde) o Lambda'.
+    rho <- (((rho' P) / (Lambda P))' Ptilde) o Lambda', with 0/0 read as 0
+    (the zeros of Lambda P divide as inf).  A subnormal (Lambda P) is
+    divided by, never inverted into an overflow.
     The laws of a block of B steps, B n n_tilde <= 2^17 and B >= 1, are
     stacked and each deviation is one reduction over the block; a maximum
     is exact, so the deviations are those of a check after every step.
@@ -107,11 +108,12 @@ def exact_joint(pk: ProductKernel, pi_tilde0, n_steps: int) -> dict:
     B = min(max(1, _JOINT_CHUNK // (n * nt)), max(n_steps, 1))
     rhos, mus, nus = np.empty((B, n, nt)), np.empty((B, n)), np.empty((B, nt))
     pushed = np.empty((nt, n))
+    lp = np.where(pk.lp == 0.0, np.inf, pk.lp)
     obs_dev = hid_dev = prod_dev = 0.0
     for lo in range(0, n_steps, B):
         b = min(B, n_steps - lo)
         for i in range(b):
-            np.multiply(np.matmul(rho.T, pk.p, out=pushed), pk.inv_lp, out=pushed)
+            np.divide(np.matmul(rho.T, pk.p, out=pushed), lp, out=pushed)
             rho = np.multiply(np.matmul(pushed.T, pk.p_tilde, out=rhos[i]), Lt, out=rhos[i])
             mu = np.matmul(mu, pk.p, out=mus[i])
             nu = np.matmul(nu, pk.p_tilde, out=nus[i])

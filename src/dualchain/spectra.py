@@ -102,7 +102,8 @@ def bd_spectrum(params: BDParams) -> Spectrum:
 
 def spectral_weights(params: BDParams) -> Spectrum:
     """``bd_spectrum`` with mu_k = (first component of the k-th orthonormal
-    eigenvector of Q)^2; self-checked against mu_0 = pi(0) and sum = 1.
+    eigenvector of Q)^2; self-checked against mu_0 = pi(0), and by
+    ``Spectrum`` against sum = 1.
     The eigenvalues are those of ``tridiagonal_eigenvalues``, like every
     other the package writes; eigh_tridiagonal supplies only the vectors."""
     pi0 = kernels.stationary(params)[0]     # raises NotIrreducibleError first
@@ -112,8 +113,6 @@ def spectral_weights(params: BDParams) -> Spectrum:
     mu = eigh_tridiagonal(*_symmetrized(params))[1][0, ::-1] ** 2   # descending, as t
     if abs(mu[0] - pi0) > EPS_STOCH:
         raise errors.SpectrumError(f"mu_0 = {mu[0]} does not match pi(0) = {pi0}")
-    if abs(mu.sum() - 1.0) > EPS_STOCH:
-        raise errors.SpectrumError("spectral weights do not sum to 1")
     return Spectrum(eigenvalues=spec.eigenvalues, weights=mu)
 
 

@@ -31,8 +31,7 @@ from .chains import BDParams
 from .kernels import sup_norm
 from .spectra import Spectrum, tridiagonal_eigenvalues
 from .tolerances import (
-    EIG_GAP_MIN, EPS_NEG, EPS_STOCH, GROWTH_TOL, RESID_TOL, SHARP_TOL, SPECTRAL_TOL,
-    TAIL_LIMIT, TAIL_TARGET,
+    EPS_NEG, EPS_STOCH, GROWTH_TOL, RESID_TOL, SHARP_TOL, TAIL_LIMIT, TAIL_TARGET,
 )
 
 N_MAX_CAP = 10**6
@@ -184,8 +183,10 @@ def hitting_moments(p_tilde, start, boundary: int) -> tuple[float, float]:
     idx = np.flatnonzero(reached)
     rows = pt[idx]
     rows[np.arange(idx.size), idx] = 0.0
-    A = -rows[:, idx]
+    A = rows[:, idx]
+    np.negative(A, out=A)
     A[np.diag_indices(idx.size)] = rows.sum(axis=1)
+    del rows                      # freed before the solves, which each copy A
     m1 = np.linalg.solve(A, np.ones(idx.size))
     mean = float(start[idx] @ m1)
     return mean, float(start[idx] @ np.linalg.solve(A, 2.0 * m1 - 1.0)) - mean**2
@@ -306,18 +307,14 @@ def absorption_spectral(spec: Spectrum, n_max: int | None = None) -> AbsorptionS
     the pure-birth chain that holds at k with probability t_k, computed by
     ``_pure_birth_law``; when some t_k < 0 that kernel is signed and the
     pmf is accurate only in absolute terms.  Moments are
-    ``spectral_moments``.
+    ``spectral_moments``.  The law meets no check of its own beyond the
+    gates of ``AbsorptionStats``: the engine is the one ``absorption_exact``
+    runs on P~.
     With the automatic horizon a hopeless tail is refused before the
     engine runs: when every t_k >= 0, T is the sum of independent
     Geometric(1 - t_k) times and T >= G_1 with t_1 = max t_k; hence
     P(T > n) >= P(G_1 > n) = t_1^n, and a floor t_1^N_MAX_CAP above
     TAIL_LIMIT means no cut within the cap can hold.
-    Survival for n >= N-1 is cross-checked
-    against the partial-fraction expansion sum_l c_l t_l^n when the
-    eigenvalue gaps allow, but only at the n where that sum's own rounding
-    bound N eps sum_l |c_l t_l^n| is below the check's 1e-9 gate: the c_l
-    grow like 1e29 at N = 100, and there (or where a term overflows) the sum
-    cannot decide anything.
     """
     mean, variance = spectral_moments(spec)
     t = spec.eigenvalues[1:]
@@ -331,21 +328,6 @@ def absorption_spectral(spec: Spectrum, n_max: int | None = None) -> AbsorptionS
                 f"survivor mass at least {floor:.3g} at n_max={N_MAX_CAP}, mean {mean:.3g}"
             )
     pmf, survival = _pure_birth_law(t, n_max, mean)
-    length = pmf.shape[0]
-
-    if N < 2 or float(-np.diff(t).max()) >= EIG_GAP_MIN:
-        check = np.arange(max(N - 1, 0), min(length, max(N - 1, 0) + 50))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            ratio = (1.0 - t)[None, :] / (t[:, None] - t[None, :])
-            ratio[np.diag_indices(N)] = 1.0
-            coef = ratio.prod(axis=1)
-            terms = coef[None, :] * t[None, :] ** check[:, None]
-            bound = N * np.finfo(float).eps * np.abs(terms).sum(axis=1)
-        decidable = bound < SPECTRAL_TOL
-        pf = terms[decidable].sum(axis=1)
-        if sup_norm(pf - survival[check[decidable]]) > SPECTRAL_TOL:
-            raise errors.SpectrumError("partial-fraction tail disagrees with pmf")
-
     return AbsorptionStats(pmf=pmf, survival=survival, mean=mean, variance=variance,
                            source="spectral")
 

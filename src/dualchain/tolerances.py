@@ -41,13 +41,6 @@ TAIL_LIMIT = 1e-9
 # route (fundamental matrix of Ptilde) from the spectral route (closed sums)
 ABSORPTION_TOL = 1e-8
 
-# spectral route: the gate of the partial-fraction survival cross-check,
-# which checks only the steps whose rounding bound lies below it
-SPECTRAL_TOL = 1e-9
-
-# eigenvalues closer than this are not expanded in partial fractions
-EIG_GAP_MIN = 1e-8
-
 # relative growth of (1 - t_1) E that counts as a rise in a cutoff sweep
 GROWTH_TOL = 1e-9
 

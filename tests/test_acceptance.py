@@ -417,8 +417,9 @@ def test_criterion_13_coupled_chain():
         ok = ok and np.array_equal(batch.x, again.x)
         ok = ok and np.array_equal(batch.x_tilde, again.x_tilde)
     _report(13, ok, "coupled kernel keeps both marginals and the product "
-                    "form exactly; 100k sampled paths sit within three "
-                    "standard errors and are bit-identical across runs")
+                    "form exactly; 100k sampled paths pass the family-wise "
+                    "binomial test of empirical_report at SAMPLE_ALPHA and "
+                    "are bit-identical across runs")
 
 
 def test_criterion_14_absorbed_bottom_duality():

@@ -43,15 +43,16 @@ def pair_matrix(pk):
 
 def stepwise_joint(pk, pi_tilde0, n_steps):
     """Oracle: the law pushed one step at a time, with the three deviations
-    taken after every step."""
+    taken after every step; the zeros of Lambda P divide as inf."""
     nu0 = kernels.validate_prob_vector(pi_tilde0, "pi_tilde0", pk.n_tilde)
     L = pk.link
+    lp = np.where(pk.lp == 0.0, np.inf, pk.lp)
     rho = nu0[None, :] * L.T
     mu = nu0 @ L
     nu = nu0.copy()
     obs_dev = hid_dev = prod_dev = 0.0
     for _ in range(n_steps):
-        rho = (((rho.T @ pk.p) * pk.inv_lp).T @ pk.p_tilde) * L.T
+        rho = (((rho.T @ pk.p) / lp).T @ pk.p_tilde) * L.T
         mu = mu @ pk.p
         nu = nu @ pk.p_tilde
         obs_dev = max(obs_dev, kernels.sup_norm(rho.sum(axis=1) - mu))
@@ -125,8 +126,7 @@ def test_product_kernel_rows_and_consistency(coupled_a):
     big = pair_matrix(pk)
     np.testing.assert_allclose(big.sum(axis=1), 1.0, atol=1e-12)
     assert np.min(big) >= 0
-    lp = pk.link @ pk.p
-    np.testing.assert_allclose(pk.inv_lp * lp, (lp > 0).astype(float), atol=1e-15)
+    assert np.array_equal(pk.lp, pk.link @ pk.p)
     # pair states s = x * n_tilde + xt
     assert big.shape == (pk.n * pk.n_tilde,) * 2
 
@@ -141,8 +141,8 @@ def test_product_kernel_reuses_its_products():
     inv_lp = np.divide(1.0, W, out=np.zeros_like(W), where=W > 0)
     sums = (m @ ((pt @ L) * inv_lp).T).reshape(-1)
     assert np.abs(sums[(L.T > 1e-12).reshape(-1)] - 1.0).max() <= 1e-9
-    assert np.array_equal(pk.inv_lp, inv_lp)
-    oracle = dataclasses.replace(pk, inv_lp=inv_lp)
+    assert np.array_equal(pk.lp, W)
+    oracle = dataclasses.replace(pk, lp=W)
     nu0 = np.eye(pk.n_tilde)[0]
     assert np.array_equal(exact_joint(pk, nu0, 20)["joint"],
                           exact_joint(oracle, nu0, 20)["joint"])
@@ -161,26 +161,42 @@ SUBNORMAL = {"kind": "bd", "p": [2.5e-11] * 31 + [0.0], "q": [0.0] + [0.5] * 31}
 
 def test_row_sum_gate_reads_finite_sums_where_lambda_p_is_subnormal(tmp_path):
     res = cli.pipeline(SUBNORMAL, {}).res
-    with np.errstate(over="ignore"):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(SUBNORMAL))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)     # nothing overflows
         pk = product_kernel(res.back, res.p_tilde, res.link)
-    assert np.isinf(pk.inv_lp).any()
+        assert cli.run(["simulate", "--config", str(path), "--out", str(tmp_path),
+                        "--trials", "2000"]) == 0
+    assert json.loads((tmp_path / "simulate_summary.json").read_text())["ok"]
     consistent = (pk.link.T > 1e-12).reshape(-1)
     V, W = pk.p_tilde @ pk.link, pk.link @ pk.p
-    with np.errstate(invalid="ignore"):
-        through_inv = (pk.p @ (V * pk.inv_lp).T).reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv_lp = np.divide(1.0, W, out=np.zeros_like(W), where=W > 0)
+        through_inv = (pk.p @ (V * inv_lp).T).reshape(-1)
+    assert np.isinf(inv_lp).any()
     ratio = np.divide(V, W, out=np.zeros_like(W), where=W > 0)
     sums = (pk.p @ ratio.T).reshape(-1)
     # the sums read through 1 / (Lambda P) are NaN at some consistent pairs;
     # those read from the ratio are 1
     assert np.isnan(through_inv[consistent]).any()
     assert np.abs(sums[consistent] - 1.0).max() <= 1e-15
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(SUBNORMAL))
+
+
+def test_exact_joint_is_finite_where_lambda_p_is_subnormal(monkeypatch):
+    # pushed through 1 / (Lambda P), every entry of the law was NaN
+    monkeypatch.syspath_prepend(str(CONFIGS.parent / "perfbench"))
+    import checks
+
+    res = cli.pipeline(SUBNORMAL, {}).res
+    pk = product_kernel(res.back, res.p_tilde, res.link)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)    # the overflow of inv_lp
-        assert cli.run(["simulate", "--config", str(path), "--out", str(tmp_path),
-                        "--trials", "2000"]) == 0
-    assert json.loads((tmp_path / "simulate_summary.json").read_text())["ok"]
+        warnings.simplefilter("error", RuntimeWarning)
+        got = exact_joint(pk, np.eye(pk.n_tilde)[0], 50)
+    assert np.isfinite(got["joint"]).all()
+    assert checks.check_exact_joint(got) == []
+    assert all(got[key] <= 1e-15 for key in _DEVS)
+    assert_same_joint(got, stepwise_joint(pk, np.eye(pk.n_tilde)[0], 50))
 
 
 def test_row_sum_gate_refuses_a_nan_row(coupled_a, monkeypatch):
@@ -252,10 +268,10 @@ def test_exact_joint_blocks_do_not_pass_a_wrong_kernel(monkeypatch):
     p_tilde = pk.p_tilde.copy()
     p_tilde[5, 5] -= 1e-7
     p_tilde[5, 6] += 1e-7
-    inv_lp = pk.inv_lp.copy()
-    inv_lp[5, 5] *= 1 + 1e-7
+    lp = pk.lp.copy()
+    lp[5, 5] /= 1 + 1e-7
     for wrong, tripped in ((dataclasses.replace(pk, p_tilde=p_tilde), _DEVS[:1]),
-                           (dataclasses.replace(pk, inv_lp=inv_lp), _DEVS)):
+                           (dataclasses.replace(pk, lp=lp), _DEVS)):
         assert all(exact_joint(wrong, nu0, 5)[key] <= 1e-10 for key in _DEVS)
         for steps in (6, 20):
             got = exact_joint(wrong, nu0, steps)
@@ -264,12 +280,12 @@ def test_exact_joint_blocks_do_not_pass_a_wrong_kernel(monkeypatch):
 
 
 def test_exact_joint_does_not_pass_a_nan_law(monkeypatch):
-    # a NaN in 1/(Lambda P) spreads through the law; the per-step loop's
+    # a NaN in Lambda P spreads through the law; the per-step loop's
     # max(dev, nan) kept dev, and all three deviations read 0.0
     pk, _ = moran_coupled(10, 0.5, 0.5)
-    inv_lp = pk.inv_lp.copy()
-    inv_lp[5, 5] = np.nan
-    wrong = dataclasses.replace(pk, inv_lp=inv_lp)
+    lp = pk.lp.copy()
+    lp[5, 5] = np.nan
+    wrong = dataclasses.replace(pk, lp=lp)
     for budget in (coupling._JOINT_CHUNK, 4 * pk.n * pk.n_tilde):
         monkeypatch.setattr(coupling, "_JOINT_CHUNK", budget)
         got = exact_joint(wrong, np.eye(pk.n_tilde)[0], 20)

@@ -227,8 +227,8 @@ def test_absorption_exact_moran_mean_closed_form():
 
 
 def test_absorption_spectral_large_n_matches_exact():
-    # the partial-fraction coefficients reach 1e29 here; the check must
-    # not raise on the correct pmf
+    # the partial-fraction coefficients reach 1e29 here, so the expansion
+    # below decides no step; the matrix route is the oracle
     params, res, start = _moran_pipeline(100, 0.5, 0.5)
     exact = absorption_exact(res.p_tilde, start, boundary=100)
     spectral = absorption_spectral(bd_spectrum(params), n_max=exact.n_max)
@@ -236,6 +236,7 @@ def test_absorption_spectral_large_n_matches_exact():
 
 
 def test_absorption_spectral_check_catches_corrupt_pmf(monkeypatch):
+    # refused by the mass gate of AbsorptionStats
     N = 10
     spec = bd_spectrum(moran_kernel(N, mutation_bias(0.5, 0.5, N)))
     absorption_spectral(spec)
@@ -249,8 +250,59 @@ def test_absorption_spectral_check_catches_corrupt_pmf(monkeypatch):
         return pmf, survival
 
     monkeypatch.setattr(stationary_times, "_absorb", corrupt)
-    with pytest.raises(errors.SpectrumError, match="partial-fraction"):
+    with pytest.raises(errors.DualChainError, match="pmf plus truncation mass misses 1"):
         absorption_spectral(spec)
+
+
+def partial_fraction_misfit(t, survival) -> tuple[int, float]:
+    """Oracle of the pure-birth engine: for distinct t_l,
+    P(T > n) = sum_l c_l t_l^n, c_l = prod_{k != l} (1 - t_k) / (t_l - t_k),
+    for n >= N - 1, N = len(t).  Of the steps N - 1 .. N + 48 that
+    ``survival`` holds, only those whose rounding bound N eps sum_l |c_l t_l^n|
+    is under 1e-9 are decided: the c_l reach 1e29 at N = 100.  Returns the
+    number of decided steps and the largest deviation among them."""
+    N = t.shape[0]
+    n = np.arange(N - 1, min(survival.shape[0], N + 49))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ratio = (1.0 - t)[None, :] / (t[:, None] - t[None, :])
+        ratio[np.diag_indices(N)] = 1.0
+        terms = ratio.prod(axis=1)[None, :] * t[None, :] ** n[:, None]
+        decided = N * np.finfo(float).eps * np.abs(terms).sum(axis=1) < 1e-9
+    misfit = np.abs(terms[decided].sum(axis=1) - survival[n[decided]])
+    return int(decided.sum()), float(misfit.max(initial=0.0))
+
+
+@pytest.mark.parametrize("N, a1, a2", [(10, 0.5, 0.5), (20, 0.3, 0.2), (40, 0.1, 0.1),
+                                       (60, 0.5, 0.5)])
+def test_pure_birth_survival_matches_partial_fractions(N, a1, a2):
+    # 50 of 50 steps decided for N <= 40, 22 of 50 at N = 60
+    spec = bd_spectrum(moran_kernel(N, mutation_bias(a1, a2, N)))
+    decided, misfit = partial_fraction_misfit(spec.eigenvalues[1:],
+                                              absorption_spectral(spec).survival)
+    assert decided >= 1
+    assert misfit <= 1e-9
+
+
+def test_partial_fraction_oracle_rejects_planted_errors():
+    N = 10
+    spec = bd_spectrum(moran_kernel(N, mutation_bias(0.5, 0.5, N)))
+    stats = absorption_spectral(spec)
+    t = spec.eigenvalues[1:]
+    # 1e-8 more mass at n = N + 5, and so in the survival before it
+    added = stats.survival.copy()
+    added[: N + 5] += 1e-8
+    # 1e-8 moved from n = N + 5 to N + 6: the mass is kept, so the gates of
+    # AbsorptionStats take the law
+    pmf, moved = stats.pmf.copy(), stats.survival.copy()
+    pmf[N + 5] -= 1e-8
+    pmf[N + 6] += 1e-8
+    moved[N + 5] += 1e-8
+    stationary_times.AbsorptionStats(pmf=pmf, survival=moved, mean=stats.mean,
+                                     variance=stats.variance, source="spectral")
+    for survival in (added, moved):
+        decided, misfit = partial_fraction_misfit(t, survival)
+        assert decided == 50
+        assert misfit > 1e-9
 
 
 def _series_convolve(a, b, length):
@@ -674,8 +726,8 @@ def test_start_laws_of_the_wrong_length_are_named(pipeline_b):
 
 
 def test_absorption_spectral_overflowing_coefficients_stay_silent():
-    # 100 eigenvalues 1e-5 apart: the partial-fraction coefficients overflow,
-    # so the tail check decides nothing, without a RuntimeWarning
+    # 100 eigenvalues 1e-5 apart, whose partial-fraction coefficients
+    # overflow: the engine raises no RuntimeWarning and meets the series
     t = np.concatenate([[1.0], 0.5 - 1e-5 * np.arange(100)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
