@@ -72,7 +72,7 @@ class BiasFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         object.__setattr__(self, "values", v)
         v.setflags(write=False)
 

@@ -413,7 +413,7 @@ def cmd_intertwine(cfg, opts):
     return 0, {
         "link.csv": res.link,
         "p_tilde.csv": res.p_tilde,
-        "k_map.csv": res.K,
+        "k_map.csv": pipe.H.matrix / res.phi[None, :],     # K = H D_phi^{-1}
         "phi.csv": (["state", "phi", "pi"],
                     [(str(i), res.phi[i], res.pi[i]) for i in range(pipe.P.n)]),
         "intertwine_summary.json": {
@@ -430,11 +430,10 @@ def cmd_spectrum(cfg, opts):
         raise errors.ConfigError("spectrum needs a birth-death chain")
     spec = spectra.spectral_weights(params)
     rows = [(str(k), spec.eigenvalues[k], spec.weights[k]) for k in range(spec.n)]
-    checks = spectra.spectrum_monotonicity_checks(params, spec)
     return 0, {
         "spectrum.csv": (["k", "t_k", "mu_k"], rows),
-        "spectrum_summary.json": {"gap": spec.gap, **{key: checks[key] for key in (
-            "monotone", "min_eigenvalue", "min_holding", "spectrally_nonnegative")}},
+        "spectrum_summary.json": {"gap": spec.gap,
+                                  **spectra.spectrum_monotonicity_checks(params, spec)},
     }
 
 

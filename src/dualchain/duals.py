@@ -23,7 +23,8 @@ COND_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class DualFunction:
-    """A nonnegative matrix H used on the right of the duality identity.
+    """A nonnegative matrix H used on the right of the duality identity,
+    kept as a copy of the array it is given.
 
     ``family`` tags the construction ("siegmund", "ultrametric",
     "hypergeometric", "vandermonde", "potential", "custom").
@@ -33,15 +34,16 @@ class DualFunction:
     family: str
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = np.array(self.matrix, dtype=float)      # its own copy, clamped below
         object.__setattr__(self, "matrix", m)
-        m.setflags(write=False)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise errors.NonSquareError("dual function must be square")
         if not np.all(np.isfinite(m)):
             raise errors.NonFiniteEntryError("dual function has non-finite entries")
         if np.min(m) < -EPS_NEG:
             raise errors.NegativeEntryError("dual function must be nonnegative")
+        np.maximum(m, 0.0, out=m)       # entries in [-EPS_NEG, 0) are stored as 0
+        m.setflags(write=False)
         if np.any(m.sum(axis=1) <= EPS_NEG) or np.any(m.sum(axis=0) <= EPS_NEG):
             raise errors.TrivialDualFunctionError(
                 "dual function has a vanishing row or column"

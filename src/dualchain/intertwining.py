@@ -6,16 +6,15 @@ and an H-dual Phat, the pipeline produces
     phi = H' pi            (positive, harmonic for Phat)
     Ptilde = D_phi^{-1} Phat D_phi        (stochastic)
     Lambda = D_phi^{-1} H' D_pi           (stochastic link)
-    K = H D_phi^{-1}
 
-with Ptilde Lambda = Lambda Pbar and K Ptilde' = P K, where Pbar =
-D_pi^{-1} P' D_pi is the time reversal of P.  With E = P H - H Phat',
-Ptilde Lambda - Lambda Pbar = -D_phi^{-1} E' D_pi and K Ptilde' - P K =
--E D_phi^{-1}, so ``build_intertwining`` reads every identity of the result
-off the one matrix E, and ``identity_residuals`` measures the rest: the
-decomposition of the harmonic phi over the mass-conserving classes of Phat
-and the spectra.  Both hand on readings, and ``cli.VERIFY_CHECKS`` holds
-every gate.
+with Ptilde Lambda = Lambda Pbar, where Pbar = D_pi^{-1} P' D_pi is the
+time reversal of P, and K Ptilde' = P K for K = H D_phi^{-1}, which only
+``intertwine`` forms, for its file.  With E = P H - H Phat', Ptilde Lambda -
+Lambda Pbar = -D_phi^{-1} E' D_pi and K Ptilde' - P K = -E D_phi^{-1}, so
+``build_intertwining`` reads every identity off the one matrix E, and
+``identity_residuals`` measures the rest: the decomposition of the harmonic
+phi over the mass-conserving classes of Phat and the spectra.  Both hand
+on readings, and ``cli.VERIFY_CHECKS`` holds every gate.
 """
 from __future__ import annotations
 
@@ -33,17 +32,11 @@ from .tolerances import EPS_NEG, EPS_STOCH, RESID_TOL
 class IntertwiningResult:
     pi: np.ndarray
     phi: np.ndarray
-    link: np.ndarray         # Lambda, stochastic
+    link: np.ndarray         # Lambda, stochastic by construction
     p_tilde: Kernel          # stochastic; a record when the dual is birth-death
-    K: np.ndarray
     back: Kernel             # Pback: P itself when P is birth-death or reversible
     class_constants: list    # [(states of each mass-conserving class, c_l)]
     diagnostics: dict = field(default_factory=dict)
-
-
-def _stochastic_or_raise(m: np.ndarray, what: str) -> None:
-    if np.min(m) < -EPS_NEG or sup_norm(m.sum(axis=1) - 1.0) > EPS_STOCH:
-        raise errors.LinkNotStochasticError(f"{what} is not a stochastic kernel")
 
 
 def _duality_readings(m, Hm, d, pi, phi, drift: float) -> dict:
@@ -81,10 +74,12 @@ def build_intertwining(P, H: DualFunction, dual) -> IntertwiningResult:
     P is within RESID_TOL of its reversal; otherwise it is the reversal.
 
     Raises only where a later stage would be undefined: when P is not
-    stochastic irreducible, when phi has a nonpositive entry, when the link
-    or the transformed kernel misses stochasticity, when the dual has no
-    mass-conserving class, or when the dual and Ptilde absorb at different
-    states.  The identities are handed on as readings in ``diagnostics``,
+    stochastic irreducible, when phi has a nonpositive entry, when Ptilde
+    misses stochasticity, when the dual has no mass-conserving class, or
+    when the dual and Ptilde absorb at different states.  Lambda needs no
+    check: with H >= 0 and pi, phi > 0, row y holds nonnegative terms
+    H(x, y) pi(x) / phi(y) summing to phi(y) / phi(y), within 2 n eps of 1.
+    The identities are handed on as readings in ``diagnostics``,
     none gated here: those of ``_duality_readings`` (the n-step duality
     follows by induction), the harmonic residual ||dual phi - phi|| as
     ``phi_harmonic``, the largest deviation of phi from its mean on a
@@ -105,17 +100,17 @@ def build_intertwining(P, H: DualFunction, dual) -> IntertwiningResult:
     phi = Hm.T @ pi
     if np.min(phi) <= 0:
         raise errors.HarmonicNotPositiveError("phi = H' pi has a nonpositive entry")
-    # before Lambda and K exist, so that E's arrays are the only n x n ones added
+    # before Lambda exists, so that E's arrays are the only n x n ones added
     diagnostics = _duality_readings(np.asarray(PK), Hm, np.asarray(dual_K), pi, phi, drift)
 
     link = Hm.T * pi[None, :] / phi[:, None]    # Lambda = D_phi^{-1} H' D_pi
-    K = Hm / phi[None, :]
-    _stochastic_or_raise(link, "Lambda")
     b = dual_K.bands                 # Ptilde(x, y) = dual(x, y) (phi(y) / phi(x))
     pt = (dual_K.matrix * (phi[None, :] / phi[:, None]) if b is None else kernels.BDParams(
         np.append(b.p[:-1] * (phi[1:] / phi[:-1]), 0.0),
         np.append(0.0, b.q[1:] * (phi[:-1] / phi[1:])), b.r))    # phi(x) / phi(x) = 1.0
-    _stochastic_or_raise(pt if b is None else np.c_[pt.q, pt.r, pt.p], "Ptilde")  # its rows
+    rows = pt if b is None else np.c_[pt.q, pt.r, pt.p]
+    if np.min(rows) < -EPS_NEG or sup_norm(rows.sum(axis=1) - 1.0) > EPS_STOCH:
+        raise errors.LinkNotStochasticError("Ptilde is not a stochastic kernel")
     p_tilde = Kernel(pt, kernels.KernelKind.STOCHASTIC) if b is None else Kernel(bands=pt)
 
     dec = kernels.classify(dual_K)
@@ -136,7 +131,7 @@ def build_intertwining(P, H: DualFunction, dual) -> IntertwiningResult:
             "absorbing states of the dual and its stochastic transform differ")
     diagnostics["absorbing_rows"] = {a: float(sup_norm(link[a] - pi)) for a in abs_tilde}
 
-    return IntertwiningResult(pi=pi, phi=phi, link=link, p_tilde=p_tilde, K=K, back=back,
+    return IntertwiningResult(pi=pi, phi=phi, link=link, p_tilde=p_tilde, back=back,
                               class_constants=class_constants, diagnostics=diagnostics)
 
 

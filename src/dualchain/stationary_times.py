@@ -138,8 +138,8 @@ class AbsorptionStats:
     source: str
 
     def __post_init__(self):
-        p = np.asarray(self.pmf, dtype=float)
-        s = np.asarray(self.survival, dtype=float)
+        p = np.array(self.pmf, dtype=float)
+        s = np.array(self.survival, dtype=float)
         object.__setattr__(self, "pmf", p)
         object.__setattr__(self, "survival", s)
         p.setflags(write=False)
@@ -377,18 +377,13 @@ def absorption_recurrence(params: BDParams, n_max: int | None = None) -> Absorpt
     some theta_k < 0.
     """
     N = params.N
-    if N == 0:
-        return AbsorptionStats(
-            pmf=np.array([1.0]), survival=np.array([0.0]),
-            mean=0.0, variance=0.0, source="recurrence",
-        )
     p, q, r = params.p, params.q, params.r
     if np.any(p[:N] <= 0):
         raise errors.ZeroUpProbabilityError("needs p_y > 0 for y < N")
 
-    mean, variance = _passage_moments(params)
+    mean, variance = _passage_moments(params) if N else (0.0, 0.0)
 
-    if n_max is None:
+    if n_max is None and N:
         # the walk leaves y upward with probability at most p_y per step, so
         # P(T > n) >= (1 - p_y)^n: a tail that bound keeps above TAIL_LIMIT
         # at the cap is refused without the 10^6 engine steps

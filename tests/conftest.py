@@ -41,7 +41,8 @@ def _direct_residuals(P, H, dual, res) -> dict:
     measured from its own n x n products, against Pbar = res.back: the
     reference of those readings."""
     m, d, pt, back = (np.asarray(v, dtype=float) for v in (P, dual, res.p_tilde, res.back))
-    weighted, K = H.matrix.T * res.pi[None, :], res.K       # H' D_pi, H D_phi^{-1}
+    weighted = H.matrix.T * res.pi[None, :]                 # H' D_pi
+    K = H.matrix / res.phi[None, :]                          # H D_phi^{-1}
     R = K @ pt.T - m @ K
     scale = K @ pt.T + m @ K                                  # every factor is nonnegative
     return {"weighted_duality": sup_norm(d @ weighted - weighted @ back),
@@ -63,6 +64,6 @@ def agrees(direct_residuals):
     the rounding of entries that size."""
     def check(P, H, dual, res) -> bool:
         ref, d = direct_residuals(P, H, dual, res), res.diagnostics
-        scale = {"k_duality": max(1.0, float(res.K.max()))}
+        scale = {"k_duality": max(1.0, float((H.matrix / res.phi[None, :]).max()))}
         return all(abs(d[k] - v) <= 1e-14 * scale.get(k, 1.0) for k, v in ref.items())
     return check

@@ -208,6 +208,12 @@ def test_absorption_profile_requires_double_absorption(chain_b):
         absorption_profile(chain_b)
 
 
+def test_absorption_profile_refuses_a_non_monotone_chain():
+    # p_1 + q_2 = 1.2: the one-step dual would need a negative entry
+    with pytest.raises(errors.NotMonotoneError, match=r"p_x \+ q_\{x\+1\} <= 1"):
+        absorption_profile(make_bd([0.0, 0.6, 0.3, 0.0], [0.0, 0.3, 0.6, 0.0]))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 12), st.integers(0, 2**31 - 1))
 def test_absorption_profile_identity_random(N, seed):

@@ -45,6 +45,12 @@ def test_dual_function_rejects_bad_input():
         DualFunction(np.array([[1.0, 0.0], [1.0, 0.0]]), "custom")
 
 
+def test_dual_function_stores_entries_within_eps_neg_below_zero_as_zero():
+    H = np.triu(np.ones((3, 3)))
+    H[1, 0] = -5e-13                    # above -EPS_NEG = -1e-12: accepted
+    np.testing.assert_array_equal(DualFunction(H, "custom").matrix, np.triu(np.ones((3, 3))))
+
+
 def test_siegmund_function_shape():
     H = siegmund_function(3)
     assert np.array_equal(H.matrix, np.triu(np.ones((4, 4))))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualchain import cli, errors, kernels
-from dualchain.chains import bd_kernel, moran_kernel, mutation_bias
+from dualchain.chains import bd_kernel, make_bd, moran_kernel, mutation_bias
 from dualchain.duals import (
     DualFunction,
     dual_via_solve,
@@ -34,7 +34,8 @@ def test_pipeline_chain_a_frozen_values(pipeline_a):
     np.testing.assert_allclose(res.phi, [0.4, 1.0], atol=1e-12)
     np.testing.assert_allclose(res.link, [[1.0, 0.0], [0.4, 0.6]], atol=1e-12)
     np.testing.assert_allclose(res.p_tilde, [[0.5, 0.5], [0.0, 1.0]], atol=1e-12)
-    np.testing.assert_allclose(res.K, [[2.5, 1.0], [0.0, 1.0]], atol=1e-12)
+    K = siegmund_function(1).matrix / res.phi[None, :]          # H D_phi^{-1}
+    np.testing.assert_allclose(K, [[2.5, 1.0], [0.0, 1.0]], atol=1e-12)
 
 
 def test_pipeline_chain_b_frozen_values(pipeline_b):
@@ -204,16 +205,17 @@ def test_k_duality_scaled_at_paper_scale(direct_residuals):
     H, dual = siegmund_function(100), siegmund_dual(P).dual
     res = build_intertwining(P, H, dual)
     d, ref = res.diagnostics, direct_residuals(P, H, dual, res)
-    assert res.K.max() > 1e29
+    assert (H.matrix / res.phi[None, :]).max() > 1e29
     assert ref["k_duality"] > 1.0 and d["k_duality"] < 1e-3
     assert d["k_duality_scaled"] <= 1e-14
     assert abs(d["k_duality_scaled"] - ref["k_duality_scaled"]) <= 1e-14
 
 
 def test_the_construction_follows_its_formulas():
-    # Ptilde, Lambda and K are one expression each of phi, pi, H and the
-    # dual; no stage measures them, so their formulas are pinned here, on a
-    # record dual and on a dense one (dense_monotone.json)
+    # Ptilde and Lambda are one expression each of phi, pi, H and the dual,
+    # and K = H D_phi^{-1} (k_map.csv) is one of H and phi; no stage measures
+    # them, so their formulas are pinned here, on a record dual and on a
+    # dense one (dense_monotone.json)
     record = bd_kernel(moran_kernel(30, mutation_bias(0.3, 0.2, 30)))
     dense = np.array([[0.5, 0.3, 0.2, 0.0], [0.2, 0.4, 0.3, 0.1],
                       [0.1, 0.2, 0.4, 0.3], [0.0, 0.1, 0.3, 0.6]])
@@ -225,8 +227,48 @@ def test_the_construction_follows_its_formulas():
         # Ptilde(x, y) phi(x) = dual(x, y) phi(y)
         np.testing.assert_allclose(pt * phi[:, None], d * phi[None, :],
                                    rtol=8 * np.finfo(float).eps, atol=0)
-        np.testing.assert_allclose(res.link, res.K.T * res.pi[None, :], rtol=1e-15, atol=0)
-        np.testing.assert_allclose(res.K * phi[None, :], H.matrix, rtol=1e-15, atol=0)
+        K = H.matrix / phi[None, :]
+        np.testing.assert_allclose(res.link, K.T * res.pi[None, :], rtol=1e-15, atol=0)
+        np.testing.assert_allclose(K * phi[None, :], H.matrix, rtol=1e-15, atol=0)
+
+
+def test_an_h_within_eps_neg_of_nonnegative_runs_as_its_clamped_self():
+    # H(1, 0) = -5e-13 is accepted and stored as 0, so Lambda holds no
+    # negative entry (-2e-12 = H(1, 0) pi(1) / phi(0) unclamped, as pi is
+    # proportional to (1, 4, 16)) and every output is that of the exact H
+    P = bd_kernel(make_bd(p=[0.4, 0.4, 0.0], q=[0.0, 0.1, 0.1]))
+    near = np.triu(np.ones((3, 3)))
+    near[1, 0] = -5e-13
+    got, exact = (build_intertwining(P, H, dual_via_solve(P, H).dual) for H in (
+        DualFunction(near, "custom"), DualFunction(np.triu(np.ones((3, 3))), "custom")))
+    assert np.min(got.link) >= 0
+    for name in ("pi", "phi", "link", "p_tilde", "back"):
+        np.testing.assert_array_equal(np.asarray(getattr(got, name)),
+                                      np.asarray(getattr(exact, name)))
+    assert got.diagnostics == exact.diagnostics
+    assert got.class_constants == exact.class_constants
+
+
+def test_a_phi_that_underflows_to_zero_is_refused():
+    # pi falls to 4.7e-320 at the top state, and H(31, 31) = 1e-5 takes
+    # phi(31) = 1e-5 pi(31) below the smallest subnormal
+    P = bd_kernel(make_bd([2.5e-11] * 31 + [0.0], [0.0] + [0.5] * 31))
+    m = np.eye(32)
+    m[31, 31] = 1e-5
+    H = DualFunction(m, "custom")
+    with pytest.raises(errors.HarmonicNotPositiveError, match="nonpositive entry"):
+        build_intertwining(P, H, dual_via_solve(P, H).dual)
+
+
+def test_a_dual_that_phi_does_not_make_stochastic_is_refused():
+    # 1e-6 moved from (3, 3) to (3, 2) keeps the dual's row sums, but phi is
+    # no longer harmonic for it, so row 3 of Ptilde misses 1 by 5.7e-7
+    P = bd_kernel(moran_kernel(10, mutation_bias(0.3, 0.2, 10)))
+    dual = np.array(siegmund_dual(P).dual, dtype=float)
+    dual[3, 3] -= 1e-6
+    dual[3, 2] += 1e-6
+    with pytest.raises(errors.LinkNotStochasticError, match="Ptilde is not a stochastic"):
+        build_intertwining(P, siegmund_function(10), dual)
 
 
 @settings(max_examples=40, deadline=None)

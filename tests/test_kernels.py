@@ -10,16 +10,18 @@ from hypothesis import strategies as st
 
 from dualchain import errors, kernels
 from dualchain.chains import (
+    BiasFunction,
     bd_kernel,
     make_bd,
     moran_kernel,
     mutation_bias,
     wright_fisher_kernel,
 )
-from dualchain.duals import siegmund_dual, siegmund_function
+from dualchain.duals import DualFunction, siegmund_dual, siegmund_function
 from dualchain.intertwining import build_intertwining
 from dualchain.samplers import random_monotone_bd, random_monotone_kernel
-from dualchain.stationary_times import hitting_moments
+from dualchain.spectra import Spectrum
+from dualchain.stationary_times import AbsorptionStats, hitting_moments
 
 
 def random_stochastic(rng, n):
@@ -133,6 +135,30 @@ def test_a_kernel_reads_as_its_matrix_through_the_array_protocol():
         np.testing.assert_array_equal(copy, m.astype(copy.dtype))
         copy[0, 0] = 0.5
     assert K.matrix is m and m[0, 0] == 0.7 and kernels.dense_builds == builds + 1
+
+
+# name: (an array a caller holds, the record's array made from it)
+ARRAY_RECORDS = {
+    "BDParams.p": (np.array([0.5, 0.0]), lambda a: kernels.BDParams(a, [0.0, 0.5], [0.5, 0.5]).p),
+    "DualFunction.matrix": (np.eye(2), lambda a: DualFunction(a, "custom").matrix),
+    "Spectrum.eigenvalues": (np.array([1.0, 0.5]), lambda a: Spectrum(a).eigenvalues),
+    "Spectrum.weights": (np.array([0.5, 0.5]), lambda a: Spectrum([1.0, 0.5], a).weights),
+    "BiasFunction.values": (np.array([0.2, 0.8]), lambda a: BiasFunction(a).values),
+    "AbsorptionStats.pmf": (np.array([0.5, 0.5]),
+                            lambda a: AbsorptionStats(a, [0.5, 0.0], 0.5, 0.25, "test").pmf),
+    "AbsorptionStats.survival": (np.array([0.5, 0.0]), lambda a: AbsorptionStats(
+        [0.5, 0.5], a, 0.5, 0.25, "test").survival),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_RECORDS)
+def test_a_record_freezes_its_own_copy_not_the_callers_array(name):
+    given, made = ARRAY_RECORDS[name]
+    given = given.copy()
+    kept = made(given)
+    np.testing.assert_array_equal(kept, given)
+    assert given.flags.writeable and not kept.flags.writeable
+    assert not np.shares_memory(kept, given)
 
 
 def test_a_reducible_kernel_is_refused_by_its_size_and_where_it_breaks():
@@ -298,6 +324,14 @@ def test_hitting_probabilities_gambler():
     ])
     h = kernels.hitting_probabilities(m, [2])
     np.testing.assert_allclose(h, [0.0, 0.5, 1.0], atol=1e-12)
+
+
+def test_a_hitting_solve_that_rounding_takes_out_of_0_1_is_refused():
+    # the exit 2e-12 leaves I - Q a condition number near 1e12: the solve's
+    # rounding lands above 1 + HITTING_TOL, refused rather than clipped
+    m = np.array([[0.1, 0.9 - 2e-12, 2e-12], [0.1, 0.9, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(errors.SingularSystemError, match=r"left \[0, 1\]"):
+        kernels.hitting_probabilities(m, [2])
 
 
 def test_evolve_matches_matrix_power(rng):

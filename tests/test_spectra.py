@@ -186,20 +186,30 @@ def test_monotonicity_checks_pass_paths(chain_b):
         p=0.5 * chain_b.p, q=0.5 * chain_b.q, r=0.5 * chain_b.r + 0.5
     )
     out2 = spectrum_monotonicity_checks(lazy, bd_spectrum(lazy))
-    assert out2["half_holding"] and out2["min_eigenvalue"] > 0
+    assert out2["min_holding"] >= 0.5 and out2["min_eigenvalue"] > 0
 
 
 def test_monotonicity_checks_report_negative_monotone():
     # monotone chain whose spectrum dips below zero
     params = reflected_walk_params(2, 0.5, 0.5)
     out = spectrum_monotonicity_checks(params, bd_spectrum(params))
-    assert out["monotone_but_negative_spectrum"]
+    assert out["monotone"] and not out["spectrally_nonnegative"]
+
+
+def test_a_chain_holding_just_under_half_is_reported_not_refused():
+    # r = 1/2 - 1e-12 gives t_min = 2 r - 1 = -2e-12 exactly in theory; a
+    # raise of "r >= 1/2 - EPS_NEG gives t_min >= -EPS_NEG" refused it
+    params = make_bd([0.5 + 1e-12, 0.0], [0.0, 0.5 + 1e-12])
+    out = spectrum_monotonicity_checks(params, bd_spectrum(params))
+    assert out.keys() == {"monotone", "min_eigenvalue", "min_holding", "spectrally_nonnegative"}
+    assert out["min_eigenvalue"] == pytest.approx(-2e-12, rel=1e-3)
+    assert not out["monotone"] and not out["spectrally_nonnegative"]
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 12), st.integers(0, 2**31 - 1))
 def test_spectral_nonnegativity_forces_monotone(N, seed):
-    # raises inside when a nonnegative spectrum meets a non-monotone chain
+    # a nonnegative spectrum forces monotonicity
     rng = np.random.default_rng(seed)
     params = random_monotone_bd(rng, N)
     out = spectrum_monotonicity_checks(params, bd_spectrum(params))

@@ -422,6 +422,20 @@ def test_routes_refuse_a_short_explicit_horizon_alike():
         assert str(info.value) == "survivor mass 0.59 at n_max=5, mean 10"
 
 
+@pytest.mark.parametrize("n_max", [None, 0, 5])
+def test_routes_keep_an_explicit_horizon_alike_on_one_state(n_max):
+    # T = 0 surely on the chain of one state: every route gives the law on
+    # 0..n_max, the point mass at 0 padded with zeros
+    routes = (absorption_exact(np.array([[1.0]]), np.array([1.0]), boundary=0, n_max=n_max),
+              absorption_spectral(Spectrum(np.array([1.0])), n_max=n_max),
+              absorption_recurrence(BDParams([0.0], [0.0], [1.0]), n_max=n_max))
+    want = np.eye(1, (n_max or 0) + 1)[0]
+    for stats in routes:
+        np.testing.assert_array_equal(stats.pmf, want)
+        np.testing.assert_array_equal(stats.survival, 0 * want)
+        assert (stats.n_max, stats.mean, stats.variance) == (want.size - 1, 0.0, 0.0)
+
+
 @pytest.mark.parametrize("N, a1, a2", [(10, 0.5, 0.5), (20, 0.3, 0.2), (40, 0.1, 0.1),
                                        (300, 0.25, 0.25)])
 def test_routes_share_the_automatic_horizon(N, a1, a2):

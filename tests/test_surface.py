@@ -8,6 +8,7 @@ the same name does not hide it; a function or class is read as a Name or an
 Attribute.  A name with no caller is deleted, or listed in KEPT with the
 reason it stays."""
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,3 +80,25 @@ def test_every_public_name_has_a_caller():
                 uncalled.append(f"{stem}.{name}")
     # a KEPT name that gains a caller leaves KEPT
     assert sorted(uncalled) == sorted(name for name, _ in KEPT)
+
+
+def test_every_error_is_raised_in_the_package_and_named_by_a_test():
+    # an error class no code raises is deleted with its last raise, and one
+    # that no test names is a refusal no test has seen; a test names a class
+    # in code or in a string, as in the CLI's "error: <class>: <message>"
+    classes = {node.name for node in ast.parse((SRC / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    named, words = set(), set()
+    for path in (ROOT / "tests").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        named |= referenced_names(tree)[0]
+        words |= {w for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                  and isinstance(node.value, str) for w in re.findall(r"\w+", node.value)}
+    assert classes and classes <= raised, sorted(classes - raised)
+    assert classes <= named | words, sorted(classes - named - words)
